@@ -138,10 +138,6 @@ class FElem:
         return f"({self.a}+{self.b}*sqrt{self.field.D})"
 
 
-def fe_conj(x: FElem) -> FElem:
-    return x.conj()
-
-
 def restrict_scalars(v: Sequence[FElem]) -> tuple[Fraction, ...]:
     """Rational coordinates of a field vector: (a_i, b_i) interleaved.
 

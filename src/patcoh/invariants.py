@@ -1,9 +1,11 @@
 """Numerical invariants of a finite arrangement and the closed rank formulas.
 
-From the enumerated orbit classes this module derives nu, the Euler
-characteristic by counting ascending chains of relative orbit classes, the
-exterior-power span ranks entering the codimension-2 and -3 formulas, the
-cohomology ranks D_p (codimension <= 3), and the K-group ranks.
+From the enumerated orbit classes this module builds the incidence poset
+(which global class has a translate inside which), and derives from it nu,
+the Euler characteristic by counting ascending chains in the poset, the
+line/plane incidence count tilde_L1 and the exterior-power span ranks
+entering the codimension-2 and -3 formulas, the cohomology ranks D_p
+(codimension <= 3), and the K-group ranks.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .linalg import wedge_span_rank
+from .linalg import rref, wedge_span_rank
 from .model import ProjectionData
 from .orbits import Arrangement, Engine, InfiniteArrangement, SingularClass
 
@@ -74,84 +76,72 @@ def compute_nu(data: ProjectionData, arrangement: Arrangement) -> int:
     return nu
 
 
-class _RelativeData:
-    """Per-class relative enumerations, chain-count values, and global
-    identification of relative classes, computed lazily and memoized."""
+def incidence(engine: Engine, arrangement: Arrangement
+              ) -> dict[tuple[int, int], list[SingularClass]]:
+    """The containment poset of the global orbit classes.
 
-    def __init__(self, engine: Engine, arrangement: Arrangement):
-        self.engine = engine
-        self.arr = arrangement
-        self.hclasses = arrangement.levels[engine.m - 1]
-        self._rel: dict[int, dict[int, list[SingularClass]]] = {}
-        self._g: dict[tuple[int, int], int] = {}
-
-    def _key(self, level: int, cls: SingularClass) -> tuple[int, int]:
-        return (level, cls.id)
-
-    def relative(self, level: int, cls: SingularClass):
-        key = self._key(level, cls)
-        if key not in self._rel:
-            self._rel[key] = self.engine.relative_levels(
-                cls.direction, cls.point, cls.stabilizer, self.hclasses)
-        return self._rel[key]
-
-    def identify(self, level: int, rel_cls: SingularClass) -> SingularClass:
-        """Global class of a relative class (match under the full group)."""
-        for cls in self.arr.levels[level]:
-            if cls.direction == rel_cls.direction and self.engine.same_orbit(
-                    (cls.direction, cls.point),
-                    (rel_cls.direction, rel_cls.point), self.engine.full):
-                return cls
-        raise InternalConsistencyError(
-            f"relative class at level {level} matches no global class")
-
-    def gval(self, level: int, cls: SingularClass) -> int:
-        """Signed chain count sum over ascending chains ending at this class."""
-        if level == 0:
-            return -1
-        key = self._key(level, cls)
-        if key in self._g:
-            return self._g[key]
-        total = 0
-        rel = self.relative(level, cls)
-        for sub_level in range(level):
-            for psi in rel[sub_level]:
-                if sub_level == 0:
-                    total += -1
-                else:
-                    total += self.gval(sub_level, self.identify(sub_level, psi))
-        self._g[key] = -total
-        return -total
+    Maps (level, id) of every class alpha to the classes beta below it,
+    lowest level first: beta < alpha iff dir(beta) lies in dir(alpha) and
+    p_beta has the label of p_alpha in dir(alpha) under the full lattice,
+    i.e. some Gamma-translate of beta lies in alpha.  The translations
+    that put beta inside alpha form one coset of Stab(alpha), so each such
+    beta is exactly one orbit class relative to alpha, with stabilizer
+    Stab(beta)."""
+    full = engine.full
+    by_dir: dict[int, dict] = {level: {} for level in arrangement.levels}
+    for level, classes in arrangement.levels.items():
+        for cls in classes:
+            by_dir[level].setdefault(cls.direction, []).append(cls)
+    below: dict[tuple[int, int], list[SingularClass]] = {}
+    for level in sorted(arrangement.levels):
+        for direction, alphas in by_dir[level].items():
+            labels = {}
+            for alpha in alphas:
+                below[(level, alpha.id)] = []
+                labels[engine.label(direction, alpha.point, full)] = alpha
+            for sub_level in range(level):
+                for sub_dir, betas in by_dir[sub_level].items():
+                    if len(rref(direction + sub_dir)) > level:
+                        continue  # dir(beta) does not lie in dir(alpha)
+                    for beta in betas:
+                        alpha = labels.get(engine.label(direction, beta.point, full))
+                        if alpha is not None:
+                            below[(level, alpha.id)].append(beta)
+    return below
 
 
 def euler_characteristic(engine: Engine, arrangement: Arrangement,
-                         rel: _RelativeData | None = None) -> int:
-    """Euler characteristic by chain counting over relative orbit classes."""
-    rel = rel or _RelativeData(engine, arrangement)
-    total = 0
-    for level, classes in arrangement.levels.items():
-        for cls in classes:
-            total += rel.gval(level, cls)
+                         below: dict | None = None) -> int:
+    """Euler characteristic by chain counting over the incidence poset:
+    g = -1 on points, g(alpha) = -sum of g(beta) over beta < alpha, and e
+    is the sum of g over all classes (negated for odd m)."""
+    if below is None:
+        below = incidence(engine, arrangement)
+    g: dict[tuple[int, int], int] = {}
+    for level in sorted(arrangement.levels):
+        for cls in arrangement.levels[level]:
+            key = (level, cls.id)
+            g[key] = -1 if level == 0 else -sum(g[(b.dim, b.id)] for b in below[key])
+    total = sum(g.values())
     return total if engine.m % 2 == 0 else -total
 
 
 def _wedge_quantities(engine: Engine, arrangement: Arrangement,
-                      rel: _RelativeData, d: int):
+                      below: dict, d: int):
     """r_p (m = 2) or (R_p, tilde_L1) (m = 3), for p = 1 .. d+1."""
     m = engine.m
     if m == 2:
         stabs = [c.stabilizer for c in arrangement.levels[1]]
         return [wedge_span_rank(stabs, p + 1) for p in range(1, d + 2)], None
-    # m == 3
+    # m == 3: tilde_L1 counts (line, plane) incidences beyond L_1
     plane_stabs = [c.stabilizer for c in arrangement.levels[2]]
     line_stabs = [c.stabilizer for c in arrangement.levels[1]]
     per_plane_line_stabs = []
     tilde = -len(arrangement.levels[1])
     for alpha in arrangement.levels[2]:
-        rel_lines = rel.relative(2, alpha)[1]
-        tilde += len(rel_lines)
-        uniq = list(dict.fromkeys(c.stabilizer for c in rel_lines))
-        per_plane_line_stabs.append(uniq)
+        lines = [b for b in below[(2, alpha.id)] if b.dim == 1]
+        tilde += len(lines)
+        per_plane_line_stabs.append(list(dict.fromkeys(b.stabilizer for b in lines)))
     big_r = []
     for p in range(1, d + 2):
         t1 = wedge_span_rank(plane_stabs, p + 2)
@@ -183,7 +173,8 @@ def rank_formulas(m: int, nu: int, d: int, e: int, L: list[int],
             out.append(binom(2 * nu, p + 2) + L[1] * binom(nu, p + 1)
                        - wp(p + 1) - wp(p))
     elif m == 3:
-        assert tilde_L1 is not None
+        if tilde_L1 is None:
+            raise InternalConsistencyError("m = 3 rank formulas need tilde_L1")
         d0 = sum((-1) ** j * binom(3 * nu, 3 - j) for j in range(4))
         d0 += L[2] * sum((-1) ** j * binom(2 * nu, 2 - j) for j in range(3))
         d0 += tilde_L1 * sum((-1) ** j * binom(nu, 1 - j) for j in range(2))
@@ -233,18 +224,18 @@ def analyze(data: ProjectionData, max_classes: int | None = None) -> InvariantRe
     nu = compute_nu(data, arrangement)
     report.nu = Fraction(nu)
     report.L = arrangement.counts()
-    rel = _RelativeData(engine, arrangement)
-    report.e = euler_characteristic(engine, arrangement, rel)
+    below = incidence(engine, arrangement)
+    report.e = euler_characteristic(engine, arrangement, below)
     if m > 3:
         report.status = "unsupported_codimension"
         return report
     report.status = "finite"
     wedges = None
     if m == 2:
-        wedges, _ = _wedge_quantities(engine, arrangement, rel, d)
+        wedges, _ = _wedge_quantities(engine, arrangement, below, d)
         report.r = wedges
     elif m == 3:
-        wedges, tilde = _wedge_quantities(engine, arrangement, rel, d)
+        wedges, tilde = _wedge_quantities(engine, arrangement, below, d)
         report.R = wedges
         report.tilde_L1 = tilde
     report.D = rank_formulas(m, nu, d, report.e, report.L, report.tilde_L1, wedges)

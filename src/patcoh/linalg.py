@@ -9,6 +9,7 @@ rational entries are Fractions, integer entries are plain ints.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -316,9 +317,7 @@ def integer_kernel(rows, ncols: int) -> IntLattice:
         fr = [Fraction(x) for x in r]
         if not any(fr):
             continue
-        scale = 1
-        for x in fr:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
+        scale = math.lcm(*(x.denominator for x in fr))
         int_rows.append([int(x * scale) for x in fr])
     if not int_rows:
         return IntLattice.full(ncols)
@@ -326,12 +325,6 @@ def integer_kernel(rows, ncols: int) -> IntLattice:
     rank = sum(1 for i in range(min(len(d), ncols)) if d[i][i] != 0)
     cols = [tuple(v[i][j] for i in range(ncols)) for j in range(rank, ncols)]
     return IntLattice.from_rows(ncols, cols)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def mixed_solve(a_rows, b_rows, c, k: int) -> Coset | None:
@@ -360,9 +353,7 @@ def mixed_solve(a_rows, b_rows, c, k: int) -> Coset | None:
     int_m: list[list[int]] = []
     int_b: list[int] = []
     for row, b in zip(m_rows, rhs):
-        scale = 1
-        for x in list(row) + [b]:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
+        scale = math.lcm(b.denominator, *(x.denominator for x in row))
         int_m.append([int(x * scale) for x in row])
         int_b.append(int(b * scale))
     d, u, v = snf(int_m)

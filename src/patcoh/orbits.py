@@ -6,11 +6,14 @@ level (each level cuts the previous one by translated hyperplanes), with
 stabilizer sublattices attached.  Orbit questions are decided purely by
 integer linear algebra on translation coefficients: a per-pair
 classification subgroup whose index is the number of classes contributed,
-and whose rank deficiency certifies an infinite class count.
+and whose rank deficiency certifies an infinite class count.  Whether two
+spaces share an orbit is one comparison of canonical hashable labels
+(`Engine.label`), so deduplication is a set lookup.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -73,32 +76,6 @@ class Arrangement:
         return [len(self.levels[l]) for l in sorted(self.levels)]
 
 
-class _MembershipTester:
-    """Decides 'delta in Q-span(dir) + integer span of group image' quickly:
-    the rational part is eliminated once, leaving an SNF divisibility test."""
-
-    def __init__(self, proj_rows, group_cols, scale_snf):
-        self.proj_rows = proj_rows          # rows of P (rational, length dm)
-        self.scales = scale_snf[0]          # per-row integer multipliers
-        self.diag = scale_snf[1]            # SNF diagonal of cleared P*Gg
-        self.umat = scale_snf[2]            # SNF left transform
-        self.rank = scale_snf[3]
-
-    def contains(self, delta: Sequence[Fraction]) -> bool:
-        if not self.proj_rows:
-            return True
-        v = [s * sum(p * d for p, d in zip(row, delta))
-             for row, s, in zip(self.proj_rows, self.scales)]
-        for i, urow in enumerate(self.umat):
-            ui = sum(u * x for u, x in zip(urow, v))
-            if i < self.rank:
-                if ui % self.diag[i] != 0:
-                    return False
-            elif ui != 0:
-                return False
-        return True
-
-
 class Engine:
     """Enumeration engine bound to one validated projection data set."""
 
@@ -112,7 +89,7 @@ class Engine:
         self.dm = self.delta * self.m
         self.full = IntLattice.full(self.n)
         self.gen_cols = [restrict_scalars(g) for g in data.gens]
-        self._testers: dict = {}
+        self._label_maps: dict = {}
         self._stabilizers: dict = {}
         self._group_cols: dict = {}
         self._projs: dict = {}
@@ -215,46 +192,45 @@ class Engine:
             self._stabilizers[key] = integer_kernel(rows, self.n)
         return self._stabilizers[key]
 
-    def _tester(self, group: IntLattice, direction) -> _MembershipTester:
-        key = (group.basis, direction)
-        if key in self._testers:
-            return self._testers[key]
-        proj = self._proj_rows(direction)
-        gcols = self.group_image_cols(group)
-        pg = self._proj_group(direction, group)
-        m_rows = []
-        scales = []
-        for row in pg:
-            scale = 1
-            for x in row:
-                den = x.denominator
-                g = _gcd(scale, den)
-                scale = scale * den // g
-            scales.append(scale)
-            m_rows.append([int(x * scale) for x in row])
-        if m_rows and gcols:
-            d, u, _ = snf(m_rows)
-            rank = sum(1 for i in range(min(len(d), len(gcols))) if d[i][i] != 0)
-            diag = [d[i][i] for i in range(rank)]
-        elif m_rows:
-            u = [[int(i == j) for j in range(len(m_rows))] for i in range(len(m_rows))]
-            rank, diag = 0, []
-        else:
-            u, rank, diag = [], 0, []
-        tester = _MembershipTester(list(proj), gcols, (scales, diag, u, rank))
-        self._testers[key] = tester
-        return tester
+    def _label_map(self, group: IntLattice, direction):
+        """(rows, moduli) behind label(), cached per (group, direction).
 
-    def in_group_orbit(self, direction, delta_point, group: IntLattice) -> bool:
-        """Is delta_point (a field vector) in span(direction) + group image?"""
-        return self._tester(group, direction).contains(restrict_scalars(delta_point))
+        P (the annihilator rows of `direction`) times the group image is
+        cleared of denominators row by row (diag(scale)) and brought to
+        Smith form D = U M V.  rows = U diag(scale) P; moduli holds the
+        nonzero SNF diagonal entries, then 0 for the rows past the rank."""
+        key = (group.basis, direction)
+        if key not in self._label_maps:
+            proj = self._proj_rows(direction)
+            pg = self._proj_group(direction, group)
+            scales = [math.lcm(*(x.denominator for x in row)) for row in pg]
+            d, u, _ = snf([[int(x * s) for x in row] for row, s in zip(pg, scales)])
+            rank = sum(1 for i in range(min(len(d), group.rank)) if d[i][i] != 0)
+            scaled = [[s * x for x in p] for p, s in zip(proj, scales)]
+            rows = [tuple(sum(ui * row[c] for ui, row in zip(urow, scaled) if ui)
+                          for c in range(self.dm)) for urow in u]
+            moduli = [d[i][i] if i < rank else 0 for i in range(len(u))]
+            self._label_maps[key] = (rows, moduli)
+        return self._label_maps[key]
+
+    def label(self, direction, point, group: IntLattice) -> tuple:
+        """Canonical key of the group-orbit of point + span(direction).
+
+        U diag(scale) P res(point), with entry i reduced modulo the SNF
+        diagonal d_i for i below the rank and kept as is beyond it: two
+        points give the same key iff their difference lies in
+        span(direction) + group image, i.e. iff the spaces share an orbit."""
+        rows, moduli = self._label_map(group, direction)
+        x = restrict_scalars(point)
+        key = []
+        for row, mod in zip(rows, moduli):
+            v = sum(r * xi for r, xi in zip(row, x) if r)
+            key.append(v % mod if mod else v)
+        return tuple(key)
 
     def same_orbit(self, a, b, group: IntLattice) -> bool:
         """a, b: (direction, point) pairs.  Same group-orbit of affine spaces?"""
-        if a[0] != b[0]:
-            return False
-        diff = tuple(x - y for x, y in zip(a[1], b[1]))
-        return self.in_group_orbit(a[0], diff, group)
+        return a[0] == b[0] and self.label(*a, group) == self.label(*b, group)
 
     # -- intersections and per-pair classification ---------------------------
 
@@ -313,6 +289,13 @@ class Engine:
         hsub = IntLattice.from_rows(self.n, [r[: self.n] for r in kernel.basis])
         if hsub.rank < self.n:
             raise InfiniteArrangement(level, parent.id, hclass.id, hsub.rank, self.n)
+        # the cosets of hsub are pairwise distinct classes, so an index above
+        # the cap trips it whatever the other pairs add: stop before listing
+        index = math.prod(row[i] for i, row in enumerate(hsub.basis))
+        if index > self.max_classes:
+            raise ResourceCapExceeded(
+                f"level {level}, pair (parent {parent.id}, hyperplane class "
+                f"{hclass.id}): {index} classes, more than the cap of {self.max_classes}")
         reps = coset_reps(self.full, hsub)
         points = []
         for y in reps:
@@ -330,29 +313,27 @@ class Engine:
         """Classes at `level` from cutting parent representatives by all
         translated hyperplane classes, deduplicated under `group`."""
         accepted: list[SingularClass] = []
+        seen: dict = {}  # direction -> labels of the classes accepted so far
         for parent in parents:
             for hc in hclasses:
                 if not self.proper(parent.direction, hc.normal):
                     continue
                 sub_dir, points, _ = self.classify_pair(parent, hc, group, level)
+                labels = seen.setdefault(sub_dir, set())
                 for pt in points:
-                    is_new = True
-                    for cls in accepted:
-                        if cls.direction == sub_dir and self.same_orbit(
-                                (cls.direction, cls.point), (sub_dir, pt), group):
-                            is_new = False
-                            break
-                    if is_new:
-                        kwargs = {}
-                        if with_normals:
-                            kwargs = {"normal": hc.normal,
-                                      "offset": dot(hc.normal, pt)}
-                        accepted.append(SingularClass(
-                            len(accepted), level, sub_dir, pt,
-                            self.stabilizer(sub_dir), **kwargs))
-                        if len(accepted) > self.max_classes:
-                            raise ResourceCapExceeded(
-                                f"more than {self.max_classes} classes at level {level}")
+                    key = self.label(sub_dir, pt, group)
+                    if key in labels:
+                        continue
+                    labels.add(key)
+                    kwargs = {}
+                    if with_normals:
+                        kwargs = {"normal": hc.normal, "offset": dot(hc.normal, pt)}
+                    accepted.append(SingularClass(
+                        len(accepted), level, sub_dir, pt,
+                        self.stabilizer(sub_dir), **kwargs))
+                    if len(accepted) > self.max_classes:
+                        raise ResourceCapExceeded(
+                            f"more than {self.max_classes} classes at level {level}")
         return accepted
 
     def _full_space_parent(self) -> SingularClass:
@@ -398,9 +379,3 @@ class Engine:
             prev = self.build_level(prev, hclasses, group, level)
             out[level] = prev
         return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)

@@ -8,7 +8,7 @@ import json
 import time
 
 from .invariants import InvariantReport, analyze
-from .model import ProjectionData, ValidationReport, validate
+from .model import ProjectionData, ValidationReport, _felem_json, validate
 from .orbits import Arrangement, ResourceCapExceeded
 
 REPORT_SCHEMA = "patcoh-report/1"
@@ -26,12 +26,6 @@ _STATUS_EXIT = {
     "validation_error": EXIT_VALIDATION,
     "unsupported_codimension": EXIT_UNSUPPORTED,
 }
-
-
-def _felem_json(x) -> list[str]:
-    if x.field.degree == 1:
-        return [str(x.a)]
-    return [str(x.a), str(x.b)]
 
 
 def _validation_json(vrep: ValidationReport) -> dict:

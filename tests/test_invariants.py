@@ -8,6 +8,7 @@ from patcoh.invariants import (
     analyze,
     binom,
     euler_characteristic,
+    incidence,
     k_ranks,
     rank_formulas,
 )
@@ -82,8 +83,8 @@ def test_analyze_infinite_demo():
     assert rep.diagnostics["deficient_subgroup_rank"] < 3
 
 
-def test_analyze_codim_two_internally_consistent():
-    # a genuinely coupled two-dimensional internal space exercises the r_p path
+def coupled_plane():
+    """A genuinely coupled two-dimensional internal space (the r_p path)."""
     doc = {
         "schema": "patcoh/1",
         "name": "coupled_plane",
@@ -94,7 +95,11 @@ def test_analyze_codim_two_internally_consistent():
         "hyperplanes": [{"normal": [["1"], ["0"]]}, {"normal": [["0"], ["1"]]},
                         {"normal": [["1"], ["1"]]}],
     }
-    data = parse_projection_data(json.dumps(doc))
+    return parse_projection_data(json.dumps(doc))
+
+
+def test_analyze_codim_two_internally_consistent():
+    data = coupled_plane()
     assert validate(data).ok
     rep = analyze(data)
     assert rep.status == "finite"
@@ -104,6 +109,38 @@ def test_analyze_codim_two_internally_consistent():
     assert rep.H[0] == 1  # rank H^0 is always one
     assert sum((-1) ** p * dp for p, dp in enumerate(rep.D)) == rep.e
     assert sum(rep.K) == sum(rep.H)
+
+
+@pytest.mark.parametrize("make", [lambda: build("danzer").data, coupled_plane],
+                         ids=["danzer", "coupled_plane"])
+def test_incidence_matches_relative_enumeration(make):
+    # every class of the relative enumeration inside alpha is one global
+    # class below alpha, each found once, with the same stabilizer
+    eng = Engine(make())
+    arr = eng.enumerate_arrangement()
+    below = incidence(eng, arr)
+    by_label = {(c.direction, eng.label(c.direction, c.point, eng.full)): c
+                for classes in arr.levels.values() for c in classes}
+    hclasses = arr.levels[eng.m - 1]
+    pairs = 0
+    for level, classes in arr.levels.items():
+        for alpha in classes:
+            rel = eng.relative_levels(alpha.direction, alpha.point,
+                                      alpha.stabilizer, hclasses)
+            found = []
+            for sub_level, rel_classes in rel.items():
+                for psi in rel_classes:
+                    key = (psi.direction, eng.label(psi.direction, psi.point, eng.full))
+                    assert key in by_label, (level, alpha.id, sub_level)
+                    beta = by_label[key]
+                    assert beta.dim == sub_level
+                    assert psi.stabilizer == beta.stabilizer
+                    found.append((beta.dim, beta.id))
+            expected = [(b.dim, b.id) for b in below[(level, alpha.id)]]
+            assert len(set(found)) == len(found)
+            assert sorted(found) == sorted(expected), (level, alpha.id)
+            pairs += len(found)
+    assert pairs > 0
 
 
 def test_compute_nu_rejects_bad_stabilizer():
@@ -118,6 +155,11 @@ def test_compute_nu_rejects_bad_stabilizer():
     broken = Arrangement(data, {0: [bad]})
     with pytest.raises(InternalConsistencyError):
         compute_nu(data, broken)
+
+
+def test_rank_formulas_codim_three_need_tilde_l1():
+    with pytest.raises(InternalConsistencyError):
+        rank_formulas(3, 2, 3, 10, [1, 15, 6], None, [33, 5, 0, 0])
 
 
 def test_rank_formulas_reject_unknown_codimension():

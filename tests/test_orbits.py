@@ -1,11 +1,19 @@
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
+import patcoh.orbits
 from patcoh.catalog import build
-from patcoh.field import dot, quadratic
-from patcoh.linalg import IntLattice, rref
-from patcoh.model import Hyperplane, ProjectionData, canonical_hyperplane
+from patcoh.field import dot, quadratic, restrict_scalars
+from patcoh.linalg import IntLattice, lattice_index, mixed_solve, rref
+from patcoh.model import (
+    Hyperplane,
+    ProjectionData,
+    canonical_hyperplane,
+    parse_projection_data,
+)
 from patcoh.orbits import Engine, InfiniteArrangement, ResourceCapExceeded
 
 F5 = quadratic(5)
@@ -69,6 +77,50 @@ def test_same_orbit_fibonacci_points():
     assert eng.same_orbit((direction, (ZERO,)), (direction, (ONE + TAU,)), full)
     assert not eng.same_orbit((direction, (ZERO,)), (direction, (F5.elem("1/3"),)), full)
     assert eng.same_orbit((direction, (TAU,)), (direction, (TAU,)), full)
+
+
+def _rand_felem(rng):
+    return F5.elem(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                   Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+
+
+def test_label_agrees_with_mixed_solve():
+    # label equality against the brute-force orbit test: delta lies in
+    # span(direction) + group image iff G y + B t = res(delta) has an
+    # integer y (in the group) and a rational t
+    eng = Engine(build("danzer").data)
+    arr = eng.enumerate_arrangement()
+    rng = random.Random(135)
+    doubled = IntLattice.from_rows(eng.n, [[2 * x for x in row] for row in eng.full.basis])
+    verdicts = []
+    for group, step in ((eng.full, 1), (doubled, 2)):
+        g_cols = eng.group_image_cols(group)
+        g_res = [[c[i] for c in g_cols] for i in range(eng.dm)]
+        for classes in arr.levels.values():
+            for cls in classes:
+                d_cols = eng.dir_res_cols(cls.direction)
+                d_res = [[c[i] for c in d_cols] for i in range(eng.dm)]
+                base = eng.label(cls.direction, cls.point, group)
+                for k in range(4):
+                    # gamma(y) + t.u is in the orbit when y is in the group
+                    # (k = 0; k = 1 leaves that to chance under `doubled`);
+                    # a small random offset on top mostly leaves it (k >= 2)
+                    y = [rng.randint(-3, 3) * (step if k == 0 else 1)
+                         for _ in range(eng.n)]
+                    delta = eng.gamma_vec(y)
+                    for u in cls.direction:
+                        t = _rand_felem(rng)
+                        delta = tuple(a + t * x for a, x in zip(delta, u))
+                    if k >= 2:
+                        delta = tuple(a + _rand_felem(rng) for a in delta)
+                    moved = tuple(p + a for p, a in zip(cls.point, delta))
+                    same = eng.label(cls.direction, moved, group) == base
+                    sol = mixed_solve(g_res, d_res, restrict_scalars(delta), group.rank)
+                    assert same == (sol is not None), (cls.dim, cls.id, k)
+                    assert eng.same_orbit((cls.direction, cls.point),
+                                          (cls.direction, moved), group) == same
+                    verdicts.append(same)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_hyperplane_class_counts():
@@ -163,6 +215,34 @@ def test_resource_cap():
     eng = Engine(build("danzer").data, max_classes=3)
     with pytest.raises(ResourceCapExceeded):
         eng.enumerate_arrangement()
+
+
+def _ammann_beenker_with(extra_normal):
+    half, neg = ["0", "1/2"], ["0", "-1/2"]
+    star = [[["1"], ["0"]], [half, half], [["0"], ["1"]], [neg, half]]
+    doc = {"schema": "patcoh/1", "name": "ab_extra", "field": {"kind": "Qsqrt", "D": 2},
+           "dim": 2, "generators": star,
+           "hyperplanes": [{"normal": v} for v in star + [extra_normal]]}
+    return parse_projection_data(json.dumps(doc))
+
+
+def test_resource_cap_fires_before_listing_cosets(monkeypatch):
+    # the plane normal (1, 10) meets one star line in 200 point classes;
+    # with a cap of 10 no coset list above the cap may be built
+    data = _ammann_beenker_with([["1"], ["10"]])
+    indices = []
+    real = patcoh.orbits.coset_reps
+
+    def spy(s_lat, h_lat):
+        indices.append(lattice_index(s_lat, h_lat))
+        return real(s_lat, h_lat)
+
+    monkeypatch.setattr(patcoh.orbits, "coset_reps", spy)
+    with pytest.raises(ResourceCapExceeded) as exc:
+        Engine(data, max_classes=10).enumerate_arrangement()
+    assert indices and max(indices) <= 10
+    msg = str(exc.value)
+    assert "level 0" in msg and "200" in msg and "hyperplane class" in msg
 
 
 def test_relative_levels_empty_without_proper_cuts():
