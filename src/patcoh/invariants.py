@@ -23,12 +23,6 @@ class InternalConsistencyError(Exception):
     """Two independent computations disagree: an orbit-counting bug."""
 
 
-class UnsupportedCodimension(Exception):
-    def __init__(self, report: "InvariantReport"):
-        self.report = report
-        super().__init__(f"no closed rank formulas for dim V = {report.m} > 3")
-
-
 def binom(a: int, b: int) -> int:
     if b < 0 or b > a:
         return 0

@@ -1,9 +1,10 @@
 """Exact rational and integer linear algebra.
 
 Ranks and kernels over Q, Hermite/Smith normal forms over Z, mixed
-integer-rational affine solving, lattice indices with coset enumeration,
-and ranks of spans of exterior powers.  Matrices are lists of row tuples;
-rational entries are Fractions, integer entries are plain ints.
+integer-rational affine solving, lattice indices, coset representatives
+read off the Hermite box, and ranks of spans of exterior powers.
+Matrices are lists of row tuples; rational entries are Fractions, integer
+entries are plain ints.
 """
 
 from __future__ import annotations
@@ -210,23 +211,8 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]
     return d, u, v
 
 
-def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    cols = list(zip(*b)) if b else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def int_matvec(a: Sequence[Sequence[int]], x: Sequence) -> list:
     return [sum(p * q for p, q in zip(row, x)) for row in a]
-
-
-def int_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    k = len(m)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
-           for i, row in enumerate(m)]
-    red = rref(aug)
-    inv = [[int(red[i][k + j]) for j in range(k)] for i in range(k)]
-    return inv
 
 
 def int_det(m: Sequence[Sequence[int]]) -> int:
@@ -392,32 +378,16 @@ def lattice_index(s_lat: IntLattice, h_lat: IntLattice) -> int | None:
     return abs(int_det(coords))
 
 
-def coset_reps(s_lat: IntLattice, h_lat: IntLattice) -> list[tuple[int, ...]]:
-    """One canonical representative per coset of H in S, lexicographic.
+def coset_reps(h_lat: IntLattice) -> list[tuple[int, ...]]:
+    """One representative per coset of H in Z^n, lexicographic.
 
-    Representatives are HNF-box-reduced in S-coordinates and returned as
-    ambient vectors, ordered lexicographically by the reduced coordinates.
+    H's basis is a row HNF, so for full rank it is upper triangular with
+    positive diagonal and the box prod [0, h_ii) holds exactly one point
+    of each coset: the HNF-reduced one.
     """
-    coords = []
-    for row in h_lat.basis:
-        c = s_lat.coords_of(row)
-        if c is None:
-            raise ValueError("H is not a sublattice of S")
-        coords.append(c)
-    r = s_lat.rank
-    if len(coords) < r:
+    if h_lat.rank < h_lat.ambient:
         raise ValueError("infinite index")
-    d, _, v = snf(coords)
-    vinv = int_inverse(v)
-    h_in_s = IntLattice.from_rows(r, coords)
-    seen = []
-    for resid in itertools.product(*(range(d[i][i]) for i in range(r))):
-        # row convention: x = resid * V^{-1}
-        x = [sum(resid[i] * vinv[i][j] for i in range(r)) for j in range(r)]
-        seen.append(h_in_s.reduce(x))
-    seen = sorted(set(seen))
-    return [tuple(sum(c[i] * s_lat.basis[i][j] for i in range(r))
-                  for j in range(s_lat.ambient)) for c in seen]
+    return list(itertools.product(*(range(row[i]) for i, row in enumerate(h_lat.basis))))
 
 
 def wedge_span_rank(lats: Sequence[IntLattice], p: int) -> int:

@@ -7,7 +7,6 @@ family of affine hyperplanes whose Gamma-translates form the singular set.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -187,10 +186,6 @@ def serialize_projection_data(data: ProjectionData) -> str:
 # ---------------------------------------------------------------------------
 # validation
 
-def _normal_span_dim(data: ProjectionData, planes) -> int:
-    return len(rref([list(h.normal) for h in planes]))
-
-
 def validate(data: ProjectionData) -> ValidationReport:
     """Structural checks: generator independence, spanning, indecomposability,
     divisibility of rank(Gamma) by dim V, and the partial density check."""
@@ -202,44 +197,30 @@ def validate(data: ProjectionData) -> ValidationReport:
     if rat_rank(restricted) != n:
         rep.add("error", "gens_dependent",
                 "generators are Q-linearly dependent: Gamma is not free of rank n")
-    if _normal_span_dim(data, data.planes) != m:
+    # the normals as the columns of an m x k matrix
+    red = rref([[h.normal[i] for h in data.planes] for i in range(m)])
+    if len(red) != m:
         rep.add("error", "normals_span", "hyperplane normals do not span V")
     if len(data.planes) > MAX_PLANES:
         rep.add("error", "too_many_planes",
                 f"at most {MAX_PLANES} hyperplanes supported, got {len(data.planes)}")
     elif rep.ok:
-        # decomposability: some bipartition of the planes has complementary
-        # normal spans.  One side's span is spanned by d < m of its own
-        # normals, so it suffices to try every subspace generated by a small
-        # subset of normals, take the side of all normals it contains, and
-        # test whether the remaining normals span a complement.
-        k = len(data.planes)
-        normals = [list(h.normal) for h in data.planes]
-        seen_spans: set = set()
-        found = None
-        for dsize in range(1, m):
-            for subset in itertools.combinations(range(k), dsize):
-                w = rref([normals[i] for i in subset])
-                if len(w) != dsize:
-                    continue
-                key = tuple(tuple(r) for r in w)
-                if key in seen_spans:
-                    continue
-                seen_spans.add(key)
-                inside = [i for i in range(k)
-                          if len(rref(w + [normals[i]])) == dsize]
-                outside = [data.planes[i] for i in range(k) if i not in inside]
-                if not outside:
-                    continue
-                if dsize + _normal_span_dim(data, outside) == m:
-                    found = (dsize, m - dsize)
-                    break
-            if found:
-                break
-        if found:
+        # decomposability: the pivot columns of `red` are a basis, and each
+        # row's nonzero columns are its pivot plus every other column whose
+        # fundamental circuit holds that pivot.  The family splits into
+        # complementary spans iff this fundamental graph is disconnected
+        # (for any basis), and a component's rank is its number of pivots;
+        # so merge rows whose supports meet and count the pivots per part.
+        parts: list[tuple[int, set[int]]] = []  # (rank, columns)
+        for row in red:
+            cols = {j for j, x in enumerate(row) if x}
+            meet = [p for p in parts if p[1] & cols]
+            parts = [p for p in parts if not p[1] & cols]
+            parts.append((1 + sum(r for r, _ in meet), cols.union(*(c for _, c in meet))))
+        if len(parts) > 1:
+            low = min(r for r, _ in parts)
             rep.add("error", "decomposable",
-                    f"normals split into complementary spans of dims "
-                    f"{found[0]}+{found[1]}")
+                    f"normals split into complementary spans of dims {low}+{m - low}")
     if n % m != 0:
         rep.add("warning", "nu_not_integral",
                 f"dim V = {m} does not divide rank Gamma = {n}: "

@@ -164,10 +164,7 @@ class Engine:
         key = (direction, w)
         if key not in self._proj_ws:
             proj = self._proj_rows(direction)
-            cols = [restrict_scalars(w)]
-            if self.delta == 2:
-                sqrt = self.fspec.elem(0, 1)
-                cols.append(restrict_scalars([sqrt * x for x in w]))
+            cols = self.dir_res_cols((w,))
             self._proj_ws[key] = [
                 tuple(sum(p[i] * col[i] for i in range(self.dm)) for col in cols)
                 for p in proj
@@ -184,12 +181,8 @@ class Engine:
         """Gamma cap span(direction), as coefficient vectors in Z^n."""
         key = direction
         if key not in self._stabilizers:
-            proj = self._proj_rows(direction)
-            rows = [
-                [sum(p[i] * col[i] for i in range(self.dm)) for col in self.gen_cols]
-                for p in proj
-            ]
-            self._stabilizers[key] = integer_kernel(rows, self.n)
+            self._stabilizers[key] = integer_kernel(
+                self._proj_group(direction, self.full), self.n)
         return self._stabilizers[key]
 
     def _label_map(self, group: IntLattice, direction):
@@ -296,7 +289,7 @@ class Engine:
             raise ResourceCapExceeded(
                 f"level {level}, pair (parent {parent.id}, hyperplane class "
                 f"{hclass.id}): {index} classes, more than the cap of {self.max_classes}")
-        reps = coset_reps(self.full, hsub)
+        reps = coset_reps(hsub)
         points = []
         for y in reps:
             shift = self.fspec.zero

@@ -11,7 +11,6 @@ from patcoh.linalg import (
     coset_reps,
     hnf,
     int_det,
-    int_matmul,
     integer_kernel,
     lattice_index,
     mixed_solve,
@@ -40,6 +39,11 @@ def rand_unimodular(rng, n, steps=8):
             c = rng.choice([-2, -1, 1, 2])
             m[i] = [x + c * y for x, y in zip(m[i], m[j])]
     return m
+
+
+def int_matmul(a, b):
+    cols = list(zip(*b)) if b else []
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 # -- rational elimination ----------------------------------------------------
@@ -249,28 +253,33 @@ def test_lattice_index_examples():
 
 
 def test_coset_reps_examples():
-    z2 = IntLattice.full(2)
     sub = IntLattice.from_rows(2, [[2, 0], [0, 3]])
-    reps = coset_reps(z2, sub)
+    reps = coset_reps(sub)
     assert reps == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    z1 = IntLattice.full(1)
-    assert coset_reps(z1, IntLattice.from_rows(1, [[5]])) == [
+    assert coset_reps(IntLattice.from_rows(1, [[5]])) == [
         (0,), (1,), (2,), (3,), (4,)]
+    with pytest.raises(ValueError):
+        coset_reps(IntLattice.from_rows(2, [[1, 0]]))
 
 
 def test_coset_reps_are_a_transversal():
     rng = random.Random(53)
-    for _ in range(15):
-        rows = rand_int_matrix(rng, 2, 2, -4, 4)
-        if int_det(rows) == 0:
-            continue
-        sub = IntLattice.from_rows(2, rows)
-        z2 = IntLattice.full(2)
-        reps = coset_reps(z2, sub)
-        assert len(reps) == lattice_index(z2, sub)
-        # pairwise inequivalent
-        for x, y in itertools.combinations(reps, 2):
-            assert sub.coords_of([a - b for a, b in zip(x, y)]) is None
+    for n in range(1, 5):
+        checked = 0
+        while checked < 15:
+            rows = rand_int_matrix(rng, n, n, -4, 4)
+            # the pairwise check below is quadratic in the index
+            if not 0 < abs(int_det(rows)) <= 60:
+                continue
+            sub = IntLattice.from_rows(n, rows)
+            reps = coset_reps(sub)
+            assert len(reps) == lattice_index(IntLattice.full(n), sub)
+            # the order fixes class ids, hence the canonical digests
+            assert reps == sorted(reps)
+            # pairwise inequivalent
+            for x, y in itertools.combinations(reps, 2):
+                assert sub.coords_of([a - b for a, b in zip(x, y)]) is None
+            checked += 1
 
 
 def test_wedge_span_rank_examples():

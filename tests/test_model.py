@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -5,9 +6,11 @@ import pytest
 
 from patcoh.catalog import build, names
 from patcoh.field import quadratic
+from patcoh.linalg import rat_rank
 from patcoh.model import (
     Hyperplane,
     ParseError,
+    ProjectionData,
     canonical_hyperplane,
     parse_projection_data,
     serialize_projection_data,
@@ -155,3 +158,66 @@ def test_validate_invariant_under_plane_permutation():
     rng.shuffle(planes)
     shuffled = type(data)(data.field, data.m, data.gens, tuple(planes), data.name)
     assert validate(shuffled).ok == validate(data).ok
+
+
+def smallest_split(normals, m):
+    """Least rank of one side over all bipartitions of the normals into
+    complementary spans (rank A + rank B = m); None when there is none."""
+    k = len(normals)
+    rank = [rat_rank([v for i, v in enumerate(normals) if mask >> i & 1])
+            for mask in range(2 ** k)]
+    full = 2 ** k - 1
+    splits = [rank[mask] for mask in range(1, full) if rank[mask] + rank[full ^ mask] == m]
+    return min(splits, default=None)
+
+
+def random_normals(rng, m, irrational):
+    """k <= 7 normals spanning V = F5^m, half of the families block diagonal
+    (2 or 3 blocks), before and after a random invertible map of V that
+    hides the blocks and keeps every rank."""
+    def elem():
+        return F5.elem(rng.randint(-3, 3), rng.randint(-2, 2) if irrational else 0)
+
+    while True:
+        if rng.random() < 0.5:
+            cuts = sorted(rng.sample(range(1, m), min(m - 1, rng.randint(1, 2))))
+            blocks = [range(a, b) for a, b in zip([0] + cuts, cuts + [m])]
+            # one normal more than its dimension lets a block be connected
+            owner = [b for b in blocks for _ in range(len(b) + 1)]
+            owner += [rng.choice(blocks) for _ in range(rng.randint(0, 7 - len(owner)))]
+            normals = [[elem() if i in b else F5.zero for i in range(m)] for b in owner]
+        else:
+            normals = [[elem() if rng.random() < 0.6 else F5.zero for _ in range(m)]
+                       for _ in range(rng.randint(m, 7))]
+        g = [[elem() for _ in range(m)] for _ in range(m)]
+        # parsing rejects zero normals
+        if not all(any(v) for v in normals) or rat_rank(normals) != m or rat_rank(g) != m:
+            continue
+        moved = [tuple(sum((v[i] * g[i][j] for i in range(m)), F5.zero) for j in range(m))
+                 for v in normals]
+        return normals, moved
+
+
+def test_decomposable_matches_bipartition_oracle():
+    # over Q no Gamma of rank > dim V is Q-independent, so validation never
+    # reaches this check; the rational families sit in a Q(sqrt 5) data set
+    rng = random.Random(67)
+    outcomes = set()
+    for m, irrational in itertools.product((2, 3, 4), (False, True)):
+        gens = tuple(tuple(c if i == j else F5.zero for j in range(m))
+                     for c in (F5.one, TAU) for i in range(m))
+        for _ in range(15):
+            normals, moved = random_normals(rng, m, irrational)
+            planes = tuple(Hyperplane(v, F5.zero) for v in moved)
+            rep = validate(ProjectionData(F5, m, gens, planes, "split"))
+            low = smallest_split(normals, m)
+            found = [f.message for f in rep.findings if f.code == "decomposable"]
+            if low is None:
+                assert found == []
+                assert rep.ok
+            else:
+                assert found == [
+                    f"normals split into complementary spans of dims {low}+{m - low}"]
+            outcomes.add((m, low))
+    # every split a family of dim <= 4 can have, and connected families
+    assert outcomes >= {(2, None), (2, 1), (3, None), (3, 1), (4, None), (4, 1), (4, 2)}

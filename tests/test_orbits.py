@@ -233,9 +233,9 @@ def test_resource_cap_fires_before_listing_cosets(monkeypatch):
     indices = []
     real = patcoh.orbits.coset_reps
 
-    def spy(s_lat, h_lat):
-        indices.append(lattice_index(s_lat, h_lat))
-        return real(s_lat, h_lat)
+    def spy(h_lat):
+        indices.append(lattice_index(IntLattice.full(h_lat.ambient), h_lat))
+        return real(h_lat)
 
     monkeypatch.setattr(patcoh.orbits, "coset_reps", spy)
     with pytest.raises(ResourceCapExceeded) as exc:

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import patcoh
@@ -16,3 +17,41 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+# names the package keeps although only tests call them
+TEST_ONLY = {
+    "mixed_solve": "brute-force reference that Engine.label is checked against",
+    "lattice_index": "index by determinant, the independent count for coset_reps",
+    "scalar_matrix": "spells out the Q-linearity that restrict_scalars is tested for",
+    "Engine.gamma_vec": "builds lattice translates for the orbit-invariance tests",
+    "Engine.same_orbit": "pairwise form of label equality that the benchmark traces",
+    "Engine.relative_levels": "per-class enumeration that the incidence poset is checked against",
+}
+
+
+def _uses(tree) -> Counter:
+    """How often each name is read or taken as an attribute in a syntax tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_package_name_has_a_caller():
+    # each module-level function or class is used elsewhere in the package
+    # or exported, and each Engine method is called elsewhere in the package
+    trees = [ast.parse(p.read_text())
+             for p in sorted(Path(patcoh.__file__).parent.rglob("*.py"))]
+    total = sum((_uses(tree) for tree in trees), Counter())
+    unused = set()
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if total[node.name] == _uses(node)[node.name] and node.name not in patcoh.__all__:
+                unused.add(node.name)
+            if node.name == "Engine":
+                unused |= {f"Engine.{meth.name}" for meth in node.body
+                           if isinstance(meth, ast.FunctionDef)
+                           and not meth.name.startswith("__")
+                           and total[meth.name] == _uses(meth)[meth.name]}
+    assert unused == set(TEST_ONLY)
