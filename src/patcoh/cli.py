@@ -24,10 +24,13 @@ def _max_classes() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        value = int(raw)
+        if value < 1:
+            raise ValueError("the cap must be at least 1")
     except ValueError:
         print(f"patcoh: bad PATCOH_MAX_CLASSES value {raw!r}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    return value
 
 
 def _resolve_source(source: str) -> ProjectionData | None:

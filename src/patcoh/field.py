@@ -1,8 +1,9 @@
 """Exact arithmetic in Q and real quadratic fields Q(sqrt(D)).
 
 Elements are pairs (a, b) of rationals representing a + b*sqrt(D); over the
-rationals b is identically zero.  No floating point is used anywhere: every
-coordinate in the engine is a Fraction.
+rationals b is identically zero.  No floating point is used anywhere:
+field coordinates are Fractions, and the engine's hot paths (orbit labels,
+integer kernels, wedge ranks) clear denominators and work on plain ints.
 """
 
 from __future__ import annotations

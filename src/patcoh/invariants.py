@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .linalg import rref, wedge_span_rank
+from .linalg import wedge_span_rank
 from .model import ProjectionData
 from .orbits import Arrangement, Engine, InfiniteArrangement, SingularClass
 
@@ -95,7 +95,7 @@ def incidence(engine: Engine, arrangement: Arrangement
                 labels[engine.label(direction, alpha.point, full)] = alpha
             for sub_level in range(level):
                 for sub_dir, betas in by_dir[sub_level].items():
-                    if len(rref(direction + sub_dir)) > level:
+                    if not engine.contains(direction, sub_dir):
                         continue  # dir(beta) does not lie in dir(alpha)
                     for beta in betas:
                         alpha = labels.get(engine.label(direction, beta.point, full))

@@ -1,8 +1,9 @@
 """Exact rational and integer linear algebra.
 
-Ranks and kernels over Q, Hermite/Smith normal forms over Z, mixed
-integer-rational affine solving, lattice indices, coset representatives
-read off the Hermite box, and ranks of spans of exterior powers.
+Ranks and kernels over Q (fraction-free for integer matrices),
+Hermite/Smith normal forms over Z, mixed integer-rational affine solving,
+lattice indices, coset representatives read off the Hermite box, and ranks
+of spans of exterior powers.
 Matrices are lists of row tuples; rational entries are Fractions, integer
 entries are plain ints.
 """
@@ -54,6 +55,34 @@ def rref(rows) -> list[list]:
 
 def rat_rank(rows) -> int:
     return len(rref(rows))
+
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over Q of an integer matrix, by fraction-free elimination.
+
+    Each step takes a row's leading entry as pivot, clears that column
+    from the other rows by integer combinations and divides every changed
+    row by the gcd of its entries, so no Fraction is built.
+    """
+    mat = [list(r) for r in rows if any(r)]
+    rank = 0
+    while mat:
+        pivot = mat.pop()
+        col = next(j for j, x in enumerate(pivot) if x)
+        p = pivot[col]
+        rest = []
+        for r in mat:
+            f = r[col]
+            if f:
+                r = [p * x - f * y for x, y in zip(r, pivot)]
+                g = math.gcd(*r)
+                if not g:
+                    continue
+                r = [x // g for x in r]
+            rest.append(r)
+        mat = rest
+        rank += 1
+    return rank
 
 
 def rational_kernel(rows, ncols: int) -> list[tuple[Fraction, ...]]:
@@ -297,14 +326,16 @@ class Coset:
 
 
 def integer_kernel(rows, ncols: int) -> IntLattice:
-    """Lattice {x in Z^ncols : A x = 0} for a rational matrix A."""
+    """Lattice {x in Z^ncols : A x = 0} for a rational matrix A.
+
+    Entries are Fractions or ints; each row is cleared of denominators
+    by its own least common multiple."""
     int_rows: list[list[int]] = []
     for r in rows:
-        fr = [Fraction(x) for x in r]
-        if not any(fr):
+        if not any(r):
             continue
-        scale = math.lcm(*(x.denominator for x in fr))
-        int_rows.append([int(x * scale) for x in fr])
+        scale = math.lcm(*(x.denominator for x in r))
+        int_rows.append([x.numerator * (scale // x.denominator) for x in r])
     if not int_rows:
         return IntLattice.full(ncols)
     d, _, v = snf(int_rows)
@@ -410,8 +441,6 @@ def wedge_span_rank(lats: Sequence[IntLattice], p: int) -> int:
             vec = []
             for cols_sel in col_subsets:
                 sub = [[lat.basis[i][j] for j in cols_sel] for i in rows_sel]
-                vec.append(Fraction(int_det(sub)))
-            rows.append(tuple(vec))
-    if not rows:
-        return 0
-    return rat_rank(rows)
+                vec.append(int_det(sub))
+            rows.append(vec)
+    return int_rank(rows)

@@ -110,13 +110,15 @@ class Engine:
 
     def dir_res_cols(self, direction) -> list[tuple[Fraction, ...]]:
         """Rational basis (as columns) of the restricted span of a field
-        subspace: each field basis vector contributes delta columns."""
+        subspace: each field basis vector u contributes res(u) and, over
+        Q(sqrt D), res(sqrt(D) u), read off sqrt(D) (a + b sqrt D) =
+        D b + a sqrt D."""
         cols = []
-        sqrt = self.fspec.elem(0, 1) if self.delta == 2 else None
+        big_d = self.fspec.D
         for row in direction:
             cols.append(restrict_scalars(row))
-            if sqrt is not None:
-                cols.append(restrict_scalars([sqrt * x for x in row]))
+            if self.delta == 2:
+                cols.append(tuple(c for x in row for c in (big_d * x.b, x.a)))
         return cols
 
     def group_image_cols(self, group: IntLattice) -> list[tuple[Fraction, ...]]:
@@ -186,40 +188,60 @@ class Engine:
         return self._stabilizers[key]
 
     def _label_map(self, group: IntLattice, direction):
-        """(rows, moduli) behind label(), cached per (group, direction).
+        """(rows, big, moduli) behind label(), cached per (group, direction).
 
         P (the annihilator rows of `direction`) times the group image is
         cleared of denominators row by row (diag(scale)) and brought to
-        Smith form D = U M V.  rows = U diag(scale) P; moduli holds the
+        Smith form D = U M V.  U diag(scale) P is stored as the integer
+        matrix rows over one common denominator big; moduli holds the
         nonzero SNF diagonal entries, then 0 for the rows past the rank."""
         key = (group.basis, direction)
         if key not in self._label_maps:
             proj = self._proj_rows(direction)
             pg = self._proj_group(direction, group)
             scales = [math.lcm(*(x.denominator for x in row)) for row in pg]
-            d, u, _ = snf([[int(x * s) for x in row] for row, s in zip(pg, scales)])
+            d, u, _ = snf([[x.numerator * (s // x.denominator) for x in row]
+                           for row, s in zip(pg, scales)])
             rank = sum(1 for i in range(min(len(d), group.rank)) if d[i][i] != 0)
             scaled = [[s * x for x in p] for p, s in zip(proj, scales)]
-            rows = [tuple(sum(ui * row[c] for ui, row in zip(urow, scaled) if ui)
-                          for c in range(self.dm)) for urow in u]
+            frows = [[sum(ui * row[c] for ui, row in zip(urow, scaled) if ui)
+                      for c in range(self.dm)] for urow in u]
+            big = math.lcm(*(x.denominator for row in frows for x in row))
+            rows = [tuple(x.numerator * (big // x.denominator) for x in row)
+                    for row in frows]
             moduli = [d[i][i] if i < rank else 0 for i in range(len(u))]
-            self._label_maps[key] = (rows, moduli)
+            self._label_maps[key] = (rows, big, moduli)
         return self._label_maps[key]
 
     def label(self, direction, point, group: IntLattice) -> tuple:
         """Canonical key of the group-orbit of point + span(direction).
 
-        U diag(scale) P res(point), with entry i reduced modulo the SNF
-        diagonal d_i for i below the rank and kept as is beyond it: two
-        points give the same key iff their difference lies in
-        span(direction) + group image, i.e. iff the spaces share an orbit."""
-        rows, moduli = self._label_map(group, direction)
+        The rational vector v = U diag(scale) P res(point), with entry i
+        reduced modulo the SNF diagonal d_i for i below the rank and kept as
+        is beyond it: two points give the same v iff their difference lies
+        in span(direction) + group image, i.e. iff the spaces share an
+        orbit.  v is computed in integers: with res(point) = X / q and the
+        map rows R / big, entry i is (R_i . X mod d_i big q) / (big q).
+        The key is (den, v_1 den, ...) with den the least common
+        denominator of v, so equal keys mean equal v."""
+        rows, big, moduli = self._label_map(group, direction)
         x = restrict_scalars(point)
-        key = []
+        q = math.lcm(*(xi.denominator for xi in x))
+        xs = [xi.numerator * (q // xi.denominator) for xi in x]
+        den = big * q
+        key = [den]
         for row, mod in zip(rows, moduli):
-            v = sum(r * xi for r, xi in zip(row, x) if r)
-            key.append(v % mod if mod else v)
-        return tuple(key)
+            v = sum(r * xi for r, xi in zip(row, xs) if r)
+            key.append(v % (mod * den) if mod else v)
+        g = math.gcd(*key)
+        return tuple(v // g for v in key)
+
+    def contains(self, direction, sub_dir) -> bool:
+        """True iff span(sub_dir) lies in span(direction): the annihilator
+        rows of `direction` kill every restricted column of `sub_dir`."""
+        proj = self._proj_rows(direction)
+        return not any(sum(p * c for p, c in zip(prow, col) if p)
+                       for col in self.dir_res_cols(sub_dir) for prow in proj)
 
     def same_orbit(self, a, b, group: IntLattice) -> bool:
         """a, b: (direction, point) pairs.  Same group-orbit of affine spaces?"""

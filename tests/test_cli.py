@@ -96,13 +96,15 @@ def test_compute_resource_cap(capsys, monkeypatch):
 
 
 def test_bad_max_classes_env(capsys, monkeypatch):
-    monkeypatch.setenv("PATCOH_MAX_CLASSES", "many")
-    try:
-        main(["compute", "danzer"])
-    except SystemExit as exc:
-        assert exc.code == 1
-    else:
-        raise AssertionError("expected SystemExit")
+    for raw in ("many", "0", "-1"):
+        monkeypatch.setenv("PATCOH_MAX_CLASSES", raw)
+        try:
+            main(["compute", "danzer"])
+        except SystemExit as exc:
+            assert exc.code == 1, raw
+        else:
+            raise AssertionError(f"expected SystemExit for {raw!r}")
+        assert "bad PATCOH_MAX_CLASSES value" in capsys.readouterr().err
 
 
 def test_validate_command(capsys, tmp_path):

@@ -11,6 +11,7 @@ from patcoh.linalg import (
     coset_reps,
     hnf,
     int_det,
+    int_rank,
     integer_kernel,
     lattice_index,
     mixed_solve,
@@ -66,6 +67,38 @@ def test_rat_rank_icosahedral_star():
     ]
     rows = [restrict_scalars(v) for v in star]
     assert rat_rank(rows) == 6
+
+
+def test_int_rank_examples():
+    assert int_rank([]) == 0
+    assert int_rank([[0, 0], [0, 0]]) == 0
+    assert int_rank([[2, 4], [3, 6]]) == 1
+    assert int_rank([[0, 1], [1, 0], [1, 1]]) == 2
+
+
+def test_int_rank_matches_rat_rank_random():
+    # low-rank products, zero and repeated rows, entries past 2**40
+    rng = random.Random(71)
+    big = 2 ** 40
+    cases = 0
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        k = rng.randint(0, min(nrows, ncols))
+        lo, hi = (-big * 9, big * 9) if rng.random() < 0.3 else (-5, 5)
+        left = rand_int_matrix(rng, nrows, k, lo, hi)
+        right = rand_int_matrix(rng, k, ncols, -3, 3)
+        rows = int_matmul(left, right) if k else [[0] * ncols for _ in range(nrows)]
+        if rng.random() < 0.5:
+            rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+        if rng.random() < 0.5:
+            rows.append(list(rng.choice(rows)))
+        rng.shuffle(rows)
+        expected = rat_rank([[F(x) for x in r] for r in rows])
+        assert expected <= k
+        assert int_rank(rows) == expected, rows
+        huge = any(abs(x) > big for r in rows for x in r)
+        cases += huge and 0 < expected < min(len(rows), ncols)
+    assert cases > 10
 
 
 def test_rref_canonical_under_row_operations():

@@ -123,6 +123,21 @@ def test_label_agrees_with_mixed_solve():
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+@pytest.mark.parametrize("name", ["danzer", "ammann_kramer"])
+def test_contains_agrees_with_rref(name):
+    # span(sub) lies in span(direction) iff stacking them adds no rank
+    eng = Engine(build(name).data)
+    arr = eng.enumerate_arrangement()
+    dirs = list(dict.fromkeys(c.direction for cs in arr.levels.values() for c in cs))
+    verdicts = []
+    for direction in dirs:
+        for sub in dirs:
+            inside = len(rref(direction + sub)) <= len(direction)
+            assert eng.contains(direction, sub) == inside, (direction, sub)
+            verdicts.append(inside)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_hyperplane_class_counts():
     assert len(Engine(build("ammann_kramer").data).hyperplane_classes()) == 15
     assert len(Engine(build("danzer").data).hyperplane_classes()) == 6
