@@ -1,9 +1,11 @@
 """Exact rational and integer linear algebra.
 
-Ranks and kernels over Q (fraction-free for integer matrices),
-Hermite/Smith normal forms over Z, mixed integer-rational affine solving,
-lattice indices, coset representatives read off the Hermite box, and ranks
-of spans of exterior powers.
+Ranks and kernels over Q (fraction-free for integer matrices), Hermite
+normal forms over Z with integer kernels read off their unimodular
+transform, lattice indices, coset representatives read off the Hermite
+box, and ranks of spans of exterior powers.  The Smith form serves only
+`mixed_solve`, the reference solver the engine is tested against, so the
+two share no normal form.
 Matrices are lists of row tuples; rational entries are Fractions, integer
 entries are plain ints.
 """
@@ -167,7 +169,12 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]
 
 
 def snf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form: D = U M V, U and V unimodular, d1 | d2 | ... >= 0."""
+    """Smith normal form: D = U M V, U and V unimodular, d1 | d2 | ... >= 0.
+
+    Each pass moves an entry of least absolute value in the remaining
+    block to (k, k) and reduces its row and column by it once; a nonzero
+    remainder is smaller, so the pass repeats with it as pivot.  Taking
+    the least entry every time keeps the other entries from growing."""
     d = [list(r) for r in rows]
     nrows = len(d)
     ncols = len(d[0]) if nrows else 0
@@ -175,67 +182,46 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]
     v = _ident(ncols)
     k = 0
     while k < min(nrows, ncols):
-        # locate a pivot
-        piv = None
-        best = None
-        for i in range(k, nrows):
-            for j in range(k, ncols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
-                    best = abs(d[i][j])
-                    piv = (i, j)
+        # pivot: an entry of least absolute value in the remaining block
+        piv = min(((abs(d[i][j]), i, j) for i in range(k, nrows)
+                   for j in range(k, ncols) if d[i][j]), default=None)
         if piv is None:
             break
-        i0, j0 = piv
+        _, i0, j0 = piv
         d[k], d[i0] = d[i0], d[k]
         u[k], u[i0] = u[i0], u[k]
         for row in d:
             row[k], row[j0] = row[j0], row[k]
         for row in v:
             row[k], row[j0] = row[j0], row[k]
-        # clear row and column k
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(k + 1, nrows):
-                if d[i][k]:
-                    q = d[i][k] // d[k][k]
-                    d[i] = [x - q * y for x, y in zip(d[i], d[k])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-                    if d[i][k]:  # remainder smaller than pivot: swap and redo
-                        d[k], d[i] = d[i], d[k]
-                        u[k], u[i] = u[i], u[k]
-                        dirty = True
-            for j in range(k + 1, ncols):
-                if d[k][j]:
-                    q = d[k][j] // d[k][k]
-                    for row in d:
-                        row[j] -= q * row[k]
-                    for row in v:
-                        row[j] -= q * row[k]
-                    if d[k][j]:
-                        for row in d:
-                            row[k], row[j] = row[j], row[k]
-                        for row in v:
-                            row[k], row[j] = row[j], row[k]
-                        dirty = True
-        if d[k][k] < 0:
+        p = d[k][k]
+        for i in range(k + 1, nrows):
+            q = d[i][k] // p
+            if q:
+                d[i] = [x - q * y for x, y in zip(d[i], d[k])]
+                u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+        for j in range(k + 1, ncols):
+            q = d[k][j] // p
+            if q:
+                for row in d:
+                    row[j] -= q * row[k]
+                for row in v:
+                    row[j] -= q * row[k]
+        if (any(d[i][k] for i in range(k + 1, nrows))
+                or any(d[k][j] for j in range(k + 1, ncols))):
+            continue  # a remainder below |p| is the next pivot
+        if p < 0:
             for row in d:
                 row[k] = -row[k]
             for row in v:
                 row[k] = -row[k]
-        # enforce divisibility d_k | d[i][j]
-        fixed = False
-        for i in range(k + 1, nrows):
-            if fixed:
-                break
-            for j in range(k + 1, ncols):
-                if d[i][j] % d[k][k] != 0:
-                    d[k] = [x + y for x, y in zip(d[k], d[i])]
-                    u[k] = [x + y for x, y in zip(u[k], u[i])]
-                    fixed = True
-                    break
-        if fixed:
-            continue  # redo position k
+        # enforce d_k | d[i][j]: adding row i leaves a smaller remainder
+        bad = next((i for i in range(k + 1, nrows)
+                    if any(d[i][j] % d[k][k] for j in range(k + 1, ncols))), None)
+        if bad is not None:
+            d[k] = [x + y for x, y in zip(d[k], d[bad])]
+            u[k] = [x + y for x, y in zip(u[k], u[bad])]
+            continue
         k += 1
     return d, u, v
 
@@ -329,7 +315,9 @@ def integer_kernel(rows, ncols: int) -> IntLattice:
     """Lattice {x in Z^ncols : A x = 0} for a rational matrix A.
 
     Entries are Fractions or ints; each row is cleared of denominators
-    by its own least common multiple."""
+    by its own least common multiple.  The kernel is read off the Hermite
+    form H = U A^T: the rows of the unimodular U under the zero rows of H
+    are a basis of it."""
     int_rows: list[list[int]] = []
     for r in rows:
         if not any(r):
@@ -338,10 +326,8 @@ def integer_kernel(rows, ncols: int) -> IntLattice:
         int_rows.append([x.numerator * (scale // x.denominator) for x in r])
     if not int_rows:
         return IntLattice.full(ncols)
-    d, _, v = snf(int_rows)
-    rank = sum(1 for i in range(min(len(d), ncols)) if d[i][i] != 0)
-    cols = [tuple(v[i][j] for i in range(ncols)) for j in range(rank, ncols)]
-    return IntLattice.from_rows(ncols, cols)
+    h, u = hnf([[r[j] for r in int_rows] for j in range(ncols)])
+    return IntLattice.from_rows(ncols, [ur for hr, ur in zip(h, u) if not any(hr)])
 
 
 def mixed_solve(a_rows, b_rows, c, k: int) -> Coset | None:

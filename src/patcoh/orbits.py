@@ -8,7 +8,9 @@ integer linear algebra on translation coefficients: a per-pair
 classification subgroup whose index is the number of classes contributed,
 and whose rank deficiency certifies an infinite class count.  Whether two
 spaces share an orbit is one comparison of canonical hashable labels
-(`Engine.label`), so deduplication is a set lookup.
+(`Engine.label`), so deduplication is a set lookup.  Labels, stabilizers
+and classification subgroups all come from one Hermite frame per (group,
+direction) (`Engine._frame`).
 """
 
 from __future__ import annotations
@@ -19,15 +21,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .field import FElem, dot, restrict_scalars
-from .linalg import (
-    IntLattice,
-    coset_reps,
-    integer_kernel,
-    left_annihilator,
-    rref,
-    snf,
-)
-from .model import Hyperplane, ProjectionData
+from .linalg import IntLattice, coset_reps, hnf, integer_kernel, left_annihilator, rref
+from .model import ProjectionData
 
 DEFAULT_MAX_CLASSES = 100_000
 
@@ -89,11 +84,8 @@ class Engine:
         self.dm = self.delta * self.m
         self.full = IntLattice.full(self.n)
         self.gen_cols = [restrict_scalars(g) for g in data.gens]
-        self._label_maps: dict = {}
-        self._stabilizers: dict = {}
-        self._group_cols: dict = {}
         self._projs: dict = {}
-        self._proj_groups: dict = {}
+        self._frames: dict = {}
         self._proj_ws: dict = {}
         self._normal_dots: dict = {}
 
@@ -121,20 +113,11 @@ class Engine:
                 cols.append(tuple(c for x in row for c in (big_d * x.b, x.a)))
         return cols
 
-    def group_image_cols(self, group: IntLattice) -> list[tuple[Fraction, ...]]:
-        key = group.basis
-        if key not in self._group_cols:
-            cols = []
-            for b in group.basis:
-                cols.append(tuple(
-                    sum(Fraction(bi) * self.gen_cols[i][j] for i, bi in enumerate(b))
-                    for j in range(self.dm)))
-            self._group_cols[key] = cols
-        return self._group_cols[key]
-
-    def _proj_rows(self, direction) -> list[tuple[Fraction, ...]]:
-        """Rows spanning the annihilator of the restricted span of a
-        direction; projecting by them eliminates the direction subspace."""
+    def _proj_rows(self, direction) -> list[tuple[int, ...]]:
+        """Integer rows R spanning the annihilator of the restricted span of
+        a direction, cached.  Each row is scaled so that it and its values
+        on the generators res(g_i) are integral; projecting by R eliminates
+        the direction subspace."""
         if direction not in self._projs:
             bcols = self.dir_res_cols(direction)
             if bcols:
@@ -143,34 +126,51 @@ class Engine:
             else:
                 proj = [tuple(Fraction(int(i == j)) for j in range(self.dm))
                         for i in range(self.dm)]
-            self._projs[direction] = proj
+            rows = []
+            for p in proj:
+                vals = [sum(pi * gi for pi, gi in zip(p, g)) for g in self.gen_cols]
+                s = math.lcm(*(x.denominator for x in p + tuple(vals)))
+                rows.append(tuple(x.numerator * (s // x.denominator) for x in p))
+            self._projs[direction] = rows
         return self._projs[direction]
 
-    def _proj_group(self, direction, group: IntLattice) -> list[list[Fraction]]:
-        """P * (group image columns), cached: one row per annihilator row."""
-        key = (direction, group.basis)
-        if key not in self._proj_groups:
-            proj = self._proj_rows(direction)
-            gcols = self.group_image_cols(group)
-            self._proj_groups[key] = [
-                [sum(p[i] * col[i] for i in range(self.dm)) for col in gcols]
-                for p in proj
-            ]
-        return self._proj_groups[key]
+    def _frame(self, direction, group: IntLattice):
+        """(echelon, kernel) of the lattice R * (group image), cached per
+        (group, direction), from one Hermite form H = U M.
 
-    def _proj_w(self, direction, w) -> list[tuple[Fraction, ...]]:
-        """P applied to the restricted images of w and sqrt(D)*w, cached.
+        M has one row R res(gamma(b)) per group basis vector b, so the
+        nonzero rows of H, each with its pivot column, are the echelon
+        basis that `label` reduces by.  The rows of U under the zero rows
+        of H span the group coordinates y with R res(gamma(y)) = 0, i.e.
+        group cap span(direction); kernel is their Hermite lattice."""
+        key = (group.basis, direction)
+        if key not in self._frames:
+            rows = self._proj_rows(direction)
+            gens = [[int(sum(r * c for r, c in zip(row, g) if r)) for row in rows]
+                    for g in self.gen_cols]
+            images = [[sum(bi * gi[t] for bi, gi in zip(b, gens) if bi)
+                       for t in range(len(rows))] for b in group.basis]
+            h, u = hnf(images)
+            echelon = [(next(j for j, x in enumerate(hr) if x), hr) for hr in h if any(hr)]
+            kernel = IntLattice.from_rows(
+                group.rank, [ur for hr, ur in zip(h, u) if not any(hr)])
+            self._frames[key] = (echelon, kernel)
+        return self._frames[key]
 
-        res(c*w) = c.a * res(w) + c.b * res(sqrt(D)*w), so these two columns
-        turn field coefficients into projected point shifts."""
+    def _proj_w(self, direction, w) -> tuple[list[list[int]], int]:
+        """([R X_0, R X_1], q), cached, with X_0 = q res(w) and X_1 =
+        q res(sqrt(D) w) integral (X_1 only over Q(sqrt D)).
+
+        res(c w) = c.a res(w) + c.b res(sqrt(D) w), so these columns turn
+        field coefficients into projected point shifts."""
         key = (direction, w)
         if key not in self._proj_ws:
-            proj = self._proj_rows(direction)
             cols = self.dir_res_cols((w,))
-            self._proj_ws[key] = [
-                tuple(sum(p[i] * col[i] for i in range(self.dm)) for col in cols)
-                for p in proj
-            ]
+            q = math.lcm(*(x.denominator for col in cols for x in col))
+            rows = self._proj_rows(direction)
+            self._proj_ws[key] = ([
+                [sum(r * x.numerator * (q // x.denominator) for r, x in zip(row, col) if r)
+                 for row in rows] for col in cols], q)
         return self._proj_ws[key]
 
     def _ndots(self, normal) -> list[FElem]:
@@ -180,61 +180,33 @@ class Engine:
         return self._normal_dots[normal]
 
     def stabilizer(self, direction) -> IntLattice:
-        """Gamma cap span(direction), as coefficient vectors in Z^n."""
-        key = direction
-        if key not in self._stabilizers:
-            self._stabilizers[key] = integer_kernel(
-                self._proj_group(direction, self.full), self.n)
-        return self._stabilizers[key]
-
-    def _label_map(self, group: IntLattice, direction):
-        """(rows, big, moduli) behind label(), cached per (group, direction).
-
-        P (the annihilator rows of `direction`) times the group image is
-        cleared of denominators row by row (diag(scale)) and brought to
-        Smith form D = U M V.  U diag(scale) P is stored as the integer
-        matrix rows over one common denominator big; moduli holds the
-        nonzero SNF diagonal entries, then 0 for the rows past the rank."""
-        key = (group.basis, direction)
-        if key not in self._label_maps:
-            proj = self._proj_rows(direction)
-            pg = self._proj_group(direction, group)
-            scales = [math.lcm(*(x.denominator for x in row)) for row in pg]
-            d, u, _ = snf([[x.numerator * (s // x.denominator) for x in row]
-                           for row, s in zip(pg, scales)])
-            rank = sum(1 for i in range(min(len(d), group.rank)) if d[i][i] != 0)
-            scaled = [[s * x for x in p] for p, s in zip(proj, scales)]
-            frows = [[sum(ui * row[c] for ui, row in zip(urow, scaled) if ui)
-                      for c in range(self.dm)] for urow in u]
-            big = math.lcm(*(x.denominator for row in frows for x in row))
-            rows = [tuple(x.numerator * (big // x.denominator) for x in row)
-                    for row in frows]
-            moduli = [d[i][i] if i < rank else 0 for i in range(len(u))]
-            self._label_maps[key] = (rows, big, moduli)
-        return self._label_maps[key]
+        """Gamma cap span(direction), as coefficient vectors in Z^n: the
+        kernel of the full lattice's frame."""
+        return self._frame(direction, self.full)[1]
 
     def label(self, direction, point, group: IntLattice) -> tuple:
         """Canonical key of the group-orbit of point + span(direction).
 
-        The rational vector v = U diag(scale) P res(point), with entry i
-        reduced modulo the SNF diagonal d_i for i below the rank and kept as
-        is beyond it: two points give the same v iff their difference lies
-        in span(direction) + group image, i.e. iff the spaces share an
-        orbit.  v is computed in integers: with res(point) = X / q and the
-        map rows R / big, entry i is (R_i . X mod d_i big q) / (big q).
-        The key is (den, v_1 den, ...) with den the least common
-        denominator of v, so equal keys mean equal v."""
-        rows, big, moduli = self._label_map(group, direction)
+        Two points share an orbit iff their difference lies in
+        span(direction) + group image, i.e. iff R res(point) agrees modulo
+        the frame's lattice L = R (group image).  With res(point) = X / q,
+        v = R X is reduced by q times the echelon rows of L, top to bottom,
+        taking the floor at each pivot; that leaves one representative of
+        v / q modulo L (each pivot entry in [0, q h_p)).  The key is (q, v)
+        divided by its gcd, so equal keys mean equal v / q."""
+        echelon, _ = self._frame(direction, group)
         x = restrict_scalars(point)
         q = math.lcm(*(xi.denominator for xi in x))
         xs = [xi.numerator * (q // xi.denominator) for xi in x]
-        den = big * q
-        key = [den]
-        for row, mod in zip(rows, moduli):
-            v = sum(r * xi for r, xi in zip(row, xs) if r)
-            key.append(v % (mod * den) if mod else v)
-        g = math.gcd(*key)
-        return tuple(v // g for v in key)
+        v = [sum(r * xi for r, xi in zip(row, xs) if r)
+             for row in self._proj_rows(direction)]
+        for p, hrow in echelon:
+            k = v[p] // (q * hrow[p])
+            if k:
+                kq = k * q
+                v = [a - kq * b for a, b in zip(v, hrow)]
+        g = math.gcd(q, *v)
+        return (q // g, *(a // g for a in v))
 
     def contains(self, direction, sub_dir) -> bool:
         """True iff span(sub_dir) lies in span(direction): the annihilator
@@ -249,13 +221,9 @@ class Engine:
 
     # -- intersections and per-pair classification ---------------------------
 
-    @staticmethod
-    def proper(direction, normal) -> bool:
-        """True iff the direction is not contained in the hyperplane."""
-        return any(dot(normal, u) for u in direction)
-
-    def intersect_affine(self, direction, point, h: Hyperplane):
-        """Cut an affine space by a hyperplane it properly intersects.
+    def intersect_affine(self, direction, point, h):
+        """Cut an affine space by a hyperplane h (anything with a normal and
+        an offset), or None when the direction lies in the hyperplane.
 
         Returns (sub_direction in canonical rref, sub_point, lin_scale)
         where translating the hyperplane by x moves the intersection point
@@ -264,7 +232,7 @@ class Engine:
         alphas = [dot(h.normal, u) for u in direction]
         pivot = next((j for j, al in enumerate(alphas) if al), None)
         if pivot is None:
-            raise ValueError("improper intersection: direction lies in the hyperplane")
+            return None
         a = alphas[pivot]
         w = direction[pivot]
         sub = []
@@ -279,28 +247,34 @@ class Engine:
         return sub_dir, sub_point, (a, w)
 
     def classify_pair(self, parent: SingularClass, hclass, group: IntLattice,
-                      level: int):
+                      level: int, cut):
         """Orbit classes among {rep(parent) cut by translated hclass}.
 
-        Returns (sub_direction, [candidate points], subgroup H).  Raises
+        `cut` is intersect_affine(parent.direction, parent.point, hclass),
+        which build_level has already found proper.  Translating hclass by
+        gamma(y) moves the cut point by (sum y_i c_i) w, with c_i =
+        <normal, g_i>/a = (A_i + B_i sqrt D)/lcd.  By `_proj_w` that shift
+        has R-image sum y_i (A_i R X_0 + B_i R X_1) / (lcd q), so the y that
+        keep the cut in its group-orbit form the subgroup H: the y-part of
+        the integer kernel of [A_i R X_0 + B_i R X_1 | -lcd q E^T], E the
+        echelon rows of the sub-direction's frame.
+
+        Returns (sub_direction, [candidate points], H).  Raises
         InfiniteArrangement when H is rank-deficient.
         """
-        h = Hyperplane(hclass.normal, hclass.offset)
-        sub_dir, sub_point, (a, w) = self.intersect_affine(
-            parent.direction, parent.point, h)
-        # linear part of y -> intersection point: (<normal, g(y)>/a) * w
+        sub_dir, sub_point, (a, w) = cut
         inv_a = a.inverse()
-        coefs = [nd * inv_a for nd in self._ndots(h.normal)]
-        pw = self._proj_w(sub_dir, w)
-        pg = self._proj_group(sub_dir, group)
-        rows = []
-        for pwr, pgr in zip(pw, pg):
-            if self.delta == 2:
-                lin = [pwr[0] * c.a + pwr[1] * c.b for c in coefs]
-            else:
-                lin = [pwr[0] * c.a for c in coefs]
-            rows.append(lin + [-x for x in pgr])
-        kernel = integer_kernel(rows, self.n + group.rank)
+        coefs = [nd * inv_a for nd in self._ndots(hclass.normal)]
+        lcd = math.lcm(*(x.denominator for c in coefs for x in (c.a, c.b)))
+        nums = [[x.numerator * (lcd // x.denominator) for x in (c.a, c.b)[:self.delta]]
+                for c in coefs]  # (A_i, B_i)
+        rw, q = self._proj_w(sub_dir, w)
+        echelon, _ = self._frame(sub_dir, group)
+        scale = -lcd * q
+        rows = [[sum(k * col[t] for k, col in zip(ks, rw)) for ks in nums]
+                + [scale * hrow[t] for _, hrow in echelon]
+                for t in range(len(rw[0]))]
+        kernel = integer_kernel(rows, self.n + len(echelon))
         hsub = IntLattice.from_rows(self.n, [r[: self.n] for r in kernel.basis])
         if hsub.rank < self.n:
             raise InfiniteArrangement(level, parent.id, hclass.id, hsub.rank, self.n)
@@ -331,9 +305,10 @@ class Engine:
         seen: dict = {}  # direction -> labels of the classes accepted so far
         for parent in parents:
             for hc in hclasses:
-                if not self.proper(parent.direction, hc.normal):
-                    continue
-                sub_dir, points, _ = self.classify_pair(parent, hc, group, level)
+                cut = self.intersect_affine(parent.direction, parent.point, hc)
+                if cut is None:
+                    continue  # the parent's direction lies in the hyperplane
+                sub_dir, points, _ = self.classify_pair(parent, hc, group, level, cut)
                 labels = seen.setdefault(sub_dir, set())
                 for pt in points:
                     key = self.label(sub_dir, pt, group)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -193,6 +194,21 @@ def test_integer_kernel_examples():
     assert integer_kernel([[F(1), F(0)], [F(0), F(1)]], 2).rank == 0
 
 
+def smith_kernel(rows, ncols):
+    """Integer kernel by the Smith form: the columns of V past the rank."""
+    int_rows = []
+    for r in rows:
+        if any(r):
+            scale = math.lcm(*(F(x).denominator for x in r))
+            int_rows.append([int(x * scale) for x in r])
+    if not int_rows:
+        return IntLattice.full(ncols)
+    d, _, v = snf(int_rows)
+    rank = sum(1 for i in range(min(len(d), ncols)) if d[i][i] != 0)
+    return IntLattice.from_rows(
+        ncols, [[v[i][j] for i in range(ncols)] for j in range(rank, ncols)])
+
+
 def test_integer_kernel_membership_random():
     rng = random.Random(43)
     for _ in range(20):
@@ -205,6 +221,28 @@ def test_integer_kernel_membership_random():
         for vec in itertools.product(range(-3, 4), repeat=3):
             solves = all(sum(r[j] * vec[j] for j in range(3)) == 0 for r in rows)
             assert (lat.coords_of(vec) is not None) == solves
+    # systems the size of a classification pair's (up to 6 x 12), int or
+    # Fraction entries, low rank, zero and repeated rows: the same lattice
+    # as the Smith form's
+    deficient = 0
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 12)
+        k = rng.randint(0, min(nrows, ncols))
+        rows = (int_matmul(rand_int_matrix(rng, nrows, k, -6, 6),
+                           rand_int_matrix(rng, k, ncols, -6, 6))
+                if k else [[0] * ncols for _ in range(nrows)])
+        if rng.random() < 0.5:
+            rows = [[F(x, rng.randint(1, 4)) for x in r] for r in rows]
+        if rng.random() < 0.5:
+            rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+        if rng.random() < 0.5:
+            rows.append(list(rng.choice(rows)))
+        lat = integer_kernel(rows, ncols)
+        assert lat == smith_kernel(rows, ncols), rows
+        for vec in lat.basis:
+            assert all(sum(r[j] * vec[j] for j in range(ncols)) == 0 for r in rows)
+        deficient += 0 < lat.rank < ncols
+    assert deficient > 20
 
 
 def test_lattice_reduce_is_canonical():

@@ -55,17 +55,15 @@ def test_intersect_affine_offset_moves_point():
 
 
 def test_intersect_affine_rejects_containment():
+    # no proper cut when the direction lies in the hyperplane: None, and
+    # build_level skips the pair; one row off the plane makes it proper
     data = build("danzer").data
     eng = Engine(data)
-    direction = ((ONE, ZERO, ZERO),)
-    with pytest.raises(ValueError):
-        eng.intersect_affine(direction, (ZERO, ZERO, ZERO),
-                             Hyperplane((ZERO, ZERO, ONE), ZERO))
-
-
-def test_proper():
-    assert Engine.proper(((ONE, ZERO),), (ONE, ZERO))
-    assert not Engine.proper(((ZERO, ONE),), (ONE, ZERO))
+    origin = (ZERO, ZERO, ZERO)
+    h = Hyperplane((ZERO, ZERO, ONE), ZERO)
+    assert eng.intersect_affine(((ONE, ZERO, ZERO),), origin, h) is None
+    assert eng.intersect_affine(((ONE, ZERO, ZERO), (ZERO, ONE, ZERO)), origin, h) is None
+    assert eng.intersect_affine(((ONE, ZERO, ZERO), (ZERO, ONE, TAU)), origin, h) is not None
 
 
 def test_same_orbit_fibonacci_points():
@@ -79,47 +77,100 @@ def test_same_orbit_fibonacci_points():
     assert eng.same_orbit((direction, (TAU,)), (direction, (TAU,)), full)
 
 
-def _rand_felem(rng):
-    return F5.elem(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
-                   Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+def _rand_felem(rng, fspec=F5):
+    return fspec.elem(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                      Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+
+
+def _res_matrix(cols, dm):
+    """Restricted column vectors as the rows of a dm x len(cols) matrix."""
+    return [[c[i] for c in cols] for i in range(dm)]
+
+
+def _groups(eng):
+    """The full lattice and its double, with the step that keeps y inside."""
+    doubled = IntLattice.from_rows(eng.n, [[2 * x for x in row] for row in eng.full.basis])
+    return ((eng.full, 1), (doubled, 2))
 
 
 def test_label_agrees_with_mixed_solve():
     # label equality against the brute-force orbit test: delta lies in
     # span(direction) + group image iff G y + B t = res(delta) has an
-    # integer y (in the group) and a rational t
+    # integer y (in the group) and a rational t; danzer (m = 3, Q(sqrt 5))
+    # and Ammann-Beenker (m = 2, Q(sqrt 2))
+    rng = random.Random(135)
+    for data in (build("danzer").data, _ammann_beenker_with()):
+        eng = Engine(data)
+        arr = eng.enumerate_arrangement()
+        verdicts = []
+        for group, step in _groups(eng):
+            g_res = _res_matrix([restrict_scalars(eng.gamma_vec(b)) for b in group.basis],
+                                eng.dm)
+            for classes in arr.levels.values():
+                for cls in classes:
+                    d_res = _res_matrix(eng.dir_res_cols(cls.direction), eng.dm)
+                    base = eng.label(cls.direction, cls.point, group)
+                    for k in range(4):
+                        # gamma(y) + t.u is in the orbit when y is in the group
+                        # (k = 0; k = 1 leaves that to chance under the double);
+                        # a small random offset on top mostly leaves it (k >= 2)
+                        y = [rng.randint(-3, 3) * (step if k == 0 else 1)
+                             for _ in range(eng.n)]
+                        delta = eng.gamma_vec(y)
+                        for u in cls.direction:
+                            t = _rand_felem(rng, eng.fspec)
+                            delta = tuple(a + t * x for a, x in zip(delta, u))
+                        if k >= 2:
+                            delta = tuple(a + _rand_felem(rng, eng.fspec) for a in delta)
+                        moved = tuple(p + a for p, a in zip(cls.point, delta))
+                        same = eng.label(cls.direction, moved, group) == base
+                        sol = mixed_solve(g_res, d_res, restrict_scalars(delta), group.rank)
+                        assert same == (sol is not None), (data.name, cls.dim, cls.id, k)
+                        assert eng.same_orbit((cls.direction, cls.point),
+                                              (cls.direction, moved), group) == same
+                        verdicts.append(same)
+        assert 0 < sum(verdicts) < len(verdicts), data.name
+
+
+def test_classify_pair_subgroup_agrees_with_mixed_solve():
+    # y is in the subgroup H of a pair iff translating the hyperplane class
+    # by gamma(y) moves the cut by delta = (sum y_i c_i) w into the same
+    # group-orbit: res(delta) lies in span(sub_dir) + group image
     eng = Engine(build("danzer").data)
     arr = eng.enumerate_arrangement()
-    rng = random.Random(135)
-    doubled = IntLattice.from_rows(eng.n, [[2 * x for x in row] for row in eng.full.basis])
+    top = arr.levels[eng.m - 1]
+    ident = tuple(tuple(ONE if i == j else ZERO for j in range(eng.m)) for i in range(eng.m))
+    space = patcoh.orbits.SingularClass(-1, eng.m, ident, (ZERO,) * eng.m, eng.full)
+    pairs = [(eng.m - 1, space, hc) for hc in top]
+    pairs += [(level, parent, hc) for level in range(eng.m - 1)
+              for parent in arr.levels[level + 1] for hc in top]
+    rng = random.Random(139)
     verdicts = []
-    for group, step in ((eng.full, 1), (doubled, 2)):
-        g_cols = eng.group_image_cols(group)
-        g_res = [[c[i] for c in g_cols] for i in range(eng.dm)]
-        for classes in arr.levels.values():
-            for cls in classes:
-                d_cols = eng.dir_res_cols(cls.direction)
-                d_res = [[c[i] for c in d_cols] for i in range(eng.dm)]
-                base = eng.label(cls.direction, cls.point, group)
-                for k in range(4):
-                    # gamma(y) + t.u is in the orbit when y is in the group
-                    # (k = 0; k = 1 leaves that to chance under `doubled`);
-                    # a small random offset on top mostly leaves it (k >= 2)
-                    y = [rng.randint(-3, 3) * (step if k == 0 else 1)
-                         for _ in range(eng.n)]
-                    delta = eng.gamma_vec(y)
-                    for u in cls.direction:
-                        t = _rand_felem(rng)
-                        delta = tuple(a + t * x for a, x in zip(delta, u))
-                    if k >= 2:
-                        delta = tuple(a + _rand_felem(rng) for a in delta)
-                    moved = tuple(p + a for p, a in zip(cls.point, delta))
-                    same = eng.label(cls.direction, moved, group) == base
-                    sol = mixed_solve(g_res, d_res, restrict_scalars(delta), group.rank)
-                    assert same == (sol is not None), (cls.dim, cls.id, k)
-                    assert eng.same_orbit((cls.direction, cls.point),
-                                          (cls.direction, moved), group) == same
-                    verdicts.append(same)
+    for group, _ in _groups(eng):
+        g_res = _res_matrix([restrict_scalars(eng.gamma_vec(b)) for b in group.basis],
+                            eng.dm)
+        for level, parent, hc in pairs:
+            cut = eng.intersect_affine(parent.direction, parent.point, hc)
+            if cut is None:
+                continue
+            sub_dir, points, hsub = eng.classify_pair(parent, hc, group, level, cut)
+            assert len(points) == lattice_index(IntLattice.full(eng.n), hsub)
+            _, _, (a, w) = cut
+            d_res = _res_matrix(eng.dir_res_cols(sub_dir), eng.dm)
+            coefs = [dot(hc.normal, g) / a for g in eng.data.gens]
+            for k in range(3):
+                # k = 0 draws from H itself, k >= 1 from a small box
+                if k == 0:
+                    y = [sum(rng.randint(-2, 2) * row[i] for row in hsub.basis)
+                         for i in range(eng.n)]
+                else:
+                    y = [rng.randint(-2, 2) for _ in range(eng.n)]
+                shift = sum((eng.fspec.elem(yi) * c for yi, c in zip(y, coefs)), ZERO)
+                delta = restrict_scalars(tuple(shift * x for x in w))
+                inside = hsub.coords_of(y) is not None
+                sol = mixed_solve(g_res, d_res, delta, group.rank)
+                assert inside == (sol is not None), (level, parent.id, hc.id, y)
+                verdicts.append(inside)
     assert 0 < sum(verdicts) < len(verdicts)
 
 
@@ -232,12 +283,12 @@ def test_resource_cap():
         eng.enumerate_arrangement()
 
 
-def _ammann_beenker_with(extra_normal):
+def _ammann_beenker_with(*extra_normals):
     half, neg = ["0", "1/2"], ["0", "-1/2"]
     star = [[["1"], ["0"]], [half, half], [["0"], ["1"]], [neg, half]]
     doc = {"schema": "patcoh/1", "name": "ab_extra", "field": {"kind": "Qsqrt", "D": 2},
            "dim": 2, "generators": star,
-           "hyperplanes": [{"normal": v} for v in star + [extra_normal]]}
+           "hyperplanes": [{"normal": v} for v in star + list(extra_normals)]}
     return parse_projection_data(json.dumps(doc))
 
 
@@ -260,16 +311,20 @@ def test_resource_cap_fires_before_listing_cosets(monkeypatch):
     assert "level 0" in msg and "200" in msg and "hyperplane class" in msg
 
 
-def test_relative_levels_empty_without_proper_cuts():
-    # a line inside every translated plane of the family contributes nothing
+def test_relative_levels_empty_without_proper_cuts(monkeypatch):
+    # a line inside every translated plane of the family contributes
+    # nothing, and no such pair reaches classify_pair
     data = build("square_fibonacci").data
     eng = Engine(data)
     hcs = eng.hyperplane_classes()
     vertical = [hc for hc in hcs if hc.normal == (ONE, ZERO)]
+    assert vertical
     direction = ((ZERO, ONE),)
     stab = eng.stabilizer(direction)
+    calls = []
+    monkeypatch.setattr(Engine, "classify_pair", lambda *args: calls.append(args))
     out = eng.relative_levels(direction, (ZERO, ZERO), stab, vertical)
-    assert out == {0: []}
+    assert out == {0: []} and not calls
 
 
 def test_relative_levels_of_danzer_plane():

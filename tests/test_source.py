@@ -55,3 +55,17 @@ def test_every_package_name_has_a_caller():
                            and not meth.name.startswith("__")
                            and total[meth.name] == _uses(meth)[meth.name]}
     assert unused == set(TEST_ONLY)
+
+
+def test_only_mixed_solve_calls_snf():
+    # the engine reads labels, stabilizers and kernels off Hermite forms;
+    # the Smith form stays with the test reference, so the two share no
+    # normal form
+    callers = set()
+    for path in sorted(Path(patcoh.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and "snf" in [
+                    c.func.id if isinstance(c.func, ast.Name) else getattr(c.func, "attr", None)
+                    for c in ast.walk(node) if isinstance(c, ast.Call)]:
+                callers.add(node.name)
+    assert callers == {"mixed_solve"}
