@@ -3,9 +3,9 @@
 Ranks and kernels over Q (fraction-free for integer matrices), Hermite
 normal forms over Z with integer kernels read off their unimodular
 transform, lattice indices, coset representatives read off the Hermite
-box, and ranks of spans of exterior powers.  The Smith form serves only
-`mixed_solve`, the reference solver the engine is tested against, so the
-two share no normal form.
+box, and ranks of spans of exterior powers.  The Smith form and the
+rational annihilator serve only `mixed_solve`, the reference solver the
+engine is tested against, so the two share no normal form.
 Matrices are lists of row tuples; rational entries are Fractions, integer
 entries are plain ints.
 """
@@ -311,23 +311,21 @@ class Coset:
     lattice: IntLattice
 
 
-def integer_kernel(rows, ncols: int) -> IntLattice:
-    """Lattice {x in Z^ncols : A x = 0} for a rational matrix A.
+def integer_kernel(rows, ncols: int) -> list[list[int]]:
+    """Basis rows, not canonical, of {x in Z^ncols : A x = 0}, A rational.
 
     Entries are Fractions or ints; each row is cleared of denominators
-    by its own least common multiple.  The kernel is read off the Hermite
-    form H = U A^T: the rows of the unimodular U under the zero rows of H
-    are a basis of it."""
+    by its own least common multiple.  The basis is read off the Hermite
+    form H = U A^T: the rows of the unimodular U under the zero rows of H,
+    which are all of U = I when A has no nonzero row."""
     int_rows: list[list[int]] = []
     for r in rows:
         if not any(r):
             continue
         scale = math.lcm(*(x.denominator for x in r))
         int_rows.append([x.numerator * (scale // x.denominator) for x in r])
-    if not int_rows:
-        return IntLattice.full(ncols)
     h, u = hnf([[r[j] for r in int_rows] for j in range(ncols)])
-    return IntLattice.from_rows(ncols, [ur for hr, ur in zip(h, u) if not any(hr)])
+    return [ur for hr, ur in zip(h, u) if not any(hr)]
 
 
 def mixed_solve(a_rows, b_rows, c, k: int) -> Coset | None:

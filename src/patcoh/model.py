@@ -134,7 +134,7 @@ def parse_projection_data(text: str) -> ProjectionData:
         fspec = QQ
     elif fobj["kind"] == "Qsqrt":
         d = fobj.get("D")
-        if not isinstance(d, int):
+        if not isinstance(d, int) or isinstance(d, bool):
             raise ParseError("quadratic field needs an integer D")
         try:
             fspec = quadratic(d)
@@ -143,7 +143,7 @@ def parse_projection_data(text: str) -> ProjectionData:
     else:
         raise ParseError(f"unknown field kind {fobj['kind']!r}")
     m = doc.get("dim")
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ParseError(f"dim must be a positive integer, got {m!r}")
     gens_obj = doc.get("generators")
     if not isinstance(gens_obj, list) or not gens_obj:

@@ -8,9 +8,11 @@ integer linear algebra on translation coefficients: a per-pair
 classification subgroup whose index is the number of classes contributed,
 and whose rank deficiency certifies an infinite class count.  Whether two
 spaces share an orbit is one comparison of canonical hashable labels
-(`Engine.label`), so deduplication is a set lookup.  Labels, stabilizers
-and classification subgroups all come from one Hermite frame per (group,
-direction) (`Engine._frame`).
+(`Engine.label`), so deduplication is a set lookup.  Each direction has
+one cached entry (`Engine._direction`): its annihilator rows R, read off
+a Hermite transform, R's values on the generators, and one Hermite frame
+per group (`Engine._frame`).  Labels, stabilizers and classification
+subgroups all come from that entry.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .field import FElem, dot, restrict_scalars
-from .linalg import IntLattice, coset_reps, hnf, integer_kernel, left_annihilator, rref
+from .linalg import IntLattice, coset_reps, hnf, integer_kernel, rref
 from .model import ProjectionData
 
 DEFAULT_MAX_CLASSES = 100_000
@@ -62,6 +64,16 @@ class SingularClass:
 
 
 @dataclass
+class _Direction:
+    """Engine cache entry of one direction: its annihilator rows R, their
+    values on the generators (one row per R row) and its frames."""
+
+    rows: list[tuple[int, ...]]
+    vals: list[tuple[int, ...]]
+    frames: dict  # group basis -> (echelon, kernel)
+
+
+@dataclass
 class Arrangement:
     data: ProjectionData
     levels: dict[int, list[SingularClass]]  # keys m-1 .. 0
@@ -84,10 +96,10 @@ class Engine:
         self.dm = self.delta * self.m
         self.full = IntLattice.full(self.n)
         self.gen_cols = [restrict_scalars(g) for g in data.gens]
-        self._projs: dict = {}
-        self._frames: dict = {}
-        self._proj_ws: dict = {}
-        self._normal_dots: dict = {}
+        self._dirs: dict = {}  # direction -> _Direction
+        # <normal, g_i> per input normal: the only normals a pair is cut by
+        self._normal_dots = {h.normal: [dot(h.normal, g) for g in data.gens]
+                             for h in data.planes}
 
     # -- basic geometry helpers ---------------------------------------------
 
@@ -113,76 +125,58 @@ class Engine:
                 cols.append(tuple(c for x in row for c in (big_d * x.b, x.a)))
         return cols
 
-    def _proj_rows(self, direction) -> list[tuple[int, ...]]:
-        """Integer rows R spanning the annihilator of the restricted span of
-        a direction, cached.  Each row is scaled so that it and its values
-        on the generators res(g_i) are integral; projecting by R eliminates
-        the direction subspace."""
-        if direction not in self._projs:
-            bcols = self.dir_res_cols(direction)
-            if bcols:
-                brows = [tuple(c[i] for c in bcols) for i in range(self.dm)]
-                proj = left_annihilator(brows, len(bcols))
-            else:
-                proj = [tuple(Fraction(int(i == j)) for j in range(self.dm))
-                        for i in range(self.dm)]
-            rows = []
-            for p in proj:
-                vals = [sum(pi * gi for pi, gi in zip(p, g)) for g in self.gen_cols]
-                s = math.lcm(*(x.denominator for x in p + tuple(vals)))
-                rows.append(tuple(x.numerator * (s // x.denominator) for x in p))
-            self._projs[direction] = rows
-        return self._projs[direction]
+    def _direction(self, direction) -> _Direction:
+        """The direction's cached entry, built the first time it is met.
 
-    def _frame(self, direction, group: IntLattice):
-        """(echelon, kernel) of the lattice R * (group image), cached per
-        (group, direction), from one Hermite form H = U M.
+        The rows R, the integer kernel of the restricted columns, span
+        their annihilator, so projecting by R eliminates the direction.
+        Each row is scaled so that its values on the generators res(g_i),
+        kept one row per R row, are integral as well."""
+        entry = self._dirs.get(direction)
+        if entry is None:
+            rows, vals = [], []
+            for r in integer_kernel(self.dir_res_cols(direction), self.dm):
+                v = [sum(ri * gi for ri, gi in zip(r, g) if ri) for g in self.gen_cols]
+                s = math.lcm(*(x.denominator for x in v))
+                rows.append(tuple(s * ri for ri in r))
+                vals.append(tuple(x.numerator * (s // x.denominator) for x in v))
+            entry = self._dirs[direction] = _Direction(rows, vals, {})
+        return entry
 
-        M has one row R res(gamma(b)) per group basis vector b, so the
-        nonzero rows of H, each with its pivot column, are the echelon
-        basis that `label` reduces by.  The rows of U under the zero rows
-        of H span the group coordinates y with R res(gamma(y)) = 0, i.e.
-        group cap span(direction); kernel is their Hermite lattice."""
-        key = (group.basis, direction)
-        if key not in self._frames:
-            rows = self._proj_rows(direction)
-            gens = [[int(sum(r * c for r, c in zip(row, g) if r)) for row in rows]
-                    for g in self.gen_cols]
-            images = [[sum(bi * gi[t] for bi, gi in zip(b, gens) if bi)
-                       for t in range(len(rows))] for b in group.basis]
-            h, u = hnf(images)
+    def _frame(self, entry: _Direction, group: IntLattice):
+        """(echelon, kernel) of the lattice R * (group image), kept in the
+        direction's entry per group basis, from one Hermite form H = U M.
+
+        M has one row R res(gamma(b)) = sum b_i vals_i per group basis
+        vector b, so the nonzero rows of H, each with its pivot column, are
+        the echelon basis that `label` reduces by.  The rows of U under the
+        zero rows of H span the group coordinates y with R res(gamma(y)) =
+        0, i.e. group cap span(direction); kernel is their Hermite lattice."""
+        frame = entry.frames.get(group.basis)
+        if frame is None:
+            h, u = hnf([[sum(bi * v for bi, v in zip(b, vrow) if bi) for vrow in entry.vals]
+                        for b in group.basis])
             echelon = [(next(j for j, x in enumerate(hr) if x), hr) for hr in h if any(hr)]
             kernel = IntLattice.from_rows(
                 group.rank, [ur for hr, ur in zip(h, u) if not any(hr)])
-            self._frames[key] = (echelon, kernel)
-        return self._frames[key]
+            frame = entry.frames[group.basis] = (echelon, kernel)
+        return frame
 
-    def _proj_w(self, direction, w) -> tuple[list[list[int]], int]:
-        """([R X_0, R X_1], q), cached, with X_0 = q res(w) and X_1 =
-        q res(sqrt(D) w) integral (X_1 only over Q(sqrt D)).
+    def _proj_w(self, rows, w) -> tuple[list[list[int]], int]:
+        """([R X_0, R X_1], q) for annihilator rows R, with X_0 = q res(w)
+        and X_1 = q res(sqrt(D) w) integral (X_1 only over Q(sqrt D)).
 
         res(c w) = c.a res(w) + c.b res(sqrt(D) w), so these columns turn
         field coefficients into projected point shifts."""
-        key = (direction, w)
-        if key not in self._proj_ws:
-            cols = self.dir_res_cols((w,))
-            q = math.lcm(*(x.denominator for col in cols for x in col))
-            rows = self._proj_rows(direction)
-            self._proj_ws[key] = ([
-                [sum(r * x.numerator * (q // x.denominator) for r, x in zip(row, col) if r)
-                 for row in rows] for col in cols], q)
-        return self._proj_ws[key]
-
-    def _ndots(self, normal) -> list[FElem]:
-        """<normal, g_i> for all generators, cached per normal."""
-        if normal not in self._normal_dots:
-            self._normal_dots[normal] = [dot(normal, g) for g in self.data.gens]
-        return self._normal_dots[normal]
+        cols = self.dir_res_cols((w,))
+        q = math.lcm(*(x.denominator for col in cols for x in col))
+        return [[sum(r * x.numerator * (q // x.denominator) for r, x in zip(row, col) if r)
+                 for row in rows] for col in cols], q
 
     def stabilizer(self, direction) -> IntLattice:
         """Gamma cap span(direction), as coefficient vectors in Z^n: the
         kernel of the full lattice's frame."""
-        return self._frame(direction, self.full)[1]
+        return self._frame(self._direction(direction), self.full)[1]
 
     def label(self, direction, point, group: IntLattice) -> tuple:
         """Canonical key of the group-orbit of point + span(direction).
@@ -193,13 +187,15 @@ class Engine:
         v = R X is reduced by q times the echelon rows of L, top to bottom,
         taking the floor at each pivot; that leaves one representative of
         v / q modulo L (each pivot entry in [0, q h_p)).  The key is (q, v)
-        divided by its gcd, so equal keys mean equal v / q."""
-        echelon, _ = self._frame(direction, group)
+        divided by its gcd, so equal keys mean equal v / q.  The entries
+        depend on which basis R is, but which points share a key does not."""
+        entry = self._direction(direction)
+        echelon, _ = self._frame(entry, group)
         x = restrict_scalars(point)
         q = math.lcm(*(xi.denominator for xi in x))
         xs = [xi.numerator * (q // xi.denominator) for xi in x]
         v = [sum(r * xi for r, xi in zip(row, xs) if r)
-             for row in self._proj_rows(direction)]
+             for row in entry.rows]
         for p, hrow in echelon:
             k = v[p] // (q * hrow[p])
             if k:
@@ -211,9 +207,9 @@ class Engine:
     def contains(self, direction, sub_dir) -> bool:
         """True iff span(sub_dir) lies in span(direction): the annihilator
         rows of `direction` kill every restricted column of `sub_dir`."""
-        proj = self._proj_rows(direction)
-        return not any(sum(p * c for p, c in zip(prow, col) if p)
-                       for col in self.dir_res_cols(sub_dir) for prow in proj)
+        rows = self._direction(direction).rows
+        return not any(sum(p * c for p, c in zip(row, col) if p)
+                       for col in self.dir_res_cols(sub_dir) for row in rows)
 
     def same_orbit(self, a, b, group: IntLattice) -> bool:
         """a, b: (direction, point) pairs.  Same group-orbit of affine spaces?"""
@@ -264,18 +260,19 @@ class Engine:
         """
         sub_dir, sub_point, (a, w) = cut
         inv_a = a.inverse()
-        coefs = [nd * inv_a for nd in self._ndots(hclass.normal)]
+        coefs = [nd * inv_a for nd in self._normal_dots[hclass.normal]]
         lcd = math.lcm(*(x.denominator for c in coefs for x in (c.a, c.b)))
         nums = [[x.numerator * (lcd // x.denominator) for x in (c.a, c.b)[:self.delta]]
                 for c in coefs]  # (A_i, B_i)
-        rw, q = self._proj_w(sub_dir, w)
-        echelon, _ = self._frame(sub_dir, group)
+        entry = self._direction(sub_dir)
+        rw, q = self._proj_w(entry.rows, w)
+        echelon, _ = self._frame(entry, group)
         scale = -lcd * q
         rows = [[sum(k * col[t] for k, col in zip(ks, rw)) for ks in nums]
                 + [scale * hrow[t] for _, hrow in echelon]
                 for t in range(len(rw[0]))]
         kernel = integer_kernel(rows, self.n + len(echelon))
-        hsub = IntLattice.from_rows(self.n, [r[: self.n] for r in kernel.basis])
+        hsub = IntLattice.from_rows(self.n, [r[: self.n] for r in kernel])
         if hsub.rank < self.n:
             raise InfiniteArrangement(level, parent.id, hclass.id, hsub.rank, self.n)
         # the cosets of hsub are pairwise distinct classes, so an index above

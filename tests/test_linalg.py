@@ -188,10 +188,12 @@ def test_int_det_examples():
 # -- integer kernels and lattices --------------------------------------------
 
 def test_integer_kernel_examples():
-    lat = integer_kernel([[F(1, 2), F(-1, 3)]], 2)
+    lat = IntLattice.from_rows(2, integer_kernel([[F(1, 2), F(-1, 3)]], 2))
     assert lat.basis == ((2, 3),)
-    assert integer_kernel([[F(0), F(0)]], 2).rank == 2
-    assert integer_kernel([[F(1), F(0)], [F(0), F(1)]], 2).rank == 0
+    assert IntLattice.from_rows(2, integer_kernel([[F(0), F(0)]], 2)).rank == 2
+    assert IntLattice.from_rows(2, integer_kernel([[F(1), F(0)], [F(0), F(1)]], 2)).rank == 0
+    # no rows at all: every vector is in the kernel, and the basis is I
+    assert integer_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def smith_kernel(rows, ncols):
@@ -214,7 +216,7 @@ def test_integer_kernel_membership_random():
     for _ in range(20):
         rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
                 for _ in range(2)]
-        lat = integer_kernel(rows, 3)
+        lat = IntLattice.from_rows(3, integer_kernel(rows, 3))
         for vec in lat.basis:
             assert all(sum(r[j] * vec[j] for j in range(3)) == 0 for r in rows)
         # exhaustive small box: membership matches the equations
@@ -237,7 +239,7 @@ def test_integer_kernel_membership_random():
             rows.insert(rng.randint(0, len(rows)), [0] * ncols)
         if rng.random() < 0.5:
             rows.append(list(rng.choice(rows)))
-        lat = integer_kernel(rows, ncols)
+        lat = IntLattice.from_rows(ncols, integer_kernel(rows, ncols))
         assert lat == smith_kernel(rows, ncols), rows
         for vec in lat.basis:
             assert all(sum(r[j] * vec[j] for j in range(ncols)) == 0 for r in rows)

@@ -61,6 +61,8 @@ def test_parse_bare_string_element():
     ({"hyperplanes": []}, "hyperplanes"),
     ({"hyperplanes": [{"normal": [["0"]]}]}, "zero"),
     ({"name": 3}, "name"),
+    ({"dim": True}, "dim"),  # a JSON boolean is not an integer
+    ({"field": {"kind": "Qsqrt", "D": True}}, "integer D"),
 ])
 def test_parse_errors_are_distinct(mangle, match):
     with pytest.raises(ParseError, match=match):

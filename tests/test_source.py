@@ -4,6 +4,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import patcoh
 
 
@@ -57,14 +59,15 @@ def test_every_package_name_has_a_caller():
     assert unused == set(TEST_ONLY)
 
 
-def test_only_mixed_solve_calls_snf():
+@pytest.mark.parametrize("callee", ["snf", "left_annihilator"])
+def test_only_mixed_solve_calls(callee):
     # the engine reads labels, stabilizers and kernels off Hermite forms;
-    # the Smith form stays with the test reference, so the two share no
-    # normal form
+    # the Smith form and the rational annihilator stay with the test
+    # reference, so the two share no normal form and no elimination
     callers = set()
     for path in sorted(Path(patcoh.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef) and "snf" in [
+            if isinstance(node, ast.FunctionDef) and callee in [
                     c.func.id if isinstance(c.func, ast.Name) else getattr(c.func, "attr", None)
                     for c in ast.walk(node) if isinstance(c, ast.Call)]:
                 callers.add(node.name)
