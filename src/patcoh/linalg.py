@@ -311,6 +311,13 @@ class Coset:
     lattice: IntLattice
 
 
+def clear_denominators(rows) -> tuple[list[list[int]], int]:
+    """(N, q) with rows = N / q: N integral and q the least common
+    denominator of the entries, Fractions or ints."""
+    q = math.lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (q // x.denominator) for x in row] for row in rows], q
+
+
 def integer_kernel(rows, ncols: int) -> list[list[int]]:
     """Basis rows, not canonical, of {x in Z^ncols : A x = 0}, A rational.
 
@@ -318,12 +325,7 @@ def integer_kernel(rows, ncols: int) -> list[list[int]]:
     by its own least common multiple.  The basis is read off the Hermite
     form H = U A^T: the rows of the unimodular U under the zero rows of H,
     which are all of U = I when A has no nonzero row."""
-    int_rows: list[list[int]] = []
-    for r in rows:
-        if not any(r):
-            continue
-        scale = math.lcm(*(x.denominator for x in r))
-        int_rows.append([x.numerator * (scale // x.denominator) for x in r])
+    int_rows = [clear_denominators([r])[0][0] for r in rows if any(r)]
     h, u = hnf([[r[j] for r in int_rows] for j in range(ncols)])
     return [ur for hr, ur in zip(h, u) if not any(hr)]
 

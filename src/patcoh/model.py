@@ -88,6 +88,8 @@ def _parse_rat(s) -> Fraction:
     if not isinstance(s, str):
         raise ParseError(f"rational must be a string 'p/q' or 'p', got {s!r}")
     try:
+        if "e" in s or "E" in s:  # Fraction would build 10**exponent
+            raise ValueError("no exponent allowed")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r}: {exc}") from exc

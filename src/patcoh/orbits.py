@@ -3,27 +3,28 @@
 Singular l-spaces are intersections of Gamma-translated hyperplanes.  The
 engine enumerates one representative per translation-orbit class, level by
 level (each level cuts the previous one by translated hyperplanes), with
-stabilizer sublattices attached.  Orbit questions are decided purely by
-integer linear algebra on translation coefficients: a per-pair
-classification subgroup whose index is the number of classes contributed,
-and whose rank deficiency certifies an infinite class count.  Whether two
-spaces share an orbit is one comparison of canonical hashable labels
-(`Engine.label`), so deduplication is a set lookup.  Each direction has
-one cached entry (`Engine._direction`): its annihilator rows R, read off
-a Hermite transform, R's values on the generators, and one Hermite frame
-per group (`Engine._frame`).  Labels, stabilizers and classification
-subgroups all come from that entry.
+stabilizer sublattices attached.  Each direction has one cached entry
+(`Engine._direction`): annihilator rows R read off a Hermite transform,
+R's values on the generators and one Hermite frame per group
+(`_frame`).  Whether two spaces share an orbit is one
+comparison of canonical integer labels (`Engine.label`).  A cut is an
+integer affine map on restricted coordinates: its per-pair classification
+subgroup has the number of classes contributed as its index, and a rank
+deficiency certifies an infinite count; its candidates' labels are affine
+in the coset representative, so deduplication is a set lookup and a field
+point is built only for an accepted class.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .field import FElem, dot, restrict_scalars
-from .linalg import IntLattice, coset_reps, hnf, integer_kernel, rref
+from .field import FElem, dot, restrict_scalars, scalar_matrix
+from .linalg import IntLattice, clear_denominators, coset_reps, hnf, integer_kernel, rref
 from .model import ProjectionData
 
 DEFAULT_MAX_CLASSES = 100_000
@@ -63,14 +64,46 @@ class SingularClass:
     offset: FElem | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class _Direction:
-    """Engine cache entry of one direction: its annihilator rows R, their
-    values on the generators (one row per R row) and its frames."""
+    """Engine cache entry of one direction (hashed by identity): the
+    direction's rows, its annihilator rows R, their values on the
+    generators (one row per R row) and its frames."""
 
+    direction: tuple[tuple[FElem, ...], ...]
     rows: list[tuple[int, ...]]
     vals: list[tuple[int, ...]]
     frames: dict  # group basis -> (echelon, kernel)
+
+
+class _Normal(NamedTuple):
+    """Integer tables of one normal nu, as field numerators (a,) or (a, b)
+    over den: den <nu, x> = form res(x), and dots[i] = den <nu, g_i>."""
+
+    den: int
+    form: list[list[int]]
+    dots: list[list[int]]
+
+
+class _Cut(NamedTuple):
+    """A proper cut of p + span(direction) by a hyperplane with normal nu,
+    in integers, for the classification of its translates.  The pivot row
+    w of the direction has <nu, w> != 0.  The cut point is p + c0 w, and
+    translating the plane by gamma(y) adds (sum y_i c_i) w, with c0 =
+    c0_num / (lcd s) and c_i = cs_i / lcd as field numerators.  sub is the
+    sub-direction's entry, with rows R; rw = [q R res(w), q R res(sqrt(D)
+    w)], and the cut point's R-image is base / (lcd s q)."""
+
+    sub: _Direction
+    point: tuple[FElem, ...]
+    w: tuple[FElem, ...]
+    lcd: int
+    q: int
+    s: int
+    rw: list[list[int]]
+    c0_num: list[int]
+    cs: list[list[int]]
+    base: list[int]
 
 
 @dataclass
@@ -97,20 +130,9 @@ class Engine:
         self.full = IntLattice.full(self.n)
         self.gen_cols = [restrict_scalars(g) for g in data.gens]
         self._dirs: dict = {}  # direction -> _Direction
-        # <normal, g_i> per input normal: the only normals a pair is cut by
-        self._normal_dots = {h.normal: [dot(h.normal, g) for g in data.gens]
-                             for h in data.planes}
+        self._normals: dict = {}  # normal -> _Normal
 
     # -- basic geometry helpers ---------------------------------------------
-
-    def gamma_vec(self, y: Sequence[int]) -> tuple[FElem, ...]:
-        """Sum of y_i * g_i as a field vector."""
-        acc = [self.fspec.zero] * self.m
-        for yi, g in zip(y, self.data.gens):
-            if yi:
-                c = self.fspec.elem(yi)
-                acc = [a + c * x for a, x in zip(acc, g)]
-        return tuple(acc)
 
     def dir_res_cols(self, direction) -> list[tuple[Fraction, ...]]:
         """Rational basis (as columns) of the restricted span of a field
@@ -136,11 +158,11 @@ class Engine:
         if entry is None:
             rows, vals = [], []
             for r in integer_kernel(self.dir_res_cols(direction), self.dm):
-                v = [sum(ri * gi for ri, gi in zip(r, g) if ri) for g in self.gen_cols]
-                s = math.lcm(*(x.denominator for x in v))
+                (v,), s = clear_denominators(
+                    [[sum(ri * gi for ri, gi in zip(r, g) if ri) for g in self.gen_cols]])
                 rows.append(tuple(s * ri for ri in r))
-                vals.append(tuple(x.numerator * (s // x.denominator) for x in v))
-            entry = self._dirs[direction] = _Direction(rows, vals, {})
+                vals.append(tuple(v))
+            entry = self._dirs[direction] = _Direction(direction, rows, vals, {})
         return entry
 
     def _frame(self, entry: _Direction, group: IntLattice):
@@ -162,17 +184,6 @@ class Engine:
             frame = entry.frames[group.basis] = (echelon, kernel)
         return frame
 
-    def _proj_w(self, rows, w) -> tuple[list[list[int]], int]:
-        """([R X_0, R X_1], q) for annihilator rows R, with X_0 = q res(w)
-        and X_1 = q res(sqrt(D) w) integral (X_1 only over Q(sqrt D)).
-
-        res(c w) = c.a res(w) + c.b res(sqrt(D) w), so these columns turn
-        field coefficients into projected point shifts."""
-        cols = self.dir_res_cols((w,))
-        q = math.lcm(*(x.denominator for col in cols for x in col))
-        return [[sum(r * x.numerator * (q // x.denominator) for r, x in zip(row, col) if r)
-                 for row in rows] for col in cols], q
-
     def stabilizer(self, direction) -> IntLattice:
         """Gamma cap span(direction), as coefficient vectors in Z^n: the
         kernel of the full lattice's frame."""
@@ -190,12 +201,15 @@ class Engine:
         divided by its gcd, so equal keys mean equal v / q.  The entries
         depend on which basis R is, but which points share a key does not."""
         entry = self._direction(direction)
-        echelon, _ = self._frame(entry, group)
-        x = restrict_scalars(point)
-        q = math.lcm(*(xi.denominator for xi in x))
-        xs = [xi.numerator * (q // xi.denominator) for xi in x]
-        v = [sum(r * xi for r, xi in zip(row, xs) if r)
-             for row in entry.rows]
+        (xs,), q = clear_denominators([restrict_scalars(point)])
+        return self._key(self._frame(entry, group)[0],
+                         [sum(map(operator.mul, row, xs)) for row in entry.rows], q)
+
+    @staticmethod
+    def _key(echelon, v: list[int], q: int) -> tuple:
+        """`label`'s key of v / q: v reduced by q times the echelon rows,
+        top to bottom with the floor at each pivot, then (q, v) divided by
+        its gcd."""
         for p, hrow in echelon:
             k = v[p] // (q * hrow[p])
             if k:
@@ -217,60 +231,90 @@ class Engine:
 
     # -- intersections and per-pair classification ---------------------------
 
-    def intersect_affine(self, direction, point, h):
-        """Cut an affine space by a hyperplane h (anything with a normal and
-        an offset), or None when the direction lies in the hyperplane.
+    def _mul(self, x, y) -> list[int]:
+        """Product of field numerators (a,) or (a, b) of a + b sqrt(D)."""
+        return ([x[0] * y[0]] if self.delta == 1 else
+                [x[0] * y[0] + self.fspec.D * x[1] * y[1], x[0] * y[1] + x[1] * y[0]])
 
-        Returns (sub_direction in canonical rref, sub_point, lin_scale)
-        where translating the hyperplane by x moves the intersection point
-        by (<normal, x>/a) * w; lin_scale = (a, w) carries that map.
-        """
-        alphas = [dot(h.normal, u) for u in direction]
-        pivot = next((j for j, al in enumerate(alphas) if al), None)
+    def _plane(self, h):
+        """(normal tables, offset numerators, offset denominator) of h."""
+        rec = self._normals.get(h.normal)
+        if rec is None:
+            form = [[x for c in h.normal for x in scalar_matrix(c)[r]] for r in range(self.delta)]
+            dots = [restrict_scalars((dot(h.normal, g),)) for g in self.data.gens]
+            tab, den = clear_denominators(form + dots)
+            rec = self._normals[h.normal] = _Normal(den, tab[:self.delta], tab[self.delta:])
+        (off,), oden = clear_denominators([restrict_scalars((h.offset,))])
+        return rec, off, oden
+
+    def intersect(self, entry: _Direction, point, res, plane) -> _Cut | None:
+        """Cut point + span(entry's direction) by the hyperplane `plane`
+        (from `_plane`), or None when the direction lies in it; res =
+        (X, q_p) is res(point) cleared by `clear_denominators`.
+
+        With the direction's restricted columns cleared to X / q, the
+        normal's form gives alpha_j = den q <normal, u_j> per row u_j.  The
+        first row with alpha != 0 is the pivot w, 1/a = den q conj(alpha) /
+        norm(alpha), and the sub-direction is the rref of the other rows
+        u_j less (alpha_j / alpha) w.  The form also gives <normal, p> for
+        c0 = (offset - <normal, p>)/a, over s = q_p times the offset's
+        denominator."""
+        nrec, off, oden = plane
+        direction, d = entry.direction, self.delta
+        cols, q = clear_denominators(self.dir_res_cols(direction))
+        alphas = [[sum(map(operator.mul, f, cols[d * j])) for f in nrec.form]
+                  for j in range(len(direction))]
+        pivot = next((j for j, al in enumerate(alphas) if any(al)), None)
         if pivot is None:
             return None
-        a = alphas[pivot]
-        w = direction[pivot]
-        sub = []
-        for j, u in enumerate(direction):
-            if j == pivot:
-                continue
-            f = alphas[j] / a
-            sub.append([x - f * y for x, y in zip(u, w)])
-        sub_dir = tuple(tuple(r) for r in rref(sub))
-        c0 = (h.offset - dot(h.normal, point)) / a
-        sub_point = tuple(x + c0 * y for x, y in zip(point, w))
-        return sub_dir, sub_point, (a, w)
+        a, w = alphas[pivot], direction[pivot]
+        conj = a[:1] + [-x for x in a[1:]]
+        norm = self._mul(a, conj)[0]
+        inv = [nrec.den * q * x * (1 if norm > 0 else -1) for x in conj]
+        g = math.gcd(norm, *inv)
+        inv, lcd = [x // g for x in inv], nrec.den * abs(norm) // g
+        fs = [self.fspec.elem(*(Fraction(x, lcd * q) for x in self._mul(al, inv)))
+              for al in alphas]
+        sub = self._direction(tuple(tuple(r) for r in rref(
+            [[x - f * y for x, y in zip(u, w)]
+             for j, (u, f) in enumerate(zip(direction, fs)) if j != pivot])))
+        rw = [[sum(map(operator.mul, row, col)) for row in sub.rows]
+              for col in cols[d * pivot: d * pivot + d]]
+        (xs,), qp = res
+        nu_p = [sum(map(operator.mul, f, xs)) for f in nrec.form]
+        c0 = self._mul([o * nrec.den * qp - oden * e for o, e in zip(off, nu_p)], inv)
+        base = [lcd * oden * q * sum(map(operator.mul, row, xs)) + sum(map(operator.mul, c0, ts))
+                for row, ts in zip(sub.rows, zip(*rw))]
+        return _Cut(sub, point, w, lcd, q, qp * oden, rw, c0,
+                    [self._mul(nd, inv) for nd in nrec.dots], base)
+
+    def point(self, cut: _Cut, y: Sequence[int]) -> tuple[FElem, ...]:
+        """The field point p + (c0 + sum y_i c_i) w of coset rep y."""
+        c = [x + cut.s * sum(map(operator.mul, y, col))
+             for x, col in zip(cut.c0_num, zip(*cut.cs))]
+        f = self.fspec.elem(*(Fraction(x, cut.lcd * cut.s) for x in c))
+        return tuple(x + f * wx for x, wx in zip(cut.point, cut.w))
 
     def classify_pair(self, parent: SingularClass, hclass, group: IntLattice,
-                      level: int, cut):
-        """Orbit classes among {rep(parent) cut by translated hclass}.
+                      level: int, cut: _Cut):
+        """Orbit classes among {rep(parent) cut by translated hclass}, for
+        the proper `cut` of the pair (from `intersect`).
 
-        `cut` is intersect_affine(parent.direction, parent.point, hclass),
-        which build_level has already found proper.  Translating hclass by
-        gamma(y) moves the cut point by (sum y_i c_i) w, with c_i =
-        <normal, g_i>/a = (A_i + B_i sqrt D)/lcd.  By `_proj_w` that shift
-        has R-image sum y_i (A_i R X_0 + B_i R X_1) / (lcd q), so the y that
-        keep the cut in its group-orbit form the subgroup H: the y-part of
-        the integer kernel of [A_i R X_0 + B_i R X_1 | -lcd q E^T], E the
-        echelon rows of the sub-direction's frame.
-
-        Returns (sub_direction, [candidate points], H).  Raises
-        InfiniteArrangement when H is rank-deficient.
-        """
-        sub_dir, sub_point, (a, w) = cut
-        inv_a = a.inverse()
-        coefs = [nd * inv_a for nd in self._normal_dots[hclass.normal]]
-        lcd = math.lcm(*(x.denominator for c in coefs for x in (c.a, c.b)))
-        nums = [[x.numerator * (lcd // x.denominator) for x in (c.a, c.b)[:self.delta]]
-                for c in coefs]  # (A_i, B_i)
-        entry = self._direction(sub_dir)
-        rw, q = self._proj_w(entry.rows, w)
-        echelon, _ = self._frame(entry, group)
-        scale = -lcd * q
-        rows = [[sum(k * col[t] for k, col in zip(ks, rw)) for ks in nums]
-                + [scale * hrow[t] for _, hrow in echelon]
-                for t in range(len(rw[0]))]
+        Translating hclass by gamma(y) moves the cut point's R-image by
+        sum y_i ds_i / (lcd q), ds_i = cs_i[0] rw[0] + cs_i[1] rw[1], so the
+        y that keep it in its group-orbit are the subgroup H: the y-part of
+        the integer kernel of [ds_i | -lcd q E^T], E the echelon rows of the
+        sub-direction's frame.  A candidate's label is affine in its coset
+        rep y: base + s sum y_i ds_i over lcd s q, reduced as `label`
+        reduces, so its key equals label(sub_direction, point(cut, y),
+        group) with no field point built.  Returns (sub_direction, [(key,
+        y) per coset rep y], H); raises InfiniteArrangement when H is
+        rank-deficient."""
+        echelon, _ = self._frame(cut.sub, group)
+        ds = [[sum(map(operator.mul, c, ts)) for ts in zip(*cut.rw)] for c in cut.cs]
+        scale = -cut.lcd * cut.q
+        rows = [[d[t] for d in ds] + [scale * hrow[t] for _, hrow in echelon]
+                for t in range(len(cut.base))]
         kernel = integer_kernel(rows, self.n + len(echelon))
         hsub = IntLattice.from_rows(self.n, [r[: self.n] for r in kernel])
         if hsub.rank < self.n:
@@ -282,36 +326,37 @@ class Engine:
             raise ResourceCapExceeded(
                 f"level {level}, pair (parent {parent.id}, hyperplane class "
                 f"{hclass.id}): {index} classes, more than the cap of {self.max_classes}")
-        reps = coset_reps(hsub)
-        points = []
-        for y in reps:
-            shift = self.fspec.zero
-            for yi, c in zip(y, coefs):
-                if yi:
-                    shift = shift + self.fspec.elem(yi) * c
-            points.append(tuple(x + shift * yw for x, yw in zip(sub_point, w)))
-        return sub_dir, points, hsub
+        big, shifts = cut.lcd * cut.s * cut.q, [[cut.s * x for x in col] for col in zip(*ds)]
+        return cut.sub.direction, [
+            (self._key(echelon, [b + sum(map(operator.mul, y, col))
+                                 for b, col in zip(cut.base, shifts)], big), y)
+            for y in coset_reps(hsub)], hsub
 
     # -- level-wise enumeration ----------------------------------------------
 
     def build_level(self, parents, hclasses, group: IntLattice, level: int,
                     with_normals: bool = False) -> list[SingularClass]:
         """Classes at `level` from cutting parent representatives by all
-        translated hyperplane classes, deduplicated under `group`."""
+        translated hyperplane classes, deduplicated under `group` on the
+        candidate keys; the field point is built for accepted classes
+        only."""
         accepted: list[SingularClass] = []
-        seen: dict = {}  # direction -> labels of the classes accepted so far
+        seen: dict = {}  # direction entry -> keys of the classes accepted so far
+        planes = [(hc, self._plane(hc)) for hc in hclasses]
         for parent in parents:
-            for hc in hclasses:
-                cut = self.intersect_affine(parent.direction, parent.point, hc)
+            entry = self._direction(parent.direction)
+            res = clear_denominators([restrict_scalars(parent.point)])
+            for hc, plane in planes:
+                cut = self.intersect(entry, parent.point, res, plane)
                 if cut is None:
                     continue  # the parent's direction lies in the hyperplane
-                sub_dir, points, _ = self.classify_pair(parent, hc, group, level, cut)
-                labels = seen.setdefault(sub_dir, set())
-                for pt in points:
-                    key = self.label(sub_dir, pt, group)
-                    if key in labels:
+                sub_dir, candidates, _ = self.classify_pair(parent, hc, group, level, cut)
+                keys = seen.setdefault(cut.sub, set())
+                for key, y in candidates:
+                    if key in keys:
                         continue
-                    labels.add(key)
+                    keys.add(key)
+                    pt = self.point(cut, y)
                     kwargs = {}
                     if with_normals:
                         kwargs = {"normal": hc.normal, "offset": dot(hc.normal, pt)}

@@ -63,6 +63,9 @@ def test_parse_bare_string_element():
     ({"name": 3}, "name"),
     ({"dim": True}, "dim"),  # a JSON boolean is not an integer
     ({"field": {"kind": "Qsqrt", "D": True}}, "integer D"),
+    # an exponent is refused, however small: Fraction would build 10**e
+    ({"hyperplanes": [{"normal": [["1"]], "offset": ["1e-3"]}]}, "bad rational"),
+    ({"generators": [[["5E2"]], [["1/2", "1/2"]]]}, "bad rational"),
 ])
 def test_parse_errors_are_distinct(mangle, match):
     with pytest.raises(ParseError, match=match):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 import patcoh.orbits
 from patcoh.catalog import build
 from patcoh.field import dot, quadratic, restrict_scalars
-from patcoh.linalg import IntLattice, lattice_index, mixed_solve, rref
+from patcoh.linalg import IntLattice, clear_denominators, lattice_index, mixed_solve, rref
 from patcoh.model import (
     Hyperplane,
     ProjectionData,
@@ -21,6 +22,14 @@ TAU = F5.elem("1/2", "1/2")
 ONE, ZERO = F5.one, F5.zero
 
 
+def gamma_vec(eng, y):
+    """Sum of y_i * g_i as a field vector."""
+    acc = (eng.fspec.zero,) * eng.m
+    for yi, g in zip(y, eng.data.gens):
+        acc = tuple(a + eng.fspec.elem(yi) * x for a, x in zip(acc, g))
+    return acc
+
+
 def field_inverse(rows):
     """Inverse of a square invertible FElem matrix, via augmented rref."""
     m = len(rows)
@@ -31,6 +40,12 @@ def field_inverse(rows):
     return [tuple(red[i][m:]) for i in range(m)]
 
 
+def _cut(eng, direction, point, h):
+    """The integer cut of point + span(direction) by h, as build_level makes it."""
+    res = clear_denominators([restrict_scalars(point)])
+    return eng.intersect(eng._direction(direction), point, res, eng._plane(h))
+
+
 def test_intersect_affine_example():
     data = build("danzer").data
     eng = Engine(data)
@@ -38,10 +53,13 @@ def test_intersect_affine_example():
     direction = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
     point = (ZERO, ZERO, ZERO)
     h = Hyperplane((ZERO, ZERO, ONE), ZERO)
-    sub_dir, sub_point, (a, w) = eng.intersect_affine(direction, point, h)
-    assert sub_dir == ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO))
-    assert sub_point == point
-    assert a == ONE and w == (ZERO, ZERO, ONE)
+    cut = _cut(eng, direction, point, h)
+    assert cut.sub.direction == ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO))
+    assert eng.point(cut, (0,) * eng.n) == point
+    # a = <normal, w> = 1, so the coefficients c_i = <normal, g_i>/a are the dots
+    assert cut.w == (ZERO, ZERO, ONE)
+    assert [F5.elem(*(Fraction(x, cut.lcd) for x in c)) for c in cut.cs] == [
+        dot(h.normal, g) for g in data.gens]
 
 
 def test_intersect_affine_offset_moves_point():
@@ -50,8 +68,7 @@ def test_intersect_affine_offset_moves_point():
     direction = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
     point = (ZERO, ZERO, ZERO)
     h = Hyperplane((ZERO, ZERO, ONE), TAU)
-    _, sub_point, _ = eng.intersect_affine(direction, point, h)
-    assert sub_point == (ZERO, ZERO, TAU)
+    assert eng.point(_cut(eng, direction, point, h), (0,) * eng.n) == (ZERO, ZERO, TAU)
 
 
 def test_intersect_affine_rejects_containment():
@@ -61,9 +78,9 @@ def test_intersect_affine_rejects_containment():
     eng = Engine(data)
     origin = (ZERO, ZERO, ZERO)
     h = Hyperplane((ZERO, ZERO, ONE), ZERO)
-    assert eng.intersect_affine(((ONE, ZERO, ZERO),), origin, h) is None
-    assert eng.intersect_affine(((ONE, ZERO, ZERO), (ZERO, ONE, ZERO)), origin, h) is None
-    assert eng.intersect_affine(((ONE, ZERO, ZERO), (ZERO, ONE, TAU)), origin, h) is not None
+    assert _cut(eng, ((ONE, ZERO, ZERO),), origin, h) is None
+    assert _cut(eng, ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO)), origin, h) is None
+    assert _cut(eng, ((ONE, ZERO, ZERO), (ZERO, ONE, TAU)), origin, h) is not None
 
 
 def test_same_orbit_fibonacci_points():
@@ -104,7 +121,7 @@ def test_label_agrees_with_mixed_solve():
         arr = eng.enumerate_arrangement()
         verdicts = []
         for group, step in _groups(eng):
-            g_res = _res_matrix([restrict_scalars(eng.gamma_vec(b)) for b in group.basis],
+            g_res = _res_matrix([restrict_scalars(gamma_vec(eng, b)) for b in group.basis],
                                 eng.dm)
             for classes in arr.levels.values():
                 for cls in classes:
@@ -116,7 +133,7 @@ def test_label_agrees_with_mixed_solve():
                         # a small random offset on top mostly leaves it (k >= 2)
                         y = [rng.randint(-3, 3) * (step if k == 0 else 1)
                              for _ in range(eng.n)]
-                        delta = eng.gamma_vec(y)
+                        delta = gamma_vec(eng, y)
                         for u in cls.direction:
                             t = _rand_felem(rng, eng.fspec)
                             delta = tuple(a + t * x for a, x in zip(delta, u))
@@ -147,15 +164,16 @@ def test_classify_pair_subgroup_agrees_with_mixed_solve():
     rng = random.Random(139)
     verdicts = []
     for group, _ in _groups(eng):
-        g_res = _res_matrix([restrict_scalars(eng.gamma_vec(b)) for b in group.basis],
+        g_res = _res_matrix([restrict_scalars(gamma_vec(eng, b)) for b in group.basis],
                             eng.dm)
         for level, parent, hc in pairs:
-            cut = eng.intersect_affine(parent.direction, parent.point, hc)
+            cut = _cut(eng, parent.direction, parent.point, hc)
             if cut is None:
                 continue
-            sub_dir, points, hsub = eng.classify_pair(parent, hc, group, level, cut)
-            assert len(points) == lattice_index(IntLattice.full(eng.n), hsub)
-            _, _, (a, w) = cut
+            sub_dir, candidates, hsub = eng.classify_pair(parent, hc, group, level, cut)
+            assert len(candidates) == lattice_index(IntLattice.full(eng.n), hsub)
+            w = cut.w
+            a = dot(hc.normal, w)
             d_res = _res_matrix(eng.dir_res_cols(sub_dir), eng.dm)
             coefs = [dot(hc.normal, g) / a for g in eng.data.gens]
             for k in range(3):
@@ -172,6 +190,58 @@ def test_classify_pair_subgroup_agrees_with_mixed_solve():
                 assert inside == (sol is not None), (level, parent.id, hc.id, y)
                 verdicts.append(inside)
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def _enumeration_pairs(eng, arr):
+    """(level, parent, hyperplane class) for every pair the enumeration
+    cuts, with the full space as the parent of the top level."""
+    top = arr.levels[eng.m - 1]
+    ident = tuple(tuple(eng.fspec.one if i == j else eng.fspec.zero for j in range(eng.m))
+                  for i in range(eng.m))
+    space = patcoh.orbits.SingularClass(-1, eng.m, ident, (eng.fspec.zero,) * eng.m, eng.full)
+    return [(eng.m - 1, space, hc) for hc in top] + [
+        (level, parent, hc) for level in range(eng.m - 1)
+        for parent in arr.levels[level + 1] for hc in top]
+
+
+@pytest.mark.parametrize("name", ["danzer", "ammann_beenker"])
+def test_candidate_keys_are_labels_of_their_points(name, monkeypatch):
+    # a candidate's key is affine in its coset rep y: it must equal the
+    # label of y's field point, which lies in the parent space and on the
+    # plane translated by gamma(y); every pair as enumerated and once more
+    # with the parent point and the offset moved off the lattice, so that
+    # the cut point and its denominators are not trivial; danzer (m = 3,
+    # Q(sqrt 5)) and Ammann-Beenker (m = 2, Q(sqrt 2))
+    data = build(name).data if name == "danzer" else _ammann_beenker_with()
+    eng = Engine(data)
+    built = []
+    real = Engine.point
+    monkeypatch.setattr(Engine, "point",
+                        lambda self, cut, y: built.append(y) or real(self, cut, y))
+    arr = eng.enumerate_arrangement()
+    # build_level builds a field point for the accepted classes only
+    assert len(built) == sum(arr.counts())
+    monkeypatch.undo()
+    rng = random.Random(7)
+    keys = []
+    for group, _ in _groups(eng):
+        for level, parent, hc in _enumeration_pairs(eng, arr):
+            moved = (dataclasses.replace(parent, point=tuple(
+                         x + _rand_felem(rng, eng.fspec) for x in parent.point)),
+                     dataclasses.replace(hc, offset=hc.offset + _rand_felem(rng, eng.fspec)))
+            for parent, hc in ((parent, hc), moved):
+                cut = _cut(eng, parent.direction, parent.point, hc)
+                if cut is None:
+                    continue
+                sub_dir, candidates, _ = eng.classify_pair(parent, hc, group, level, cut)
+                for key, y in candidates:
+                    pt = eng.point(cut, y)
+                    assert key == eng.label(sub_dir, pt, group), (level, parent.id, hc.id, y)
+                    assert dot(hc.normal, pt) == hc.offset + dot(hc.normal, gamma_vec(eng, y))
+                    step = tuple(a - b for a, b in zip(pt, parent.point))
+                    assert len(rref(parent.direction + (step,))) == len(parent.direction)
+                    keys.append(key)
+    assert len(built) < len(set(keys)) < len(keys)
 
 
 @pytest.mark.parametrize("name", ["danzer", "ammann_kramer"])
@@ -221,7 +291,7 @@ def test_danzer_translate_closure():
     for classes in arr.levels.values():
         for cls in classes:
             y = [rng.randint(-3, 3) for _ in range(eng.n)]
-            shift = eng.gamma_vec(y)
+            shift = gamma_vec(eng, y)
             moved = tuple(p + s for p, s in zip(cls.point, shift))
             assert eng.same_orbit((cls.direction, cls.point),
                                   (cls.direction, moved), full)
@@ -241,7 +311,7 @@ def test_duplicate_translated_plane_changes_nothing():
     eng = Engine(data)
     base = eng.enumerate_arrangement().counts()
     h = data.planes[0]
-    shift = dot(h.normal, eng.gamma_vec([1, -2, 0, 3, 0, 1]))
+    shift = dot(h.normal, gamma_vec(eng, [1, -2, 0, 3, 0, 1]))
     extra = canonical_hyperplane(Hyperplane(h.normal, h.offset + shift))
     data2 = ProjectionData(data.field, data.m, data.gens,
                            data.planes + (extra,), data.name)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import patcoh
+import patcoh.orbits
 
 
 def test_no_assert_statements_in_package():
@@ -25,8 +26,6 @@ def test_no_assert_statements_in_package():
 TEST_ONLY = {
     "mixed_solve": "brute-force reference that Engine.label is checked against",
     "lattice_index": "index by determinant, the independent count for coset_reps",
-    "scalar_matrix": "spells out the Q-linearity that restrict_scalars is tested for",
-    "Engine.gamma_vec": "builds lattice translates for the orbit-invariance tests",
     "Engine.same_orbit": "pairwise form of label equality that the benchmark traces",
     "Engine.relative_levels": "per-class enumeration that the incidence poset is checked against",
 }
@@ -72,3 +71,15 @@ def test_only_mixed_solve_calls(callee):
                     for c in ast.walk(node) if isinstance(c, ast.Call)]:
                 callers.add(node.name)
     assert callers == {"mixed_solve"}
+
+
+def test_classify_pair_does_no_field_arithmetic():
+    # candidate keys are integer affine maps of the coset reps, so a pair
+    # takes no field dot product, restriction, inverse or element
+    tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
+    engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Engine")
+    method = next(n for n in engine.body
+                  if isinstance(n, ast.FunctionDef) and n.name == "classify_pair")
+    called = {ast.unparse(c.func) for c in ast.walk(method) if isinstance(c, ast.Call)}
+    assert called and not {f for f in called if f.split(".")[-1] in (
+        "dot", "restrict_scalars", "inverse") or f.endswith("fspec.elem")}
