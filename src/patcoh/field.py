@@ -129,6 +129,9 @@ class FElem:
         self._check(other)
         return self * other.inverse()
 
+    def __rtruediv__(self, other) -> FElem:  # a rational over x, as 1 / x in `rref`
+        return self.field.elem(other) * self.inverse()
+
     def conj(self) -> FElem:
         """Galois conjugation a + b*sqrt(D) -> a - b*sqrt(D); fixes Q."""
         return FElem(self.a, -self.b, self.field)

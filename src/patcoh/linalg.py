@@ -1,11 +1,11 @@
 """Exact rational and integer linear algebra.
 
-Ranks and kernels over Q (fraction-free for integer matrices), Hermite
-normal forms over Z with integer kernels read off their unimodular
-transform, lattice indices, coset representatives read off the Hermite
-box, and ranks of spans of exterior powers.  The Smith form and the
-rational annihilator serve only `mixed_solve`, the reference solver the
-engine is tested against, so the two share no normal form.
+Ranks and kernels over Q, the Hermite normal form over Z (the engine's one
+integer normal form: integer kernels, ranks and lattice bases are all read
+off it), lattice indices, coset representatives read off the Hermite box,
+and ranks of spans of exterior powers.  The Smith form and the rational
+annihilator serve only `mixed_solve`, the reference solver the engine is
+tested against, so the two share no normal form.
 Matrices are lists of row tuples; rational entries are Fractions, integer
 entries are plain ints.
 """
@@ -26,8 +26,9 @@ def rref(rows) -> list[list]:
     """Reduced row echelon form over a field; zero rows dropped.
 
     Canonical: two matrices have the same row space iff their rrefs agree.
-    Entries only need +, -, *, / and truthiness-at-zero, so this serves both
-    Fraction matrices and quadratic-field matrices.
+    Entries only need +, -, *, 1 / x and truthiness-at-zero, so this serves
+    both Fraction matrices and quadratic-field matrices; each pivot is
+    inverted once and its row multiplied by the inverse.
     """
     mat = [list(r) for r in rows]
     if not mat:
@@ -43,8 +44,8 @@ def rref(rows) -> list[list]:
         if pr is None:
             continue
         mat[pivot_row], mat[pr] = mat[pr], mat[pivot_row]
-        piv = mat[pivot_row][col]
-        mat[pivot_row] = [x / piv for x in mat[pivot_row]]
+        inv = 1 / mat[pivot_row][col]
+        mat[pivot_row] = [x * inv for x in mat[pivot_row]]
         for i in range(len(mat)):
             if i != pivot_row and mat[i][col]:
                 f = mat[i][col]
@@ -57,34 +58,6 @@ def rref(rows) -> list[list]:
 
 def rat_rank(rows) -> int:
     return len(rref(rows))
-
-
-def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix, by fraction-free elimination.
-
-    Each step takes a row's leading entry as pivot, clears that column
-    from the other rows by integer combinations and divides every changed
-    row by the gcd of its entries, so no Fraction is built.
-    """
-    mat = [list(r) for r in rows if any(r)]
-    rank = 0
-    while mat:
-        pivot = mat.pop()
-        col = next(j for j, x in enumerate(pivot) if x)
-        p = pivot[col]
-        rest = []
-        for r in mat:
-            f = r[col]
-            if f:
-                r = [p * x - f * y for x, y in zip(r, pivot)]
-                g = math.gcd(*r)
-                if not g:
-                    continue
-                r = [x // g for x in r]
-            rest.append(r)
-        mat = rest
-        rank += 1
-    return rank
 
 
 def rational_kernel(rows, ncols: int) -> list[tuple[Fraction, ...]]:
@@ -120,21 +93,17 @@ def _ident(k: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
 
 
-def hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """Row-style Hermite normal form: H = U M, U unimodular.
+def hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Row-style Hermite normal form H = U M, U unimodular (the identity
+    block of the form of [M | I]; see `integer_kernel`).
 
     Row echelon with positive pivots and entries above each pivot reduced
     into [0, pivot); canonical for the row lattice.  H keeps the shape of M
     (zero rows at the bottom).
     """
     h = [list(r) for r in rows]
-    nrows = len(h)
-    u = _ident(nrows)
-    if nrows == 0:
-        return h, u
-    ncols = len(h[0])
-    r = 0
-    for c in range(ncols):
+    nrows, r = len(h), 0
+    for c in range(len(h[0]) if h else 0):
         if r == nrows:
             break
         # clear column c below row r by gcd steps
@@ -149,23 +118,18 @@ def hnf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]
                 q = h[i][c] // h[p][c]
                 if q:
                     h[i] = [x - q * y for x, y in zip(h[i], h[p])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[p])]
-        nz = [i for i in range(r, nrows) if h[i][c] != 0]
         if not nz:
             continue
         p = nz[0]
         h[r], h[p] = h[p], h[r]
-        u[r], u[p] = u[p], u[r]
         if h[r][c] < 0:
             h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = h[i][c] // h[r][c]
             if q:
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
-    return h, u
+    return h
 
 
 def snf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
@@ -264,8 +228,7 @@ class IntLattice:
 
     @staticmethod
     def from_rows(ambient: int, rows: Sequence[Sequence[int]]) -> "IntLattice":
-        h, _ = hnf(rows)
-        nonzero = tuple(tuple(r) for r in h if any(r))
+        nonzero = tuple(tuple(r) for r in hnf(rows) if any(r))
         return IntLattice(ambient, nonzero)
 
     @staticmethod
@@ -318,16 +281,26 @@ def clear_denominators(rows) -> tuple[list[list[int]], int]:
     return [[x.numerator * (q // x.denominator) for x in row] for row in rows], q
 
 
-def integer_kernel(rows, ncols: int) -> list[list[int]]:
-    """Basis rows, not canonical, of {x in Z^ncols : A x = 0}, A rational.
+def integer_kernel(images: Sequence[Sequence[int]], width: int,
+                   modulus: Sequence[Sequence[int]] = ()) -> tuple[list, IntLattice]:
+    """(echelon, kernel) of integer rows `images` of length `width` modulo
+    the rows `modulus`, from one Hermite form of [images | I ; modulus | 0].
 
-    Entries are Fractions or ints; each row is cleared of denominators
-    by its own least common multiple.  The basis is read off the Hermite
-    form H = U A^T: the rows of the unimodular U under the zero rows of H,
-    which are all of U = I when A has no nonzero row."""
-    int_rows = [clear_denominators([r])[0][0] for r in rows if any(r)]
-    h, u = hnf([[r[j] for r in int_rows] for j in range(ncols)])
-    return [ur for hr, ur in zip(h, u) if not any(hr)]
+    Its rows nonzero on the first `width` columns are the Hermite basis of
+    span_Z(images, modulus) there, kept as (pivot column, row).  The other
+    nonzero rows vanish there, so their identity block is the Hermite basis
+    of the kernel {integer y : sum y_i images_i in span_Z(modulus)}."""
+    k = len(images)
+    h = hnf([[*row, *e] for row, e in zip(images, _ident(k))]
+            + [[*row, *[0] * k] for row in modulus])
+    echelon, kernel = [], []
+    for row in h:
+        head = row[:width]
+        if any(head):
+            echelon.append((next(j for j, x in enumerate(head) if x), head))
+        elif any(row):
+            kernel.append(tuple(row[width:]))
+    return echelon, IntLattice(k, tuple(kernel))
 
 
 def mixed_solve(a_rows, b_rows, c, k: int) -> Coset | None:
@@ -429,4 +402,4 @@ def wedge_span_rank(lats: Sequence[IntLattice], p: int) -> int:
                 sub = [[lat.basis[i][j] for j in cols_sel] for i in rows_sel]
                 vec.append(int_det(sub))
             rows.append(vec)
-    return int_rank(rows)
+    return sum(1 for row in hnf(rows) if any(row))

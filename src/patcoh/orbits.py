@@ -3,10 +3,11 @@
 Singular l-spaces are intersections of Gamma-translated hyperplanes.  The
 engine enumerates one representative per translation-orbit class, level by
 level (each level cuts the previous one by translated hyperplanes), with
-stabilizer sublattices attached.  Each direction has one cached entry
-(`Engine._direction`): annihilator rows R read off a Hermite transform,
-R's values on the generators and one Hermite frame per group
-(`_frame`).  Whether two spaces share an orbit is one
+stabilizer sublattices attached.  Each lattice question is one Hermite
+form, read for its echelon and kernel at once (`integer_kernel`).  Each
+direction has one cached entry (`Engine._direction`): its cleared
+restricted columns, their kernel R, R's values on the generators and one
+frame per group (`_frame`).  Whether two spaces share an orbit is one
 comparison of canonical integer labels (`Engine.label`).  A cut is an
 integer affine map on restricted coordinates: its per-pair classification
 subgroup has the number of classes contributed as its index, and a rank
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .field import FElem, dot, restrict_scalars, scalar_matrix
-from .linalg import IntLattice, clear_denominators, coset_reps, hnf, integer_kernel, rref
+from .linalg import IntLattice, clear_denominators, coset_reps, integer_kernel, rref
 from .model import ProjectionData
 
 DEFAULT_MAX_CLASSES = 100_000
@@ -66,11 +67,13 @@ class SingularClass:
 
 @dataclass(eq=False)
 class _Direction:
-    """Engine cache entry of one direction (hashed by identity): the
-    direction's rows, its annihilator rows R, their values on the
-    generators (one row per R row) and its frames."""
+    """Engine cache entry of one direction (hashed by identity): its rows,
+    its restricted columns cols / q, its annihilator rows R, their values
+    on the generators (one row per R row) and its frames."""
 
     direction: tuple[tuple[FElem, ...], ...]
+    cols: list[list[int]]
+    q: int
     rows: list[tuple[int, ...]]
     vals: list[tuple[int, ...]]
     frames: dict  # group basis -> (echelon, kernel)
@@ -128,9 +131,8 @@ class Engine:
         self.n = data.n
         self.dm = self.delta * self.m
         self.full = IntLattice.full(self.n)
-        self.gen_cols = [restrict_scalars(g) for g in data.gens]
+        self.gen_ints = clear_denominators([restrict_scalars(g) for g in data.gens])
         self._dirs: dict = {}  # direction -> _Direction
-        self._normals: dict = {}  # normal -> _Normal
 
     # -- basic geometry helpers ---------------------------------------------
 
@@ -150,38 +152,39 @@ class Engine:
     def _direction(self, direction) -> _Direction:
         """The direction's cached entry, built the first time it is met.
 
-        The rows R, the integer kernel of the restricted columns, span
-        their annihilator, so projecting by R eliminates the direction.
-        Each row is scaled so that its values on the generators res(g_i),
-        kept one row per R row, are integral as well."""
+        The restricted columns are cleared once to cols / q; the rows R,
+        the Hermite basis of their integer kernel, span their annihilator,
+        so projecting by R eliminates the direction.  Each row is scaled by
+        the least s that makes its values on the generators res(g_i) = G_i
+        / q_G integral as well; they are kept one row per R row."""
         entry = self._dirs.get(direction)
         if entry is None:
+            cols, q = clear_denominators(self.dir_res_cols(direction))
+            _, kernel = integer_kernel([[c[i] for c in cols] for i in range(self.dm)],
+                                       len(cols))
+            gens, qg = self.gen_ints
             rows, vals = [], []
-            for r in integer_kernel(self.dir_res_cols(direction), self.dm):
-                (v,), s = clear_denominators(
-                    [[sum(ri * gi for ri, gi in zip(r, g) if ri) for g in self.gen_cols]])
+            for r in kernel.basis:
+                v = [sum(map(operator.mul, r, g)) for g in gens]
+                s = qg // math.gcd(qg, *v)
                 rows.append(tuple(s * ri for ri in r))
-                vals.append(tuple(v))
-            entry = self._dirs[direction] = _Direction(direction, rows, vals, {})
+                vals.append(tuple(s * x // qg for x in v))
+            entry = self._dirs[direction] = _Direction(direction, cols, q, rows, vals, {})
         return entry
 
     def _frame(self, entry: _Direction, group: IntLattice):
         """(echelon, kernel) of the lattice R * (group image), kept in the
-        direction's entry per group basis, from one Hermite form H = U M.
+        direction's entry per group basis, from one `integer_kernel` call.
 
-        M has one row R res(gamma(b)) = sum b_i vals_i per group basis
-        vector b, so the nonzero rows of H, each with its pivot column, are
-        the echelon basis that `label` reduces by.  The rows of U under the
-        zero rows of H span the group coordinates y with R res(gamma(y)) =
-        0, i.e. group cap span(direction); kernel is their Hermite lattice."""
+        Its images are R res(gamma(b)) = sum b_i vals_i, one per group
+        basis vector b, so the echelon is the Hermite basis that `label`
+        reduces by, and the kernel is the Hermite lattice of the group
+        coordinates y with R res(gamma(y)) = 0: group cap span(direction)."""
         frame = entry.frames.get(group.basis)
         if frame is None:
-            h, u = hnf([[sum(bi * v for bi, v in zip(b, vrow) if bi) for vrow in entry.vals]
-                        for b in group.basis])
-            echelon = [(next(j for j, x in enumerate(hr) if x), hr) for hr in h if any(hr)]
-            kernel = IntLattice.from_rows(
-                group.rank, [ur for hr, ur in zip(h, u) if not any(hr)])
-            frame = entry.frames[group.basis] = (echelon, kernel)
+            frame = entry.frames[group.basis] = integer_kernel(
+                [[sum(bi * v for bi, v in zip(b, vrow) if bi) for vrow in entry.vals]
+                 for b in group.basis], len(entry.vals))
         return frame
 
     def stabilizer(self, direction) -> IntLattice:
@@ -223,7 +226,7 @@ class Engine:
         rows of `direction` kill every restricted column of `sub_dir`."""
         rows = self._direction(direction).rows
         return not any(sum(p * c for p, c in zip(row, col) if p)
-                       for col in self.dir_res_cols(sub_dir) for row in rows)
+                       for col in self._direction(sub_dir).cols for row in rows)
 
     def same_orbit(self, a, b, group: IntLattice) -> bool:
         """a, b: (direction, point) pairs.  Same group-orbit of affine spaces?"""
@@ -237,22 +240,21 @@ class Engine:
                 [x[0] * y[0] + self.fspec.D * x[1] * y[1], x[0] * y[1] + x[1] * y[0]])
 
     def _plane(self, h):
-        """(normal tables, offset numerators, offset denominator) of h."""
-        rec = self._normals.get(h.normal)
-        if rec is None:
-            form = [[x for c in h.normal for x in scalar_matrix(c)[r]] for r in range(self.delta)]
-            dots = [restrict_scalars((dot(h.normal, g),)) for g in self.data.gens]
-            tab, den = clear_denominators(form + dots)
-            rec = self._normals[h.normal] = _Normal(den, tab[:self.delta], tab[self.delta:])
+        """(normal tables, offset numerators, offset denominator) of h; with the
+        form F / den_F and generators G / q_G, the tables are den_F q_G, q_G F, F G_i."""
+        form, den = clear_denominators(
+            [[x for c in h.normal for x in scalar_matrix(c)[r]] for r in range(self.delta)])
+        gens, qg = self.gen_ints
         (off,), oden = clear_denominators([restrict_scalars((h.offset,))])
-        return rec, off, oden
+        return _Normal(den * qg, [[qg * x for x in f] for f in form],
+                       [[sum(map(operator.mul, f, g)) for f in form] for g in gens]), off, oden
 
     def intersect(self, entry: _Direction, point, res, plane) -> _Cut | None:
         """Cut point + span(entry's direction) by the hyperplane `plane`
         (from `_plane`), or None when the direction lies in it; res =
         (X, q_p) is res(point) cleared by `clear_denominators`.
 
-        With the direction's restricted columns cleared to X / q, the
+        With the direction's restricted columns cols / q from its entry, the
         normal's form gives alpha_j = den q <normal, u_j> per row u_j.  The
         first row with alpha != 0 is the pivot w, 1/a = den q conj(alpha) /
         norm(alpha), and the sub-direction is the rref of the other rows
@@ -261,7 +263,7 @@ class Engine:
         denominator."""
         nrec, off, oden = plane
         direction, d = entry.direction, self.delta
-        cols, q = clear_denominators(self.dir_res_cols(direction))
+        cols, q = entry.cols, entry.q
         alphas = [[sum(map(operator.mul, f, cols[d * j])) for f in nrec.form]
                   for j in range(len(direction))]
         pivot = next((j for j, al in enumerate(alphas) if any(al)), None)
@@ -302,9 +304,9 @@ class Engine:
 
         Translating hclass by gamma(y) moves the cut point's R-image by
         sum y_i ds_i / (lcd q), ds_i = cs_i[0] rw[0] + cs_i[1] rw[1], so the
-        y that keep it in its group-orbit are the subgroup H: the y-part of
-        the integer kernel of [ds_i | -lcd q E^T], E the echelon rows of the
-        sub-direction's frame.  A candidate's label is affine in its coset
+        y that keep it in its group-orbit are the kernel H of the ds_i
+        modulo lcd q E, E the echelon rows of the sub-direction's frame: one
+        `integer_kernel` call.  A candidate's label is affine in its coset
         rep y: base + s sum y_i ds_i over lcd s q, reduced as `label`
         reduces, so its key equals label(sub_direction, point(cut, y),
         group) with no field point built.  Returns (sub_direction, [(key,
@@ -312,11 +314,8 @@ class Engine:
         rank-deficient."""
         echelon, _ = self._frame(cut.sub, group)
         ds = [[sum(map(operator.mul, c, ts)) for ts in zip(*cut.rw)] for c in cut.cs]
-        scale = -cut.lcd * cut.q
-        rows = [[d[t] for d in ds] + [scale * hrow[t] for _, hrow in echelon]
-                for t in range(len(cut.base))]
-        kernel = integer_kernel(rows, self.n + len(echelon))
-        hsub = IntLattice.from_rows(self.n, [r[: self.n] for r in kernel])
+        _, hsub = integer_kernel(ds, len(cut.base), [[cut.lcd * cut.q * x for x in hrow]
+                                                     for _, hrow in echelon])
         if hsub.rank < self.n:
             raise InfiniteArrangement(level, parent.id, hclass.id, hsub.rank, self.n)
         # the cosets of hsub are pairwise distinct classes, so an index above

@@ -225,7 +225,7 @@ def test_criterion_8_linear_algebra_properties():
     for _ in range(30):
         m = rand_int_matrix(rng, 3, 4)
         p = rand_unimodular(rng, 3)
-        assert hnf(m)[0] == hnf(int_matmul(p, m))[0]
+        assert hnf(m) == hnf(int_matmul(p, m))
     for _ in range(30):
         m = rand_int_matrix(rng, 3, 3)
         d, u, v = snf(m)

@@ -9,10 +9,10 @@ from patcoh.field import quadratic, restrict_scalars
 from patcoh.linalg import (
     Coset,
     IntLattice,
+    clear_denominators,
     coset_reps,
     hnf,
     int_det,
-    int_rank,
     integer_kernel,
     lattice_index,
     mixed_solve,
@@ -70,14 +70,19 @@ def test_rat_rank_icosahedral_star():
     assert rat_rank(rows) == 6
 
 
-def test_int_rank_examples():
-    assert int_rank([]) == 0
-    assert int_rank([[0, 0], [0, 0]]) == 0
-    assert int_rank([[2, 4], [3, 6]]) == 1
-    assert int_rank([[0, 1], [1, 0], [1, 1]]) == 2
+def hnf_rank(rows):
+    """Rank of an integer matrix: the nonzero rows of its Hermite form."""
+    return sum(1 for row in hnf(rows) if any(row))
 
 
-def test_int_rank_matches_rat_rank_random():
+def test_hnf_rank_examples():
+    assert hnf_rank([]) == 0
+    assert hnf_rank([[0, 0], [0, 0]]) == 0
+    assert hnf_rank([[2, 4], [3, 6]]) == 1
+    assert hnf_rank([[0, 1], [1, 0], [1, 1]]) == 2
+
+
+def test_hnf_rank_matches_rat_rank_random():
     # low-rank products, zero and repeated rows, entries past 2**40
     rng = random.Random(71)
     big = 2 ** 40
@@ -96,7 +101,7 @@ def test_int_rank_matches_rat_rank_random():
         rng.shuffle(rows)
         expected = rat_rank([[F(x) for x in r] for r in rows])
         assert expected <= k
-        assert int_rank(rows) == expected, rows
+        assert hnf_rank(rows) == expected, rows
         huge = any(abs(x) > big for r in rows for x in r)
         cases += huge and 0 < expected < min(len(rows), ncols)
     assert cases > 10
@@ -130,9 +135,16 @@ def test_rational_kernel_example():
 
 # -- integer normal forms ----------------------------------------------------
 
+def hnf_with_transform(m):
+    """(H, U) with hnf([M | I]) = [H | U], so H = U M."""
+    k = len(m[0])
+    aug = hnf([list(r) + [int(i == j) for j in range(len(m))] for i, r in enumerate(m)])
+    return [r[:k] for r in aug], [r[k:] for r in aug]
+
+
 def test_hnf_example():
-    h, u = hnf([[2, 4], [1, 3]])
-    assert h == [[1, 1], [0, 2]]
+    h, u = hnf_with_transform([[2, 4], [1, 3]])
+    assert h == [[1, 1], [0, 2]] == hnf([[2, 4], [1, 3]])
     assert abs(int_det(u)) == 1
     assert int_matmul(u, [[2, 4], [1, 3]]) == h
 
@@ -142,8 +154,8 @@ def test_hnf_canonical_for_row_lattice():
     for _ in range(25):
         m = rand_int_matrix(rng, 3, 4)
         p = rand_unimodular(rng, 3)
-        h1, _ = hnf(m)
-        h2, _ = hnf(int_matmul(p, m))
+        h1 = hnf(m)
+        h2 = hnf(int_matmul(p, m))
         assert h1 == h2
 
 
@@ -151,7 +163,8 @@ def test_hnf_transform_is_unimodular():
     rng = random.Random(37)
     for _ in range(25):
         m = rand_int_matrix(rng, 4, 4)
-        h, u = hnf(m)
+        h, u = hnf_with_transform(m)
+        assert h == hnf(m)
         assert abs(int_det(u)) == 1
         assert int_matmul(u, m) == h
 
@@ -187,13 +200,24 @@ def test_int_det_examples():
 
 # -- integer kernels and lattices --------------------------------------------
 
+def kernel_of(rows, ncols):
+    """{x in Z^ncols : A x = 0}, A rational, by `integer_kernel` of A's
+    columns cleared of denominators, as the engine's `_direction` does."""
+    cols, _ = clear_denominators(rows)
+    return integer_kernel([[r[j] for r in cols] for j in range(ncols)], len(cols))[1]
+
+
 def test_integer_kernel_examples():
-    lat = IntLattice.from_rows(2, integer_kernel([[F(1, 2), F(-1, 3)]], 2))
+    lat = kernel_of([[F(1, 2), F(-1, 3)]], 2)
     assert lat.basis == ((2, 3),)
-    assert IntLattice.from_rows(2, integer_kernel([[F(0), F(0)]], 2)).rank == 2
-    assert IntLattice.from_rows(2, integer_kernel([[F(1), F(0)], [F(0), F(1)]], 2)).rank == 0
-    # no rows at all: every vector is in the kernel, and the basis is I
-    assert integer_kernel([], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel_of([[F(0), F(0)]], 2).rank == 2
+    assert kernel_of([[F(1), F(0)], [F(0), F(1)]], 2).rank == 0
+    # no equations at all: every vector is in the kernel, and the basis is I
+    assert integer_kernel([(), (), ()], 0) == ([], IntLattice.full(3))
+    # images modulo a lattice: echelon of both, kernel of the images mod it
+    echelon, lat = integer_kernel([[1, 0], [0, 1], [1, 1]], 2, [[2, 0], [0, 4]])
+    assert echelon == [(0, [1, 0]), (1, [0, 1])]
+    assert lat.basis == ((1, 1, 3), (0, 2, 2), (0, 0, 4))
 
 
 def smith_kernel(rows, ncols):
@@ -216,7 +240,7 @@ def test_integer_kernel_membership_random():
     for _ in range(20):
         rows = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
                 for _ in range(2)]
-        lat = IntLattice.from_rows(3, integer_kernel(rows, 3))
+        lat = kernel_of(rows, 3)
         for vec in lat.basis:
             assert all(sum(r[j] * vec[j] for j in range(3)) == 0 for r in rows)
         # exhaustive small box: membership matches the equations
@@ -239,12 +263,39 @@ def test_integer_kernel_membership_random():
             rows.insert(rng.randint(0, len(rows)), [0] * ncols)
         if rng.random() < 0.5:
             rows.append(list(rng.choice(rows)))
-        lat = IntLattice.from_rows(ncols, integer_kernel(rows, ncols))
+        lat = kernel_of(rows, ncols)
         assert lat == smith_kernel(rows, ncols), rows
+        assert lat == IntLattice.from_rows(ncols, lat.basis)
         for vec in lat.basis:
             assert all(sum(r[j] * vec[j] for j in range(ncols)) == 0 for r in rows)
         deficient += 0 < lat.rank < ncols
     assert deficient > 20
+
+
+def test_integer_kernel_modulus_against_brute_force():
+    # random images modulo a random lattice: over a box, y is in the kernel
+    # iff sum y_i images_i lies in the modulus lattice, decided by the Smith
+    # form through mixed_solve; the echelon is the Hermite basis of images
+    # and modulus together
+    rng = random.Random(61)
+    inside = outside = 0
+    for _ in range(25):
+        k, width = rng.randint(1, 3), rng.randint(1, 3)
+        images = rand_int_matrix(rng, k, width, -4, 4)
+        modulus = rand_int_matrix(rng, rng.randint(1, 3), width, -3, 3)
+        echelon, lat = integer_kernel(images, width, modulus)
+        assert lat.ambient == k and lat == IntLattice.from_rows(k, lat.basis)
+        assert [tuple(row) for _, row in echelon] == list(
+            IntLattice.from_rows(width, images + modulus).basis)
+        assert all(row[p] > 0 and not any(row[:p]) for p, row in echelon)
+        mod_cols = [[F(r[j]) for r in modulus] for j in range(width)]
+        for y in itertools.product(range(-2, 3), repeat=k):
+            v = [F(sum(yi * im[j] for yi, im in zip(y, images))) for j in range(width)]
+            member = mixed_solve(mod_cols, [[]] * width, v, len(modulus)) is not None
+            assert (lat.coords_of(y) is not None) == member, (images, modulus, y)
+            inside += member
+            outside += not member
+    assert inside > 100 and outside > 100
 
 
 def test_lattice_reduce_is_canonical():

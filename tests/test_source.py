@@ -73,6 +73,17 @@ def test_only_mixed_solve_calls(callee):
     assert callers == {"mixed_solve"}
 
 
+def test_orbits_takes_each_lattice_from_one_hermite_form():
+    # each frame, pair and direction reads its echelon and kernel off one
+    # Hermite form through integer_kernel, never a second form of a kernel
+    tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    uses = _uses(tree)
+    assert "integer_kernel" in imported and uses["integer_kernel"]
+    assert "hnf" not in imported and not uses["hnf"] and not uses["from_rows"]
+
+
 def test_classify_pair_does_no_field_arithmetic():
     # candidate keys are integer affine maps of the coset reps, so a pair
     # takes no field dot product, restriction, inverse or element
