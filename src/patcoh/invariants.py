@@ -1,11 +1,11 @@
 """Numerical invariants of a finite arrangement and the closed rank formulas.
 
-From the enumerated orbit classes this module builds the incidence poset
-(which global class has a translate inside which), and derives from it nu,
-the Euler characteristic by counting ascending chains in the poset, the
-line/plane incidence count tilde_L1 and the exterior-power span ranks
-entering the codimension-2 and -3 formulas, the cohomology ranks D_p
-(codimension <= 3), and the K-group ranks.
+The incidence poset (which global class has a translate inside which) is
+the closure of the covering relation recorded by the enumeration.  From
+it and the classes this module derives nu, the Euler characteristic (a
+chain count over the poset), the line/plane incidence count tilde_L1, the
+exterior-power span ranks of the codimension-2 and -3 formulas, the
+cohomology ranks D_p (codimension <= 3) and the K-group ranks.
 """
 
 from __future__ import annotations
@@ -72,36 +72,26 @@ def compute_nu(data: ProjectionData, arrangement: Arrangement) -> int:
 
 def incidence(engine: Engine, arrangement: Arrangement
               ) -> dict[tuple[int, int], list[SingularClass]]:
-    """The containment poset of the global orbit classes.
+    """Maps (level, id) of every class alpha to the classes beta below it,
+    once each: beta < alpha iff some Gamma-translate of beta lies in alpha.
 
-    Maps (level, id) of every class alpha to the classes beta below it,
-    lowest level first: beta < alpha iff dir(beta) lies in dir(alpha) and
-    p_beta has the label of p_alpha in dir(alpha) under the full lattice,
-    i.e. some Gamma-translate of beta lies in alpha.  The translations
-    that put beta inside alpha form one coset of Stab(alpha), so each such
-    beta is exactly one orbit class relative to alpha, with stabilizer
-    Stab(beta)."""
-    full = engine.full
-    by_dir: dict[int, dict] = {level: {} for level in arrangement.levels}
-    for level, classes in arrangement.levels.items():
-        for cls in classes:
-            by_dir[level].setdefault(cls.direction, []).append(cls)
-    below: dict[tuple[int, int], list[SingularClass]] = {}
+    It is the closure of `arrangement.covers`, lowest level first, with no
+    label or containment test: below(alpha) is the union over beta covered
+    by alpha of {beta} and below(beta).  It is exact: a translate beta' of
+    beta in rep(alpha) is an intersection of translated planes, one of
+    which, H, meets alpha properly.  gamma' = alpha cap H is a candidate of
+    the pair (alpha, class of H), so alpha covers its class, and beta' in
+    gamma' puts beta at or (by induction) below it.  The translations that
+    put beta in alpha form one coset of Stab(alpha): each such beta is one
+    orbit class relative to alpha, with stabilizer Stab(beta)."""
+    below: dict[tuple[int, int], dict] = {}
     for level in sorted(arrangement.levels):
-        for direction, alphas in by_dir[level].items():
-            labels = {}
-            for alpha in alphas:
-                below[(level, alpha.id)] = []
-                labels[engine.label(direction, alpha.point, full)] = alpha
-            for sub_level in range(level):
-                for sub_dir, betas in by_dir[sub_level].items():
-                    if not engine.contains(direction, sub_dir):
-                        continue  # dir(beta) does not lie in dir(alpha)
-                    for beta in betas:
-                        alpha = labels.get(engine.label(direction, beta.point, full))
-                        if alpha is not None:
-                            below[(level, alpha.id)].append(beta)
-    return below
+        for alpha in arrangement.levels[level]:
+            closure = below[(level, alpha.id)] = {}
+            for beta in arrangement.covers.get((level, alpha.id), ()):
+                closure[(beta.dim, beta.id)] = beta
+                closure.update(below[(beta.dim, beta.id)])
+    return {key: list(closure.values()) for key, closure in below.items()}
 
 
 def euler_characteristic(engine: Engine, arrangement: Arrangement,

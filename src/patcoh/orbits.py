@@ -7,20 +7,20 @@ stabilizer sublattices attached.  Each lattice question is one Hermite
 form, read for its echelon and kernel at once (`integer_kernel`).  Each
 direction has one cached entry (`Engine._direction`): its cleared
 restricted columns, their kernel R, R's values on the generators and one
-frame per group (`_frame`).  Whether two spaces share an orbit is one
-comparison of canonical integer labels (`Engine.label`).  A cut is an
-integer affine map on restricted coordinates: its per-pair classification
-subgroup has the number of classes contributed as its index, and a rank
-deficiency certifies an infinite count; its candidates' labels are affine
-in the coset representative, so deduplication is a set lookup and a field
-point is built only for an accepted class.
+frame per group (`_frame`).  A cut is an integer affine map on restricted
+coordinates: its per-pair classification subgroup has the number of
+classes contributed as its index, and a rank deficiency certifies an
+infinite count; its candidates' canonical labels (`Engine.label`) are
+affine in the coset representative.  So deduplication is a set lookup, a
+field point is built only for an accepted class, and the class a
+candidate resolves to lies one level below its parent.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -111,8 +111,10 @@ class _Cut(NamedTuple):
 
 @dataclass
 class Arrangement:
+    """The global orbit classes, and the covering relation found with them."""
     data: ProjectionData
     levels: dict[int, list[SingularClass]]  # keys m-1 .. 0
+    covers: dict = dc_field(default_factory=dict)  # (level, id) -> classes one level down
 
     def counts(self) -> list[int]:
         """[L_0, L_1, ..., L_{m-1}]."""
@@ -221,13 +223,6 @@ class Engine:
         g = math.gcd(q, *v)
         return (q // g, *(a // g for a in v))
 
-    def contains(self, direction, sub_dir) -> bool:
-        """True iff span(sub_dir) lies in span(direction): the annihilator
-        rows of `direction` kill every restricted column of `sub_dir`."""
-        rows = self._direction(direction).rows
-        return not any(sum(p * c for p, c in zip(row, col) if p)
-                       for col in self._direction(sub_dir).cols for row in rows)
-
     def same_orbit(self, a, b, group: IntLattice) -> bool:
         """a, b: (direction, point) pairs.  Same group-orbit of affine spaces?"""
         return a[0] == b[0] and self.label(*a, group) == self.label(*b, group)
@@ -334,46 +329,49 @@ class Engine:
     # -- level-wise enumeration ----------------------------------------------
 
     def build_level(self, parents, hclasses, group: IntLattice, level: int,
-                    with_normals: bool = False) -> list[SingularClass]:
+                    with_normals: bool = False, covers: dict | None = None
+                    ) -> list[SingularClass]:
         """Classes at `level` from cutting parent representatives by all
         translated hyperplane classes, deduplicated under `group` on the
         candidate keys; the field point is built for accepted classes
-        only."""
+        only.  The classes, new or seen, that a parent's candidate keys
+        resolve to are the ones one level below it: `covers`, if given,
+        gets them once each under (parent.dim, parent.id)."""
         accepted: list[SingularClass] = []
-        seen: dict = {}  # direction entry -> keys of the classes accepted so far
+        seen: dict = {}  # direction entry -> {key: class accepted for it}
         planes = [(hc, self._plane(hc)) for hc in hclasses]
         for parent in parents:
             entry = self._direction(parent.direction)
             res = clear_denominators([restrict_scalars(parent.point)])
+            below: dict = {}  # class id -> class
             for hc, plane in planes:
                 cut = self.intersect(entry, parent.point, res, plane)
                 if cut is None:
                     continue  # the parent's direction lies in the hyperplane
                 sub_dir, candidates, _ = self.classify_pair(parent, hc, group, level, cut)
-                keys = seen.setdefault(cut.sub, set())
+                classes = seen.setdefault(cut.sub, {})
                 for key, y in candidates:
-                    if key in keys:
-                        continue
-                    keys.add(key)
-                    pt = self.point(cut, y)
-                    kwargs = {}
-                    if with_normals:
-                        kwargs = {"normal": hc.normal, "offset": dot(hc.normal, pt)}
-                    accepted.append(SingularClass(
-                        len(accepted), level, sub_dir, pt,
-                        self.stabilizer(sub_dir), **kwargs))
-                    if len(accepted) > self.max_classes:
-                        raise ResourceCapExceeded(
-                            f"more than {self.max_classes} classes at level {level}")
+                    cls = classes.get(key)
+                    if cls is None:
+                        pt = self.point(cut, y)
+                        kwargs = ({"normal": hc.normal, "offset": dot(hc.normal, pt)}
+                                  if with_normals else {})
+                        cls = classes[key] = SingularClass(len(accepted), level, sub_dir, pt,
+                                                           self.stabilizer(sub_dir), **kwargs)
+                        accepted.append(cls)
+                        if len(accepted) > self.max_classes:
+                            raise ResourceCapExceeded(
+                                f"more than {self.max_classes} classes at level {level}")
+                    below[cls.id] = cls
+            if covers is not None:
+                covers[(parent.dim, parent.id)] = list(below.values())
         return accepted
 
     def _full_space_parent(self) -> SingularClass:
-        one = self.fspec.one
-        zero = self.fspec.zero
+        zero, one = self.fspec.zero, self.fspec.one
         ident = tuple(tuple(one if i == j else zero for j in range(self.m))
                       for i in range(self.m))
-        origin = tuple(zero for _ in range(self.m))
-        return SingularClass(-1, self.m, ident, origin, self.full)
+        return SingularClass(-1, self.m, ident, (zero,) * self.m, self.full)
 
     def hyperplane_classes(self) -> list[SingularClass]:
         """Gamma-orbit classes of the translated input planes (level m-1)."""
@@ -381,32 +379,29 @@ class Engine:
         pseudo = [SingularClass(i, self.m - 1, (), h.normal, self.full,
                                 normal=h.normal, offset=h.offset)
                   for i, h in enumerate(self.data.planes)]
-        # pseudo classes only carry (normal, offset); direction unused because
-        # the parent is the full space
+        # pseudo classes carry (normal, offset) only: the parent is the full space
         return self.build_level([parent], pseudo, self.full, self.m - 1,
                                 with_normals=True)
 
     def enumerate_arrangement(self) -> Arrangement:
-        """All global orbit classes, level m-1 down to 0.
+        """All global orbit classes, level m-1 down to 0, and the classes
+        one level below each class above level 0 (from `build_level`).
 
         Raises InfiniteArrangement on the first rank-deficient
         classification subgroup, which forces infinitely many classes."""
-        levels: dict[int, list[SingularClass]] = {}
         top = self.hyperplane_classes()
-        levels[self.m - 1] = top
+        arr = Arrangement(self.data, {self.m - 1: top})
         for level in range(self.m - 2, -1, -1):
-            levels[level] = self.build_level(levels[level + 1], top, self.full, level)
-        return Arrangement(self.data, levels)
+            arr.levels[level] = self.build_level(arr.levels[level + 1], top, self.full,
+                                                 level, covers=arr.covers)
+        return arr
 
     def relative_levels(self, direction, point, group: IntLattice,
                         hclasses) -> dict[int, list[SingularClass]]:
         """Orbit classes of singular spaces inside one representative space,
         under a subgroup: all levels below dim(direction)."""
-        k = len(direction)
-        parent = SingularClass(-1, k, direction, point, group)
         out: dict[int, list[SingularClass]] = {}
-        prev = [parent]
-        for level in range(k - 1, -1, -1):
-            prev = self.build_level(prev, hclasses, group, level)
-            out[level] = prev
+        prev = [SingularClass(-1, len(direction), direction, point, group)]
+        for level in range(len(direction) - 1, -1, -1):
+            prev = out[level] = self.build_level(prev, hclasses, group, level)
         return out

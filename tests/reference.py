@@ -1,0 +1,38 @@
+"""Slower references that the engine's results are checked against."""
+
+
+def contains(eng, direction, sub_dir) -> bool:
+    """True iff span(sub_dir) lies in span(direction): the annihilator
+    rows of `direction` kill every restricted column of `sub_dir`."""
+    rows = eng._direction(direction).rows
+    return not any(sum(p * c for p, c in zip(row, col) if p)
+                   for col in eng._direction(sub_dir).cols for row in rows)
+
+
+def label_incidence(eng, arrangement):
+    """The incidence poset by scanning label pairs: beta < alpha iff
+    dir(beta) lies in dir(alpha) and p_beta has the label of p_alpha in
+    dir(alpha) under the full lattice, i.e. some Gamma-translate of beta
+    lies in alpha.  Maps (level, id) of every class to the classes below
+    it, as `invariants.incidence` does."""
+    full = eng.full
+    by_dir = {level: {} for level in arrangement.levels}
+    for level, classes in arrangement.levels.items():
+        for cls in classes:
+            by_dir[level].setdefault(cls.direction, []).append(cls)
+    below = {}
+    for level in sorted(arrangement.levels):
+        for direction, alphas in by_dir[level].items():
+            labels = {}
+            for alpha in alphas:
+                below[(level, alpha.id)] = []
+                labels[eng.label(direction, alpha.point, full)] = alpha
+            for sub_level in range(level):
+                for sub_dir, betas in by_dir[sub_level].items():
+                    if not contains(eng, direction, sub_dir):
+                        continue  # dir(beta) does not lie in dir(alpha)
+                    for beta in betas:
+                        alpha = labels.get(eng.label(direction, beta.point, full))
+                        if alpha is not None:
+                            below[(level, alpha.id)].append(beta)
+    return below

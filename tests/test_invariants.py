@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from patcoh.catalog import build
+from patcoh.catalog import build, names
 from patcoh.invariants import (
     InternalConsistencyError,
     analyze,
@@ -14,6 +14,8 @@ from patcoh.invariants import (
 )
 from patcoh.model import parse_projection_data, validate
 from patcoh.orbits import Arrangement, Engine
+from reference import label_incidence
+from test_orbits import _ammann_beenker_with
 
 
 def test_binom_vanishes_out_of_range():
@@ -141,6 +143,49 @@ def test_incidence_matches_relative_enumeration(make):
             assert sorted(found) == sorted(expected), (level, alpha.id)
             pairs += len(found)
     assert pairs > 0
+
+
+FINITE = [nm for nm in names() if "H" in build(nm).expected]
+
+
+@pytest.mark.parametrize("make", [(lambda nm=nm: build(nm).data) for nm in FINITE]
+                         + [_ammann_beenker_with, coupled_plane],
+                         ids=FINITE + ["ammann_beenker", "coupled_plane"])
+def test_incidence_matches_label_scan(make):
+    # the closure of the covering relation recorded while enumerating is
+    # the poset that the label and containment scan finds, class by class,
+    # with no class listed twice below another; the relation itself is
+    # that poset's part one level down
+    eng = Engine(make())
+    arr = eng.enumerate_arrangement()
+    below = incidence(eng, arr)
+    expected = label_incidence(eng, arr)
+
+    def distinct(betas):
+        ids = [(b.dim, b.id) for b in betas]
+        assert len(set(ids)) == len(ids)
+        return set(ids)
+
+    assert below.keys() == expected.keys()
+    assert set(arr.covers) == {key for key in expected if key[0] > 0}
+    for key, betas in below.items():
+        assert distinct(betas) == distinct(expected[key]), key
+    for key, betas in arr.covers.items():
+        assert distinct(betas) == {(b.dim, b.id) for b in expected[key]
+                                   if b.dim == key[0] - 1}, key
+    assert sum(map(len, below.values())) > 0 or eng.m == 1
+
+
+def test_analyze_asks_no_orbit_label(monkeypatch):
+    # labels are read off the candidates while enumerating; the incidence
+    # poset asks the engine for none
+    calls = []
+    real = Engine.label
+    monkeypatch.setattr(Engine, "label",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    rep = analyze(build("danzer").data)
+    assert rep.H == build("danzer").expected["H"]
+    assert calls == []
 
 
 def test_compute_nu_rejects_bad_stabilizer():

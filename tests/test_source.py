@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import patcoh
+import patcoh.invariants
 import patcoh.orbits
 
 
@@ -94,3 +95,12 @@ def test_classify_pair_does_no_field_arithmetic():
     called = {ast.unparse(c.func) for c in ast.walk(method) if isinstance(c, ast.Call)}
     assert called and not {f for f in called if f.split(".")[-1] in (
         "dot", "restrict_scalars", "inverse") or f.endswith("fspec.elem")}
+
+
+def test_invariants_asks_no_label_or_containment():
+    # the incidence poset is the closure of the covering relation that the
+    # enumeration records, so invariants calls no label and no containment
+    tree = ast.parse(Path(patcoh.invariants.__file__).read_text())
+    called = {c.func.id if isinstance(c.func, ast.Name) else getattr(c.func, "attr", None)
+              for c in ast.walk(tree) if isinstance(c, ast.Call)}
+    assert called and not called & {"label", "contains"}
