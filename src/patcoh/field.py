@@ -163,6 +163,13 @@ def scalar_matrix(lam: FElem) -> tuple[tuple[Fraction, ...], ...]:
     return ((lam.a, lam.b * d), (lam.b, lam.a))
 
 
+def res_mul(x: Sequence, y: Sequence, fspec: FieldSpec) -> list:
+    """res(x y) from res(x) = (a,) or (a, b) and res(y).  Bilinear, so it
+    takes integer multiples of them (field numerators) as well."""
+    return ([x[0] * y[0]] if len(x) == 1 else
+            [x[0] * y[0] + fspec.D * x[1] * y[1], x[0] * y[1] + x[1] * y[0]])
+
+
 def dot(u: Iterable[FElem], v: Iterable[FElem]) -> FElem:
     it = iter(v)
     total = None

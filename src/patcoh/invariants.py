@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .linalg import wedge_span_rank
 from .model import ProjectionData
-from .orbits import Arrangement, Engine, InfiniteArrangement, SingularClass
+from .orbits import DEFAULT_MAX_CLASSES, Arrangement, Engine, InfiniteArrangement, SingularClass
 
 
 class InternalConsistencyError(Exception):
@@ -32,8 +32,6 @@ def binom(a: int, b: int) -> int:
 @dataclass
 class InvariantReport:
     name: str
-    field_kind: str
-    field_D: int | None
     m: int
     n: int
     d: int
@@ -52,11 +50,11 @@ class InvariantReport:
     arrangement: Arrangement | None = None  # not serialized
 
 
-def compute_nu(data: ProjectionData, arrangement: Arrangement) -> int:
-    """nu = rank Gamma / dim V; checks integrality and the stabilizer rank
-    law rank(stab) = nu * dim on every class.  Violations contradict a
-    finite arrangement and are internal-consistency errors."""
-    n, m = data.n, data.m
+def compute_nu(arrangement: Arrangement) -> int:
+    """nu = rank Gamma / dim V of `arrangement.data`; checks integrality and
+    the stabilizer rank law rank(stab) = nu * dim on every class.  Violations
+    contradict a finite arrangement and are internal-consistency errors."""
+    n, m = arrangement.data.n, arrangement.data.m
     if n % m != 0:
         raise InternalConsistencyError(
             f"finite arrangement but nu = {n}/{m} is not integral")
@@ -70,10 +68,10 @@ def compute_nu(data: ProjectionData, arrangement: Arrangement) -> int:
     return nu
 
 
-def incidence(engine: Engine, arrangement: Arrangement
-              ) -> dict[tuple[int, int], list[SingularClass]]:
-    """Maps (level, id) of every class alpha to the classes beta below it,
-    once each: beta < alpha iff some Gamma-translate of beta lies in alpha.
+def incidence(arrangement: Arrangement) -> dict[tuple[int, int], list[SingularClass]]:
+    """Maps (level, id) of every class alpha of the arrangement to the
+    classes beta below it, once each: beta < alpha iff some Gamma-translate
+    of beta lies in alpha.
 
     It is the closure of `arrangement.covers`, lowest level first, with no
     label or containment test: below(alpha) is the union over beta covered
@@ -94,27 +92,23 @@ def incidence(engine: Engine, arrangement: Arrangement
     return {key: list(closure.values()) for key, closure in below.items()}
 
 
-def euler_characteristic(engine: Engine, arrangement: Arrangement,
-                         below: dict | None = None) -> int:
-    """Euler characteristic by chain counting over the incidence poset:
-    g = -1 on points, g(alpha) = -sum of g(beta) over beta < alpha, and e
-    is the sum of g over all classes (negated for odd m)."""
-    if below is None:
-        below = incidence(engine, arrangement)
+def euler_characteristic(arrangement: Arrangement, below: dict) -> int:
+    """Euler characteristic by chain counting over the incidence poset
+    `below` (from `incidence`): g = -1 on points, g(alpha) = -sum of
+    g(beta) over beta < alpha, and e is the sum of g over all classes
+    (negated for odd m)."""
     g: dict[tuple[int, int], int] = {}
     for level in sorted(arrangement.levels):
         for cls in arrangement.levels[level]:
             key = (level, cls.id)
             g[key] = -1 if level == 0 else -sum(g[(b.dim, b.id)] for b in below[key])
     total = sum(g.values())
-    return total if engine.m % 2 == 0 else -total
+    return total if arrangement.data.m % 2 == 0 else -total
 
 
-def _wedge_quantities(engine: Engine, arrangement: Arrangement,
-                      below: dict, d: int):
-    """r_p (m = 2) or (R_p, tilde_L1) (m = 3), for p = 1 .. d+1."""
-    m = engine.m
-    if m == 2:
+def _wedge_quantities(arrangement: Arrangement, below: dict, d: int):
+    """(r_p, None) (m = 2) or (R_p, tilde_L1) (m = 3), for p = 1 .. d+1."""
+    if arrangement.data.m == 2:
         stabs = [c.stabilizer for c in arrangement.levels[1]]
         return [wedge_span_rank(stabs, p + 1) for p in range(1, d + 2)], None
     # m == 3: tilde_L1 counts (line, plane) incidences beyond L_1
@@ -183,17 +177,17 @@ def k_ranks(h_ranks: list[int], d: int) -> tuple[int, int]:
 def analyze(data: ProjectionData, max_classes: int | None = None) -> InvariantReport:
     """Full pipeline on validated data: enumerate, count, evaluate formulas.
 
-    Returns an InvariantReport with status finite, infinite, or
-    unsupported_codimension (m > 3: L-tables, nu and e still computed)."""
-    kwargs = {} if max_classes is None else {"max_classes": max_classes}
-    engine = Engine(data, **kwargs)
+    The one function here that builds an `Engine`; every step after the
+    enumeration reads only its `Arrangement`.  Returns an InvariantReport
+    with status finite, infinite, or unsupported_codimension (m > 3:
+    L-tables, nu and e still computed)."""
     n, m = data.n, data.m
     d = n - m
     report = InvariantReport(
-        name=data.name, field_kind=data.field.kind, field_D=data.field.D,
-        m=m, n=n, d=d, nu=Fraction(n, m), finite=False, status="infinite")
+        name=data.name, m=m, n=n, d=d, nu=Fraction(n, m), finite=False, status="infinite")
     try:
-        arrangement = engine.enumerate_arrangement()
+        arrangement = Engine(data, DEFAULT_MAX_CLASSES if max_classes is None
+                             else max_classes).enumerate_arrangement()
     except InfiniteArrangement as exc:
         report.diagnostics = {
             "witness_level": exc.witness_level,
@@ -205,23 +199,19 @@ def analyze(data: ProjectionData, max_classes: int | None = None) -> InvariantRe
         return report
     report.finite = True
     report.arrangement = arrangement
-    nu = compute_nu(data, arrangement)
+    nu = compute_nu(arrangement)
     report.nu = Fraction(nu)
     report.L = arrangement.counts()
-    below = incidence(engine, arrangement)
-    report.e = euler_characteristic(engine, arrangement, below)
+    below = incidence(arrangement)
+    report.e = euler_characteristic(arrangement, below)
     if m > 3:
         report.status = "unsupported_codimension"
         return report
     report.status = "finite"
     wedges = None
-    if m == 2:
-        wedges, _ = _wedge_quantities(engine, arrangement, below, d)
-        report.r = wedges
-    elif m == 3:
-        wedges, tilde = _wedge_quantities(engine, arrangement, below, d)
-        report.R = wedges
-        report.tilde_L1 = tilde
+    if m > 1:
+        wedges, report.tilde_L1 = _wedge_quantities(arrangement, below, d)
+        setattr(report, "r" if m == 2 else "R", wedges)
     report.D = rank_formulas(m, nu, d, report.e, report.L, report.tilde_L1, wedges)
     alt_sum = sum((-1) ** p * dp for p, dp in enumerate(report.D))
     if alt_sum != report.e:

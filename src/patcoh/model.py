@@ -107,10 +107,14 @@ def _parse_felem(obj, fspec: FieldSpec) -> FElem:
     return FElem(a, b, fspec)
 
 
-def _felem_json(x: FElem) -> list[str]:
-    if x.field.degree == 1:
-        return [str(x.a)]
-    return [str(x.a), str(x.b)]
+def felem_json(x: FElem) -> list[str]:
+    """The schema's form of a field element: its rational components."""
+    return [str(c) for c in restrict_scalars((x,))]
+
+
+def field_json(fspec: FieldSpec) -> dict:
+    """The schema's form of the coordinate field."""
+    return {"kind": "Q"} if fspec.degree == 1 else {"kind": "Qsqrt", "D": fspec.D}
 
 
 def _parse_vector(obj, fspec: FieldSpec, m: int, what: str) -> tuple[FElem, ...]:
@@ -173,12 +177,11 @@ def serialize_projection_data(data: ProjectionData) -> str:
     doc = {
         "schema": SCHEMA,
         "name": data.name,
-        "field": {"kind": "Q"} if data.field.degree == 1
-        else {"kind": "Qsqrt", "D": data.field.D},
+        "field": field_json(data.field),
         "dim": data.m,
-        "generators": [[_felem_json(x) for x in g] for g in data.gens],
+        "generators": [[felem_json(x) for x in g] for g in data.gens],
         "hyperplanes": [
-            {"normal": [_felem_json(x) for x in h.normal], "offset": _felem_json(h.offset)}
+            {"normal": [felem_json(x) for x in h.normal], "offset": felem_json(h.offset)}
             for h in data.planes
         ],
     }

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .field import FElem, dot, restrict_scalars, scalar_matrix
+from .field import FElem, dot, res_mul, restrict_scalars, scalar_matrix
 from .linalg import IntLattice, clear_denominators, coset_reps, integer_kernel, rref
 from .model import ProjectionData
 
@@ -140,16 +140,12 @@ class Engine:
 
     def dir_res_cols(self, direction) -> list[tuple[Fraction, ...]]:
         """Rational basis (as columns) of the restricted span of a field
-        subspace: each field basis vector u contributes res(u) and, over
-        Q(sqrt D), res(sqrt(D) u), read off sqrt(D) (a + b sqrt D) =
-        D b + a sqrt D."""
-        cols = []
-        big_d = self.fspec.D
-        for row in direction:
-            cols.append(restrict_scalars(row))
-            if self.delta == 2:
-                cols.append(tuple(c for x in row for c in (big_d * x.b, x.a)))
-        return cols
+        subspace: each field basis vector u contributes res(theta^k u) for
+        k < delta, theta the field generator.  Column k of scalar_matrix(x)
+        is res(theta^k x), so the columns of u are read off one scalar
+        matrix per coordinate, stacked."""
+        return [col for row in direction
+                for col in zip(*(r for x in row for r in scalar_matrix(x)))]
 
     def _direction(self, direction) -> _Direction:
         """The direction's cached entry, built the first time it is met.
@@ -229,11 +225,6 @@ class Engine:
 
     # -- intersections and per-pair classification ---------------------------
 
-    def _mul(self, x, y) -> list[int]:
-        """Product of field numerators (a,) or (a, b) of a + b sqrt(D)."""
-        return ([x[0] * y[0]] if self.delta == 1 else
-                [x[0] * y[0] + self.fspec.D * x[1] * y[1], x[0] * y[1] + x[1] * y[0]])
-
     def _plane(self, h):
         """(normal tables, offset numerators, offset denominator) of h; with the
         form F / den_F and generators G / q_G, the tables are den_F q_G, q_G F, F G_i."""
@@ -257,7 +248,7 @@ class Engine:
         c0 = (offset - <normal, p>)/a, over s = q_p times the offset's
         denominator."""
         nrec, off, oden = plane
-        direction, d = entry.direction, self.delta
+        direction, d, fspec = entry.direction, self.delta, self.fspec
         cols, q = entry.cols, entry.q
         alphas = [[sum(map(operator.mul, f, cols[d * j])) for f in nrec.form]
                   for j in range(len(direction))]
@@ -266,11 +257,11 @@ class Engine:
             return None
         a, w = alphas[pivot], direction[pivot]
         conj = a[:1] + [-x for x in a[1:]]
-        norm = self._mul(a, conj)[0]
+        norm = res_mul(a, conj, fspec)[0]
         inv = [nrec.den * q * x * (1 if norm > 0 else -1) for x in conj]
         g = math.gcd(norm, *inv)
         inv, lcd = [x // g for x in inv], nrec.den * abs(norm) // g
-        fs = [self.fspec.elem(*(Fraction(x, lcd * q) for x in self._mul(al, inv)))
+        fs = [fspec.elem(*(Fraction(x, lcd * q) for x in res_mul(al, inv, fspec)))
               for al in alphas]
         sub = self._direction(tuple(tuple(r) for r in rref(
             [[x - f * y for x, y in zip(u, w)]
@@ -279,11 +270,11 @@ class Engine:
               for col in cols[d * pivot: d * pivot + d]]
         (xs,), qp = res
         nu_p = [sum(map(operator.mul, f, xs)) for f in nrec.form]
-        c0 = self._mul([o * nrec.den * qp - oden * e for o, e in zip(off, nu_p)], inv)
+        c0 = res_mul([o * nrec.den * qp - oden * e for o, e in zip(off, nu_p)], inv, fspec)
         base = [lcd * oden * q * sum(map(operator.mul, row, xs)) + sum(map(operator.mul, c0, ts))
                 for row, ts in zip(sub.rows, zip(*rw))]
         return _Cut(sub, point, w, lcd, q, qp * oden, rw, c0,
-                    [self._mul(nd, inv) for nd in nrec.dots], base)
+                    [res_mul(nd, inv, fspec) for nd in nrec.dots], base)
 
     def point(self, cut: _Cut, y: Sequence[int]) -> tuple[FElem, ...]:
         """The field point p + (c0 + sum y_i c_i) w of coset rep y."""
@@ -329,14 +320,15 @@ class Engine:
     # -- level-wise enumeration ----------------------------------------------
 
     def build_level(self, parents, hclasses, group: IntLattice, level: int,
-                    with_normals: bool = False, covers: dict | None = None
-                    ) -> list[SingularClass]:
+                    covers: dict | None = None) -> list[SingularClass]:
         """Classes at `level` from cutting parent representatives by all
         translated hyperplane classes, deduplicated under `group` on the
         candidate keys; the field point is built for accepted classes
-        only.  The classes, new or seen, that a parent's candidate keys
-        resolve to are the ones one level below it: `covers`, if given,
-        gets them once each under (parent.dim, parent.id)."""
+        only.  Classes at level m-1 are the hyperplane classes and carry
+        their normal and offset.  The classes, new or seen, that a parent's
+        candidate keys resolve to are the ones one level below it:
+        `covers`, if given, gets them once each under (parent.dim,
+        parent.id)."""
         accepted: list[SingularClass] = []
         seen: dict = {}  # direction entry -> {key: class accepted for it}
         planes = [(hc, self._plane(hc)) for hc in hclasses]
@@ -354,10 +346,9 @@ class Engine:
                     cls = classes.get(key)
                     if cls is None:
                         pt = self.point(cut, y)
-                        kwargs = ({"normal": hc.normal, "offset": dot(hc.normal, pt)}
-                                  if with_normals else {})
+                        hyper = (hc.normal, dot(hc.normal, pt)) if level == self.m - 1 else ()
                         cls = classes[key] = SingularClass(len(accepted), level, sub_dir, pt,
-                                                           self.stabilizer(sub_dir), **kwargs)
+                                                           self.stabilizer(sub_dir), *hyper)
                         accepted.append(cls)
                         if len(accepted) > self.max_classes:
                             raise ResourceCapExceeded(
@@ -367,21 +358,17 @@ class Engine:
                 covers[(parent.dim, parent.id)] = list(below.values())
         return accepted
 
-    def _full_space_parent(self) -> SingularClass:
+    def hyperplane_classes(self) -> list[SingularClass]:
+        """Gamma-orbit classes of the translated input planes (level m-1)."""
         zero, one = self.fspec.zero, self.fspec.one
         ident = tuple(tuple(one if i == j else zero for j in range(self.m))
                       for i in range(self.m))
-        return SingularClass(-1, self.m, ident, (zero,) * self.m, self.full)
-
-    def hyperplane_classes(self) -> list[SingularClass]:
-        """Gamma-orbit classes of the translated input planes (level m-1)."""
-        parent = self._full_space_parent()
+        parent = SingularClass(-1, self.m, ident, (zero,) * self.m, self.full)
         pseudo = [SingularClass(i, self.m - 1, (), h.normal, self.full,
                                 normal=h.normal, offset=h.offset)
                   for i, h in enumerate(self.data.planes)]
         # pseudo classes carry (normal, offset) only: the parent is the full space
-        return self.build_level([parent], pseudo, self.full, self.m - 1,
-                                with_normals=True)
+        return self.build_level([parent], pseudo, self.full, self.m - 1)
 
     def enumerate_arrangement(self) -> Arrangement:
         """All global orbit classes, level m-1 down to 0, and the classes

@@ -6,9 +6,10 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from dataclasses import asdict
 
-from .invariants import InvariantReport, analyze
-from .model import ProjectionData, ValidationReport, _felem_json, validate
+from .invariants import analyze
+from .model import ProjectionData, felem_json, field_json, validate
 from .orbits import Arrangement, ResourceCapExceeded
 
 REPORT_SCHEMA = "patcoh-report/1"
@@ -25,17 +26,11 @@ _STATUS_EXIT = {
     "infinite": EXIT_INFINITE,
     "validation_error": EXIT_VALIDATION,
     "unsupported_codimension": EXIT_UNSUPPORTED,
+    "resource_cap_exceeded": EXIT_RESOURCE,
 }
 
-
-def _validation_json(vrep: ValidationReport) -> dict:
-    return {
-        "ok": vrep.ok,
-        "findings": [
-            {"severity": f.severity, "code": f.code, "message": f.message}
-            for f in vrep.findings
-        ],
-    }
+# the InvariantReport fields a finished run reports, in report order
+_RESULT_KEYS = ("finite", "L", "tilde_L1", "e", "r", "R", "D", "H", "K", "diagnostics")
 
 
 def _arrangement_json(arr: Arrangement) -> dict:
@@ -44,8 +39,8 @@ def _arrangement_json(arr: Arrangement) -> dict:
         levels[str(level)] = [
             {
                 "id": cls.id,
-                "direction": [[_felem_json(x) for x in row] for row in cls.direction],
-                "point": [_felem_json(x) for x in cls.point],
+                "direction": [[felem_json(x) for x in row] for row in cls.direction],
+                "point": [felem_json(x) for x in cls.point],
                 "stabilizer": [[str(v) for v in row] for row in cls.stabilizer.basis],
             }
             for cls in arr.levels[level]
@@ -55,49 +50,35 @@ def _arrangement_json(arr: Arrangement) -> dict:
 
 def compute_report(data: ProjectionData, dump_arrangement: bool = False,
                    max_classes: int | None = None) -> tuple[dict, int]:
-    """Run validation plus the full pipeline; return (report dict, exit code)."""
-    doc: dict = {"schema": REPORT_SCHEMA, "name": data.name}
-    doc["field"] = {"kind": "Q"} if data.field.degree == 1 \
-        else {"kind": "Qsqrt", "D": data.field.D}
-    doc["m"] = data.m
-    doc["n"] = data.n
-    doc["d"] = data.d
-    timings: dict[str, int] = {}
+    """Run validation plus the full pipeline; return (report dict, exit code).
+
+    The header (schema .. nu) comes first, then status and validation; a
+    run that got past validation adds the `InvariantReport` keys by name
+    (or, past the class cap, only diagnostics), and timing comes last.
+    The digest hashes keys in this order."""
+    n, m = data.n, data.m
+    doc = {"schema": REPORT_SCHEMA, "name": data.name, "field": field_json(data.field),
+           "m": m, "n": n, "d": data.d, "nu": f"{n}/{m}" if n % m else str(n // m)}
     t0 = time.monotonic()
     vrep = validate(data)
-    timings["validate_ms"] = int((time.monotonic() - t0) * 1000)
-    doc["nu"] = f"{data.n}/{data.m}" if data.n % data.m else str(data.n // data.m)
-    if not vrep.ok:
-        doc["status"] = "validation_error"
-        doc["validation"] = _validation_json(vrep)
-        doc["timing"] = timings
-        return doc, EXIT_VALIDATION
-    t0 = time.monotonic()
-    try:
-        rep = analyze(data, max_classes=max_classes)
-    except ResourceCapExceeded as exc:
-        doc["status"] = "resource_cap_exceeded"
-        doc["validation"] = _validation_json(vrep)
-        doc["diagnostics"] = {"message": str(exc)}
-        doc["timing"] = timings
-        return doc, EXIT_RESOURCE
-    timings["compute_ms"] = int((time.monotonic() - t0) * 1000)
-    doc["status"] = rep.status
-    doc["validation"] = _validation_json(vrep)
-    doc["finite"] = rep.finite
-    doc["L"] = rep.L
-    doc["tilde_L1"] = rep.tilde_L1
-    doc["e"] = rep.e
-    doc["r"] = rep.r
-    doc["R"] = rep.R
-    doc["D"] = rep.D
-    doc["H"] = rep.H
-    doc["K"] = list(rep.K) if rep.K is not None else None
-    doc["diagnostics"] = rep.diagnostics
-    if dump_arrangement and rep.arrangement is not None:
-        doc["arrangement"] = _arrangement_json(rep.arrangement)
-    doc["timing"] = timings
-    return doc, _STATUS_EXIT[rep.status]
+    timing = {"validate_ms": int((time.monotonic() - t0) * 1000)}
+    status, result = "validation_error", {}
+    if vrep.ok:
+        t0 = time.monotonic()
+        try:
+            rep = analyze(data, max_classes=max_classes)
+        except ResourceCapExceeded as exc:
+            status, result = "resource_cap_exceeded", {"diagnostics": {"message": str(exc)}}
+        else:
+            timing["compute_ms"] = int((time.monotonic() - t0) * 1000)
+            status = rep.status
+            result = {key: getattr(rep, key) for key in _RESULT_KEYS}
+            result["K"] = rep.K and list(rep.K)
+            if dump_arrangement and rep.arrangement is not None:
+                result["arrangement"] = _arrangement_json(rep.arrangement)
+    validation = {"ok": vrep.ok, "findings": [asdict(f) for f in vrep.findings]}
+    doc.update(status=status, validation=validation, **result, timing=timing)
+    return doc, _STATUS_EXIT[status]
 
 
 def canonical_digest(doc: dict) -> str:

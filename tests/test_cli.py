@@ -2,7 +2,7 @@ import json
 
 from patcoh.catalog import build, names
 from patcoh.cli import main
-from patcoh.model import serialize_projection_data
+from patcoh.model import parse_projection_data, serialize_projection_data
 from patcoh.report import canonical_digest, compute_report
 
 
@@ -137,3 +137,50 @@ def test_canonical_digest_ignores_timing():
     other = dict(doc)
     other["timing"] = {"validate_ms": 999, "compute_ms": 999}
     assert canonical_digest(doc) == canonical_digest(other)
+
+
+def tau_lattice_m4():
+    """Q(sqrt 5) with Gamma = Z[tau]^4 (generators e_i and tau e_i), the four
+    coordinate planes and the plane with normal (1, 1, 1, 1), all through
+    0: a finite arrangement of codimension 4, beyond the rank formulas."""
+    one, zero, tau = ["1"], ["0"], ["1/2", "1/2"]
+    doc = {
+        "schema": "patcoh/1",
+        "name": "tau_lattice_m4",
+        "field": {"kind": "Qsqrt", "D": 5},
+        "dim": 4,
+        "generators": [[x if j == i else zero for j in range(4)]
+                       for i in range(4) for x in (one, tau)],
+        "hyperplanes": [{"normal": [one if j == i else zero for j in range(4)]}
+                        for i in range(4)] + [{"normal": [one] * 4}],
+    }
+    return parse_projection_data(json.dumps(doc))
+
+
+HEADER = ["schema", "name", "field", "m", "n", "d", "nu", "status", "validation"]
+RESULT = ["finite", "L", "tilde_L1", "e", "r", "R", "D", "H", "K", "diagnostics"]
+
+
+def test_report_keys_on_every_exit_path():
+    # the digest hashes keys in insertion order, so each exit path pins
+    # its key order; the exit-4 and exit-5 documents also pin their digests
+    cases = [
+        (build("danzer").data, {"dump_arrangement": True}, 0,
+         HEADER + RESULT + ["arrangement", "timing"]),
+        (build("square_fibonacci").data, {}, 2, HEADER + ["timing"]),
+        (build("infinite_demo").data, {}, 3, HEADER + RESULT + ["timing"]),
+        (tau_lattice_m4(), {}, 4, HEADER + RESULT + ["timing"]),
+        (build("danzer").data, {"max_classes": 5}, 5, HEADER + ["diagnostics", "timing"]),
+    ]
+    docs = {}
+    for data, kwargs, code, keys in cases:
+        doc, got = compute_report(data, **kwargs)
+        assert (got, list(doc)) == (code, keys), data.name
+        docs[code] = doc
+    assert docs[4]["status"] == "unsupported_codimension"
+    assert docs[4]["L"] == [1, 10, 10, 5] and docs[4]["e"] == 4  # regression values
+    assert canonical_digest(docs[4]) == (
+        "31fda8520bc41f8c507fd2c15f70ef5ffd745852520eab914b9ff7360451bf94")
+    assert docs[5]["diagnostics"] == {"message": "more than 5 classes at level 2"}
+    assert canonical_digest(docs[5]) == (
+        "93c0ffaaa304c4757f742668fc16898c9c14a03797d470bcf5c34f07b7a2342f")

@@ -53,9 +53,8 @@ def test_k_ranks_examples():
 
 def test_euler_characteristic_codim_one_counts_points():
     for name, expected in (("fibonacci", 1),):
-        eng = Engine(build(name).data)
-        arr = eng.enumerate_arrangement()
-        assert euler_characteristic(eng, arr) == expected == len(arr.levels[0])
+        arr = Engine(build(name).data).enumerate_arrangement()
+        assert euler_characteristic(arr, incidence(arr)) == expected == len(arr.levels[0])
 
 
 def test_analyze_fibonacci():
@@ -120,7 +119,7 @@ def test_incidence_matches_relative_enumeration(make):
     # class below alpha, each found once, with the same stabilizer
     eng = Engine(make())
     arr = eng.enumerate_arrangement()
-    below = incidence(eng, arr)
+    below = incidence(arr)
     by_label = {(c.direction, eng.label(c.direction, c.point, eng.full)): c
                 for classes in arr.levels.values() for c in classes}
     hclasses = arr.levels[eng.m - 1]
@@ -158,7 +157,7 @@ def test_incidence_matches_label_scan(make):
     # that poset's part one level down
     eng = Engine(make())
     arr = eng.enumerate_arrangement()
-    below = incidence(eng, arr)
+    below = incidence(arr)
     expected = label_incidence(eng, arr)
 
     def distinct(betas):
@@ -194,12 +193,11 @@ def test_compute_nu_rejects_bad_stabilizer():
     from dataclasses import replace
 
     data = build("fibonacci").data
-    eng = Engine(data)
-    arr = eng.enumerate_arrangement()
+    arr = Engine(data).enumerate_arrangement()
     bad = replace(arr.levels[0][0], stabilizer=IntLattice.full(2))
     broken = Arrangement(data, {0: [bad]})
     with pytest.raises(InternalConsistencyError):
-        compute_nu(data, broken)
+        compute_nu(broken)
 
 
 def test_rank_formulas_codim_three_need_tilde_l1():

@@ -7,7 +7,7 @@ import pytest
 
 import patcoh.orbits
 from patcoh.catalog import build
-from patcoh.field import dot, quadratic, restrict_scalars
+from patcoh.field import QQ, dot, quadratic, restrict_scalars
 from patcoh.linalg import IntLattice, clear_denominators, lattice_index, mixed_solve, rref
 from patcoh.model import (
     Hyperplane,
@@ -82,6 +82,28 @@ def test_intersect_affine_rejects_containment():
     assert _cut(eng, ((ONE, ZERO, ZERO),), origin, h) is None
     assert _cut(eng, ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO)), origin, h) is None
     assert _cut(eng, ((ONE, ZERO, ZERO), (ZERO, ONE, TAU)), origin, h) is not None
+
+
+@pytest.mark.parametrize("fspec", [QQ, quadratic(2), quadratic(5)], ids=["Q", "Qsqrt2", "Qsqrt5"])
+def test_dir_res_cols_are_restrictions_of_theta_multiples(fspec):
+    # a row u gives one column res(theta^k u) per k < delta, theta = sqrt(D),
+    # here with theta^k u taken by field products
+    rng = random.Random(11)
+
+    def rat():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+    def elem():
+        return fspec.elem(rat(), rat() if fspec.degree == 2 else 0)
+
+    m = 3
+    basis = tuple(tuple(fspec.one if i == j else fspec.zero for j in range(m)) for i in range(m))
+    eng = Engine(ProjectionData(fspec, m, basis, (), "cols"))
+    powers = [fspec.one] if fspec.degree == 1 else [fspec.one, fspec.elem(0, 1)]
+    for k in range(1, m + 1):
+        direction = tuple(tuple(elem() for _ in range(m)) for _ in range(k))
+        assert eng.dir_res_cols(direction) == [
+            restrict_scalars([t * x for x in u]) for u in direction for t in powers]
 
 
 def test_same_orbit_fibonacci_points():

@@ -9,6 +9,7 @@ import pytest
 import patcoh
 import patcoh.invariants
 import patcoh.orbits
+import patcoh.report
 
 
 def test_no_assert_statements_in_package():
@@ -104,3 +105,27 @@ def test_invariants_asks_no_label_or_containment():
     called = {c.func.id if isinstance(c.func, ast.Name) else getattr(c.func, "attr", None)
               for c in ast.walk(tree) if isinstance(c, ast.Call)}
     assert called and not called & {"label", "contains"}
+
+
+def test_only_analyze_names_engine():
+    # analyze builds the engine; every other step of invariants reads the
+    # Arrangement that the enumeration hands over
+    tree = ast.parse(Path(patcoh.invariants.__file__).read_text())
+    analyze = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "analyze")
+    assert _uses(tree)["Engine"] == _uses(analyze)["Engine"] > 0
+
+
+def test_report_imports_no_private_name():
+    # the report reads the schema's JSON encoders through model's public names
+    tree = ast.parse(Path(patcoh.report.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert imported and not [name for name in imported if name.startswith("_")]
+
+
+def test_orbits_reads_no_field_discriminant():
+    # the engine's field arithmetic goes through `field`, so orbits never
+    # reads sqrt(D)'s D itself
+    tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
+    assert not [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "D"]
