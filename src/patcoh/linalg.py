@@ -2,8 +2,9 @@
 
 Ranks and kernels over Q, the Hermite normal form over Z (the engine's one
 integer normal form: integer kernels, ranks and lattice bases are all read
-off it), lattice indices, coset representatives read off the Hermite box,
-and ranks of spans of exterior powers.  The Smith form and the rational
+off it; images taken modulo a lattice are first reduced by its echelon rows,
+`remainder`), lattice indices, coset representatives read off the Hermite
+box, and ranks of spans of exterior powers.  The Smith form and the rational
 annihilator serve only `mixed_solve`, the reference solver the engine is
 tested against, so the two share no normal form.
 Matrices are lists of row tuples; rational entries are Fractions, integer
@@ -258,12 +259,7 @@ class IntLattice:
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative of vec modulo this lattice (HNF box)."""
-        v = list(vec)
-        for row, p in zip(self.basis, self._pivots()):
-            q = v[p] // row[p]
-            if q:
-                v = [x - q * y for x, y in zip(v, row)]
-        return tuple(v)
+        return tuple(remainder(zip(self._pivots(), self.basis), vec))
 
 
 @dataclass(frozen=True)
@@ -281,18 +277,32 @@ def clear_denominators(rows) -> tuple[list[list[int]], int]:
     return [[x.numerator * (q // x.denominator) for x in row] for row in rows], q
 
 
+def remainder(echelon, v: Sequence[int], q: int = 1) -> Sequence[int]:
+    """v reduced by q times the echelon rows (pivot, row), top to bottom
+    with the floor at each pivot, into the box [0, q row[pivot])."""
+    for p, row in echelon:
+        k = v[p] // (q * row[p])
+        if k:
+            kq = k * q
+            v = [a - kq * b for a, b in zip(v, row)]
+    return v
+
+
 def integer_kernel(images: Sequence[Sequence[int]], width: int,
-                   modulus: Sequence[Sequence[int]] = ()) -> tuple[list, IntLattice]:
+                   modulus: Sequence = ()) -> tuple[list, IntLattice]:
     """(echelon, kernel) of integer rows `images` of length `width` modulo
-    the rows `modulus`, from one Hermite form of [images | I ; modulus | 0].
+    `modulus`, Hermite echelon rows (pivot column, row) as returned here,
+    from one Hermite form of [images | I ; modulus | 0], each image row
+    first replaced by its `remainder`: a unimodular row operation, after
+    which an image in span_Z(modulus) enters the form as [0 | e_i].
 
     Its rows nonzero on the first `width` columns are the Hermite basis of
     span_Z(images, modulus) there, kept as (pivot column, row).  The other
     nonzero rows vanish there, so their identity block is the Hermite basis
     of the kernel {integer y : sum y_i images_i in span_Z(modulus)}."""
     k = len(images)
-    h = hnf([[*row, *e] for row, e in zip(images, _ident(k))]
-            + [[*row, *[0] * k] for row in modulus])
+    h = hnf([[*remainder(modulus, row), *e] for row, e in zip(images, _ident(k))]
+            + [[*row, *[0] * k] for _, row in modulus])
     echelon, kernel = [], []
     for row in h:
         head = row[:width]

@@ -4,7 +4,9 @@ Singular l-spaces are intersections of Gamma-translated hyperplanes.  The
 engine enumerates one representative per translation-orbit class, level by
 level (each level cuts the previous one by translated hyperplanes), with
 stabilizer sublattices attached.  Each lattice question is one Hermite
-form, read for its echelon and kernel at once (`integer_kernel`).  Each
+form, read for its echelon and kernel at once (`integer_kernel`); a pair's
+shifts are reduced modulo its frame's echelon rows before the form, so a
+pair whose classification subgroup is all of Z^n hands it zero images.  Each
 direction has one cached entry (`Engine._direction`): its cleared
 restricted columns, their kernel R, R's values on the generators and one
 frame per group (`_frame`).  A cut is an integer affine map on restricted
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .field import FElem, dot, res_mul, restrict_scalars, scalar_matrix
-from .linalg import IntLattice, clear_denominators, coset_reps, integer_kernel, rref
+from .linalg import IntLattice, clear_denominators, coset_reps, integer_kernel, remainder, rref
 from .model import ProjectionData
 
 DEFAULT_MAX_CLASSES = 100_000
@@ -208,14 +210,9 @@ class Engine:
 
     @staticmethod
     def _key(echelon, v: list[int], q: int) -> tuple:
-        """`label`'s key of v / q: v reduced by q times the echelon rows,
-        top to bottom with the floor at each pivot, then (q, v) divided by
-        its gcd."""
-        for p, hrow in echelon:
-            k = v[p] // (q * hrow[p])
-            if k:
-                kq = k * q
-                v = [a - kq * b for a, b in zip(v, hrow)]
+        """`label`'s key of v / q: the `remainder` of v modulo q times the
+        echelon rows, then (q, v) divided by its gcd."""
+        v = remainder(echelon, v, q)
         g = math.gcd(q, *v)
         return (q // g, *(a // g for a in v))
 
@@ -288,20 +285,21 @@ class Engine:
         """Orbit classes among {rep(parent) cut by translated hclass}, for
         the proper `cut` of the pair (from `intersect`).
 
-        Translating hclass by gamma(y) moves the cut point's R-image by
-        sum y_i ds_i / (lcd q), ds_i = cs_i[0] rw[0] + cs_i[1] rw[1], so the
-        y that keep it in its group-orbit are the kernel H of the ds_i
-        modulo lcd q E, E the echelon rows of the sub-direction's frame: one
-        `integer_kernel` call.  A candidate's label is affine in its coset
-        rep y: base + s sum y_i ds_i over lcd s q, reduced as `label`
-        reduces, so its key equals label(sub_direction, point(cut, y),
-        group) with no field point built.  Returns (sub_direction, [(key,
-        y) per coset rep y], H); raises InfiniteArrangement when H is
-        rank-deficient."""
+        Translating hclass by gamma(y) moves the cut point's R-image by sum
+        y_i ds_i / (lcd q), ds_i = cs_i[0] rw[0] + cs_i[1] rw[1], so the y
+        that keep it in its group-orbit are the kernel H of the ds_i modulo
+        lcd q E, E the echelon rows of the sub-direction's frame: one
+        `integer_kernel` call, which takes the ds_i modulo lcd q E first, so
+        a pair with H = Z^n hands its Hermite form a zero image block.  A
+        candidate's label is affine in its coset rep y: base + s sum y_i
+        ds_i over lcd s q, reduced as `label` reduces, so its key equals
+        label(sub_direction, point(cut, y), group) with no field point
+        built.  Returns (sub_direction, [(key, y) per coset rep y], H);
+        raises InfiniteArrangement when H is rank-deficient."""
         echelon, _ = self._frame(cut.sub, group)
         ds = [[sum(map(operator.mul, c, ts)) for ts in zip(*cut.rw)] for c in cut.cs]
-        _, hsub = integer_kernel(ds, len(cut.base), [[cut.lcd * cut.q * x for x in hrow]
-                                                     for _, hrow in echelon])
+        _, hsub = integer_kernel(ds, len(cut.base),
+                                 [(p, [cut.lcd * cut.q * x for x in hrow]) for p, hrow in echelon])
         if hsub.rank < self.n:
             raise InfiniteArrangement(level, parent.id, hclass.id, hsub.rank, self.n)
         # the cosets of hsub are pairwise distinct classes, so an index above

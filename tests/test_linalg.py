@@ -18,6 +18,7 @@ from patcoh.linalg import (
     mixed_solve,
     rat_rank,
     rational_kernel,
+    remainder,
     rref,
     snf,
     wedge_span_rank,
@@ -214,8 +215,10 @@ def test_integer_kernel_examples():
     assert kernel_of([[F(1), F(0)], [F(0), F(1)]], 2).rank == 0
     # no equations at all: every vector is in the kernel, and the basis is I
     assert integer_kernel([(), (), ()], 0) == ([], IntLattice.full(3))
-    # images modulo a lattice: echelon of both, kernel of the images mod it
-    echelon, lat = integer_kernel([[1, 0], [0, 1], [1, 1]], 2, [[2, 0], [0, 4]])
+    # images modulo a lattice, given by its Hermite echelon: echelon of
+    # both, kernel of the images mod it
+    modulus = integer_kernel([[2, 0], [0, 4]], 2)[0]
+    echelon, lat = integer_kernel([[1, 0], [0, 1], [1, 1]], 2, modulus)
     assert echelon == [(0, [1, 0]), (1, [0, 1])]
     assert lat.basis == ((1, 1, 3), (0, 2, 2), (0, 0, 4))
 
@@ -283,7 +286,7 @@ def test_integer_kernel_modulus_against_brute_force():
         k, width = rng.randint(1, 3), rng.randint(1, 3)
         images = rand_int_matrix(rng, k, width, -4, 4)
         modulus = rand_int_matrix(rng, rng.randint(1, 3), width, -3, 3)
-        echelon, lat = integer_kernel(images, width, modulus)
+        echelon, lat = integer_kernel(images, width, integer_kernel(modulus, width)[0])
         assert lat.ambient == k and lat == IntLattice.from_rows(k, lat.basis)
         assert [tuple(row) for _, row in echelon] == list(
             IntLattice.from_rows(width, images + modulus).basis)
@@ -296,6 +299,46 @@ def test_integer_kernel_modulus_against_brute_force():
             inside += member
             outside += not member
     assert inside > 100 and outside > 100
+
+
+def unreduced_kernel(images, width, modulus):
+    """`integer_kernel` read off the Hermite form of [images | I ; modulus
+    | 0] with the images as given, none reduced first."""
+    k = len(images)
+    h = hnf([[*row, *(int(i == j) for j in range(k))] for i, row in enumerate(images)]
+            + [[*row, *[0] * k] for _, row in modulus])
+    echelon = [(next(j for j, x in enumerate(r) if x), r[:width]) for r in h if any(r[:width])]
+    return echelon, IntLattice(k, tuple(tuple(r[width:]) for r in h
+                                        if any(r) and not any(r[:width])))
+
+
+def test_integer_kernel_images_equal_their_remainders():
+    # images far outside the modulus box, some of them lattice vectors
+    # plus a small offset: their remainders lie in the box and differ from
+    # them by lattice vectors, and the images, their remainders and the
+    # unreduced form all give the same echelon and kernel
+    rng = random.Random(73)
+    members = 0
+    for _ in range(60):
+        k, width = rng.randint(1, 5), rng.randint(1, 4)
+        raw = rand_int_matrix(rng, rng.randint(1, 4), width, -6, 6)
+        modulus = integer_kernel(raw, width)[0]
+        lattice = IntLattice.from_rows(width, raw)
+        images = []
+        for _ in range(k):
+            coeffs = [rng.randint(-10**6, 10**6) for _ in raw]
+            small = [rng.randint(-1, 1) * (rng.random() < 0.3) for _ in range(width)]
+            images.append([sum(c * r[j] for c, r in zip(coeffs, raw)) + e
+                           for j, e in enumerate(small)])
+        rems = [remainder(modulus, row) for row in images]
+        for row, rem in zip(images, rems):
+            assert all(0 <= rem[p] < mrow[p] for p, mrow in modulus)
+            assert lattice.coords_of([a - b for a, b in zip(row, rem)]) is not None
+            members += not any(rem)
+        out = integer_kernel(images, width, modulus)
+        assert out == integer_kernel(rems, width, modulus)
+        assert out == unreduced_kernel(images, width, modulus)
+    assert members > 50
 
 
 def test_lattice_reduce_is_canonical():

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import patcoh.linalg
 import patcoh.orbits
 from patcoh.catalog import build
 from patcoh.field import QQ, dot, quadratic, restrict_scalars
+from patcoh.invariants import analyze
 from patcoh.linalg import IntLattice, clear_denominators, lattice_index, mixed_solve, rref
 from patcoh.model import (
     Hyperplane,
@@ -359,6 +361,41 @@ def test_gl_equivariance_danzer():
         stabs1 = sorted(c.stabilizer.basis for c in arr1.levels[level])
         stabs2 = sorted(c.stabilizer.basis for c in arr2.levels[level])
         assert stabs1 == stabs2
+
+
+def test_work_shape_of_the_icosahedral_entries(monkeypatch):
+    # proper pairs, candidates, index-1 pairs and classes of analyze per
+    # m = 3 catalog entry; a pair's own Hermite form is the last one it
+    # takes, [ds | I ; lcd q E | 0] with each ds_i reduced modulo lcd q E,
+    # so its image block is zero exactly when the pair has index 1
+    forms = []
+    real_hnf, real_pair = patcoh.linalg.hnf, Engine.classify_pair
+    monkeypatch.setattr(patcoh.linalg, "hnf", lambda rows: forms.append(rows) or real_hnf(rows))
+
+    def pair_spy(self, parent, hclass, group, level, cut):
+        forms.clear()
+        out = real_pair(self, parent, hclass, group, level, cut)
+        width, ident = len(cut.base), IntLattice.full(self.n).basis
+        head = forms[-1][:self.n]
+        assert tuple(tuple(row[width:]) for row in head) == ident
+        index_one = out[2].basis == ident
+        assert index_one == (not any(x for row in head for x in row[:width]))
+        shape[0] += 1
+        shape[1] += len(out[1])
+        shape[2] += index_one
+        return out
+
+    monkeypatch.setattr(Engine, "classify_pair", pair_spy)
+    found = {}
+    for name in ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]:
+        shape = [0, 0, 0]
+        classes = sum(analyze(build(name).data).L)
+        found[name] = (*shape, classes)
+    assert found == {"danzer": (96, 96, 96, 22),
+                     "ammann_kramer": (795, 1095, 555, 93),
+                     "canonical_d6": (856, 1156, 766, 117),
+                     "dual_canonical_d6": (1185, 1995, 915, 155)}
+    assert [sum(col) for col in zip(*found.values())] == [2932, 4342, 2332, 387]
 
 
 def test_infinite_demo_raises_with_witness():
