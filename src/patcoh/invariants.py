@@ -107,10 +107,12 @@ def euler_characteristic(arrangement: Arrangement, below: dict) -> int:
 
 
 def _wedge_quantities(arrangement: Arrangement, below: dict, d: int):
-    """(r_p, None) (m = 2) or (R_p, tilde_L1) (m = 3), for p = 1 .. d+1."""
+    """(r_p, None) (m = 2) or (R_p, tilde_L1) (m = 3), for p = 1 .. d+1;
+    each lattice's p x p minors are taken once per p."""
+    minors: dict = {}
     if arrangement.data.m == 2:
         stabs = [c.stabilizer for c in arrangement.levels[1]]
-        return [wedge_span_rank(stabs, p + 1) for p in range(1, d + 2)], None
+        return [wedge_span_rank(stabs, p + 1, minors) for p in range(1, d + 2)], None
     # m == 3: tilde_L1 counts (line, plane) incidences beyond L_1
     plane_stabs = [c.stabilizer for c in arrangement.levels[2]]
     line_stabs = [c.stabilizer for c in arrangement.levels[1]]
@@ -122,9 +124,9 @@ def _wedge_quantities(arrangement: Arrangement, below: dict, d: int):
         per_plane_line_stabs.append(list(dict.fromkeys(b.stabilizer for b in lines)))
     big_r = []
     for p in range(1, d + 2):
-        t1 = wedge_span_rank(plane_stabs, p + 2)
-        t2 = wedge_span_rank(line_stabs, p + 1)
-        t3 = sum(wedge_span_rank(u, p + 1) for u in per_plane_line_stabs)
+        t1 = wedge_span_rank(plane_stabs, p + 2, minors)
+        t2 = wedge_span_rank(line_stabs, p + 1, minors)
+        t3 = sum(wedge_span_rank(u, p + 1, minors) for u in per_plane_line_stabs)
         big_r.append(t1 - t2 + t3)
     return big_r, tilde
 

@@ -1,10 +1,11 @@
 """Exact rational and integer linear algebra.
 
-Ranks and kernels over Q, the Hermite normal form over Z (the engine's one
-integer normal form: integer kernels, ranks and lattice bases are all read
-off it; images taken modulo a lattice are first reduced by its echelon rows,
-`remainder`), lattice indices, coset representatives read off the Hermite
-box, and ranks of spans of exterior powers.  The Smith form and the rational
+Ranks and kernels over Q (ranks, and a canonical key of a rational span, by
+fraction-free elimination, `primitive_rref`), the Hermite normal form over
+Z (the lattice normal form: integer kernels and lattice bases are read off
+it; images modulo a lattice are first reduced by its echelon rows,
+`remainder`), coset representatives read off the Hermite box, and ranks
+of spans of exterior powers.  The Smith form and the rational
 annihilator serve only `mixed_solve`, the reference solver the engine is
 tested against, so the two share no normal form.
 Matrices are lists of row tuples; rational entries are Fractions, integer
@@ -57,8 +58,28 @@ def rref(rows) -> list[list]:
     return [r for r in mat[:pivot_row]]
 
 
+def primitive_rref(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rref over Q of integer rows, each row scaled to a primitive integer
+    row with a positive pivot (fraction-free Gauss-Jordan: a row cleared at a
+    pivot is divided by its gcd): a hashable key canonical for their Q-span."""
+    mat, r = [list(row) for row in rows], 0
+    for c in range(len(mat[0]) if mat else 0):
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is not None:
+            g = math.gcd(*mat[p]) * (1 if mat[p][c] > 0 else -1)
+            piv = [x // g for x in mat[p]]
+            mat[p], mat[r] = mat[r], piv
+            for i, row in enumerate(mat):
+                if i != r and row[c]:
+                    row = [piv[c] * x - row[c] * y for x, y in zip(row, piv)]
+                    g = math.gcd(*row) or 1
+                    mat[i] = [x // g for x in row]
+            r += 1
+    return tuple(map(tuple, mat[:r]))
+
+
 def rat_rank(rows) -> int:
-    return len(rref(rows))
+    return len(primitive_rref(clear_denominators(rows)[0]))
 
 
 def rational_kernel(rows, ncols: int) -> list[tuple[Fraction, ...]]:
@@ -363,21 +384,6 @@ def mixed_solve(a_rows, b_rows, c, k: int) -> Coset | None:
     return Coset(lat.reduce(x0), lat)
 
 
-def lattice_index(s_lat: IntLattice, h_lat: IntLattice) -> int | None:
-    """[S : H]; None when infinite.  Raises if H is not contained in S."""
-    if s_lat.ambient != h_lat.ambient:
-        raise ValueError("ambient mismatch")
-    coords = []
-    for row in h_lat.basis:
-        c = s_lat.coords_of(row)
-        if c is None:
-            raise ValueError("H is not a sublattice of S")
-        coords.append(c)
-    if h_lat.rank < s_lat.rank:
-        return None
-    return abs(int_det(coords))
-
-
 def coset_reps(h_lat: IntLattice) -> list[tuple[int, ...]]:
     """One representative per coset of H in Z^n, lexicographic.
 
@@ -390,26 +396,28 @@ def coset_reps(h_lat: IntLattice) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(row[i]) for i, row in enumerate(h_lat.basis))))
 
 
-def wedge_span_rank(lats: Sequence[IntLattice], p: int) -> int:
+def wedge_span_rank(lats: Sequence[IntLattice], p: int, minors: dict | None = None) -> int:
     """Rank over Q of the span of all p-fold wedges of the lattices' bases.
 
     Coordinates in Lambda^p Z^n indexed by lexicographic p-subsets; entries
-    are p x p minors.  p = 0 gives 1 for a nonempty family.
+    are p x p minors, kept per (lattice, p) in `minors` across calls when
+    given.  p = 0 gives 1 for a nonempty family.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
     if p == 0:
         return 1 if lats else 0
+    minors = {} if minors is None else minors
     rows = []
     for lat in lats:
         if lat.rank < p:
             continue
-        n = lat.ambient
-        col_subsets = list(itertools.combinations(range(n), p))
-        for rows_sel in itertools.combinations(range(lat.rank), p):
-            vec = []
-            for cols_sel in col_subsets:
-                sub = [[lat.basis[i][j] for j in cols_sel] for i in rows_sel]
-                vec.append(int_det(sub))
-            rows.append(vec)
+        wedges = minors.get((lat, p))
+        if wedges is None:
+            col_subsets = list(itertools.combinations(range(lat.ambient), p))
+            wedges = minors[(lat, p)] = [
+                [int_det([[lat.basis[i][j] for j in cols_sel] for i in rows_sel])
+                 for cols_sel in col_subsets]
+                for rows_sel in itertools.combinations(range(lat.rank), p)]
+        rows += wedges
     return sum(1 for row in hnf(rows) if any(row))

@@ -7,15 +7,16 @@ stabilizer sublattices attached.  Each lattice question is one Hermite
 form, read for its echelon and kernel at once (`integer_kernel`); a pair's
 shifts are reduced modulo its frame's echelon rows before the form, so a
 pair whose classification subgroup is all of Z^n hands it zero images.  Each
-direction has one cached entry (`Engine._direction`): its cleared
-restricted columns, their kernel R, R's values on the generators and one
-frame per group (`_frame`).  A cut is an integer affine map on restricted
-coordinates: its per-pair classification subgroup has the number of
-classes contributed as its index, and a rank deficiency certifies an
-infinite count; its candidates' canonical labels (`Engine.label`) are
-affine in the coset representative.  So deduplication is a set lookup, a
-field point is built only for an accepted class, and the class a
-candidate resolves to lies one level below its parent.
+direction has one cached entry (`Engine._direction`) under the integer key
+`primitive_rref` of its cleared restricted columns: the columns, their
+kernel R, R's values on the generators and one frame per group (`_frame`).
+A cut finds its sub-direction's key from integers, so a direction's field
+rows are built once.  A cut is an integer affine map on restricted
+coordinates: its per-pair classification subgroup has the number of classes
+contributed as its index, and a rank deficiency certifies an infinite
+count; its candidates' labels (`Engine.label`) are affine in the coset
+representative.  So deduplication is a set lookup, a field point is built
+only for an accepted class, and a candidate's class lies one level below.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .field import FElem, dot, res_mul, restrict_scalars, scalar_matrix
-from .linalg import IntLattice, clear_denominators, coset_reps, integer_kernel, remainder, rref
+from .linalg import (IntLattice, clear_denominators, coset_reps, integer_kernel, primitive_rref,
+                     remainder, rref)
 from .model import ProjectionData
 
 DEFAULT_MAX_CLASSES = 100_000
@@ -69,9 +71,9 @@ class SingularClass:
 
 @dataclass(eq=False)
 class _Direction:
-    """Engine cache entry of one direction (hashed by identity): its rows,
-    its restricted columns cols / q, its annihilator rows R, their values
-    on the generators (one row per R row) and its frames."""
+    """Engine cache entry of one direction, under the key primitive_rref(cols):
+    its rows, its restricted columns cols / q, its annihilator rows R, their
+    values on the generators (one row per R row) and its frames."""
 
     direction: tuple[tuple[FElem, ...], ...]
     cols: list[list[int]]
@@ -96,8 +98,8 @@ class _Cut(NamedTuple):
     w of the direction has <nu, w> != 0.  The cut point is p + c0 w, and
     translating the plane by gamma(y) adds (sum y_i c_i) w, with c0 =
     c0_num / (lcd s) and c_i = cs_i / lcd as field numerators.  sub is the
-    sub-direction's entry, with rows R; rw = [q R res(w), q R res(sqrt(D)
-    w)], and the cut point's R-image is base / (lcd s q)."""
+    sub-direction's entry (found by its integer key), with rows R; rw = [q R
+    res(w), q R res(sqrt(D) w)]; the cut point's R-image is base / (lcd s q)."""
 
     sub: _Direction
     point: tuple[FElem, ...]
@@ -136,7 +138,8 @@ class Engine:
         self.dm = self.delta * self.m
         self.full = IntLattice.full(self.n)
         self.gen_ints = clear_denominators([restrict_scalars(g) for g in data.gens])
-        self._dirs: dict = {}  # direction -> _Direction
+        self._dirs: dict = {}  # primitive_rref of a direction's columns -> _Direction
+        self._theta_powers = [[int(i == l) for i in range(self.delta)] for l in range(self.delta)]
 
     # -- basic geometry helpers ---------------------------------------------
 
@@ -152,14 +155,15 @@ class Engine:
     def _direction(self, direction) -> _Direction:
         """The direction's cached entry, built the first time it is met.
 
-        The restricted columns are cleared once to cols / q; the rows R,
-        the Hermite basis of their integer kernel, span their annihilator,
-        so projecting by R eliminates the direction.  Each row is scaled by
-        the least s that makes its values on the generators res(g_i) = G_i
-        / q_G integral as well; they are kept one row per R row."""
-        entry = self._dirs.get(direction)
+        Its restricted columns, cleared to cols / q, give its key
+        `primitive_rref(cols)`; the rows R, the Hermite basis of their
+        integer kernel, span their annihilator, so projecting by R eliminates
+        the direction.  Each row is scaled by the least s that makes its
+        values on the generators res(g_i) = G_i / q_G integral as well."""
+        cols, q = clear_denominators(self.dir_res_cols(direction))
+        key = primitive_rref(cols)
+        entry = self._dirs.get(key)
         if entry is None:
-            cols, q = clear_denominators(self.dir_res_cols(direction))
             _, kernel = integer_kernel([[c[i] for c in cols] for i in range(self.dm)],
                                        len(cols))
             gens, qg = self.gen_ints
@@ -169,7 +173,7 @@ class Engine:
                 s = qg // math.gcd(qg, *v)
                 rows.append(tuple(s * ri for ri in r))
                 vals.append(tuple(s * x // qg for x in v))
-            entry = self._dirs[direction] = _Direction(direction, cols, q, rows, vals, {})
+            entry = self._dirs[key] = _Direction(direction, cols, q, rows, vals, {})
         return entry
 
     def _frame(self, entry: _Direction, group: IntLattice):
@@ -187,10 +191,10 @@ class Engine:
                  for b in group.basis], len(entry.vals))
         return frame
 
-    def stabilizer(self, direction) -> IntLattice:
-        """Gamma cap span(direction), as coefficient vectors in Z^n: the
-        kernel of the full lattice's frame."""
-        return self._frame(self._direction(direction), self.full)[1]
+    def stabilizer(self, entry: _Direction) -> IntLattice:
+        """Gamma cap span(entry's direction), as coefficient vectors in Z^n:
+        the kernel of the full lattice's frame."""
+        return self._frame(entry, self.full)[1]
 
     def label(self, direction, point, group: IntLattice) -> tuple:
         """Canonical key of the group-orbit of point + span(direction).
@@ -240,10 +244,13 @@ class Engine:
         With the direction's restricted columns cols / q from its entry, the
         normal's form gives alpha_j = den q <normal, u_j> per row u_j.  The
         first row with alpha != 0 is the pivot w, 1/a = den q conj(alpha) /
-        norm(alpha), and the sub-direction is the rref of the other rows
-        u_j less (alpha_j / alpha) w.  The form also gives <normal, p> for
-        c0 = (offset - <normal, p>)/a, over s = q_p times the offset's
-        denominator."""
+        norm(alpha), and the sub-direction is spanned by the other rows u_j
+        less (alpha_j / alpha) w, alpha_j / alpha = F_j / (lcd q).  Its key
+        is the `primitive_rref` of the integer columns lcd q cols[delta j +
+        l] - sum_i res(theta^l F_j)_i cols[delta pivot + i], l < delta, and
+        its field rows are built only for a new key.  The form also gives
+        <normal, p> for c0 = (offset - <normal, p>)/a, over s = q_p times the
+        offset's denominator."""
         nrec, off, oden = plane
         direction, d, fspec = entry.direction, self.delta, self.fspec
         cols, q = entry.cols, entry.q
@@ -258,13 +265,17 @@ class Engine:
         inv = [nrec.den * q * x * (1 if norm > 0 else -1) for x in conj]
         g = math.gcd(norm, *inv)
         inv, lcd = [x // g for x in inv], nrec.den * abs(norm) // g
-        fs = [fspec.elem(*(Fraction(x, lcd * q) for x in res_mul(al, inv, fspec)))
-              for al in alphas]
-        sub = self._direction(tuple(tuple(r) for r in rref(
-            [[x - f * y for x, y in zip(u, w)]
-             for j, (u, f) in enumerate(zip(direction, fs)) if j != pivot])))
-        rw = [[sum(map(operator.mul, row, col)) for row in sub.rows]
-              for col in cols[d * pivot: d * pivot + d]]
+        ratios = [res_mul(al, inv, fspec) for al in alphas]
+        pcols = cols[d * pivot: d * pivot + d]
+        key = primitive_rref([
+            [lcd * q * x - sum(map(operator.mul, t, ys)) for x, *ys in zip(col, *pcols)]
+            for j, f in enumerate(ratios) if j != pivot
+            for col, t in zip(cols[d * j: d * j + d],
+                              [res_mul(e, f, fspec) for e in self._theta_powers])])
+        sub = self._dirs.get(key)
+        if sub is None:
+            sub = self._direction(self._sub_direction(entry, pivot, ratios, lcd * q))
+        rw = [[sum(map(operator.mul, row, col)) for row in sub.rows] for col in pcols]
         (xs,), qp = res
         nu_p = [sum(map(operator.mul, f, xs)) for f in nrec.form]
         c0 = res_mul([o * nrec.den * qp - oden * e for o, e in zip(off, nu_p)], inv, fspec)
@@ -272,6 +283,14 @@ class Engine:
                 for row, ts in zip(sub.rows, zip(*rw))]
         return _Cut(sub, point, w, lcd, q, qp * oden, rw, c0,
                     [res_mul(nd, inv, fspec) for nd in nrec.dots], base)
+
+    def _sub_direction(self, entry: _Direction, pivot: int, ratios, den: int):
+        """The canonical rows of a cut's sub-direction: the rref of the rows
+        u_j less (ratios_j / den) w of the entry's direction, w = u_pivot."""
+        fs = [self.fspec.elem(*(Fraction(x, den) for x in f)) for f in ratios]
+        return tuple(tuple(r) for r in rref(
+            [[x - f * y for x, y in zip(u, entry.direction[pivot])]
+             for j, (u, f) in enumerate(zip(entry.direction, fs)) if j != pivot]))
 
     def point(self, cut: _Cut, y: Sequence[int]) -> tuple[FElem, ...]:
         """The field point p + (c0 + sum y_i c_i) w of coset rep y."""
@@ -346,7 +365,7 @@ class Engine:
                         pt = self.point(cut, y)
                         hyper = (hc.normal, dot(hc.normal, pt)) if level == self.m - 1 else ()
                         cls = classes[key] = SingularClass(len(accepted), level, sub_dir, pt,
-                                                           self.stabilizer(sub_dir), *hyper)
+                                                           self.stabilizer(cut.sub), *hyper)
                         accepted.append(cls)
                         if len(accepted) > self.max_classes:
                             raise ResourceCapExceeded(

@@ -1,5 +1,22 @@
 """Slower references that the engine's results are checked against."""
 
+from patcoh.linalg import int_det
+
+
+def lattice_index(s_lat, h_lat):
+    """[S : H]; None when infinite.  Raises if H is not contained in S."""
+    if s_lat.ambient != h_lat.ambient:
+        raise ValueError("ambient mismatch")
+    coords = []
+    for row in h_lat.basis:
+        c = s_lat.coords_of(row)
+        if c is None:
+            raise ValueError("H is not a sublattice of S")
+        coords.append(c)
+    if h_lat.rank < s_lat.rank:
+        return None
+    return abs(int_det(coords))
+
 
 def contains(eng, direction, sub_dir) -> bool:
     """True iff span(sub_dir) lies in span(direction): the annihilator

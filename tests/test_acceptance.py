@@ -18,7 +18,6 @@ from patcoh.linalg import (
     coset_reps,
     hnf,
     int_det,
-    lattice_index,
     mixed_solve,
     rref,
     snf,
@@ -26,6 +25,7 @@ from patcoh.linalg import (
 from patcoh.model import Hyperplane, ProjectionData, canonical_hyperplane
 from patcoh.report import canonical_digest, compute_report
 
+from reference import lattice_index
 from test_linalg import brute_force_box, int_matmul, rand_int_matrix, rand_unimodular
 
 FINITE = ["fibonacci", "ammann_kramer", "canonical_d6", "dual_canonical_d6",

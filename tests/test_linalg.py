@@ -14,8 +14,8 @@ from patcoh.linalg import (
     hnf,
     int_det,
     integer_kernel,
-    lattice_index,
     mixed_solve,
+    primitive_rref,
     rat_rank,
     rational_kernel,
     remainder,
@@ -23,6 +23,7 @@ from patcoh.linalg import (
     snf,
     wedge_span_rank,
 )
+from reference import lattice_index
 
 F = Fraction
 
@@ -125,6 +126,59 @@ def test_rref_over_quadratic_field():
     red = rref(rows)
     assert len(red) == 1
     assert red[0] == [f5.one, f5.one / tau]
+
+
+def primitive_scaled_rref(rows):
+    """The Fraction `rref` of integer rows, each row scaled to a primitive
+    integer row (its pivot 1 stays positive)."""
+    out = []
+    for row in rref([[F(x) for x in r] for r in rows]):
+        ints = [int(x * math.lcm(*(y.denominator for y in row))) for x in row]
+        out.append(tuple(x // math.gcd(*ints) for x in ints))
+    return tuple(out)
+
+
+def test_primitive_rref_examples():
+    assert primitive_rref([]) == ()
+    assert primitive_rref([[0, 0], [0, 0]]) == ()
+    assert primitive_rref([[-2, 4, 6], [1, -2, -3]]) == ((1, -2, -3),)
+    assert primitive_rref([[0, 2, 3], [4, 0, 2]]) == ((2, 0, 1), (0, 2, 3))
+
+
+def test_primitive_rref_is_canonical_for_the_rational_span():
+    # integer bases of Q-subspaces (dependent rows, zero rows and entries
+    # past 2**40 among them), re-based by random invertible rational
+    # matrices and cleared row by row: every basis of one span gives one
+    # key, the Fraction rref with primitive integer rows, and spans that
+    # differ (their stacked rank exceeds each one's) give different keys
+    rng = random.Random(79)
+    spans = []
+    for _ in range(120):
+        ncols, k = rng.randint(1, 5), rng.randint(0, 4)
+        lo, hi = (-2 ** 41, 2 ** 41) if rng.random() < 0.2 else (-2, 2)
+        basis = rand_int_matrix(rng, k, ncols, lo, hi)
+        key = primitive_rref(basis)
+        assert key == primitive_scaled_rref(basis), basis
+        for _ in range(3):
+            while True:
+                mix = [[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(k)]
+                       for _ in range(k)]
+                if len(rref(mix)) == k:
+                    break
+            rows = clear_denominators(
+                [[sum(c * x for c, x in zip(mrow, col)) for col in zip(*basis)]
+                 for mrow in mix])[0] if k else []
+            rows = [[x * c for x in row] for row, c in zip(rows, rng.choices([-3, -1, 2], k=k))]
+            rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+            assert primitive_rref(rows) == key, (basis, rows)
+        spans.append((ncols, basis, key))
+    verdicts = []
+    for (na, a, ka), (nb, b, kb) in itertools.combinations(spans, 2):
+        if na == nb:
+            rank = len(rref([[F(x) for x in r] for r in a + b]))
+            verdicts.append(rank == len(ka) == len(kb))
+            assert (ka == kb) == verdicts[-1], (a, b)
+    assert 20 < sum(verdicts) < len(verdicts) - 20
 
 
 def test_rational_kernel_example():

@@ -6,7 +6,7 @@ import pytest
 
 from patcoh.catalog import build, names
 from patcoh.field import quadratic
-from patcoh.linalg import rat_rank
+from patcoh.linalg import rref
 from patcoh.model import (
     Hyperplane,
     ParseError,
@@ -165,11 +165,15 @@ def test_validate_invariant_under_plane_permutation():
     assert validate(shuffled).ok == validate(data).ok
 
 
+def field_rank(rows):
+    return len(rref(rows))
+
+
 def smallest_split(normals, m):
     """Least rank of one side over all bipartitions of the normals into
     complementary spans (rank A + rank B = m); None when there is none."""
     k = len(normals)
-    rank = [rat_rank([v for i, v in enumerate(normals) if mask >> i & 1])
+    rank = [field_rank([v for i, v in enumerate(normals) if mask >> i & 1])
             for mask in range(2 ** k)]
     full = 2 ** k - 1
     splits = [rank[mask] for mask in range(1, full) if rank[mask] + rank[full ^ mask] == m]
@@ -196,7 +200,7 @@ def random_normals(rng, m, irrational):
                        for _ in range(rng.randint(m, 7))]
         g = [[elem() for _ in range(m)] for _ in range(m)]
         # parsing rejects zero normals
-        if not all(any(v) for v in normals) or rat_rank(normals) != m or rat_rank(g) != m:
+        if not all(any(v) for v in normals) or field_rank(normals) != m or field_rank(g) != m:
             continue
         moved = [tuple(sum((v[i] * g[i][j] for i in range(m)), F5.zero) for j in range(m))
                  for v in normals]

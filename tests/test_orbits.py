@@ -10,7 +10,7 @@ import patcoh.orbits
 from patcoh.catalog import build
 from patcoh.field import QQ, dot, quadratic, restrict_scalars
 from patcoh.invariants import analyze
-from patcoh.linalg import IntLattice, clear_denominators, lattice_index, mixed_solve, rref
+from patcoh.linalg import IntLattice, clear_denominators, mixed_solve, rref
 from patcoh.model import (
     Hyperplane,
     ProjectionData,
@@ -18,7 +18,7 @@ from patcoh.model import (
     parse_projection_data,
 )
 from patcoh.orbits import Engine, InfiniteArrangement, ResourceCapExceeded
-from reference import contains
+from reference import contains, lattice_index
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -398,6 +398,23 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
     assert [sum(col) for col in zip(*found.values())] == [2932, 4342, 2332, 387]
 
 
+def test_field_rref_once_per_new_sub_direction(monkeypatch):
+    # a cut finds its sub-direction's entry by an integer key, so the
+    # engine's field rref runs once per sub-direction it meets, not once
+    # per proper pair; each sub-direction is the direction of some class
+    calls = []
+    real = patcoh.orbits.rref
+    monkeypatch.setattr(patcoh.orbits, "rref", lambda rows: calls.append(1) or real(rows))
+    found = {}
+    for name in ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]:
+        calls.clear()
+        arr = analyze(build(name).data).arrangement
+        found[name] = len(calls)
+        assert len(calls) == len({c.direction for cs in arr.levels.values() for c in cs})
+    assert found == {"danzer": 22, "ammann_kramer": 47, "canonical_d6": 62,
+                     "dual_canonical_d6": 47}
+
+
 def test_infinite_demo_raises_with_witness():
     eng = Engine(build("infinite_demo").data)
     with pytest.raises(InfiniteArrangement) as exc:
@@ -450,7 +467,7 @@ def test_relative_levels_empty_without_proper_cuts(monkeypatch):
     vertical = [hc for hc in hcs if hc.normal == (ONE, ZERO)]
     assert vertical
     direction = ((ZERO, ONE),)
-    stab = eng.stabilizer(direction)
+    stab = eng.stabilizer(eng._direction(direction))
     calls = []
     monkeypatch.setattr(Engine, "classify_pair", lambda *args: calls.append(args))
     out = eng.relative_levels(direction, (ZERO, ZERO), stab, vertical)

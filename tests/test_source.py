@@ -27,7 +27,6 @@ def test_no_assert_statements_in_package():
 # names the package keeps although only tests call them
 TEST_ONLY = {
     "mixed_solve": "brute-force reference that Engine.label is checked against",
-    "lattice_index": "index by determinant, the independent count for coset_reps",
     "Engine.same_orbit": "pairwise form of label equality that the benchmark traces",
     "Engine.relative_levels": "per-class enumeration that the incidence poset is checked against",
 }
@@ -87,15 +86,18 @@ def test_orbits_takes_each_lattice_from_one_hermite_form():
 
 
 def test_classify_pair_does_no_field_arithmetic():
-    # candidate keys are integer affine maps of the coset reps, so a pair
-    # takes no field dot product, restriction, inverse or element
+    # candidate keys are integer affine maps of the coset reps, and a cut
+    # finds its sub-direction by an integer key, so a pair takes no field
+    # dot product, restriction, inverse, element or elimination in
+    # intersect or classify_pair
     tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
     engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Engine")
-    method = next(n for n in engine.body
-                  if isinstance(n, ast.FunctionDef) and n.name == "classify_pair")
-    called = {ast.unparse(c.func) for c in ast.walk(method) if isinstance(c, ast.Call)}
-    assert called and not {f for f in called if f.split(".")[-1] in (
-        "dot", "restrict_scalars", "inverse") or f.endswith("fspec.elem")}
+    for name in ("intersect", "classify_pair"):
+        method = next(n for n in engine.body
+                      if isinstance(n, ast.FunctionDef) and n.name == name)
+        called = {ast.unparse(c.func) for c in ast.walk(method) if isinstance(c, ast.Call)}
+        assert called and not {f for f in called if f.split(".")[-1] in (
+            "dot", "restrict_scalars", "inverse", "rref") or f.endswith("fspec.elem")}, name
 
 
 def test_invariants_asks_no_label_or_containment():
