@@ -4,10 +4,11 @@ Ranks and kernels over Q (ranks, and a canonical key of a rational span, by
 fraction-free elimination, `primitive_rref`), the Hermite normal form over
 Z (the lattice normal form: integer kernels and lattice bases are read off
 it; images modulo a lattice are first reduced by its echelon rows,
-`remainder`), coset representatives read off the Hermite box, and ranks
-of spans of exterior powers.  The Smith form and the rational
-annihilator serve only `mixed_solve`, the reference solver the engine is
-tested against, so the two share no normal form.
+`remainder`, and only those left nonzero enter the form), coset
+representatives read off the Hermite box, and ranks of spans of exterior
+powers.  The Smith form and the rational annihilator serve only
+`mixed_solve`, the reference solver the engine is tested against, so the
+two share no normal form.
 Matrices are lists of row tuples; rational entries are Fractions, integer
 entries are plain ints.
 """
@@ -264,20 +265,6 @@ class IntLattice:
     def _pivots(self) -> list[int]:
         return [next(j for j, x in enumerate(row) if x) for row in self.basis]
 
-    def coords_of(self, vec: Sequence[int]) -> list[int] | None:
-        """Row coordinates of vec in this lattice, or None if not a member."""
-        v = list(vec)
-        coords = []
-        for row, p in zip(self.basis, self._pivots()):
-            q, r = divmod(v[p], row[p])
-            if r != 0:
-                return None
-            coords.append(q)
-            v = [x - q * y for x, y in zip(v, row)]
-        if any(v):
-            return None
-        return coords
-
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative of vec modulo this lattice (HNF box)."""
         return tuple(remainder(zip(self._pivots(), self.basis), vec))
@@ -312,26 +299,33 @@ def remainder(echelon, v: Sequence[int], q: int = 1) -> Sequence[int]:
 def integer_kernel(images: Sequence[Sequence[int]], width: int,
                    modulus: Sequence = ()) -> tuple[list, IntLattice]:
     """(echelon, kernel) of integer rows `images` of length `width` modulo
-    `modulus`, Hermite echelon rows (pivot column, row) as returned here,
-    from one Hermite form of [images | I ; modulus | 0], each image row
-    first replaced by its `remainder`: a unimodular row operation, after
-    which an image in span_Z(modulus) enters the form as [0 | e_i].
+    `modulus`, Hermite echelon rows (pivot column, row) as returned here.
 
-    Its rows nonzero on the first `width` columns are the Hermite basis of
-    span_Z(images, modulus) there, kept as (pivot column, row).  The other
-    nonzero rows vanish there, so their identity block is the Hermite basis
-    of the kernel {integer y : sum y_i images_i in span_Z(modulus)}."""
+    Each image is first replaced by its `remainder`, a unimodular row
+    operation.  An image in span_Z(modulus) reduces to zero and gives the
+    unit row e_i of the kernel; the others enter one Hermite form of
+    [images | I ; modulus | 0].  Its rows nonzero on the first `width`
+    columns are the Hermite basis of span_Z(images, modulus) there; its
+    other nonzero rows carry kernel rows in their identity block, zero on
+    every unit row's column, so with the unit rows, sorted by pivot, they
+    are the Hermite basis of the kernel {integer y : sum y_i images_i in
+    span_Z(modulus)}.  With no image left the echelon is the modulus."""
     k = len(images)
-    h = hnf([[*remainder(modulus, row), *e] for row, e in zip(images, _ident(k))]
-            + [[*row, *[0] * k] for _, row in modulus])
-    echelon, kernel = [], []
-    for row in h:
+    rems = [remainder(modulus, row) for row in images]
+    left = [i for i, row in enumerate(rems) if any(row)]
+    kernel = [(0,) * i + (1,) + (0,) * (k - 1 - i) for i, row in enumerate(rems) if not any(row)]
+    if not left:
+        return list(modulus), IntLattice(k, tuple(kernel))
+    echelon = []
+    for row in hnf([[*rems[i], *(int(i == j) for j in left)] for i in left]
+                   + [[*row, *[0] * len(left)] for _, row in modulus]):
         head = row[:width]
         if any(head):
             echelon.append((next(j for j, x in enumerate(head) if x), head))
         elif any(row):
-            kernel.append(tuple(row[width:]))
-    return echelon, IntLattice(k, tuple(kernel))
+            tail = dict(zip(left, row[width:]))
+            kernel.append(tuple(tail.get(i, 0) for i in range(k)))
+    return echelon, IntLattice(k, tuple(sorted(kernel, reverse=True)))
 
 
 def mixed_solve(a_rows, b_rows, c, k: int) -> Coset | None:

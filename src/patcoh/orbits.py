@@ -3,20 +3,22 @@
 Singular l-spaces are intersections of Gamma-translated hyperplanes.  The
 engine enumerates one representative per translation-orbit class, level by
 level (each level cuts the previous one by translated hyperplanes), with
-stabilizer sublattices attached.  Each lattice question is one Hermite
-form, read for its echelon and kernel at once (`integer_kernel`); a pair's
-shifts are reduced modulo its frame's echelon rows before the form, so a
-pair whose classification subgroup is all of Z^n hands it zero images.  Each
-direction has one cached entry (`Engine._direction`) under the integer key
-`primitive_rref` of its cleared restricted columns: the columns, their
-kernel R, R's values on the generators and one frame per group (`_frame`).
-A cut finds its sub-direction's key from integers, so a direction's field
-rows are built once.  A cut is an integer affine map on restricted
-coordinates: its per-pair classification subgroup has the number of classes
-contributed as its index, and a rank deficiency certifies an infinite
-count; its candidates' labels (`Engine.label`) are affine in the coset
-representative.  So deduplication is a set lookup, a field point is built
-only for an accepted class, and a candidate's class lies one level below.
+stabilizer sublattices attached.  Each lattice question is at most one
+Hermite form, read for its echelon and kernel at once (`integer_kernel`); a
+pair's shifts are reduced modulo its frame's echelon rows first, and only
+those left nonzero enter the form, so a pair whose classification subgroup
+is all of Z^n takes none.  Each direction has one cached entry
+(`Engine._entry`) under the integer key `primitive_rref` of its cleared
+restricted columns, and the entry is read off the key: its field rows, the
+columns, their kernel R, R's values on the generators and one frame per
+group (`_frame`).  A cut finds its sub-direction's key from integers, so
+the engine does no field elimination.  A cut is an integer affine map on
+restricted coordinates: its per-pair classification subgroup has the number
+of classes contributed as its index, and a rank deficiency certifies an
+infinite count; its candidates' labels (`Engine.label`) are affine in the
+coset representative.  So deduplication is a set lookup, a field point is
+built, from integer numerators, only for an accepted class, and a
+candidate's class lies one level below.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 from .field import FElem, dot, res_mul, restrict_scalars, scalar_matrix
 from .linalg import (IntLattice, clear_denominators, coset_reps, integer_kernel, primitive_rref,
-                     remainder, rref)
+                     remainder)
 from .model import ProjectionData
 
 DEFAULT_MAX_CLASSES = 100_000
@@ -97,13 +99,15 @@ class _Cut(NamedTuple):
     in integers, for the classification of its translates.  The pivot row
     w of the direction has <nu, w> != 0.  The cut point is p + c0 w, and
     translating the plane by gamma(y) adds (sum y_i c_i) w, with c0 =
-    c0_num / (lcd s) and c_i = cs_i / lcd as field numerators.  sub is the
-    sub-direction's entry (found by its integer key), with rows R; rw = [q R
-    res(w), q R res(sqrt(D) w)]; the cut point's R-image is base / (lcd s q)."""
+    c0_num / (lcd s) and c_i = cs_i / lcd as field numerators.  res = (X,
+    q_p) is res(p) = X / q_p, and wq = q res(w) is w's column of the
+    direction's entry.  sub is the sub-direction's entry (found by its
+    integer key), with rows R; rw = [q R res(w), q R res(sqrt(D) w)]; the
+    cut point's R-image is base / (lcd s q)."""
 
     sub: _Direction
-    point: tuple[FElem, ...]
-    w: tuple[FElem, ...]
+    res: tuple
+    wq: list[int]
     lcd: int
     q: int
     s: int
@@ -153,17 +157,30 @@ class Engine:
                 for col in zip(*(r for x in row for r in scalar_matrix(x)))]
 
     def _direction(self, direction) -> _Direction:
-        """The direction's cached entry, built the first time it is met.
+        """The cached entry of a field direction, under the key
+        `primitive_rref` of its cleared restricted columns."""
+        return self._entry(primitive_rref(clear_denominators(self.dir_res_cols(direction))[0]))
 
-        Its restricted columns, cleared to cols / q, give its key
-        `primitive_rref(cols)`; the rows R, the Hermite basis of their
-        integer kernel, span their annihilator, so projecting by R eliminates
-        the direction.  Each row is scaled by the least s that makes its
-        values on the generators res(g_i) = G_i / q_G integral as well."""
-        cols, q = clear_denominators(self.dir_res_cols(direction))
-        key = primitive_rref(cols)
+    def _entry(self, key) -> _Direction:
+        """The direction's cached entry, built from its key the first time.
+
+        The key rows over their pivots are the rref over Q of the restricted
+        columns; coordinates are interleaved (a_i, b_i), so that rref is
+        res(theta^l u_j), l < delta, for the field rref rows u_j in order, and
+        u_j is key row delta j over its pivot.  The columns are the key rows
+        over the lcm q of the pivots, cols / q; the rows R, the Hermite basis
+        of their integer kernel, span their annihilator, so projecting by R
+        eliminates the direction.  Each row is scaled by the least s that
+        makes its values on the generators res(g_i) = G_i / q_G integral as
+        well."""
         entry = self._dirs.get(key)
         if entry is None:
+            d, pivots = self.delta, [next(x for x in row if x) for row in key]
+            q = math.lcm(*pivots)
+            cols = [[x * (q // p) for x in row] for row, p in zip(key, pivots)]
+            direction = tuple(tuple(self.fspec.elem(*(Fraction(x, p) for x in row[i:i + d]))
+                                    for i in range(0, self.dm, d))
+                              for row, p in zip(key[::d], pivots[::d]))
             _, kernel = integer_kernel([[c[i] for c in cols] for i in range(self.dm)],
                                        len(cols))
             gens, qg = self.gen_ints
@@ -236,30 +253,29 @@ class Engine:
         return _Normal(den * qg, [[qg * x for x in f] for f in form],
                        [[sum(map(operator.mul, f, g)) for f in form] for g in gens]), off, oden
 
-    def intersect(self, entry: _Direction, point, res, plane) -> _Cut | None:
-        """Cut point + span(entry's direction) by the hyperplane `plane`
-        (from `_plane`), or None when the direction lies in it; res =
-        (X, q_p) is res(point) cleared by `clear_denominators`.
+    def intersect(self, entry: _Direction, res, plane) -> _Cut | None:
+        """Cut the parent p + span(entry's direction) by the hyperplane
+        `plane` (from `_plane`), or None when the direction lies in it; res
+        = (X, q_p) is res(p) cleared by `clear_denominators`.
 
         With the direction's restricted columns cols / q from its entry, the
         normal's form gives alpha_j = den q <normal, u_j> per row u_j.  The
         first row with alpha != 0 is the pivot w, 1/a = den q conj(alpha) /
         norm(alpha), and the sub-direction is spanned by the other rows u_j
-        less (alpha_j / alpha) w, alpha_j / alpha = F_j / (lcd q).  Its key
-        is the `primitive_rref` of the integer columns lcd q cols[delta j +
-        l] - sum_i res(theta^l F_j)_i cols[delta pivot + i], l < delta, and
-        its field rows are built only for a new key.  The form also gives
-        <normal, p> for c0 = (offset - <normal, p>)/a, over s = q_p times the
-        offset's denominator."""
+        less (alpha_j / alpha) w, alpha_j / alpha = F_j / (lcd q).  Its entry
+        is `_entry` of its key, the `primitive_rref` of the integer columns
+        lcd q cols[delta j + l] - sum_i res(theta^l F_j)_i cols[delta pivot +
+        i], l < delta.  The form also gives <normal, p> for c0 = (offset -
+        <normal, p>)/a, over s = q_p times the offset's denominator."""
         nrec, off, oden = plane
-        direction, d, fspec = entry.direction, self.delta, self.fspec
+        d, fspec = self.delta, self.fspec
         cols, q = entry.cols, entry.q
         alphas = [[sum(map(operator.mul, f, cols[d * j])) for f in nrec.form]
-                  for j in range(len(direction))]
+                  for j in range(len(entry.direction))]
         pivot = next((j for j, al in enumerate(alphas) if any(al)), None)
         if pivot is None:
             return None
-        a, w = alphas[pivot], direction[pivot]
+        a = alphas[pivot]
         conj = a[:1] + [-x for x in a[1:]]
         norm = res_mul(a, conj, fspec)[0]
         inv = [nrec.den * q * x * (1 if norm > 0 else -1) for x in conj]
@@ -267,37 +283,31 @@ class Engine:
         inv, lcd = [x // g for x in inv], nrec.den * abs(norm) // g
         ratios = [res_mul(al, inv, fspec) for al in alphas]
         pcols = cols[d * pivot: d * pivot + d]
-        key = primitive_rref([
+        sub = self._entry(primitive_rref([
             [lcd * q * x - sum(map(operator.mul, t, ys)) for x, *ys in zip(col, *pcols)]
             for j, f in enumerate(ratios) if j != pivot
             for col, t in zip(cols[d * j: d * j + d],
-                              [res_mul(e, f, fspec) for e in self._theta_powers])])
-        sub = self._dirs.get(key)
-        if sub is None:
-            sub = self._direction(self._sub_direction(entry, pivot, ratios, lcd * q))
+                              [res_mul(e, f, fspec) for e in self._theta_powers])]))
         rw = [[sum(map(operator.mul, row, col)) for row in sub.rows] for col in pcols]
         (xs,), qp = res
         nu_p = [sum(map(operator.mul, f, xs)) for f in nrec.form]
         c0 = res_mul([o * nrec.den * qp - oden * e for o, e in zip(off, nu_p)], inv, fspec)
         base = [lcd * oden * q * sum(map(operator.mul, row, xs)) + sum(map(operator.mul, c0, ts))
                 for row, ts in zip(sub.rows, zip(*rw))]
-        return _Cut(sub, point, w, lcd, q, qp * oden, rw, c0,
+        return _Cut(sub, res, pcols[0], lcd, q, qp * oden, rw, c0,
                     [res_mul(nd, inv, fspec) for nd in nrec.dots], base)
 
-    def _sub_direction(self, entry: _Direction, pivot: int, ratios, den: int):
-        """The canonical rows of a cut's sub-direction: the rref of the rows
-        u_j less (ratios_j / den) w of the entry's direction, w = u_pivot."""
-        fs = [self.fspec.elem(*(Fraction(x, den) for x in f)) for f in ratios]
-        return tuple(tuple(r) for r in rref(
-            [[x - f * y for x, y in zip(u, entry.direction[pivot])]
-             for j, (u, f) in enumerate(zip(entry.direction, fs)) if j != pivot]))
-
     def point(self, cut: _Cut, y: Sequence[int]) -> tuple[FElem, ...]:
-        """The field point p + (c0 + sum y_i c_i) w of coset rep y."""
+        """The field point p + (c0 + sum y_i c_i) w of coset rep y, from one
+        numerator vector: with c = lcd s (c0 + sum y_i c_i), it is lcd s q X
+        + q_p res_mul(c, q res(w)) over q_p lcd s q, one Fraction a component."""
+        (xs,), qp = cut.res
         c = [x + cut.s * sum(map(operator.mul, y, col))
              for x, col in zip(cut.c0_num, zip(*cut.cs))]
-        f = self.fspec.elem(*(Fraction(x, cut.lcd * cut.s) for x in c))
-        return tuple(x + f * wx for x, wx in zip(cut.point, cut.w))
+        big, d = cut.lcd * cut.s * cut.q, self.delta
+        cw = [t for i in range(0, self.dm, d) for t in res_mul(c, cut.wq[i:i + d], self.fspec)]
+        coords = [Fraction(big * x + qp * t, qp * big) for x, t in zip(xs, cw)]
+        return tuple(self.fspec.elem(*coords[i:i + d]) for i in range(0, self.dm, d))
 
     def classify_pair(self, parent: SingularClass, hclass, group: IntLattice,
                       level: int, cut: _Cut):
@@ -354,7 +364,7 @@ class Engine:
             res = clear_denominators([restrict_scalars(parent.point)])
             below: dict = {}  # class id -> class
             for hc, plane in planes:
-                cut = self.intersect(entry, parent.point, res, plane)
+                cut = self.intersect(entry, res, plane)
                 if cut is None:
                     continue  # the parent's direction lies in the hyperplane
                 sub_dir, candidates, _ = self.classify_pair(parent, hc, group, level, cut)

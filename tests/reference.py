@@ -3,13 +3,30 @@
 from patcoh.linalg import int_det
 
 
+def coords_of(lat, vec):
+    """Row coordinates of vec in the lattice `lat` (Hermite basis), or None
+    if vec is not a member."""
+    v = list(vec)
+    coords = []
+    for row in lat.basis:
+        p = next(j for j, x in enumerate(row) if x)
+        q, r = divmod(v[p], row[p])
+        if r != 0:
+            return None
+        coords.append(q)
+        v = [x - q * y for x, y in zip(v, row)]
+    if any(v):
+        return None
+    return coords
+
+
 def lattice_index(s_lat, h_lat):
     """[S : H]; None when infinite.  Raises if H is not contained in S."""
     if s_lat.ambient != h_lat.ambient:
         raise ValueError("ambient mismatch")
     coords = []
     for row in h_lat.basis:
-        c = s_lat.coords_of(row)
+        c = coords_of(s_lat, row)
         if c is None:
             raise ValueError("H is not a sublattice of S")
         coords.append(c)

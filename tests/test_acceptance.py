@@ -25,7 +25,7 @@ from patcoh.linalg import (
 from patcoh.model import Hyperplane, ProjectionData, canonical_hyperplane
 from patcoh.report import canonical_digest, compute_report
 
-from reference import lattice_index
+from reference import coords_of, lattice_index
 from test_linalg import brute_force_box, int_matmul, rand_int_matrix, rand_unimodular
 
 FINITE = ["fibonacci", "ammann_kramer", "canonical_d6", "dual_canonical_d6",
@@ -256,8 +256,8 @@ def test_criterion_8_linear_algebra_properties():
             assert not expected
         else:
             got = {x for x in itertools.product(range(-8, 9), repeat=k)
-                   if sol.lattice.coords_of(
-                       [a - b for a, b in zip(x, sol.base)]) is not None}
+                   if coords_of(sol.lattice,
+                                [a - b for a, b in zip(x, sol.base)]) is not None}
             assert got == expected
         checked += 1
     passed(8, "HNF canonicity, SNF divisibility/|det|, coset counts, and "

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import patcoh.linalg
 from patcoh.field import quadratic, restrict_scalars
 from patcoh.linalg import (
     Coset,
@@ -23,7 +24,7 @@ from patcoh.linalg import (
     snf,
     wedge_span_rank,
 )
-from reference import lattice_index
+from reference import coords_of, lattice_index
 
 F = Fraction
 
@@ -303,7 +304,7 @@ def test_integer_kernel_membership_random():
         # exhaustive small box: membership matches the equations
         for vec in itertools.product(range(-3, 4), repeat=3):
             solves = all(sum(r[j] * vec[j] for j in range(3)) == 0 for r in rows)
-            assert (lat.coords_of(vec) is not None) == solves
+            assert (coords_of(lat, vec) is not None) == solves
     # systems the size of a classification pair's (up to 6 x 12), int or
     # Fraction entries, low rank, zero and repeated rows: the same lattice
     # as the Smith form's
@@ -349,7 +350,7 @@ def test_integer_kernel_modulus_against_brute_force():
         for y in itertools.product(range(-2, 3), repeat=k):
             v = [F(sum(yi * im[j] for yi, im in zip(y, images))) for j in range(width)]
             member = mixed_solve(mod_cols, [[]] * width, v, len(modulus)) is not None
-            assert (lat.coords_of(y) is not None) == member, (images, modulus, y)
+            assert (coords_of(lat, y) is not None) == member, (images, modulus, y)
             inside += member
             outside += not member
     assert inside > 100 and outside > 100
@@ -366,33 +367,57 @@ def unreduced_kernel(images, width, modulus):
                                         if any(r) and not any(r[:width])))
 
 
-def test_integer_kernel_images_equal_their_remainders():
-    # images far outside the modulus box, some of them lattice vectors
-    # plus a small offset: their remainders lie in the box and differ from
-    # them by lattice vectors, and the images, their remainders and the
-    # unreduced form all give the same echelon and kernel
+def test_integer_kernel_images_equal_their_remainders(monkeypatch):
+    # images far outside the modulus box, drawn so that all, none or some
+    # of them are lattice vectors (the others a lattice vector plus a small
+    # offset off the lattice): their remainders lie in the box and differ
+    # from them by lattice vectors, an image reduces to zero exactly when
+    # it is a lattice vector, and the images, their remainders and the
+    # unreduced form all give the same echelon and kernel; the form that
+    # integer_kernel takes holds exactly the images with a nonzero
+    # remainder, and it takes none when every image is a lattice vector
     rng = random.Random(73)
-    members = 0
-    for _ in range(60):
+    forms = []
+    real_hnf = patcoh.linalg.hnf
+    monkeypatch.setattr(patcoh.linalg, "hnf", lambda rows: forms.append(rows) or real_hnf(rows))
+    modes = {"all": 0, "none": 0, "some": 0}
+    for trial in range(90):
+        mode = ("all", "none", "some")[trial % 3]
         k, width = rng.randint(1, 5), rng.randint(1, 4)
         raw = rand_int_matrix(rng, rng.randint(1, 4), width, -6, 6)
         modulus = integer_kernel(raw, width)[0]
         lattice = IntLattice.from_rows(width, raw)
+        if mode != "all" and lattice.rank == width and all(row[p] == 1 for p, row in modulus):
+            continue  # the lattice is Z^width: every image is a member
+        inside = [mode == "all" or (mode == "some" and i % 2 == 0) for i in range(k)]
         images = []
-        for _ in range(k):
+        for member in inside:
             coeffs = [rng.randint(-10**6, 10**6) for _ in raw]
-            small = [rng.randint(-1, 1) * (rng.random() < 0.3) for _ in range(width)]
+            small = [0] * width
+            while not member and coords_of(lattice, small) is not None:
+                small = [rng.randint(-1, 1) for _ in range(width)]
             images.append([sum(c * r[j] for c, r in zip(coeffs, raw)) + e
                            for j, e in enumerate(small)])
         rems = [remainder(modulus, row) for row in images]
-        for row, rem in zip(images, rems):
+        for row, rem, member in zip(images, rems, inside):
             assert all(0 <= rem[p] < mrow[p] for p, mrow in modulus)
-            assert lattice.coords_of([a - b for a, b in zip(row, rem)]) is not None
-            members += not any(rem)
+            assert coords_of(lattice, [a - b for a, b in zip(row, rem)]) is not None
+            assert (not any(rem)) == member
+        forms.clear()
         out = integer_kernel(images, width, modulus)
+        left = [rem for rem, member in zip(rems, inside) if not member]
+        assert [[row[:width] for row in form[:len(left)]] for form in forms] == (
+            [left] if left else [])
         assert out == integer_kernel(rems, width, modulus)
         assert out == unreduced_kernel(images, width, modulus)
-    assert members > 50
+        modes[mode] += 1
+    assert min(modes.values()) > 20
+    # an empty modulus and zero images: no form, an empty echelon, and
+    # the kernel is all of Z^k
+    for k, width in [(1, 1), (3, 2), (4, 5)]:
+        zeros = [[0] * width for _ in range(k)]
+        assert integer_kernel(zeros, width) == unreduced_kernel(zeros, width, ()) == (
+            [], IntLattice.full(k))
 
 
 def test_lattice_reduce_is_canonical():
@@ -455,8 +480,8 @@ def test_mixed_solve_against_brute_force():
             assert not expected
         else:
             got = {x for x in box_pts
-                   if sol.lattice.coords_of(
-                       [a - b for a, b in zip(x, sol.base)]) is not None}
+                   if coords_of(sol.lattice,
+                                [a - b for a, b in zip(x, sol.base)]) is not None}
             assert got == expected
         checked += 1
 
@@ -499,7 +524,7 @@ def test_coset_reps_are_a_transversal():
             assert reps == sorted(reps)
             # pairwise inequivalent
             for x, y in itertools.combinations(reps, 2):
-                assert sub.coords_of([a - b for a, b in zip(x, y)]) is None
+                assert coords_of(sub, [a - b for a, b in zip(x, y)]) is None
             checked += 1
 
 

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+import patcoh.invariants
 import patcoh.linalg
+import patcoh.model
 import patcoh.orbits
 from patcoh.catalog import build
 from patcoh.field import QQ, dot, quadratic, restrict_scalars
 from patcoh.invariants import analyze
-from patcoh.linalg import IntLattice, clear_denominators, mixed_solve, rref
+from patcoh.linalg import (IntLattice, clear_denominators, mixed_solve, primitive_rref, remainder,
+                           rref)
 from patcoh.model import (
     Hyperplane,
     ProjectionData,
@@ -18,7 +21,7 @@ from patcoh.model import (
     parse_projection_data,
 )
 from patcoh.orbits import Engine, InfiniteArrangement, ResourceCapExceeded
-from reference import contains, lattice_index
+from reference import contains, coords_of, lattice_index
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -46,7 +49,7 @@ def field_inverse(rows):
 def _cut(eng, direction, point, h):
     """The integer cut of point + span(direction) by h, as build_level makes it."""
     res = clear_denominators([restrict_scalars(point)])
-    return eng.intersect(eng._direction(direction), point, res, eng._plane(h))
+    return eng.intersect(eng._direction(direction), res, eng._plane(h))
 
 
 def test_intersect_affine_example():
@@ -59,8 +62,9 @@ def test_intersect_affine_example():
     cut = _cut(eng, direction, point, h)
     assert cut.sub.direction == ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO))
     assert eng.point(cut, (0,) * eng.n) == point
-    # a = <normal, w> = 1, so the coefficients c_i = <normal, g_i>/a are the dots
-    assert cut.w == (ZERO, ZERO, ONE)
+    # w, the first row off the plane, has a = <normal, w> = 1, so the
+    # coefficients c_i = <normal, g_i>/a are the dots
+    assert next(u for u in direction if dot(h.normal, u)) == (ZERO, ZERO, ONE)
     assert [F5.elem(*(Fraction(x, cut.lcd) for x in c)) for c in cut.cs] == [
         dot(h.normal, g) for g in data.gens]
 
@@ -197,7 +201,7 @@ def test_classify_pair_subgroup_agrees_with_mixed_solve():
                 continue
             sub_dir, candidates, hsub = eng.classify_pair(parent, hc, group, level, cut)
             assert len(candidates) == lattice_index(IntLattice.full(eng.n), hsub)
-            w = cut.w
+            w = next(u for u in parent.direction if dot(hc.normal, u))
             a = dot(hc.normal, w)
             d_res = _res_matrix(eng.dir_res_cols(sub_dir), eng.dm)
             coefs = [dot(hc.normal, g) / a for g in eng.data.gens]
@@ -210,7 +214,7 @@ def test_classify_pair_subgroup_agrees_with_mixed_solve():
                     y = [rng.randint(-2, 2) for _ in range(eng.n)]
                 shift = sum((eng.fspec.elem(yi) * c for yi, c in zip(y, coefs)), ZERO)
                 delta = restrict_scalars(tuple(shift * x for x in w))
-                inside = hsub.coords_of(y) is not None
+                inside = coords_of(hsub, y) is not None
                 sol = mixed_solve(g_res, d_res, delta, group.rank)
                 assert inside == (sol is not None), (level, parent.id, hc.id, y)
                 verdicts.append(inside)
@@ -365,21 +369,29 @@ def test_gl_equivariance_danzer():
 
 def test_work_shape_of_the_icosahedral_entries(monkeypatch):
     # proper pairs, candidates, index-1 pairs and classes of analyze per
-    # m = 3 catalog entry; a pair's own Hermite form is the last one it
-    # takes, [ds | I ; lcd q E | 0] with each ds_i reduced modulo lcd q E,
-    # so its image block is zero exactly when the pair has index 1
-    forms = []
-    real_hnf, real_pair = patcoh.linalg.hnf, Engine.classify_pair
+    # m = 3 catalog entry; a pair's own lattice question is its one
+    # integer_kernel call, of the ds_i modulo lcd q E: its Hermite form
+    # holds exactly the ds_i with a nonzero remainder modulo lcd q E, so a
+    # pair has index 1 exactly when it takes no Hermite form at all
+    forms, kernels = [], []
+    real_hnf, real_kernel = patcoh.linalg.hnf, patcoh.orbits.integer_kernel
+    real_pair = Engine.classify_pair
     monkeypatch.setattr(patcoh.linalg, "hnf", lambda rows: forms.append(rows) or real_hnf(rows))
+    monkeypatch.setattr(patcoh.orbits, "integer_kernel",
+                        lambda *args: kernels.append(args) or real_kernel(*args))
 
     def pair_spy(self, parent, hclass, group, level, cut):
+        self._frame(cut.sub, group)  # the sub-direction's frame, not the pair's question
         forms.clear()
+        kernels.clear()
         out = real_pair(self, parent, hclass, group, level, cut)
-        width, ident = len(cut.base), IntLattice.full(self.n).basis
-        head = forms[-1][:self.n]
-        assert tuple(tuple(row[width:]) for row in head) == ident
-        index_one = out[2].basis == ident
-        assert index_one == (not any(x for row in head for x in row[:width]))
+        (images, width, modulus), = kernels
+        left = [rem for rem in (remainder(modulus, row) for row in images) if any(rem)]
+        index_one = out[2].basis == IntLattice.full(self.n).basis
+        assert index_one == (not left) == (not forms)
+        for form in forms:
+            assert len(form) == len(left) + len(modulus)
+            assert [row[:width] for row in form[:len(left)]] == left
         shape[0] += 1
         shape[1] += len(out[1])
         shape[2] += index_one
@@ -398,21 +410,57 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
     assert [sum(col) for col in zip(*found.values())] == [2932, 4342, 2332, 387]
 
 
-def test_field_rref_once_per_new_sub_direction(monkeypatch):
-    # a cut finds its sub-direction's entry by an integer key, so the
-    # engine's field rref runs once per sub-direction it meets, not once
-    # per proper pair; each sub-direction is the direction of some class
+def test_analyze_does_no_field_elimination(monkeypatch):
+    # each direction entry reads its field rows off its integer key, so
+    # analyze calls linalg.rref at no site that imports it, on any of the
+    # m = 3 entries
     calls = []
-    real = patcoh.orbits.rref
-    monkeypatch.setattr(patcoh.orbits, "rref", lambda rows: calls.append(1) or real(rows))
-    found = {}
+    real = patcoh.linalg.rref
+    for module in (patcoh.linalg, patcoh.model, patcoh.orbits, patcoh.invariants):
+        if hasattr(module, "rref"):
+            monkeypatch.setattr(module, "rref", lambda rows: calls.append(1) or real(rows))
     for name in ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]:
-        calls.clear()
-        arr = analyze(build(name).data).arrangement
-        found[name] = len(calls)
-        assert len(calls) == len({c.direction for cs in arr.levels.values() for c in cs})
-    assert found == {"danzer": 22, "ammann_kramer": 47, "canonical_d6": 62,
-                     "dual_canonical_d6": 47}
+        assert sum(analyze(build(name).data).L) > 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("fspec", [QQ, quadratic(2), quadratic(5)], ids=["Q", "Qsqrt2", "Qsqrt5"])
+def test_entry_from_its_key_matches_the_field_rref(fspec):
+    # a field subspace of each dimension 0..m, given by random rows and
+    # re-based by a random invertible field matrix: the entry built from
+    # the integer key of its restricted columns has the field rref of the
+    # rows as its direction, and that rref's cleared restricted columns
+    rng = random.Random(167)
+
+    def rat():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+
+    def elem():
+        return fspec.elem(rat(), rat() if fspec.degree == 2 else 0)
+
+    m = 3
+    basis = tuple(tuple(fspec.one if i == j else fspec.zero for j in range(m)) for i in range(m))
+    eng = Engine(ProjectionData(fspec, m, basis, (), "entries"))
+    dims = set()
+    for _ in range(8):
+        for k in range(m + 1):
+            rows = [tuple(elem() if rng.random() < 0.7 else fspec.zero for _ in range(m))
+                    for _ in range(k)]
+            if len(rref(rows)) < k:
+                continue
+            while True:
+                change = [[elem() for _ in range(k)] for _ in range(k)]
+                if len(rref(change)) == k:
+                    break
+            rebased = [tuple(sum((c * row[x] for c, row in zip(ci, rows)), fspec.zero)
+                             for x in range(m)) for ci in change]
+            canon = tuple(tuple(r) for r in rref(rows))
+            key = primitive_rref(clear_denominators(eng.dir_res_cols(rebased))[0])
+            entry = eng._entry(key)
+            assert entry.direction == canon
+            assert (entry.cols, entry.q) == clear_denominators(eng.dir_res_cols(canon))
+            dims.add(k)
+    assert dims == set(range(m + 1))
 
 
 def test_infinite_demo_raises_with_witness():

@@ -87,17 +87,21 @@ def test_orbits_takes_each_lattice_from_one_hermite_form():
 
 def test_classify_pair_does_no_field_arithmetic():
     # candidate keys are integer affine maps of the coset reps, and a cut
-    # finds its sub-direction by an integer key, so a pair takes no field
-    # dot product, restriction, inverse, element or elimination in
-    # intersect or classify_pair
+    # finds its sub-direction's entry by an integer key, so a pair takes no
+    # field dot product, restriction, scalar matrix, inverse, element or
+    # elimination in intersect or classify_pair; a new entry reads its
+    # field rows off its key, with no field arithmetic or elimination
+    # either: its one field call makes each element of those rows
     tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
     engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Engine")
-    for name in ("intersect", "classify_pair"):
+    for name in ("intersect", "classify_pair", "_entry"):
         method = next(n for n in engine.body
                       if isinstance(n, ast.FunctionDef) and n.name == name)
         called = {ast.unparse(c.func) for c in ast.walk(method) if isinstance(c, ast.Call)}
-        assert called and not {f for f in called if f.split(".")[-1] in (
-            "dot", "restrict_scalars", "inverse", "rref") or f.endswith("fspec.elem")}, name
+        field = {f for f in called if f.split(".")[-1] in (
+            "dot", "restrict_scalars", "scalar_matrix", "dir_res_cols", "inverse", "rref", "FElem")
+            or f.endswith("fspec.elem")}
+        assert called and field == ({"self.fspec.elem"} if name == "_entry" else set()), name
 
 
 def test_invariants_asks_no_label_or_containment():
