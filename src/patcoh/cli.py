@@ -34,6 +34,8 @@ def _max_classes() -> int | None:
 
 
 def _resolve_source(source: str) -> ProjectionData | None:
+    """The data of a catalog entry or of a UTF-8 input file; None, with the
+    reason on stderr, when there is neither or the file does not parse."""
     if source in catalog.names():
         return catalog.build(source).data
     path = Path(source)
@@ -42,8 +44,8 @@ def _resolve_source(source: str) -> ProjectionData | None:
               file=sys.stderr)
         return None
     try:
-        return parse_projection_data(path.read_text())
-    except ParseError as exc:
+        return parse_projection_data(path.read_text(encoding="utf-8"))
+    except (ParseError, UnicodeDecodeError) as exc:
         print(f"patcoh: parse error in {source}: {exc}", file=sys.stderr)
         return None
 
@@ -84,14 +86,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    path = Path(args.file)
-    if not path.is_file():
-        print(f"patcoh: no such file {args.file!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        data = parse_projection_data(path.read_text())
-    except ParseError as exc:
-        print(f"patcoh: parse error: {exc}", file=sys.stderr)
+    data = _resolve_source(args.source)
+    if data is None:
         return EXIT_USAGE
     rep = validate(data)
     for f in rep.findings:
@@ -123,8 +119,8 @@ def main(argv=None) -> int:
                         help="include per-class direction/stabilizer data (JSON)")
     p_comp.set_defaults(func=cmd_compute)
 
-    p_val = sub.add_parser("validate", help="validate an input file")
-    p_val.add_argument("file")
+    p_val = sub.add_parser("validate", help="validate an input file or catalog entry")
+    p_val.add_argument("source", help="catalog name or input file path")
     p_val.set_defaults(func=cmd_validate)
 
     args = parser.parse_args(argv)

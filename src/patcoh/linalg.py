@@ -262,12 +262,14 @@ class IntLattice:
     def rank(self) -> int:
         return len(self.basis)
 
-    def _pivots(self) -> list[int]:
-        return [next(j for j, x in enumerate(row) if x) for row in self.basis]
+    @property
+    def echelon(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The basis as Hermite echelon rows (pivot column, row)."""
+        return [(next(j for j, x in enumerate(row) if x), row) for row in self.basis]
 
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative of vec modulo this lattice (HNF box)."""
-        return tuple(remainder(zip(self._pivots(), self.basis), vec))
+        return tuple(remainder(self.echelon, vec))
 
 
 @dataclass(frozen=True)

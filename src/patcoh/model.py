@@ -127,7 +127,7 @@ def parse_projection_data(text: str) -> ProjectionData:
     """Parse and canonicalize the JSON input schema; does not validate."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int too long
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")

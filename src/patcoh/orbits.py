@@ -4,18 +4,16 @@ Singular l-spaces are intersections of Gamma-translated hyperplanes.  The
 engine enumerates one representative per translation-orbit class, level by
 level (each level cuts the previous one by translated hyperplanes), with
 stabilizer sublattices attached.  Each lattice question is at most one
-Hermite form, read for its echelon and kernel at once (`integer_kernel`); a
-pair's shifts are reduced modulo its frame's echelon rows first, and only
-those left nonzero enter the form, so a pair whose classification subgroup
-is all of Z^n takes none.  Each direction has one cached entry
-(`Engine._entry`) under the integer key `primitive_rref` of its cleared
-restricted columns, and the entry is read off the key: its field rows, the
-columns, their kernel R, R's values on the generators and one frame per
-group (`_frame`).  A cut finds its sub-direction's key from integers, so
-the engine does no field elimination.  A cut is an integer affine map on
-restricted coordinates: its per-pair classification subgroup has the number
-of classes contributed as its index, and a rank deficiency certifies an
-infinite count; its candidates' labels (`Engine.label`) are affine in the
+Hermite form, read for its echelon and kernel at once (`integer_kernel`).
+Each direction has one cached entry (`Engine._entry`) under the integer key
+`primitive_rref` of its cleared restricted columns, and the entry is read
+off the key: its field rows, the columns, their kernel R, R's values on the
+generators and one frame per group (`_frame`).  A cut finds its
+sub-direction's key from integers, so the engine does no field elimination.
+A pair's classification subgroup (its index counts the pair's classes; a
+rank deficiency, infinitely many) is the sum of the parent's and the
+plane's stabilizers.  A cut is an integer affine map on restricted
+coordinates, so its candidates' labels (`Engine.label`) are affine in the
 coset representative.  So deduplication is a set lookup, a field point is
 built, from integer numerators, only for an accepted class, and a
 candidate's class lies one level below.
@@ -102,8 +100,8 @@ class _Cut(NamedTuple):
     c0_num / (lcd s) and c_i = cs_i / lcd as field numerators.  res = (X,
     q_p) is res(p) = X / q_p, and wq = q res(w) is w's column of the
     direction's entry.  sub is the sub-direction's entry (found by its
-    integer key), with rows R; rw = [q R res(w), q R res(sqrt(D) w)]; the
-    cut point's R-image is base / (lcd s q)."""
+    integer key), with rows R; rw_k = (q R_k res(theta^l w), l < delta), and
+    the R-image of p + c w / (lcd s) is (base + c rw) / (lcd s q)."""
 
     sub: _Direction
     res: tuple
@@ -288,61 +286,60 @@ class Engine:
             for j, f in enumerate(ratios) if j != pivot
             for col, t in zip(cols[d * j: d * j + d],
                               [res_mul(e, f, fspec) for e in self._theta_powers])]))
-        rw = [[sum(map(operator.mul, row, col)) for row in sub.rows] for col in pcols]
+        rw = [[sum(map(operator.mul, row, col)) for col in pcols] for row in sub.rows]
         (xs,), qp = res
         nu_p = [sum(map(operator.mul, f, xs)) for f in nrec.form]
         c0 = res_mul([o * nrec.den * qp - oden * e for o, e in zip(off, nu_p)], inv, fspec)
-        base = [lcd * oden * q * sum(map(operator.mul, row, xs)) + sum(map(operator.mul, c0, ts))
-                for row, ts in zip(sub.rows, zip(*rw))]
+        base = [lcd * oden * q * sum(map(operator.mul, row, xs)) for row in sub.rows]
         return _Cut(sub, res, pcols[0], lcd, q, qp * oden, rw, c0,
                     [res_mul(nd, inv, fspec) for nd in nrec.dots], base)
 
+    @staticmethod
+    def _num(cut: _Cut, y: Sequence[int]) -> list[int]:
+        """c = lcd s (c0 + sum y_i c_i): coset rep y's cut point is p + c w / (lcd s)."""
+        return [x + cut.s * sum(map(operator.mul, y, col))
+                for x, col in zip(cut.c0_num, zip(*cut.cs))]
+
     def point(self, cut: _Cut, y: Sequence[int]) -> tuple[FElem, ...]:
-        """The field point p + (c0 + sum y_i c_i) w of coset rep y, from one
-        numerator vector: with c = lcd s (c0 + sum y_i c_i), it is lcd s q X
-        + q_p res_mul(c, q res(w)) over q_p lcd s q, one Fraction a component."""
+        """The field point of coset rep y, from one numerator vector: lcd s q
+        X + q_p res_mul(c, q res(w)) over q_p lcd s q, c = `_num`."""
         (xs,), qp = cut.res
-        c = [x + cut.s * sum(map(operator.mul, y, col))
-             for x, col in zip(cut.c0_num, zip(*cut.cs))]
-        big, d = cut.lcd * cut.s * cut.q, self.delta
+        c, big, d = self._num(cut, y), cut.lcd * cut.s * cut.q, self.delta
         cw = [t for i in range(0, self.dm, d) for t in res_mul(c, cut.wq[i:i + d], self.fspec)]
         coords = [Fraction(big * x + qp * t, qp * big) for x, t in zip(xs, cw)]
         return tuple(self.fspec.elem(*coords[i:i + d]) for i in range(0, self.dm, d))
 
     def classify_pair(self, parent: SingularClass, hclass, group: IntLattice,
-                      level: int, cut: _Cut):
+                      level: int, cut: _Cut, stab, modulus):
         """Orbit classes among {rep(parent) cut by translated hclass}, for
         the proper `cut` of the pair (from `intersect`).
 
-        Translating hclass by gamma(y) moves the cut point's R-image by sum
-        y_i ds_i / (lcd q), ds_i = cs_i[0] rw[0] + cs_i[1] rw[1], so the y
-        that keep it in its group-orbit are the kernel H of the ds_i modulo
-        lcd q E, E the echelon rows of the sub-direction's frame: one
-        `integer_kernel` call, which takes the ds_i modulo lcd q E first, so
-        a pair with H = Z^n hands its Hermite form a zero image block.  A
-        candidate's label is affine in its coset rep y: base + s sum y_i
-        ds_i over lcd s q, reduced as `label` reduces, so its key equals
-        label(sub_direction, point(cut, y), group) with no field point
-        built.  Returns (sub_direction, [(key, y) per coset rep y], H);
-        raises InfiniteArrangement when H is rank-deficient."""
-        echelon, _ = self._frame(cut.sub, group)
-        ds = [[sum(map(operator.mul, c, ts)) for ts in zip(*cut.rw)] for c in cut.cs]
-        _, hsub = integer_kernel(ds, len(cut.base),
-                                 [(p, [cut.lcd * cut.q * x for x in hrow]) for p, hrow in echelon])
-        if hsub.rank < self.n:
-            raise InfiniteArrangement(level, parent.id, hclass.id, hsub.rank, self.n)
-        # the cosets of hsub are pairwise distinct classes, so an index above
+        Coset reps y, y' give one group-orbit iff (c(y) - c(y')) w is in
+        group image + span(sub).  That group element lies in span(parent);
+        pairing with nu, zero on span(sub), puts y - y' in the plane's
+        stabilizer.  So H = Stab_group(parent) + Stab(hclass) in Z^n: the
+        echelon of `integer_kernel` of the rows `stab` of the one modulo the
+        echelon `modulus` of the other.  A candidate's key, base + c rw
+        over lcd s q (c = `_num`) reduced as `label` reduces, equals
+        label(sub_direction, point(cut, y), group).  Returns (sub_direction,
+        [(key, y) per coset rep y], H); raises InfiniteArrangement when H
+        is rank-deficient."""
+        h, _ = integer_kernel(stab, self.n, modulus)
+        if len(h) < self.n:
+            raise InfiniteArrangement(level, parent.id, hclass.id, len(h), self.n)
+        # the cosets of H are pairwise distinct classes, so an index above
         # the cap trips it whatever the other pairs add: stop before listing
-        index = math.prod(row[i] for i, row in enumerate(hsub.basis))
+        index = math.prod(row[p] for p, row in h)
         if index > self.max_classes:
             raise ResourceCapExceeded(
                 f"level {level}, pair (parent {parent.id}, hyperplane class "
                 f"{hclass.id}): {index} classes, more than the cap of {self.max_classes}")
-        big, shifts = cut.lcd * cut.s * cut.q, [[cut.s * x for x in col] for col in zip(*ds)]
+        hsub = IntLattice(self.n, tuple(tuple(row) for _, row in h))
+        echelon, big = self._frame(cut.sub, group)[0], cut.lcd * cut.s * cut.q
         return cut.sub.direction, [
-            (self._key(echelon, [b + sum(map(operator.mul, y, col))
-                                 for b, col in zip(cut.base, shifts)], big), y)
-            for y in coset_reps(hsub)], hsub
+            (self._key(echelon, [b + sum(map(operator.mul, c, t))
+                                 for b, t in zip(cut.base, cut.rw)], big), y)
+            for y in coset_reps(hsub) for c in (self._num(cut, y),)], hsub
 
     # -- level-wise enumeration ----------------------------------------------
 
@@ -351,23 +348,26 @@ class Engine:
         """Classes at `level` from cutting parent representatives by all
         translated hyperplane classes, deduplicated under `group` on the
         candidate keys; the field point is built for accepted classes
-        only.  Classes at level m-1 are the hyperplane classes and carry
-        their normal and offset.  The classes, new or seen, that a parent's
-        candidate keys resolve to are the ones one level below it:
-        `covers`, if given, gets them once each under (parent.dim,
-        parent.id)."""
+        only.  An hclass carries its plane's stabilizer in Z^n.  Classes at
+        level m-1 are the hyperplane classes and carry their normal and
+        offset.  The classes, new or seen, that a parent's candidate keys
+        resolve to are the ones one level below it: `covers`, if given,
+        gets them once each under (parent.dim, parent.id)."""
         accepted: list[SingularClass] = []
         seen: dict = {}  # direction entry -> {key: class accepted for it}
-        planes = [(hc, self._plane(hc)) for hc in hclasses]
+        planes = [(hc, self._plane(hc), hc.stabilizer.echelon) for hc in hclasses]
         for parent in parents:
             entry = self._direction(parent.direction)
             res = clear_denominators([restrict_scalars(parent.point)])
+            stab = [[sum(map(operator.mul, k, col)) for col in zip(*group.basis)]
+                    for k in self._frame(entry, group)[1].basis]  # Stab_group(parent) in Z^n
             below: dict = {}  # class id -> class
-            for hc, plane in planes:
+            for hc, plane, modulus in planes:
                 cut = self.intersect(entry, res, plane)
                 if cut is None:
                     continue  # the parent's direction lies in the hyperplane
-                sub_dir, candidates, _ = self.classify_pair(parent, hc, group, level, cut)
+                sub_dir, candidates, _ = self.classify_pair(parent, hc, group, level, cut,
+                                                            stab, modulus)
                 classes = seen.setdefault(cut.sub, {})
                 for key, y in candidates:
                     cls = classes.get(key)
@@ -394,7 +394,7 @@ class Engine:
         pseudo = [SingularClass(i, self.m - 1, (), h.normal, self.full,
                                 normal=h.normal, offset=h.offset)
                   for i, h in enumerate(self.data.planes)]
-        # pseudo classes carry (normal, offset) only: the parent is the full space
+        # under the full space as parent H = Z^n, whatever a pseudo class carries
         return self.build_level([parent], pseudo, self.full, self.m - 1)
 
     def enumerate_arrangement(self) -> Arrangement:

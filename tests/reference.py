@@ -1,6 +1,6 @@
 """Slower references that the engine's results are checked against."""
 
-from patcoh.linalg import int_det
+from patcoh.linalg import int_det, integer_kernel
 
 
 def coords_of(lat, vec):
@@ -70,3 +70,14 @@ def label_incidence(eng, arrangement):
                         if alpha is not None:
                             below[(level, alpha.id)].append(beta)
     return below
+
+
+def shift_subgroup(eng, cut, group):
+    """A pair's classification subgroup from the shifts of its cut: moving
+    the plane by gamma(y) moves the cut point's R-image by sum y_i ds_i /
+    (lcd q), ds_i = rw cs_i, so H is the kernel of the ds_i modulo lcd q E,
+    E the echelon rows of the sub-direction's frame under `group`."""
+    echelon, _ = eng._frame(cut.sub, group)
+    ds = [[sum(r * c for r, c in zip(rwk, cs)) for rwk in cut.rw] for cs in cut.cs]
+    modulus = [(p, [cut.lcd * cut.q * x for x in row]) for p, row in echelon]
+    return integer_kernel(ds, len(cut.rw), modulus)[1]

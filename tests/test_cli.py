@@ -76,6 +76,23 @@ def test_compute_parse_error(capsys, tmp_path):
     assert "parse error" in err
 
 
+def test_unreadable_input_is_a_parse_error(capsys, tmp_path):
+    # a file that is not UTF-8 text, JSON nested past the recursion limit
+    # and an integer literal past Python's digit limit are parse errors
+    # (exit 1) for both commands, not tracebacks
+    bad_bytes = tmp_path / "latin1.json"
+    bad_bytes.write_bytes('{"schema": "patcoh/1", "name": "caf\u00e9"}'.encode("latin-1"))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"schema": "patcoh/1", "dim": ' + "1" * 5000 + "}")
+    for path in (bad_bytes, deep, long_int):
+        for command in ("compute", "validate"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (1, ""), (command, path.name)
+            assert err.startswith(f"patcoh: parse error in {path}"), (command, path.name)
+
+
 def test_compute_infinite_exit_code(capsys):
     code, out, _ = run(capsys, "compute", "infinite_demo")
     assert code == 3

@@ -14,8 +14,9 @@ from patcoh.invariants import (
 )
 from patcoh.model import parse_projection_data, validate
 from patcoh.orbits import Arrangement, Engine
+from patcoh.report import canonical_digest, compute_report
 from reference import label_incidence
-from test_orbits import _ammann_beenker_with
+from test_orbits import _ammann_beenker_with, penrose
 
 
 def test_binom_vanishes_out_of_range():
@@ -82,6 +83,19 @@ def test_analyze_infinite_demo():
     assert rep.L is None and rep.H is None
     assert rep.diagnostics["full_rank"] == 3
     assert rep.diagnostics["deficient_subgroup_rank"] < 3
+
+
+def test_penrose_golden():
+    # the first m = 2 literature value: H = (1, 5, 8) is the cohomology of
+    # the Penrose tiling space (Anderson-Putnam, Ergodic Theory Dynam.
+    # Systems 18, 1998); L, e and K follow from it.  The basis (1, zeta)
+    # with zeta = e^{2 pi i/5} in place of e^{4 pi i/5} presents the same
+    # pattern, and its report is the same document
+    doc, code = compute_report(penrose())
+    assert code == 0 and doc["status"] == "finite"
+    assert (doc["H"], doc["L"], doc["e"], doc["K"]) == ([1, 5, 8], [1, 5], 4, [9, 5])
+    other, code = compute_report(penrose(zeta_step=1))
+    assert code == 0 and canonical_digest(other) == canonical_digest(doc)
 
 
 def coupled_plane():

@@ -21,7 +21,7 @@ from patcoh.model import (
     parse_projection_data,
 )
 from patcoh.orbits import Engine, InfiniteArrangement, ResourceCapExceeded
-from reference import contains, coords_of, lattice_index
+from reference import contains, coords_of, lattice_index, shift_subgroup
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -50,6 +50,15 @@ def _cut(eng, direction, point, h):
     """The integer cut of point + span(direction) by h, as build_level makes it."""
     res = clear_denominators([restrict_scalars(point)])
     return eng.intersect(eng._direction(direction), res, eng._plane(h))
+
+
+def _classify(eng, parent, hc, group, level, cut):
+    """classify_pair with the stabilizers that build_level hands it: the
+    parent's group stabilizer as rows in Z^n and the plane's echelon."""
+    kernel = eng._frame(eng._direction(parent.direction), group)[1]
+    stab = [[sum(k * b[j] for k, b in zip(row, group.basis)) for j in range(eng.n)]
+            for row in kernel.basis]
+    return eng.classify_pair(parent, hc, group, level, cut, stab, hc.stabilizer.echelon)
 
 
 def test_intersect_affine_example():
@@ -199,7 +208,7 @@ def test_classify_pair_subgroup_agrees_with_mixed_solve():
             cut = _cut(eng, parent.direction, parent.point, hc)
             if cut is None:
                 continue
-            sub_dir, candidates, hsub = eng.classify_pair(parent, hc, group, level, cut)
+            sub_dir, candidates, hsub = _classify(eng, parent, hc, group, level, cut)
             assert len(candidates) == lattice_index(IntLattice.full(eng.n), hsub)
             w = next(u for u in parent.direction if dot(hc.normal, u))
             a = dot(hc.normal, w)
@@ -262,7 +271,7 @@ def test_candidate_keys_are_labels_of_their_points(name, monkeypatch):
                 cut = _cut(eng, parent.direction, parent.point, hc)
                 if cut is None:
                     continue
-                sub_dir, candidates, _ = eng.classify_pair(parent, hc, group, level, cut)
+                sub_dir, candidates, _ = _classify(eng, parent, hc, group, level, cut)
                 for key, y in candidates:
                     pt = eng.point(cut, y)
                     assert key == eng.label(sub_dir, pt, group), (level, parent.id, hc.id, y)
@@ -370,25 +379,33 @@ def test_gl_equivariance_danzer():
 def test_work_shape_of_the_icosahedral_entries(monkeypatch):
     # proper pairs, candidates, index-1 pairs and classes of analyze per
     # m = 3 catalog entry; a pair's own lattice question is its one
-    # integer_kernel call, of the ds_i modulo lcd q E: its Hermite form
-    # holds exactly the ds_i with a nonzero remainder modulo lcd q E, so a
-    # pair has index 1 exactly when it takes no Hermite form at all
+    # integer_kernel call, of the parent's stabilizer rows modulo the
+    # plane's echelon, whose echelon is H; its Hermite form holds exactly
+    # the rows with a nonzero remainder, and there is none without one
     forms, kernels = [], []
     real_hnf, real_kernel = patcoh.linalg.hnf, patcoh.orbits.integer_kernel
     real_pair = Engine.classify_pair
     monkeypatch.setattr(patcoh.linalg, "hnf", lambda rows: forms.append(rows) or real_hnf(rows))
-    monkeypatch.setattr(patcoh.orbits, "integer_kernel",
-                        lambda *args: kernels.append(args) or real_kernel(*args))
 
-    def pair_spy(self, parent, hclass, group, level, cut):
+    def kernel_spy(*args):
+        out = real_kernel(*args)
+        kernels.append((args, out))
+        return out
+
+    monkeypatch.setattr(patcoh.orbits, "integer_kernel", kernel_spy)
+
+    def pair_spy(self, parent, hclass, group, level, cut, stab, modulus):
         self._frame(cut.sub, group)  # the sub-direction's frame, not the pair's question
         forms.clear()
         kernels.clear()
-        out = real_pair(self, parent, hclass, group, level, cut)
-        (images, width, modulus), = kernels
+        out = real_pair(self, parent, hclass, group, level, cut, stab, modulus)
+        ((images, width, modulus), (echelon, _)), = kernels
+        assert [tuple(row) for row in images] == list(parent.stabilizer.basis)
+        assert (width, modulus) == (self.n, hclass.stabilizer.echelon)
+        assert tuple(tuple(row) for _, row in echelon) == out[2].basis
         left = [rem for rem in (remainder(modulus, row) for row in images) if any(rem)]
         index_one = out[2].basis == IntLattice.full(self.n).basis
-        assert index_one == (not left) == (not forms)
+        assert (not left) == (not forms)
         for form in forms:
             assert len(form) == len(left) + len(modulus)
             assert [row[:width] for row in form[:len(left)]] == left
@@ -485,6 +502,84 @@ def _ammann_beenker_with(*extra_normals):
            "dim": 2, "generators": star,
            "hyperplanes": [{"normal": v} for v in star + list(extra_normals)]}
     return parse_projection_data(json.dumps(doc))
+
+
+def penrose(zeta_step=2):
+    """The Penrose pattern over Q(sqrt 5): Gamma = Z[zeta] = Z[tau]^2 in the
+    basis (1, zeta), zeta = e^{2 pi i k / 5} for k = zeta_step (2 or 1), and
+    the five lines through 0 along zeta^j, j < 5, the directions of the
+    pentagon's edges.  The window's vertices are projections of Z^5, which
+    lie in Gamma, so every window edge is a Gamma-translate of its line
+    through 0."""
+    one, zero, minus, tau = ["1"], ["0"], ["-1"], ["1/2", "1/2"]
+    if zeta_step == 2:
+        normals = [[zero, one], [minus, tau], [minus, one], [["-1/2", "-1/2"], one], [minus, zero]]
+    else:
+        tau_less = ["-1/2", "1/2"]  # tau - 1
+        normals = [[zero, one], [minus, zero], [tau_less, one], [minus, one], [one, tau_less]]
+    doc = {"schema": "patcoh/1", "name": "penrose", "field": {"kind": "Qsqrt", "D": 5},
+           "dim": 2, "generators": [[one, zero], [tau, zero], [zero, one], [zero, tau]],
+           "hyperplanes": [{"normal": v} for v in normals]}
+    return parse_projection_data(json.dumps(doc))
+
+
+def _stabilizer_sum(eng, parent, hc, group, cache):
+    """Hermite basis of Stab_group(parent) + Stab(plane of hc) in Z^n, each
+    by the Smith-form `mixed_solve`: group coordinates b with gamma(b) in
+    span(parent), mapped into Z^n, and y with <normal, gamma(y)> = 0."""
+    key = (parent.direction, group.basis)
+    if key not in cache:
+        g_res = _res_matrix([restrict_scalars(gamma_vec(eng, b)) for b in group.basis],
+                            eng.dm)
+        d_res = _res_matrix(eng.dir_res_cols(parent.direction), eng.dm)
+        sol = mixed_solve(g_res, d_res, [0] * eng.dm, group.rank)
+        cache[key] = [[sum(k * b[j] for k, b in zip(row, group.basis)) for j in range(eng.n)]
+                      for row in sol.lattice.basis]
+    if hc.normal not in cache:
+        dots = _res_matrix([restrict_scalars((dot(hc.normal, g),)) for g in eng.data.gens],
+                           eng.delta)
+        cache[hc.normal] = list(mixed_solve(dots, [], [0] * eng.delta, eng.n).lattice.basis)
+    return IntLattice.from_rows(eng.n, cache[key] + cache[hc.normal])
+
+
+_PAIR_CASES = {"danzer": lambda: build("danzer").data,
+               "ammann_kramer": lambda: build("ammann_kramer").data,
+               "canonical_d6": lambda: build("canonical_d6").data,
+               "dual_canonical_d6": lambda: build("dual_canonical_d6").data,
+               "ammann_beenker": _ammann_beenker_with, "penrose": penrose}
+
+
+@pytest.mark.parametrize("name", [*_PAIR_CASES, "danzer_relative"])
+def test_classification_subgroup_is_the_sum_of_the_stabilizers(name, monkeypatch):
+    # every proper pair the engine classifies: its H equals the kernel of
+    # the cut's shifts ds_i modulo lcd q E (the reference route) and the
+    # Hermite basis of Stab_group(parent) + Stab(plane), both found here;
+    # the relative case classifies under groups G != Gamma: a plane class's
+    # stabilizer, and its double, which holds only part of a line's
+    relative = name == "danzer_relative"
+    eng = Engine(build("danzer").data if relative else _PAIR_CASES[name]())
+    pairs, real = [], Engine.classify_pair
+
+    def spy(self, *args):
+        out = real(self, *args)
+        pairs.append((args, out[2]))
+        return out
+
+    monkeypatch.setattr(Engine, "classify_pair", spy)
+    arr = eng.enumerate_arrangement()
+    if relative:
+        pairs.clear()
+        plane = arr.levels[2][0]
+        doubled = IntLattice.from_rows(eng.n, [[2 * x for x in row]
+                                               for row in plane.stabilizer.basis])
+        for group in (plane.stabilizer, doubled):
+            eng.relative_levels(plane.direction, plane.point, group, arr.levels[2])
+    cache, groups = {}, set()
+    for (parent, hc, group, level, cut, stab, modulus), h in pairs:
+        assert h == shift_subgroup(eng, cut, group), (level, parent.id, hc.id)
+        assert h == _stabilizer_sum(eng, parent, hc, group, cache), (level, parent.id, hc.id)
+        groups.add(group.basis)
+    assert pairs and (groups != {eng.full.basis}) == relative
 
 
 def test_resource_cap_fires_before_listing_cosets(monkeypatch):
