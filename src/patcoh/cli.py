@@ -35,7 +35,8 @@ def _max_classes() -> int | None:
 
 def _resolve_source(source: str) -> ProjectionData | None:
     """The data of a catalog entry or of a UTF-8 input file; None, with the
-    reason on stderr, when there is neither or the file does not parse."""
+    reason on stderr, when there is neither or the file cannot be read or
+    does not parse."""
     if source in catalog.names():
         return catalog.build(source).data
     path = Path(source)
@@ -45,9 +46,11 @@ def _resolve_source(source: str) -> ProjectionData | None:
         return None
     try:
         return parse_projection_data(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        print(f"patcoh: cannot read {source}: {exc}", file=sys.stderr)
     except (ParseError, UnicodeDecodeError) as exc:
         print(f"patcoh: parse error in {source}: {exc}", file=sys.stderr)
-        return None
+    return None
 
 
 def cmd_list(args) -> int:

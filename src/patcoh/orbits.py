@@ -7,16 +7,16 @@ stabilizer sublattices attached.  Each lattice question is at most one
 Hermite form, read for its echelon and kernel at once (`integer_kernel`).
 Each direction has one cached entry (`Engine._entry`) under the integer key
 `primitive_rref` of its cleared restricted columns, and the entry is read
-off the key: its field rows, the columns, their kernel R, R's values on the
-generators and one frame per group (`_frame`).  A cut finds its
-sub-direction's key from integers, so the engine does no field elimination.
-A pair's classification subgroup (its index counts the pair's classes; a
-rank deficiency, infinitely many) is the sum of the parent's and the
-plane's stabilizers.  A cut is an integer affine map on restricted
-coordinates, so its candidates' labels (`Engine.label`) are affine in the
-coset representative.  So deduplication is a set lookup, a field point is
-built, from integer numerators, only for an accepted class, and a
-candidate's class lies one level below.
+off the key: its field rows, the columns, their kernel R and the one frame
+R * (Gamma image), whose echelon labels reduce by and whose kernel is the
+stabilizer.  A cut finds its sub-direction's key from integers, so the
+engine does no field elimination.  A pair's classification subgroup (its
+index counts the pair's classes; a rank deficiency, infinitely many) is the
+sum of the parent's and the plane's stabilizers.  A cut is an integer
+affine map on restricted coordinates, so its candidates' labels
+(`Engine.label`) are affine in the coset representative.  So deduplication
+is a set lookup, a field point is built, from integer numerators, only for
+an accepted class, and a candidate's class lies one level below.
 """
 
 from __future__ import annotations
@@ -72,15 +72,15 @@ class SingularClass:
 @dataclass(eq=False)
 class _Direction:
     """Engine cache entry of one direction, under the key primitive_rref(cols):
-    its rows, its restricted columns cols / q, its annihilator rows R, their
-    values on the generators (one row per R row) and its frames."""
+    its rows, its restricted columns cols / q, its annihilator rows R, and
+    the echelon and kernel of its frame, the lattice R * (Gamma image)."""
 
     direction: tuple[tuple[FElem, ...], ...]
     cols: list[list[int]]
     q: int
     rows: list[tuple[int, ...]]
-    vals: list[tuple[int, ...]]
-    frames: dict  # group basis -> (echelon, kernel)
+    echelon: list  # Hermite rows (pivot, row) of R * (Gamma image)
+    stab: IntLattice  # Gamma cap span(direction) in Z^n
 
 
 class _Normal(NamedTuple):
@@ -170,7 +170,8 @@ class Engine:
         of their integer kernel, span their annihilator, so projecting by R
         eliminates the direction.  Each row is scaled by the least s that
         makes its values on the generators res(g_i) = G_i / q_G integral as
-        well."""
+        well.  The frame is one `integer_kernel` of the images R res(g_i),
+        whose kernel {y : R res(gamma(y)) = 0} is Gamma cap span(direction)."""
         entry = self._dirs.get(key)
         if entry is None:
             d, pivots = self.delta, [next(x for x in row if x) for row in key]
@@ -188,35 +189,22 @@ class Engine:
                 s = qg // math.gcd(qg, *v)
                 rows.append(tuple(s * ri for ri in r))
                 vals.append(tuple(s * x // qg for x in v))
-            entry = self._dirs[key] = _Direction(direction, cols, q, rows, vals, {})
+            echelon, stab = integer_kernel([[v[i] for v in vals] for i in range(self.n)],
+                                           len(vals))
+            entry = self._dirs[key] = _Direction(direction, cols, q, rows, echelon, stab)
         return entry
-
-    def _frame(self, entry: _Direction, group: IntLattice):
-        """(echelon, kernel) of the lattice R * (group image), kept in the
-        direction's entry per group basis, from one `integer_kernel` call.
-
-        Its images are R res(gamma(b)) = sum b_i vals_i, one per group
-        basis vector b, so the echelon is the Hermite basis that `label`
-        reduces by, and the kernel is the Hermite lattice of the group
-        coordinates y with R res(gamma(y)) = 0: group cap span(direction)."""
-        frame = entry.frames.get(group.basis)
-        if frame is None:
-            frame = entry.frames[group.basis] = integer_kernel(
-                [[sum(bi * v for bi, v in zip(b, vrow) if bi) for vrow in entry.vals]
-                 for b in group.basis], len(entry.vals))
-        return frame
 
     def stabilizer(self, entry: _Direction) -> IntLattice:
         """Gamma cap span(entry's direction), as coefficient vectors in Z^n:
-        the kernel of the full lattice's frame."""
-        return self._frame(entry, self.full)[1]
+        the kernel of its frame."""
+        return entry.stab
 
-    def label(self, direction, point, group: IntLattice) -> tuple:
-        """Canonical key of the group-orbit of point + span(direction).
+    def label(self, direction, point) -> tuple:
+        """Canonical key of the Gamma-orbit of point + span(direction).
 
         Two points share an orbit iff their difference lies in
-        span(direction) + group image, i.e. iff R res(point) agrees modulo
-        the frame's lattice L = R (group image).  With res(point) = X / q,
+        span(direction) + Gamma image, i.e. iff R res(point) agrees modulo
+        the frame's lattice L = R (Gamma image).  With res(point) = X / q,
         v = R X is reduced by q times the echelon rows of L, top to bottom,
         taking the floor at each pivot; that leaves one representative of
         v / q modulo L (each pivot entry in [0, q h_p)).  The key is (q, v)
@@ -224,7 +212,7 @@ class Engine:
         depend on which basis R is, but which points share a key does not."""
         entry = self._direction(direction)
         (xs,), q = clear_denominators([restrict_scalars(point)])
-        return self._key(self._frame(entry, group)[0],
+        return self._key(entry.echelon,
                          [sum(map(operator.mul, row, xs)) for row in entry.rows], q)
 
     @staticmethod
@@ -235,9 +223,9 @@ class Engine:
         g = math.gcd(q, *v)
         return (q // g, *(a // g for a in v))
 
-    def same_orbit(self, a, b, group: IntLattice) -> bool:
-        """a, b: (direction, point) pairs.  Same group-orbit of affine spaces?"""
-        return a[0] == b[0] and self.label(*a, group) == self.label(*b, group)
+    def same_orbit(self, a, b) -> bool:
+        """a, b: (direction, point) pairs.  Same Gamma-orbit of affine spaces?"""
+        return a[0] == b[0] and self.label(*a) == self.label(*b)
 
     # -- intersections and per-pair classification ---------------------------
 
@@ -309,19 +297,19 @@ class Engine:
         coords = [Fraction(big * x + qp * t, qp * big) for x, t in zip(xs, cw)]
         return tuple(self.fspec.elem(*coords[i:i + d]) for i in range(0, self.dm, d))
 
-    def classify_pair(self, parent: SingularClass, hclass, group: IntLattice,
-                      level: int, cut: _Cut, stab, modulus):
+    def classify_pair(self, parent: SingularClass, hclass, level: int, cut: _Cut,
+                      stab, modulus):
         """Orbit classes among {rep(parent) cut by translated hclass}, for
         the proper `cut` of the pair (from `intersect`).
 
-        Coset reps y, y' give one group-orbit iff (c(y) - c(y')) w is in
-        group image + span(sub).  That group element lies in span(parent);
+        Coset reps y, y' give one Gamma-orbit iff (c(y) - c(y')) w is in
+        Gamma image + span(sub).  That lattice element lies in span(parent);
         pairing with nu, zero on span(sub), puts y - y' in the plane's
-        stabilizer.  So H = Stab_group(parent) + Stab(hclass) in Z^n: the
+        stabilizer.  So H = Stab(parent) + Stab(hclass) in Z^n: the
         echelon of `integer_kernel` of the rows `stab` of the one modulo the
         echelon `modulus` of the other.  A candidate's key, base + c rw
         over lcd s q (c = `_num`) reduced as `label` reduces, equals
-        label(sub_direction, point(cut, y), group).  Returns (sub_direction,
+        label(sub_direction, point(cut, y)).  Returns (sub_direction,
         [(key, y) per coset rep y], H); raises InfiniteArrangement when H
         is rank-deficient."""
         h, _ = integer_kernel(stab, self.n, modulus)
@@ -335,18 +323,18 @@ class Engine:
                 f"level {level}, pair (parent {parent.id}, hyperplane class "
                 f"{hclass.id}): {index} classes, more than the cap of {self.max_classes}")
         hsub = IntLattice(self.n, tuple(tuple(row) for _, row in h))
-        echelon, big = self._frame(cut.sub, group)[0], cut.lcd * cut.s * cut.q
+        big = cut.lcd * cut.s * cut.q
         return cut.sub.direction, [
-            (self._key(echelon, [b + sum(map(operator.mul, c, t))
-                                 for b, t in zip(cut.base, cut.rw)], big), y)
+            (self._key(cut.sub.echelon, [b + sum(map(operator.mul, c, t))
+                                         for b, t in zip(cut.base, cut.rw)], big), y)
             for y in coset_reps(hsub) for c in (self._num(cut, y),)], hsub
 
     # -- level-wise enumeration ----------------------------------------------
 
-    def build_level(self, parents, hclasses, group: IntLattice, level: int,
+    def build_level(self, parents, hclasses, level: int,
                     covers: dict | None = None) -> list[SingularClass]:
         """Classes at `level` from cutting parent representatives by all
-        translated hyperplane classes, deduplicated under `group` on the
+        translated hyperplane classes, deduplicated under Gamma on the
         candidate keys; the field point is built for accepted classes
         only.  An hclass carries its plane's stabilizer in Z^n.  Classes at
         level m-1 are the hyperplane classes and carry their normal and
@@ -359,15 +347,13 @@ class Engine:
         for parent in parents:
             entry = self._direction(parent.direction)
             res = clear_denominators([restrict_scalars(parent.point)])
-            stab = [[sum(map(operator.mul, k, col)) for col in zip(*group.basis)]
-                    for k in self._frame(entry, group)[1].basis]  # Stab_group(parent) in Z^n
             below: dict = {}  # class id -> class
             for hc, plane, modulus in planes:
                 cut = self.intersect(entry, res, plane)
                 if cut is None:
                     continue  # the parent's direction lies in the hyperplane
-                sub_dir, candidates, _ = self.classify_pair(parent, hc, group, level, cut,
-                                                            stab, modulus)
+                sub_dir, candidates, _ = self.classify_pair(parent, hc, level, cut,
+                                                            entry.stab.basis, modulus)
                 classes = seen.setdefault(cut.sub, {})
                 for key, y in candidates:
                     cls = classes.get(key)
@@ -395,7 +381,7 @@ class Engine:
                                 normal=h.normal, offset=h.offset)
                   for i, h in enumerate(self.data.planes)]
         # under the full space as parent H = Z^n, whatever a pseudo class carries
-        return self.build_level([parent], pseudo, self.full, self.m - 1)
+        return self.build_level([parent], pseudo, level=self.m - 1)
 
     def enumerate_arrangement(self) -> Arrangement:
         """All global orbit classes, level m-1 down to 0, and the classes
@@ -406,16 +392,20 @@ class Engine:
         top = self.hyperplane_classes()
         arr = Arrangement(self.data, {self.m - 1: top})
         for level in range(self.m - 2, -1, -1):
-            arr.levels[level] = self.build_level(arr.levels[level + 1], top, self.full,
-                                                 level, covers=arr.covers)
+            arr.levels[level] = self.build_level(arr.levels[level + 1], top, level=level,
+                                                 covers=arr.covers)
         return arr
 
-    def relative_levels(self, direction, point, group: IntLattice,
-                        hclasses) -> dict[int, list[SingularClass]]:
-        """Orbit classes of singular spaces inside one representative space,
-        under a subgroup: all levels below dim(direction)."""
+    def relative_levels(self, direction, point, hclasses) -> dict[int, list[SingularClass]]:
+        """Orbit classes of singular spaces inside one representative space
+        alpha = point + span(direction), under Stab(alpha): all levels below
+        dim(direction).  A Gamma-translate that keeps a subspace of alpha
+        inside alpha lies in Gamma cap span(alpha) = Stab(alpha), so these
+        are the Gamma-orbit classes inside alpha, and the enumeration runs
+        under Gamma."""
         out: dict[int, list[SingularClass]] = {}
-        prev = [SingularClass(-1, len(direction), direction, point, group)]
+        stab = self.stabilizer(self._direction(direction))
+        prev = [SingularClass(-1, len(direction), direction, point, stab)]
         for level in range(len(direction) - 1, -1, -1):
-            prev = out[level] = self.build_level(prev, hclasses, group, level)
+            prev = out[level] = self.build_level(prev, hclasses, level=level)
         return out

@@ -46,10 +46,9 @@ def contains(eng, direction, sub_dir) -> bool:
 def label_incidence(eng, arrangement):
     """The incidence poset by scanning label pairs: beta < alpha iff
     dir(beta) lies in dir(alpha) and p_beta has the label of p_alpha in
-    dir(alpha) under the full lattice, i.e. some Gamma-translate of beta
-    lies in alpha.  Maps (level, id) of every class to the classes below
-    it, as `invariants.incidence` does."""
-    full = eng.full
+    dir(alpha), i.e. some Gamma-translate of beta lies in alpha.  Maps
+    (level, id) of every class to the classes below it, as
+    `invariants.incidence` does."""
     by_dir = {level: {} for level in arrangement.levels}
     for level, classes in arrangement.levels.items():
         for cls in classes:
@@ -60,24 +59,23 @@ def label_incidence(eng, arrangement):
             labels = {}
             for alpha in alphas:
                 below[(level, alpha.id)] = []
-                labels[eng.label(direction, alpha.point, full)] = alpha
+                labels[eng.label(direction, alpha.point)] = alpha
             for sub_level in range(level):
                 for sub_dir, betas in by_dir[sub_level].items():
                     if not contains(eng, direction, sub_dir):
                         continue  # dir(beta) does not lie in dir(alpha)
                     for beta in betas:
-                        alpha = labels.get(eng.label(direction, beta.point, full))
+                        alpha = labels.get(eng.label(direction, beta.point))
                         if alpha is not None:
                             below[(level, alpha.id)].append(beta)
     return below
 
 
-def shift_subgroup(eng, cut, group):
+def shift_subgroup(eng, cut):
     """A pair's classification subgroup from the shifts of its cut: moving
     the plane by gamma(y) moves the cut point's R-image by sum y_i ds_i /
     (lcd q), ds_i = rw cs_i, so H is the kernel of the ds_i modulo lcd q E,
-    E the echelon rows of the sub-direction's frame under `group`."""
-    echelon, _ = eng._frame(cut.sub, group)
+    E the echelon rows of the sub-direction's frame."""
     ds = [[sum(r * c for r, c in zip(rwk, cs)) for rwk in cut.rw] for cs in cut.cs]
-    modulus = [(p, [cut.lcd * cut.q * x for x in row]) for p, row in echelon]
+    modulus = [(p, [cut.lcd * cut.q * x for x in row]) for p, row in cut.sub.echelon]
     return integer_kernel(ds, len(cut.rw), modulus)[1]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 from patcoh.catalog import build, names
 from patcoh.cli import main
@@ -91,6 +92,23 @@ def test_unreadable_input_is_a_parse_error(capsys, tmp_path):
             code, out, err = run(capsys, command, str(path))
             assert (code, out) == (1, ""), (command, path.name)
             assert err.startswith(f"patcoh: parse error in {path}"), (command, path.name)
+
+
+def test_unreadable_file_is_reported(capsys, tmp_path, monkeypatch):
+    # a file that exists but cannot be read ends either command with a
+    # message and exit 1, not an OSError traceback
+    path = tmp_path / "locked.json"
+    path.write_text(serialize_projection_data(build("danzer").data))
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    for command in ("compute", "validate"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, ""), command
+        assert err.startswith(f"patcoh: cannot read {path}: "), command
+        assert "Permission denied" in err and "Traceback" not in err, command
 
 
 def test_compute_infinite_exit_code(capsys):

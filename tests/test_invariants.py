@@ -113,6 +113,61 @@ def coupled_plane():
     return parse_projection_data(json.dumps(doc))
 
 
+# dense m = 2 geometries of the benchmark's seeded pool: Gamma = O_K^2 in
+# its standard Z-basis over K = Q(sqrt 3), Q(sqrt 2) and Q(sqrt 5), and
+# lines through 0
+DENSE_M2 = {
+    "dense-00": {
+        "schema": "patcoh/1", "name": "dense-00", "field": {"kind": "Qsqrt", "D": 3},
+        "dim": 2,
+        "generators": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],
+                       [["0", "0"], ["1", "0"]], [["0", "0"], ["0", "1"]]],
+        "hyperplanes": [
+            {"normal": [["1", "0"], ["1/2", "-1/2"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["1", "0"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["-1", "-1/3"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["0", "-1"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["-1/2", "-1/2"]], "offset": ["0", "0"]},
+        ]},
+    "dense-01": {
+        "schema": "patcoh/1", "name": "dense-01", "field": {"kind": "Qsqrt", "D": 2},
+        "dim": 2,
+        "generators": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],
+                       [["0", "0"], ["1", "0"]], [["0", "0"], ["0", "1"]]],
+        "hyperplanes": [
+            {"normal": [["1", "0"], ["0", "-1/2"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["1", "0"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["0", "0"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["-2", "1"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["-1", "1"]], "offset": ["0", "0"]},
+        ]},
+    "dense-04": {
+        "schema": "patcoh/1", "name": "dense-04", "field": {"kind": "Qsqrt", "D": 5},
+        "dim": 2,
+        "generators": [[["1", "0"], ["0", "0"]], [["1/2", "1/2"], ["0", "0"]],
+                       [["0", "0"], ["1", "0"]], [["0", "0"], ["1/2", "1/2"]]],
+        "hyperplanes": [
+            {"normal": [["1", "0"], ["3/2", "1/2"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["1", "0"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["-3/2", "-1/2"]], "offset": ["0", "0"]},
+        ]},
+}
+
+
+def dense_m2(name):
+    return parse_projection_data(json.dumps(DENSE_M2[name]))
+
+
+@pytest.mark.parametrize("name", DENSE_M2)
+def test_dense_m2_identities(name):
+    # rank H^0 is one, and the K-ranks add up to the D_p
+    rep = analyze(dense_m2(name))
+    assert rep.status == "finite" and rep.m == 2
+    assert rep.H[0] == 1
+    assert sum(rep.K) == sum(rep.D)
+    assert sum((-1) ** p * dp for p, dp in enumerate(rep.D)) == rep.e
+
+
 def test_analyze_codim_two_internally_consistent():
     data = coupled_plane()
     assert validate(data).ok
@@ -126,26 +181,26 @@ def test_analyze_codim_two_internally_consistent():
     assert sum(rep.K) == sum(rep.H)
 
 
-@pytest.mark.parametrize("make", [lambda: build("danzer").data, coupled_plane],
-                         ids=["danzer", "coupled_plane"])
+@pytest.mark.parametrize("make", [lambda: build("danzer").data, coupled_plane]
+                         + [(lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2],
+                         ids=["danzer", "coupled_plane", *DENSE_M2])
 def test_incidence_matches_relative_enumeration(make):
     # every class of the relative enumeration inside alpha is one global
     # class below alpha, each found once, with the same stabilizer
     eng = Engine(make())
     arr = eng.enumerate_arrangement()
     below = incidence(arr)
-    by_label = {(c.direction, eng.label(c.direction, c.point, eng.full)): c
+    by_label = {(c.direction, eng.label(c.direction, c.point)): c
                 for classes in arr.levels.values() for c in classes}
     hclasses = arr.levels[eng.m - 1]
     pairs = 0
     for level, classes in arr.levels.items():
         for alpha in classes:
-            rel = eng.relative_levels(alpha.direction, alpha.point,
-                                      alpha.stabilizer, hclasses)
+            rel = eng.relative_levels(alpha.direction, alpha.point, hclasses)
             found = []
             for sub_level, rel_classes in rel.items():
                 for psi in rel_classes:
-                    key = (psi.direction, eng.label(psi.direction, psi.point, eng.full))
+                    key = (psi.direction, eng.label(psi.direction, psi.point))
                     assert key in by_label, (level, alpha.id, sub_level)
                     beta = by_label[key]
                     assert beta.dim == sub_level
@@ -162,8 +217,9 @@ FINITE = [nm for nm in names() if "H" in build(nm).expected]
 
 
 @pytest.mark.parametrize("make", [(lambda nm=nm: build(nm).data) for nm in FINITE]
-                         + [_ammann_beenker_with, coupled_plane],
-                         ids=FINITE + ["ammann_beenker", "coupled_plane"])
+                         + [_ammann_beenker_with, coupled_plane]
+                         + [(lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2],
+                         ids=FINITE + ["ammann_beenker", "coupled_plane", *DENSE_M2])
 def test_incidence_matches_label_scan(make):
     # the closure of the covering relation recorded while enumerating is
     # the poset that the label and containment scan finds, class by class,

@@ -52,13 +52,11 @@ def _cut(eng, direction, point, h):
     return eng.intersect(eng._direction(direction), res, eng._plane(h))
 
 
-def _classify(eng, parent, hc, group, level, cut):
+def _classify(eng, parent, hc, level, cut):
     """classify_pair with the stabilizers that build_level hands it: the
-    parent's group stabilizer as rows in Z^n and the plane's echelon."""
-    kernel = eng._frame(eng._direction(parent.direction), group)[1]
-    stab = [[sum(k * b[j] for k, b in zip(row, group.basis)) for j in range(eng.n)]
-            for row in kernel.basis]
-    return eng.classify_pair(parent, hc, group, level, cut, stab, hc.stabilizer.echelon)
+    parent's stabilizer rows in Z^n and the plane's echelon."""
+    stab = eng.stabilizer(eng._direction(parent.direction)).basis
+    return eng.classify_pair(parent, hc, level, cut, stab, hc.stabilizer.echelon)
 
 
 def test_intersect_affine_example():
@@ -125,11 +123,10 @@ def test_same_orbit_fibonacci_points():
     data = build("fibonacci").data
     eng = Engine(data)
     direction = ()  # points in a 1-dim internal space
-    full = IntLattice.full(2)
     # 0 and 1 + tau are lattice translates; 0 and 1/3 are not
-    assert eng.same_orbit((direction, (ZERO,)), (direction, (ONE + TAU,)), full)
-    assert not eng.same_orbit((direction, (ZERO,)), (direction, (F5.elem("1/3"),)), full)
-    assert eng.same_orbit((direction, (TAU,)), (direction, (TAU,)), full)
+    assert eng.same_orbit((direction, (ZERO,)), (direction, (ONE + TAU,)))
+    assert not eng.same_orbit((direction, (ZERO,)), (direction, (F5.elem("1/3"),)))
+    assert eng.same_orbit((direction, (TAU,)), (direction, (TAU,)))
 
 
 def _rand_felem(rng, fspec=F5):
@@ -142,78 +139,61 @@ def _res_matrix(cols, dm):
     return [[c[i] for c in cols] for i in range(dm)]
 
 
-def _groups(eng):
-    """The full lattice and its double, with the step that keeps y inside."""
-    doubled = IntLattice.from_rows(eng.n, [[2 * x for x in row] for row in eng.full.basis])
-    return ((eng.full, 1), (doubled, 2))
-
-
 def test_label_agrees_with_mixed_solve():
     # label equality against the brute-force orbit test: delta lies in
-    # span(direction) + group image iff G y + B t = res(delta) has an
-    # integer y (in the group) and a rational t; danzer (m = 3, Q(sqrt 5))
-    # and Ammann-Beenker (m = 2, Q(sqrt 2))
+    # span(direction) + Gamma image iff G y + B t = res(delta) has an
+    # integer y and a rational t; danzer (m = 3, Q(sqrt 5)) and
+    # Ammann-Beenker (m = 2, Q(sqrt 2))
     rng = random.Random(135)
     for data in (build("danzer").data, _ammann_beenker_with()):
         eng = Engine(data)
         arr = eng.enumerate_arrangement()
         verdicts = []
-        for group, step in _groups(eng):
-            g_res = _res_matrix([restrict_scalars(gamma_vec(eng, b)) for b in group.basis],
-                                eng.dm)
-            for classes in arr.levels.values():
-                for cls in classes:
-                    d_res = _res_matrix(eng.dir_res_cols(cls.direction), eng.dm)
-                    base = eng.label(cls.direction, cls.point, group)
-                    for k in range(4):
-                        # gamma(y) + t.u is in the orbit when y is in the group
-                        # (k = 0; k = 1 leaves that to chance under the double);
-                        # a small random offset on top mostly leaves it (k >= 2)
-                        y = [rng.randint(-3, 3) * (step if k == 0 else 1)
-                             for _ in range(eng.n)]
-                        delta = gamma_vec(eng, y)
-                        for u in cls.direction:
-                            t = _rand_felem(rng, eng.fspec)
-                            delta = tuple(a + t * x for a, x in zip(delta, u))
-                        if k >= 2:
-                            delta = tuple(a + _rand_felem(rng, eng.fspec) for a in delta)
-                        moved = tuple(p + a for p, a in zip(cls.point, delta))
-                        same = eng.label(cls.direction, moved, group) == base
-                        sol = mixed_solve(g_res, d_res, restrict_scalars(delta), group.rank)
-                        assert same == (sol is not None), (data.name, cls.dim, cls.id, k)
-                        assert eng.same_orbit((cls.direction, cls.point),
-                                              (cls.direction, moved), group) == same
-                        verdicts.append(same)
+        g_res = _res_matrix([restrict_scalars(g) for g in data.gens], eng.dm)
+        for classes in arr.levels.values():
+            for cls in classes:
+                d_res = _res_matrix(eng.dir_res_cols(cls.direction), eng.dm)
+                base = eng.label(cls.direction, cls.point)
+                for k in range(4):
+                    # gamma(y) + t.u is in the orbit (k < 2); a small random
+                    # offset on top mostly leaves it (k >= 2)
+                    y = [rng.randint(-3, 3) for _ in range(eng.n)]
+                    delta = gamma_vec(eng, y)
+                    for u in cls.direction:
+                        t = _rand_felem(rng, eng.fspec)
+                        delta = tuple(a + t * x for a, x in zip(delta, u))
+                    if k >= 2:
+                        delta = tuple(a + _rand_felem(rng, eng.fspec) for a in delta)
+                    moved = tuple(p + a for p, a in zip(cls.point, delta))
+                    same = eng.label(cls.direction, moved) == base
+                    sol = mixed_solve(g_res, d_res, restrict_scalars(delta), eng.n)
+                    assert same == (sol is not None), (data.name, cls.dim, cls.id, k)
+                    assert eng.same_orbit((cls.direction, cls.point),
+                                          (cls.direction, moved)) == same
+                    verdicts.append(same)
         assert 0 < sum(verdicts) < len(verdicts), data.name
 
 
 def test_classify_pair_subgroup_agrees_with_mixed_solve():
     # y is in the subgroup H of a pair iff translating the hyperplane class
     # by gamma(y) moves the cut by delta = (sum y_i c_i) w into the same
-    # group-orbit: res(delta) lies in span(sub_dir) + group image
-    eng = Engine(build("danzer").data)
-    arr = eng.enumerate_arrangement()
-    top = arr.levels[eng.m - 1]
-    ident = tuple(tuple(ONE if i == j else ZERO for j in range(eng.m)) for i in range(eng.m))
-    space = patcoh.orbits.SingularClass(-1, eng.m, ident, (ZERO,) * eng.m, eng.full)
-    pairs = [(eng.m - 1, space, hc) for hc in top]
-    pairs += [(level, parent, hc) for level in range(eng.m - 1)
-              for parent in arr.levels[level + 1] for hc in top]
+    # Gamma-orbit: res(delta) lies in span(sub_dir) + Gamma image; danzer
+    # (every H is Z^n) and Ammann-Beenker (some H of index > 1)
     rng = random.Random(139)
     verdicts = []
-    for group, _ in _groups(eng):
-        g_res = _res_matrix([restrict_scalars(gamma_vec(eng, b)) for b in group.basis],
-                            eng.dm)
-        for level, parent, hc in pairs:
+    for data in (build("danzer").data, _ammann_beenker_with()):
+        eng = Engine(data)
+        g_res = _res_matrix([restrict_scalars(g) for g in data.gens], eng.dm)
+        for level, parent, hc in _enumeration_pairs(eng, eng.enumerate_arrangement()):
             cut = _cut(eng, parent.direction, parent.point, hc)
             if cut is None:
                 continue
-            sub_dir, candidates, hsub = _classify(eng, parent, hc, group, level, cut)
+            sub_dir, candidates, hsub = _classify(eng, parent, hc, level, cut)
             assert len(candidates) == lattice_index(IntLattice.full(eng.n), hsub)
             w = next(u for u in parent.direction if dot(hc.normal, u))
             a = dot(hc.normal, w)
             d_res = _res_matrix(eng.dir_res_cols(sub_dir), eng.dm)
-            coefs = [dot(hc.normal, g) / a for g in eng.data.gens]
+            coefs = [dot(hc.normal, g) / a for g in data.gens]
             for k in range(3):
                 # k = 0 draws from H itself, k >= 1 from a small box
                 if k == 0:
@@ -221,11 +201,12 @@ def test_classify_pair_subgroup_agrees_with_mixed_solve():
                          for i in range(eng.n)]
                 else:
                     y = [rng.randint(-2, 2) for _ in range(eng.n)]
-                shift = sum((eng.fspec.elem(yi) * c for yi, c in zip(y, coefs)), ZERO)
+                shift = sum((eng.fspec.elem(yi) * c for yi, c in zip(y, coefs)),
+                            eng.fspec.zero)
                 delta = restrict_scalars(tuple(shift * x for x in w))
                 inside = coords_of(hsub, y) is not None
-                sol = mixed_solve(g_res, d_res, delta, group.rank)
-                assert inside == (sol is not None), (level, parent.id, hc.id, y)
+                sol = mixed_solve(g_res, d_res, delta, eng.n)
+                assert inside == (sol is not None), (data.name, level, parent.id, hc.id, y)
                 verdicts.append(inside)
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -262,23 +243,22 @@ def test_candidate_keys_are_labels_of_their_points(name, monkeypatch):
     monkeypatch.undo()
     rng = random.Random(7)
     keys = []
-    for group, _ in _groups(eng):
-        for level, parent, hc in _enumeration_pairs(eng, arr):
-            moved = (dataclasses.replace(parent, point=tuple(
-                         x + _rand_felem(rng, eng.fspec) for x in parent.point)),
-                     dataclasses.replace(hc, offset=hc.offset + _rand_felem(rng, eng.fspec)))
-            for parent, hc in ((parent, hc), moved):
-                cut = _cut(eng, parent.direction, parent.point, hc)
-                if cut is None:
-                    continue
-                sub_dir, candidates, _ = _classify(eng, parent, hc, group, level, cut)
-                for key, y in candidates:
-                    pt = eng.point(cut, y)
-                    assert key == eng.label(sub_dir, pt, group), (level, parent.id, hc.id, y)
-                    assert dot(hc.normal, pt) == hc.offset + dot(hc.normal, gamma_vec(eng, y))
-                    step = tuple(a - b for a, b in zip(pt, parent.point))
-                    assert len(rref(parent.direction + (step,))) == len(parent.direction)
-                    keys.append(key)
+    for level, parent, hc in _enumeration_pairs(eng, arr):
+        moved = (dataclasses.replace(parent, point=tuple(
+                     x + _rand_felem(rng, eng.fspec) for x in parent.point)),
+                 dataclasses.replace(hc, offset=hc.offset + _rand_felem(rng, eng.fspec)))
+        for parent, hc in ((parent, hc), moved):
+            cut = _cut(eng, parent.direction, parent.point, hc)
+            if cut is None:
+                continue
+            sub_dir, candidates, _ = _classify(eng, parent, hc, level, cut)
+            for key, y in candidates:
+                pt = eng.point(cut, y)
+                assert key == eng.label(sub_dir, pt), (level, parent.id, hc.id, y)
+                assert dot(hc.normal, pt) == hc.offset + dot(hc.normal, gamma_vec(eng, y))
+                step = tuple(a - b for a, b in zip(pt, parent.point))
+                assert len(rref(parent.direction + (step,))) == len(parent.direction)
+                keys.append(key)
     assert len(built) < len(set(keys)) < len(keys)
 
 
@@ -325,14 +305,12 @@ def test_danzer_translate_closure():
     eng = Engine(build("danzer").data)
     arr = eng.enumerate_arrangement()
     rng = random.Random(67)
-    full = IntLattice.full(eng.n)
     for classes in arr.levels.values():
         for cls in classes:
             y = [rng.randint(-3, 3) for _ in range(eng.n)]
             shift = gamma_vec(eng, y)
             moved = tuple(p + s for p, s in zip(cls.point, shift))
-            assert eng.same_orbit((cls.direction, cls.point),
-                                  (cls.direction, moved), full)
+            assert eng.same_orbit((cls.direction, cls.point), (cls.direction, moved))
 
 
 def test_danzer_stabilizer_rank_law():
@@ -394,16 +372,15 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
 
     monkeypatch.setattr(patcoh.orbits, "integer_kernel", kernel_spy)
 
-    def pair_spy(self, parent, hclass, group, level, cut, stab, modulus):
-        self._frame(cut.sub, group)  # the sub-direction's frame, not the pair's question
+    def pair_spy(self, parent, hclass, level, cut, stab, modulus):
         forms.clear()
         kernels.clear()
-        out = real_pair(self, parent, hclass, group, level, cut, stab, modulus)
+        out = real_pair(self, parent, hclass, level, cut, stab, modulus)
         ((images, width, modulus), (echelon, _)), = kernels
         assert [tuple(row) for row in images] == list(parent.stabilizer.basis)
         assert (width, modulus) == (self.n, hclass.stabilizer.echelon)
         assert tuple(tuple(row) for _, row in echelon) == out[2].basis
-        left = [rem for rem in (remainder(modulus, row) for row in images) if any(rem)]
+        left = [list(rem) for rem in (remainder(modulus, row) for row in images) if any(rem)]
         index_one = out[2].basis == IntLattice.full(self.n).basis
         assert (not left) == (not forms)
         for form in forms:
@@ -523,18 +500,15 @@ def penrose(zeta_step=2):
     return parse_projection_data(json.dumps(doc))
 
 
-def _stabilizer_sum(eng, parent, hc, group, cache):
-    """Hermite basis of Stab_group(parent) + Stab(plane of hc) in Z^n, each
-    by the Smith-form `mixed_solve`: group coordinates b with gamma(b) in
-    span(parent), mapped into Z^n, and y with <normal, gamma(y)> = 0."""
-    key = (parent.direction, group.basis)
+def _stabilizer_sum(eng, parent, hc, cache):
+    """Hermite basis of Stab(parent) + Stab(plane of hc) in Z^n, each by the
+    Smith-form `mixed_solve`: y with gamma(y) in span(parent), and y with
+    <normal, gamma(y)> = 0."""
+    key = parent.direction
     if key not in cache:
-        g_res = _res_matrix([restrict_scalars(gamma_vec(eng, b)) for b in group.basis],
-                            eng.dm)
+        g_res = _res_matrix([restrict_scalars(g) for g in eng.data.gens], eng.dm)
         d_res = _res_matrix(eng.dir_res_cols(parent.direction), eng.dm)
-        sol = mixed_solve(g_res, d_res, [0] * eng.dm, group.rank)
-        cache[key] = [[sum(k * b[j] for k, b in zip(row, group.basis)) for j in range(eng.n)]
-                      for row in sol.lattice.basis]
+        cache[key] = list(mixed_solve(g_res, d_res, [0] * eng.dm, eng.n).lattice.basis)
     if hc.normal not in cache:
         dots = _res_matrix([restrict_scalars((dot(hc.normal, g),)) for g in eng.data.gens],
                            eng.delta)
@@ -553,9 +527,9 @@ _PAIR_CASES = {"danzer": lambda: build("danzer").data,
 def test_classification_subgroup_is_the_sum_of_the_stabilizers(name, monkeypatch):
     # every proper pair the engine classifies: its H equals the kernel of
     # the cut's shifts ds_i modulo lcd q E (the reference route) and the
-    # Hermite basis of Stab_group(parent) + Stab(plane), both found here;
-    # the relative case classifies under groups G != Gamma: a plane class's
-    # stabilizer, and its double, which holds only part of a line's
+    # Hermite basis of Stab(parent) + Stab(plane), both found here; the
+    # relative case classifies inside a plane class, whose root hands over
+    # the plane's stabilizer
     relative = name == "danzer_relative"
     eng = Engine(build("danzer").data if relative else _PAIR_CASES[name]())
     pairs, real = [], Engine.classify_pair
@@ -570,16 +544,13 @@ def test_classification_subgroup_is_the_sum_of_the_stabilizers(name, monkeypatch
     if relative:
         pairs.clear()
         plane = arr.levels[2][0]
-        doubled = IntLattice.from_rows(eng.n, [[2 * x for x in row]
-                                               for row in plane.stabilizer.basis])
-        for group in (plane.stabilizer, doubled):
-            eng.relative_levels(plane.direction, plane.point, group, arr.levels[2])
-    cache, groups = {}, set()
-    for (parent, hc, group, level, cut, stab, modulus), h in pairs:
-        assert h == shift_subgroup(eng, cut, group), (level, parent.id, hc.id)
-        assert h == _stabilizer_sum(eng, parent, hc, group, cache), (level, parent.id, hc.id)
-        groups.add(group.basis)
-    assert pairs and (groups != {eng.full.basis}) == relative
+        eng.relative_levels(plane.direction, plane.point, arr.levels[2])
+    cache = {}
+    for (parent, hc, level, cut, stab, modulus), h in pairs:
+        assert h == shift_subgroup(eng, cut), (level, parent.id, hc.id)
+        assert h == _stabilizer_sum(eng, parent, hc, cache), (level, parent.id, hc.id)
+    roots = {tuple(stab) for (parent, _, _, _, stab, _), _ in pairs if parent.id == -1}
+    assert roots == {plane.stabilizer.basis if relative else eng.full.basis}
 
 
 def test_resource_cap_fires_before_listing_cosets(monkeypatch):
@@ -610,10 +581,9 @@ def test_relative_levels_empty_without_proper_cuts(monkeypatch):
     vertical = [hc for hc in hcs if hc.normal == (ONE, ZERO)]
     assert vertical
     direction = ((ZERO, ONE),)
-    stab = eng.stabilizer(eng._direction(direction))
     calls = []
     monkeypatch.setattr(Engine, "classify_pair", lambda *args: calls.append(args))
-    out = eng.relative_levels(direction, (ZERO, ZERO), stab, vertical)
+    out = eng.relative_levels(direction, (ZERO, ZERO), vertical)
     assert out == {0: []} and not calls
 
 
@@ -621,8 +591,7 @@ def test_relative_levels_of_danzer_plane():
     eng = Engine(build("danzer").data)
     arr = eng.enumerate_arrangement()
     plane = arr.levels[2][0]
-    rel = eng.relative_levels(plane.direction, plane.point, plane.stabilizer,
-                              arr.levels[2])
+    rel = eng.relative_levels(plane.direction, plane.point, arr.levels[2])
     assert set(rel) == {1, 0}
     for level, classes in rel.items():
         for cls in classes:

@@ -135,3 +135,19 @@ def test_orbits_reads_no_field_discriminant():
     tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
     assert not [ast.unparse(node) for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute) and node.attr == "D"]
+
+
+def test_engine_classifies_under_gamma_only():
+    # relative classes inside alpha are the Gamma-orbits there, so no
+    # Engine method takes a group, and each direction entry holds its one
+    # frame rather than a frame per group
+    tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+    takes_group = [meth.name for meth in classes["Engine"].body
+                   if isinstance(meth, ast.FunctionDef)
+                   and "group" in {a.arg for a in ast.walk(meth.args) if isinstance(a, ast.arg)}]
+    assert takes_group == []
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert "_frame" not in defined
+    fields = {n.target.id for n in classes["_Direction"].body if isinstance(n, ast.AnnAssign)}
+    assert {"echelon", "stab"} <= fields and not fields & {"frames", "vals"}
