@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+# the largest D accepted: squarefreeness is checked by trial division up to
+# sqrt(D), so this bounds that check at about 46,000 divisions
+MAX_D = 2 ** 31
+
 
 def _is_squarefree(d: int) -> bool:
     if d < 2:
@@ -36,6 +40,8 @@ class FieldSpec:
             if self.D is not None:
                 raise ValueError("rational field carries no discriminant")
         elif self.kind == "Qsqrt":
+            if self.D is not None and self.D > MAX_D:
+                raise ValueError(f"D must be at most 2**31 = {MAX_D}, got {self.D}")
             if self.D is None or not _is_squarefree(self.D):
                 raise ValueError(f"D must be a squarefree integer >= 2, got {self.D}")
         else:

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .field import FElem, FieldSpec, QQ, dot, quadratic, restrict_scalars
+from .field import FElem, FieldSpec, dot, restrict_scalars
 from .linalg import rat_rank, rref
 
 MAX_PLANES = 32
@@ -136,18 +136,13 @@ def parse_projection_data(text: str) -> ProjectionData:
     fobj = doc.get("field")
     if not isinstance(fobj, dict) or "kind" not in fobj:
         raise ParseError("field must be {'kind': 'Q'} or {'kind': 'Qsqrt', 'D': int}")
-    if fobj["kind"] == "Q":
-        fspec = QQ
-    elif fobj["kind"] == "Qsqrt":
-        d = fobj.get("D")
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise ParseError("quadratic field needs an integer D")
-        try:
-            fspec = quadratic(d)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    else:
-        raise ParseError(f"unknown field kind {fobj['kind']!r}")
+    d = fobj.get("D")
+    if d is not None and (not isinstance(d, int) or isinstance(d, bool)):
+        raise ParseError(f"field needs an integer D, got {d!r}")
+    try:
+        fspec = FieldSpec(fobj["kind"], d)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     m = doc.get("dim")
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ParseError(f"dim must be a positive integer, got {m!r}")

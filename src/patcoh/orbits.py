@@ -12,11 +12,11 @@ R * (Gamma image), whose echelon labels reduce by and whose kernel is the
 stabilizer.  A cut finds its sub-direction's key from integers, so the
 engine does no field elimination.  A pair's classification subgroup (its
 index counts the pair's classes; a rank deficiency, infinitely many) is the
-sum of the parent's and the plane's stabilizers.  A cut is an integer
-affine map on restricted coordinates, so its candidates' labels
-(`Engine.label`) are affine in the coset representative.  So deduplication
-is a set lookup, a field point is built, from integer numerators, only for
-an accepted class, and a candidate's class lies one level below.
+sum of the parent's and the plane's stabilizers.  A cut is an integer affine
+map on restricted coordinates, so its candidates' labels (`Engine.label`)
+are affine in the coset representative.  So deduplication is a set lookup,
+and a candidate's class lies one level below.  A class carries its entry and
+integer point for the next level, and a field point for the report.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ class ResourceCapExceeded(Exception):
 @dataclass(frozen=True)
 class SingularClass:
     """One orbit class of singular spaces: canonical direction, a
-    representative point, and the stabilizer in generator coordinates."""
+    representative point, the stabilizer in generator coordinates, and the
+    entry its cut found with res = ([X], q), res(point) = X / q."""
 
     id: int
     dim: int
@@ -67,6 +68,8 @@ class SingularClass:
     stabilizer: IntLattice
     normal: tuple[FElem, ...] | None = None  # hyperplane classes only
     offset: FElem | None = None
+    entry: _Direction | None = dc_field(default=None, compare=False, repr=False)
+    res: tuple | None = dc_field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -288,14 +291,15 @@ class Engine:
         return [x + cut.s * sum(map(operator.mul, y, col))
                 for x, col in zip(cut.c0_num, zip(*cut.cs))]
 
-    def point(self, cut: _Cut, y: Sequence[int]) -> tuple[FElem, ...]:
-        """The field point of coset rep y, from one numerator vector: lcd s q
-        X + q_p res_mul(c, q res(w)) over q_p lcd s q, c = `_num`."""
+    def point(self, cut: _Cut, y: Sequence[int]) -> tuple[tuple[FElem, ...], tuple]:
+        """Coset rep y's field point and res ([X], q), from one numerator
+        vector: lcd s q X + q_p res_mul(c, q res(w)) over q_p lcd s q, c = `_num`."""
         (xs,), qp = cut.res
         c, big, d = self._num(cut, y), cut.lcd * cut.s * cut.q, self.delta
         cw = [t for i in range(0, self.dm, d) for t in res_mul(c, cut.wq[i:i + d], self.fspec)]
         coords = [Fraction(big * x + qp * t, qp * big) for x, t in zip(xs, cw)]
-        return tuple(self.fspec.elem(*coords[i:i + d]) for i in range(0, self.dm, d))
+        return (tuple(self.fspec.elem(*coords[i:i + d]) for i in range(0, self.dm, d)),
+                clear_denominators([coords]))
 
     def classify_pair(self, parent: SingularClass, hclass, level: int, cut: _Cut,
                       stab, modulus):
@@ -333,35 +337,34 @@ class Engine:
 
     def build_level(self, parents, hclasses, level: int,
                     covers: dict | None = None) -> list[SingularClass]:
-        """Classes at `level` from cutting parent representatives by all
-        translated hyperplane classes, deduplicated under Gamma on the
-        candidate keys; the field point is built for accepted classes
-        only.  An hclass carries its plane's stabilizer in Z^n.  Classes at
-        level m-1 are the hyperplane classes and carry their normal and
-        offset.  The classes, new or seen, that a parent's candidate keys
-        resolve to are the ones one level below it: `covers`, if given,
-        gets them once each under (parent.dim, parent.id)."""
+        """Classes at `level` from cutting each parent, by the entry and res
+        it carries, with all translated hyperplane classes, deduplicated
+        under Gamma on the candidate keys; an accepted class gets its cut's
+        entry and its point and res from `point`.  An hclass carries its
+        plane's stabilizer in Z^n.  Level m-1 classes are the hyperplane
+        classes, with their normal and offset.  The classes, new or seen,
+        that a parent's candidate keys resolve to are one level below it:
+        `covers`, if given, gets them once each under (parent.dim, parent.id)."""
         accepted: list[SingularClass] = []
         seen: dict = {}  # direction entry -> {key: class accepted for it}
         planes = [(hc, self._plane(hc), hc.stabilizer.echelon) for hc in hclasses]
         for parent in parents:
-            entry = self._direction(parent.direction)
-            res = clear_denominators([restrict_scalars(parent.point)])
             below: dict = {}  # class id -> class
             for hc, plane, modulus in planes:
-                cut = self.intersect(entry, res, plane)
+                cut = self.intersect(parent.entry, parent.res, plane)
                 if cut is None:
                     continue  # the parent's direction lies in the hyperplane
                 sub_dir, candidates, _ = self.classify_pair(parent, hc, level, cut,
-                                                            entry.stab.basis, modulus)
+                                                            parent.entry.stab.basis, modulus)
                 classes = seen.setdefault(cut.sub, {})
                 for key, y in candidates:
                     cls = classes.get(key)
                     if cls is None:
-                        pt = self.point(cut, y)
+                        pt, res = self.point(cut, y)
                         hyper = (hc.normal, dot(hc.normal, pt)) if level == self.m - 1 else ()
                         cls = classes[key] = SingularClass(len(accepted), level, sub_dir, pt,
-                                                           self.stabilizer(cut.sub), *hyper)
+                                                           self.stabilizer(cut.sub), *hyper,
+                                                           entry=cut.sub, res=res)
                         accepted.append(cls)
                         if len(accepted) > self.max_classes:
                             raise ResourceCapExceeded(
@@ -372,11 +375,11 @@ class Engine:
         return accepted
 
     def hyperplane_classes(self) -> list[SingularClass]:
-        """Gamma-orbit classes of the translated input planes (level m-1)."""
-        zero, one = self.fspec.zero, self.fspec.one
-        ident = tuple(tuple(one if i == j else zero for j in range(self.m))
-                      for i in range(self.m))
-        parent = SingularClass(-1, self.m, ident, (zero,) * self.m, self.full)
+        """Gamma-orbit classes of the translated input planes (level m-1),
+        cut from the full space: the entry of the identity key, Z^dm's basis."""
+        space = self._entry(IntLattice.full(self.dm).basis)
+        parent = SingularClass(-1, self.m, space.direction, (self.fspec.zero,) * self.m,
+                               space.stab, entry=space, res=([[0] * self.dm], 1))
         pseudo = [SingularClass(i, self.m - 1, (), h.normal, self.full,
                                 normal=h.normal, offset=h.offset)
                   for i, h in enumerate(self.data.planes)]
@@ -396,16 +399,15 @@ class Engine:
                                                  covers=arr.covers)
         return arr
 
-    def relative_levels(self, direction, point, hclasses) -> dict[int, list[SingularClass]]:
-        """Orbit classes of singular spaces inside one representative space
-        alpha = point + span(direction), under Stab(alpha): all levels below
-        dim(direction).  A Gamma-translate that keeps a subspace of alpha
-        inside alpha lies in Gamma cap span(alpha) = Stab(alpha), so these
-        are the Gamma-orbit classes inside alpha, and the enumeration runs
-        under Gamma."""
+    def relative_levels(self, alpha: SingularClass, hclasses) -> dict[int, list[SingularClass]]:
+        """Orbit classes of singular spaces inside the representative space
+        of the class alpha, under Stab(alpha): all levels below alpha.dim,
+        enumerated with alpha itself as the root.  A Gamma-translate that
+        keeps a subspace of alpha inside alpha lies in Gamma cap span(alpha)
+        = Stab(alpha), so these are the Gamma-orbit classes inside alpha,
+        and the enumeration runs under Gamma."""
         out: dict[int, list[SingularClass]] = {}
-        stab = self.stabilizer(self._direction(direction))
-        prev = [SingularClass(-1, len(direction), direction, point, stab)]
-        for level in range(len(direction) - 1, -1, -1):
+        prev = [alpha]
+        for level in range(alpha.dim - 1, -1, -1):
             prev = out[level] = self.build_level(prev, hclasses, level=level)
         return out

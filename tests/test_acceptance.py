@@ -26,6 +26,7 @@ from patcoh.model import Hyperplane, ProjectionData, canonical_hyperplane
 from patcoh.report import canonical_digest, compute_report
 
 from reference import coords_of, lattice_index
+from test_invariants import DENSE_M2, dense_m2
 from test_linalg import brute_force_box, int_matmul, rand_int_matrix, rand_unimodular
 
 FINITE = ["fibonacci", "ammann_kramer", "canonical_d6", "dual_canonical_d6",
@@ -203,6 +204,24 @@ def test_criterion_6_invariance_suite(docs):
             assert canonical_digest(doc) == base, (nm, transform.__name__, k)
     passed(6, "10 randomized re-presentations of every entry leave the "
               "canonical report byte-identical")
+
+
+@pytest.mark.parametrize("name", DENSE_M2)
+def test_criteria_5_and_6_on_dense_m2(name):
+    # the m = 2 dense geometries over Q(sqrt 3), Q(sqrt 2) and Q(sqrt 5):
+    # the stabilizer rank law, and eight re-presentations (each transform
+    # twice) with the base's canonical report
+    rep = analyze(dense_m2(name))
+    nu = rep.n // rep.m
+    for level, classes in rep.arrangement.levels.items():
+        for cls in classes:
+            assert cls.stabilizer.rank == nu * level, (name, level, cls.id)
+    base = canonical_digest(compute_report(dense_m2(name))[0])
+    rng = random.Random(sum(map(ord, name)))
+    for k in range(8):
+        transform = _TRANSFORMS[k % len(_TRANSFORMS)]
+        doc, _ = compute_report(transform(dense_m2(name), rng))
+        assert canonical_digest(doc) == base, (name, transform.__name__, k)
 
 
 def test_criterion_7_infinite_and_decomposable(docs):

@@ -94,6 +94,20 @@ def test_unreadable_input_is_a_parse_error(capsys, tmp_path):
             assert err.startswith(f"patcoh: parse error in {path}"), (command, path.name)
 
 
+def test_huge_discriminant_is_a_parse_error(capsys, tmp_path):
+    # D above the field's bound is refused before its squarefree check,
+    # which would trial-divide up to sqrt(D)
+    doc = json.loads(serialize_projection_data(build("fibonacci").data))
+    doc["field"]["D"] = 1000000000000000003
+    path = tmp_path / "huge_d.json"
+    path.write_text(json.dumps(doc))
+    for command in ("compute", "validate"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, ""), command
+        assert err.startswith(f"patcoh: parse error in {path}"), command
+        assert "at most 2**31" in err, command
+
+
 def test_unreadable_file_is_reported(capsys, tmp_path, monkeypatch):
     # a file that exists but cannot be read ends either command with a
     # message and exit 1, not an OSError traceback

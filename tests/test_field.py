@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from patcoh.field import FElem, QQ, quadratic, restrict_scalars, scalar_matrix
+from patcoh.field import MAX_D, FElem, QQ, quadratic, restrict_scalars, scalar_matrix
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -81,6 +81,16 @@ def test_non_squarefree_discriminant_rejected():
         quadratic(12)
     with pytest.raises(ValueError):
         quadratic(1)
+
+
+def test_discriminant_bound():
+    # the squarefree check trial-divides up to sqrt(D), so D is bounded:
+    # the prime 2**31 - 1 is a field, and anything above MAX_D is refused
+    # before any division
+    assert quadratic(2 ** 31 - 1).degree == 2
+    for d in (MAX_D + 1, 1000000000000000003, 10 ** 400 + 1):
+        with pytest.raises(ValueError, match="at most"):
+            quadratic(d)
 
 
 def test_restrict_scalars_examples():

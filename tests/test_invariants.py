@@ -3,6 +3,7 @@ import json
 import pytest
 
 from patcoh.catalog import build, names
+from patcoh.field import restrict_scalars
 from patcoh.invariants import (
     InternalConsistencyError,
     analyze,
@@ -12,6 +13,7 @@ from patcoh.invariants import (
     k_ranks,
     rank_formulas,
 )
+from patcoh.linalg import clear_denominators
 from patcoh.model import parse_projection_data, validate
 from patcoh.orbits import Arrangement, Engine
 from patcoh.report import canonical_digest, compute_report
@@ -168,6 +170,29 @@ def test_dense_m2_identities(name):
     assert sum((-1) ** p * dp for p, dp in enumerate(rep.D)) == rep.e
 
 
+_CARRIED = {**{nm: (lambda nm=nm: build(nm).data)
+               for nm in ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]},
+            "ammann_beenker": _ammann_beenker_with, "penrose": penrose,
+            **{nm: (lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2}}
+
+
+@pytest.mark.parametrize("name", _CARRIED)
+def test_classes_carry_their_entry_and_integer_point(name):
+    # the entry and res a class carries are what its field direction and
+    # point give back, on every class of the enumeration and of the
+    # relative enumeration inside one plane class
+    eng = Engine(_CARRIED[name]())
+    arr = eng.enumerate_arrangement()
+    top = arr.levels[eng.m - 1]
+    rel = eng.relative_levels(top[0], top)
+    classes = [c for levels in (arr.levels, rel) for cs in levels.values() for c in cs]
+    assert len(classes) > sum(arr.counts())
+    for cls in classes:
+        assert cls.res == clear_denominators([restrict_scalars(cls.point)]), (cls.dim, cls.id)
+        assert cls.entry is eng._direction(cls.direction), (cls.dim, cls.id)
+        assert cls.stabilizer == cls.entry.stab, (cls.dim, cls.id)
+
+
 def test_analyze_codim_two_internally_consistent():
     data = coupled_plane()
     assert validate(data).ok
@@ -196,7 +221,7 @@ def test_incidence_matches_relative_enumeration(make):
     pairs = 0
     for level, classes in arr.levels.items():
         for alpha in classes:
-            rel = eng.relative_levels(alpha.direction, alpha.point, hclasses)
+            rel = eng.relative_levels(alpha, hclasses)
             found = []
             for sub_level, rel_classes in rel.items():
                 for psi in rel_classes:

@@ -66,6 +66,9 @@ def test_parse_bare_string_element():
     # an exponent is refused, however small: Fraction would build 10**e
     ({"hyperplanes": [{"normal": [["1"]], "offset": ["1e-3"]}]}, "bad rational"),
     ({"generators": [[["5E2"]], [["1/2", "1/2"]]]}, "bad rational"),
+    # the field rules are FieldSpec's: Q takes no D, and D has a bound
+    ({"field": {"kind": "Q", "D": 5}}, "no discriminant"),
+    ({"field": {"kind": "Qsqrt", "D": 1000000000000000003}}, r"at most 2\*\*31"),
 ])
 def test_parse_errors_are_distinct(mangle, match):
     with pytest.raises(ParseError, match=match):

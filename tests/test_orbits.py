@@ -68,7 +68,7 @@ def test_intersect_affine_example():
     h = Hyperplane((ZERO, ZERO, ONE), ZERO)
     cut = _cut(eng, direction, point, h)
     assert cut.sub.direction == ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO))
-    assert eng.point(cut, (0,) * eng.n) == point
+    assert eng.point(cut, (0,) * eng.n)[0] == point
     # w, the first row off the plane, has a = <normal, w> = 1, so the
     # coefficients c_i = <normal, g_i>/a are the dots
     assert next(u for u in direction if dot(h.normal, u)) == (ZERO, ZERO, ONE)
@@ -82,7 +82,7 @@ def test_intersect_affine_offset_moves_point():
     direction = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
     point = (ZERO, ZERO, ZERO)
     h = Hyperplane((ZERO, ZERO, ONE), TAU)
-    assert eng.point(_cut(eng, direction, point, h), (0,) * eng.n) == (ZERO, ZERO, TAU)
+    assert eng.point(_cut(eng, direction, point, h), (0,) * eng.n)[0] == (ZERO, ZERO, TAU)
 
 
 def test_intersect_affine_rejects_containment():
@@ -253,7 +253,7 @@ def test_candidate_keys_are_labels_of_their_points(name, monkeypatch):
                 continue
             sub_dir, candidates, _ = _classify(eng, parent, hc, level, cut)
             for key, y in candidates:
-                pt = eng.point(cut, y)
+                pt, _ = eng.point(cut, y)
                 assert key == eng.label(sub_dir, pt), (level, parent.id, hc.id, y)
                 assert dot(hc.normal, pt) == hc.offset + dot(hc.normal, gamma_vec(eng, y))
                 step = tuple(a - b for a, b in zip(pt, parent.point))
@@ -544,12 +544,13 @@ def test_classification_subgroup_is_the_sum_of_the_stabilizers(name, monkeypatch
     if relative:
         pairs.clear()
         plane = arr.levels[2][0]
-        eng.relative_levels(plane.direction, plane.point, arr.levels[2])
+        eng.relative_levels(plane, arr.levels[2])
     cache = {}
     for (parent, hc, level, cut, stab, modulus), h in pairs:
         assert h == shift_subgroup(eng, cut), (level, parent.id, hc.id)
         assert h == _stabilizer_sum(eng, parent, hc, cache), (level, parent.id, hc.id)
-    roots = {tuple(stab) for (parent, _, _, _, stab, _), _ in pairs if parent.id == -1}
+    roots = {tuple(stab) for (parent, _, _, _, stab, _), _ in pairs
+             if parent.id == -1 or relative and parent is plane}
     assert roots == {plane.stabilizer.basis if relative else eng.full.basis}
 
 
@@ -579,11 +580,10 @@ def test_relative_levels_empty_without_proper_cuts(monkeypatch):
     eng = Engine(data)
     hcs = eng.hyperplane_classes()
     vertical = [hc for hc in hcs if hc.normal == (ONE, ZERO)]
-    assert vertical
-    direction = ((ZERO, ONE),)
+    assert vertical and vertical[0].direction == ((ZERO, ONE),)
     calls = []
     monkeypatch.setattr(Engine, "classify_pair", lambda *args: calls.append(args))
-    out = eng.relative_levels(direction, (ZERO, ZERO), vertical)
+    out = eng.relative_levels(vertical[0], vertical)
     assert out == {0: []} and not calls
 
 
@@ -591,7 +591,7 @@ def test_relative_levels_of_danzer_plane():
     eng = Engine(build("danzer").data)
     arr = eng.enumerate_arrangement()
     plane = arr.levels[2][0]
-    rel = eng.relative_levels(plane.direction, plane.point, arr.levels[2])
+    rel = eng.relative_levels(plane, arr.levels[2])
     assert set(rel) == {1, 0}
     for level, classes in rel.items():
         for cls in classes:

@@ -137,6 +137,24 @@ def test_orbits_reads_no_field_discriminant():
                 if isinstance(node, ast.Attribute) and node.attr == "D"]
 
 
+def test_levels_cut_from_what_each_class_carries():
+    # a class carries the entry its cut found and its point's integer
+    # coordinates, so the level loop and the hyperplane pass turn no field
+    # element back into a direction entry or an integer point, and a
+    # relative enumeration starts from the class itself
+    tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
+    engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Engine")
+    rederive = {"_direction", "dir_res_cols", "restrict_scalars", "clear_denominators",
+                "scalar_matrix"}
+    for name, banned in (("build_level", rederive), ("hyperplane_classes", rederive),
+                         ("relative_levels", {"_direction"})):
+        method = next(n for n in engine.body
+                      if isinstance(n, ast.FunctionDef) and n.name == name)
+        called = {c.func.id if isinstance(c.func, ast.Name) else getattr(c.func, "attr", None)
+                  for c in ast.walk(method) if isinstance(c, ast.Call)}
+        assert called and not called & banned, (name, called & banned)
+
+
 def test_engine_classifies_under_gamma_only():
     # relative classes inside alpha are the Gamma-orbits there, so no
     # Engine method takes a group, and each direction entry holds its one
