@@ -79,6 +79,8 @@ def cmd_compute(args) -> int:
         if doc["status"] == "validation_error":
             for f in doc["validation"]["findings"]:
                 print(f"  {f['severity']}: [{f['code']}] {f['message']}")
+        elif doc["status"] == "resource_cap_exceeded":
+            print(f"  {doc['diagnostics']['message']}")
         elif doc["status"] == "infinite":
             print(f"  {doc['diagnostics']['message']}")
             print(f"  witness: level {doc['diagnostics']['witness_level']}, "

@@ -5,8 +5,8 @@ fraction-free elimination, `primitive_rref`), the Hermite normal form over
 Z (the lattice normal form: integer kernels and lattice bases are read off
 it; images modulo a lattice are first reduced by its echelon rows,
 `remainder`, and only those left nonzero enter the form), coset
-representatives read off the Hermite box, and ranks of spans of exterior
-powers.  The Smith form and the rational annihilator serve only
+representatives read off the Hermite box, the index of a full-rank row
+lattice from its maximal minors, and ranks of spans of exterior powers.  The Smith form and the rational annihilator serve only
 `mixed_solve`, the reference solver the engine is tested against, so the
 two share no normal form.
 Matrices are lists of row tuples; rational entries are Fractions, integer
@@ -237,6 +237,17 @@ def int_det(m: Sequence[Sequence[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+def minor_gcd(rows: Sequence[Sequence[int]], d: int) -> int:
+    """gcd of the d x d minors of integer rows of length d: the index of
+    their row lattice in Z^d, or 0 when its rank is below d.  Closed forms
+    for d = 1 and d = 2, `int_det` above."""
+    if d == 1:
+        return math.gcd(*(r[0] for r in rows))
+    if d == 2:
+        return math.gcd(*(a * y - b * x for (a, b), (x, y) in itertools.combinations(rows, 2)))
+    return math.gcd(*map(int_det, itertools.combinations(rows, d)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ R * (Gamma image), whose echelon labels reduce by and whose kernel is the
 stabilizer.  A cut finds its sub-direction's key from integers, so the
 engine does no field elimination.  A pair's classification subgroup (its
 index counts the pair's classes; a rank deficiency, infinitely many) is the
-sum of the parent's and the plane's stabilizers.  A cut is an integer affine
-map on restricted coordinates, so its candidates' labels (`Engine.label`)
-are affine in the coset representative.  So deduplication is a set lookup,
-and a candidate's class lies one level below.  A class carries its entry and
-integer point for the next level, and a field point for the report.
+sum of the parent's and the plane's stabilizers.  Minors of the plane's
+integer table decide when that sum is all of Z^n; any other sum is one
+Hermite form.  A cut is an integer affine map on restricted coordinates, so
+its candidates' labels (`Engine.label`) are affine in the coset
+representative.  So deduplication is a set lookup, and a candidate's class
+lies one level below.  A class carries its entry and integer point for the
+next level, and a field point for the report.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .field import FElem, dot, res_mul, restrict_scalars, scalar_matrix
-from .linalg import (IntLattice, clear_denominators, coset_reps, integer_kernel, primitive_rref,
-                     remainder)
+from .linalg import (IntLattice, clear_denominators, coset_reps, integer_kernel, minor_gcd,
+                     primitive_rref, remainder)
 from .model import ProjectionData
 
 DEFAULT_MAX_CLASSES = 100_000
@@ -88,11 +90,14 @@ class _Direction:
 
 class _Normal(NamedTuple):
     """Integer tables of one normal nu, as field numerators (a,) or (a, b)
-    over den: den <nu, x> = form res(x), and dots[i] = den <nu, g_i>."""
+    over den: den <nu, x> = form res(x), and dots[i] = den <nu, g_i>, the
+    map Z^n -> Z^delta whose kernel is the plane's stabilizer; g is the
+    `minor_gcd` of dots, its image's index in Z^delta (0 below rank delta)."""
 
     den: int
     form: list[list[int]]
     dots: list[list[int]]
+    g: int
 
 
 class _Cut(NamedTuple):
@@ -104,7 +109,8 @@ class _Cut(NamedTuple):
     q_p) is res(p) = X / q_p, and wq = q res(w) is w's column of the
     direction's entry.  sub is the sub-direction's entry (found by its
     integer key), with rows R; rw_k = (q R_k res(theta^l w), l < delta), and
-    the R-image of p + c w / (lcd s) is (base + c rw) / (lcd s q)."""
+    the R-image of p + c w / (lcd s) is (base + c rw) / (lcd s q).  normal
+    is the plane's tables."""
 
     sub: _Direction
     res: tuple
@@ -116,6 +122,7 @@ class _Cut(NamedTuple):
     c0_num: list[int]
     cs: list[list[int]]
     base: list[int]
+    normal: _Normal
 
 
 @dataclass
@@ -239,8 +246,9 @@ class Engine:
             [[x for c in h.normal for x in scalar_matrix(c)[r]] for r in range(self.delta)])
         gens, qg = self.gen_ints
         (off,), oden = clear_denominators([restrict_scalars((h.offset,))])
-        return _Normal(den * qg, [[qg * x for x in f] for f in form],
-                       [[sum(map(operator.mul, f, g)) for f in form] for g in gens]), off, oden
+        dots = [[sum(map(operator.mul, f, g)) for f in form] for g in gens]
+        return (_Normal(den * qg, [[qg * x for x in f] for f in form], dots,
+                        minor_gcd(dots, self.delta)), off, oden)
 
     def intersect(self, entry: _Direction, res, plane) -> _Cut | None:
         """Cut the parent p + span(entry's direction) by the hyperplane
@@ -283,7 +291,7 @@ class Engine:
         c0 = res_mul([o * nrec.den * qp - oden * e for o, e in zip(off, nu_p)], inv, fspec)
         base = [lcd * oden * q * sum(map(operator.mul, row, xs)) for row in sub.rows]
         return _Cut(sub, res, pcols[0], lcd, q, qp * oden, rw, c0,
-                    [res_mul(nd, inv, fspec) for nd in nrec.dots], base)
+                    [res_mul(nd, inv, fspec) for nd in nrec.dots], base, nrec)
 
     @staticmethod
     def _num(cut: _Cut, y: Sequence[int]) -> list[int]:
@@ -309,29 +317,38 @@ class Engine:
         Coset reps y, y' give one Gamma-orbit iff (c(y) - c(y')) w is in
         Gamma image + span(sub).  That lattice element lies in span(parent);
         pairing with nu, zero on span(sub), puts y - y' in the plane's
-        stabilizer.  So H = Stab(parent) + Stab(hclass) in Z^n: the
-        echelon of `integer_kernel` of the rows `stab` of the one modulo the
-        echelon `modulus` of the other.  A candidate's key, base + c rw
-        over lcd s q (c = `_num`) reduced as `label` reduces, equals
-        label(sub_direction, point(cut, y)).  Returns (sub_direction,
-        [(key, y) per coset rep y], H); raises InfiniteArrangement when H
-        is rank-deficient."""
-        h, _ = integer_kernel(stab, self.n, modulus)
-        if len(h) < self.n:
-            raise InfiniteArrangement(level, parent.id, hclass.id, len(h), self.n)
-        # the cosets of H are pairwise distinct classes, so an index above
-        # the cap trips it whatever the other pairs add: stop before listing
-        index = math.prod(row[p] for p, row in h)
-        if index > self.max_classes:
-            raise ResourceCapExceeded(
-                f"level {level}, pair (parent {parent.id}, hyperplane class "
-                f"{hclass.id}): {index} classes, more than the cap of {self.max_classes}")
-        hsub = IntLattice(self.n, tuple(tuple(row) for _, row in h))
+        stabilizer.  So H = Stab(parent) + Stab(hclass) in Z^n.  The plane's
+        `dots` map Z^n onto VG with kernel Stab(hclass), so [Z^n : H] is
+        [VG : dots(Stab(parent))]: when VG has full rank, H = Z^n iff the
+        `minor_gcd` of the images of the rows `stab` is VG's, and the one
+        coset rep is y = 0.  Otherwise H is the echelon of `integer_kernel`
+        of the rows `stab` modulo the echelon `modulus` of the plane's
+        stabilizer.  A candidate's key, base + c rw over lcd s q (c =
+        `_num`) reduced as `label` reduces, equals label(sub_direction,
+        point(cut, y)).  Returns (sub_direction, [(key, y) per coset rep
+        y], H); raises InfiniteArrangement when H is rank-deficient."""
+        g = cut.normal.g
+        if g and g == minor_gcd([[sum(map(operator.mul, s, col)) for col in zip(*cut.normal.dots)]
+                                 for s in stab], self.delta):
+            hsub, reps = self.full, [(0,) * self.n]
+        else:
+            h, _ = integer_kernel(stab, self.n, modulus)
+            if len(h) < self.n:
+                raise InfiniteArrangement(level, parent.id, hclass.id, len(h), self.n)
+            # the cosets of H are pairwise distinct classes, so an index above
+            # the cap trips it whatever the other pairs add: stop before listing
+            index = math.prod(row[p] for p, row in h)
+            if index > self.max_classes:
+                raise ResourceCapExceeded(
+                    f"level {level}, pair (parent {parent.id}, hyperplane class "
+                    f"{hclass.id}): {index} classes, more than the cap of {self.max_classes}")
+            hsub = IntLattice(self.n, tuple(tuple(row) for _, row in h))
+            reps = coset_reps(hsub)
         big = cut.lcd * cut.s * cut.q
         return cut.sub.direction, [
             (self._key(cut.sub.echelon, [b + sum(map(operator.mul, c, t))
                                          for b, t in zip(cut.base, cut.rw)], big), y)
-            for y in coset_reps(hsub) for c in (self._num(cut, y),)], hsub
+            for y in reps for c in (self._num(cut, y),)], hsub
 
     # -- level-wise enumeration ----------------------------------------------
 

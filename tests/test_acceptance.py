@@ -26,8 +26,8 @@ from patcoh.model import Hyperplane, ProjectionData, canonical_hyperplane
 from patcoh.report import canonical_digest, compute_report
 
 from reference import coords_of, lattice_index
-from test_invariants import DENSE_M2, dense_m2
 from test_linalg import brute_force_box, int_matmul, rand_int_matrix, rand_unimodular
+from test_orbits import DENSE_M2, dense_m2
 
 FINITE = ["fibonacci", "ammann_kramer", "canonical_d6", "dual_canonical_d6",
           "danzer"]

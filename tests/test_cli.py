@@ -5,6 +5,7 @@ from patcoh.catalog import build, names
 from patcoh.cli import main
 from patcoh.model import parse_projection_data, serialize_projection_data
 from patcoh.report import canonical_digest, compute_report
+from test_orbits import _ammann_beenker_with
 
 
 def run(capsys, *argv):
@@ -142,6 +143,19 @@ def test_compute_resource_cap(capsys, monkeypatch):
     code, out, _ = run(capsys, "compute", "danzer", "--json")
     assert code == 5
     assert json.loads(out)["status"] == "resource_cap_exceeded"
+
+
+def test_resource_cap_table_names_the_pair(capsys, monkeypatch, tmp_path):
+    # the table shows the cap diagnostic that the JSON report carries: the
+    # plane normal (1, 10) meets one star line in 200 point classes
+    path = tmp_path / "ab_extra.json"
+    path.write_text(serialize_projection_data(_ammann_beenker_with([["1"], ["10"]])))
+    monkeypatch.setenv("PATCOH_MAX_CLASSES", "10")
+    code, out, _ = run(capsys, "compute", str(path))
+    assert code == 5
+    assert out.splitlines()[0] == "ab_extra: status resource_cap_exceeded"
+    assert "level 0, pair (parent" in out and "hyperplane class" in out
+    assert "200 classes, more than the cap of 10" in out
 
 
 def test_bad_max_classes_env(capsys, monkeypatch):

@@ -18,7 +18,7 @@ from patcoh.model import parse_projection_data, validate
 from patcoh.orbits import Arrangement, Engine
 from patcoh.report import canonical_digest, compute_report
 from reference import label_incidence
-from test_orbits import _ammann_beenker_with, penrose
+from test_orbits import DENSE_M2, _ammann_beenker_with, dense_m2, penrose
 
 
 def test_binom_vanishes_out_of_range():
@@ -113,51 +113,6 @@ def coupled_plane():
                         {"normal": [["1"], ["1"]]}],
     }
     return parse_projection_data(json.dumps(doc))
-
-
-# dense m = 2 geometries of the benchmark's seeded pool: Gamma = O_K^2 in
-# its standard Z-basis over K = Q(sqrt 3), Q(sqrt 2) and Q(sqrt 5), and
-# lines through 0
-DENSE_M2 = {
-    "dense-00": {
-        "schema": "patcoh/1", "name": "dense-00", "field": {"kind": "Qsqrt", "D": 3},
-        "dim": 2,
-        "generators": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],
-                       [["0", "0"], ["1", "0"]], [["0", "0"], ["0", "1"]]],
-        "hyperplanes": [
-            {"normal": [["1", "0"], ["1/2", "-1/2"]], "offset": ["0", "0"]},
-            {"normal": [["1", "0"], ["1", "0"]], "offset": ["0", "0"]},
-            {"normal": [["1", "0"], ["-1", "-1/3"]], "offset": ["0", "0"]},
-            {"normal": [["1", "0"], ["0", "-1"]], "offset": ["0", "0"]},
-            {"normal": [["1", "0"], ["-1/2", "-1/2"]], "offset": ["0", "0"]},
-        ]},
-    "dense-01": {
-        "schema": "patcoh/1", "name": "dense-01", "field": {"kind": "Qsqrt", "D": 2},
-        "dim": 2,
-        "generators": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],
-                       [["0", "0"], ["1", "0"]], [["0", "0"], ["0", "1"]]],
-        "hyperplanes": [
-            {"normal": [["1", "0"], ["0", "-1/2"]], "offset": ["0", "0"]},
-            {"normal": [["1", "0"], ["1", "0"]], "offset": ["0", "0"]},
-            {"normal": [["1", "0"], ["0", "0"]], "offset": ["0", "0"]},
-            {"normal": [["1", "0"], ["-2", "1"]], "offset": ["0", "0"]},
-            {"normal": [["1", "0"], ["-1", "1"]], "offset": ["0", "0"]},
-        ]},
-    "dense-04": {
-        "schema": "patcoh/1", "name": "dense-04", "field": {"kind": "Qsqrt", "D": 5},
-        "dim": 2,
-        "generators": [[["1", "0"], ["0", "0"]], [["1/2", "1/2"], ["0", "0"]],
-                       [["0", "0"], ["1", "0"]], [["0", "0"], ["1/2", "1/2"]]],
-        "hyperplanes": [
-            {"normal": [["1", "0"], ["3/2", "1/2"]], "offset": ["0", "0"]},
-            {"normal": [["1", "0"], ["1", "0"]], "offset": ["0", "0"]},
-            {"normal": [["1", "0"], ["-3/2", "-1/2"]], "offset": ["0", "0"]},
-        ]},
-}
-
-
-def dense_m2(name):
-    return parse_projection_data(json.dumps(DENSE_M2[name]))
 
 
 @pytest.mark.parametrize("name", DENSE_M2)

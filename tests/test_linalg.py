@@ -15,6 +15,7 @@ from patcoh.linalg import (
     hnf,
     int_det,
     integer_kernel,
+    minor_gcd,
     mixed_solve,
     primitive_rref,
     rat_rank,
@@ -252,6 +253,28 @@ def test_int_det_examples():
     assert int_det([[1, 2], [3, 4]]) == -2
     assert int_det([[2, 0, 0], [0, 3, 0], [0, 0, 5]]) == 30
     assert int_det([]) == 1
+
+
+def test_minor_gcd_is_the_index_of_the_row_lattice():
+    # k x d rows of rank r <= d, as a random k x r combination of r random
+    # rows: the gcd of their d x d minors is the index of their row lattice
+    # in Z^d when that has rank d, and 0 below it
+    rng = random.Random(1717)
+    seen = set()
+    for d in (1, 2, 3):
+        for _ in range(60):
+            k, r = rng.randint(0, 5), rng.randint(0, d)
+            basis = rand_int_matrix(rng, r, d, -6, 6)
+            rows = (int_matmul(rand_int_matrix(rng, k, r, -3, 3), basis) if r
+                    else [[0] * d for _ in range(k)])
+            lat = IntLattice.from_rows(d, rows)
+            index = lattice_index(IntLattice.full(d), lat)
+            assert minor_gcd(rows, d) == (0 if index is None else index), (d, rows)
+            seen.add((d, index is None))
+    assert seen == {(d, deficient) for d in (1, 2, 3) for deficient in (False, True)}
+    assert minor_gcd([[2, 1], [0, 3], [4, 2]], 2) == 6
+    assert minor_gcd([[2, 4], [1, 2]], 2) == 0
+    assert minor_gcd([], 1) == 0
 
 
 # -- integer kernels and lattices --------------------------------------------

@@ -356,14 +356,17 @@ def test_gl_equivariance_danzer():
 
 def test_work_shape_of_the_icosahedral_entries(monkeypatch):
     # proper pairs, candidates, index-1 pairs and classes of analyze per
-    # m = 3 catalog entry; a pair's own lattice question is its one
-    # integer_kernel call, of the parent's stabilizer rows modulo the
-    # plane's echelon, whose echelon is H; its Hermite form holds exactly
-    # the rows with a nonzero remainder, and there is none without one
-    forms, kernels = [], []
+    # m = 3 catalog entry.  An index-1 pair is decided by minors: it makes
+    # no integer_kernel, hnf or coset_reps call, and its one coset rep is
+    # 0.  Every other pair's lattice question is its one integer_kernel
+    # call, of the parent's stabilizer rows modulo the plane's echelon,
+    # whose echelon is H; its Hermite form holds exactly the rows with a
+    # nonzero remainder, and there is none without one
+    forms, kernels, reps = [], [], []
     real_hnf, real_kernel = patcoh.linalg.hnf, patcoh.orbits.integer_kernel
-    real_pair = Engine.classify_pair
+    real_reps, real_pair = patcoh.orbits.coset_reps, Engine.classify_pair
     monkeypatch.setattr(patcoh.linalg, "hnf", lambda rows: forms.append(rows) or real_hnf(rows))
+    monkeypatch.setattr(patcoh.orbits, "coset_reps", lambda h: reps.append(h) or real_reps(h))
 
     def kernel_spy(*args):
         out = real_kernel(*args)
@@ -375,20 +378,26 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
     def pair_spy(self, parent, hclass, level, cut, stab, modulus):
         forms.clear()
         kernels.clear()
+        reps.clear()
         out = real_pair(self, parent, hclass, level, cut, stab, modulus)
+        index_one = out[2].basis == IntLattice.full(self.n).basis
+        shape[0] += 1
+        shape[1] += len(out[1])
+        shape[2] += index_one
+        if index_one:
+            assert (forms, kernels, reps) == ([], [], [])
+            assert [y for _, y in out[1]] == [(0,) * self.n]
+            return out
         ((images, width, modulus), (echelon, _)), = kernels
         assert [tuple(row) for row in images] == list(parent.stabilizer.basis)
         assert (width, modulus) == (self.n, hclass.stabilizer.echelon)
         assert tuple(tuple(row) for _, row in echelon) == out[2].basis
+        assert reps == [out[2]]
         left = [list(rem) for rem in (remainder(modulus, row) for row in images) if any(rem)]
-        index_one = out[2].basis == IntLattice.full(self.n).basis
         assert (not left) == (not forms)
         for form in forms:
             assert len(form) == len(left) + len(modulus)
             assert [row[:width] for row in form[:len(left)]] == left
-        shape[0] += 1
-        shape[1] += len(out[1])
-        shape[2] += index_one
         return out
 
     monkeypatch.setattr(Engine, "classify_pair", pair_spy)
@@ -500,6 +509,51 @@ def penrose(zeta_step=2):
     return parse_projection_data(json.dumps(doc))
 
 
+# dense m = 2 geometries of the benchmark's seeded pool: Gamma = O_K^2 in
+# its standard Z-basis over K = Q(sqrt 3), Q(sqrt 2) and Q(sqrt 5), and
+# lines through 0
+DENSE_M2 = {
+    "dense-00": {
+        "schema": "patcoh/1", "name": "dense-00", "field": {"kind": "Qsqrt", "D": 3},
+        "dim": 2,
+        "generators": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],
+                       [["0", "0"], ["1", "0"]], [["0", "0"], ["0", "1"]]],
+        "hyperplanes": [
+            {"normal": [["1", "0"], ["1/2", "-1/2"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["1", "0"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["-1", "-1/3"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["0", "-1"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["-1/2", "-1/2"]], "offset": ["0", "0"]},
+        ]},
+    "dense-01": {
+        "schema": "patcoh/1", "name": "dense-01", "field": {"kind": "Qsqrt", "D": 2},
+        "dim": 2,
+        "generators": [[["1", "0"], ["0", "0"]], [["0", "1"], ["0", "0"]],
+                       [["0", "0"], ["1", "0"]], [["0", "0"], ["0", "1"]]],
+        "hyperplanes": [
+            {"normal": [["1", "0"], ["0", "-1/2"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["1", "0"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["0", "0"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["-2", "1"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["-1", "1"]], "offset": ["0", "0"]},
+        ]},
+    "dense-04": {
+        "schema": "patcoh/1", "name": "dense-04", "field": {"kind": "Qsqrt", "D": 5},
+        "dim": 2,
+        "generators": [[["1", "0"], ["0", "0"]], [["1/2", "1/2"], ["0", "0"]],
+                       [["0", "0"], ["1", "0"]], [["0", "0"], ["1/2", "1/2"]]],
+        "hyperplanes": [
+            {"normal": [["1", "0"], ["3/2", "1/2"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["1", "0"]], "offset": ["0", "0"]},
+            {"normal": [["1", "0"], ["-3/2", "-1/2"]], "offset": ["0", "0"]},
+        ]},
+}
+
+
+def dense_m2(name):
+    return parse_projection_data(json.dumps(DENSE_M2[name]))
+
+
 def _stabilizer_sum(eng, parent, hc, cache):
     """Hermite basis of Stab(parent) + Stab(plane of hc) in Z^n, each by the
     Smith-form `mixed_solve`: y with gamma(y) in span(parent), and y with
@@ -520,7 +574,8 @@ _PAIR_CASES = {"danzer": lambda: build("danzer").data,
                "ammann_kramer": lambda: build("ammann_kramer").data,
                "canonical_d6": lambda: build("canonical_d6").data,
                "dual_canonical_d6": lambda: build("dual_canonical_d6").data,
-               "ammann_beenker": _ammann_beenker_with, "penrose": penrose}
+               "ammann_beenker": _ammann_beenker_with, "penrose": penrose,
+               **{nm: (lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2}}
 
 
 @pytest.mark.parametrize("name", [*_PAIR_CASES, "danzer_relative"])
@@ -529,17 +584,24 @@ def test_classification_subgroup_is_the_sum_of_the_stabilizers(name, monkeypatch
     # the cut's shifts ds_i modulo lcd q E (the reference route) and the
     # Hermite basis of Stab(parent) + Stab(plane), both found here; the
     # relative case classifies inside a plane class, whose root hands over
-    # the plane's stabilizer
+    # the plane's stabilizer.  The minors decide every index-1 pair, and
+    # the Hermite form runs on the others; Danzer and Penrose have no
+    # other pair
     relative = name == "danzer_relative"
     eng = Engine(build("danzer").data if relative else _PAIR_CASES[name]())
-    pairs, real = [], Engine.classify_pair
+    pairs, kernels = [], []
+    real, real_kernel = Engine.classify_pair, patcoh.orbits.integer_kernel
 
     def spy(self, *args):
+        kernels.clear()
         out = real(self, *args)
+        assert (out[2] != eng.full) == bool(kernels), (args[2], args[0].id, args[1].id)
         pairs.append((args, out[2]))
         return out
 
     monkeypatch.setattr(Engine, "classify_pair", spy)
+    monkeypatch.setattr(patcoh.orbits, "integer_kernel",
+                        lambda *args: kernels.append(args) or real_kernel(*args))
     arr = eng.enumerate_arrangement()
     if relative:
         pairs.clear()
@@ -552,6 +614,39 @@ def test_classification_subgroup_is_the_sum_of_the_stabilizers(name, monkeypatch
     roots = {tuple(stab) for (parent, _, _, _, stab, _), _ in pairs
              if parent.id == -1 or relative and parent is plane}
     assert roots == {plane.stabilizer.basis if relative else eng.full.basis}
+    formed = {h != eng.full for _, h in pairs}
+    assert formed == ({False} if name in ("danzer", "danzer_relative", "penrose")
+                      else {False, True})
+
+
+def test_plane_image_below_full_rank_takes_the_form(monkeypatch):
+    # <(1, 0), gamma> is rational on every generator of Z + Z + sqrt2 Z
+    # (in the second coordinate), so that plane's dots have rank 1 below
+    # delta = 2 and minor gcd 0: its pairs take the Hermite form, although
+    # their H is Z^3, and the other plane's pairs do not
+    doc = {"schema": "patcoh/1", "name": "rational_x", "field": {"kind": "Qsqrt", "D": 2},
+           "dim": 2, "generators": [[["1"], ["0"]], [["0"], ["1"]], [["0"], ["0", "1"]]],
+           "hyperplanes": [{"normal": [["1"], ["0"]]}, {"normal": [["0"], ["1"]]}]}
+    eng = Engine(parse_projection_data(json.dumps(doc)))
+    pairs, kernels = [], []
+    real, real_kernel = Engine.classify_pair, patcoh.orbits.integer_kernel
+
+    def spy(self, parent, hc, level, cut, stab, modulus):
+        kernels.clear()
+        out = real(self, parent, hc, level, cut, stab, modulus)
+        rational = hc.normal == (eng.fspec.one, eng.fspec.zero)
+        pairs.append((level, rational, cut.normal.g, len(kernels), out[2]))
+        assert out[2] == _stabilizer_sum(eng, parent, hc, cache)
+        return out
+
+    cache = {}
+    monkeypatch.setattr(Engine, "classify_pair", spy)
+    monkeypatch.setattr(patcoh.orbits, "integer_kernel",
+                        lambda *args: kernels.append(args) or real_kernel(*args))
+    assert eng.enumerate_arrangement().counts() == [1, 2]
+    assert sorted(pairs, key=lambda pair: pair[:2]) == [
+        (0, False, 1, 0, eng.full), (0, True, 0, 1, eng.full),
+        (1, False, 1, 0, eng.full), (1, True, 0, 1, eng.full)]
 
 
 def test_resource_cap_fires_before_listing_cosets(monkeypatch):
