@@ -19,6 +19,12 @@ from .report import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's own code, 2, is the validation one
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _max_classes() -> int | None:
     raw = os.environ.get("PATCOH_MAX_CLASSES")
     if raw is None:
@@ -104,7 +110,7 @@ def cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="patcoh",
         description="Cohomology and K-group ranks of projection point patterns "
         "by exact orbit enumeration of singular subspaces.")
@@ -121,7 +127,7 @@ def main(argv=None) -> int:
     fmt.add_argument("--table", action="store_true",
                      help="human table (default)")
     p_comp.add_argument("--dump-arrangement", action="store_true",
-                        help="include per-class direction/stabilizer data (JSON)")
+                        help="include per-class direction/stabilizer data (needs --json)")
     p_comp.set_defaults(func=cmd_compute)
 
     p_val = sub.add_parser("validate", help="validate an input file or catalog entry")
@@ -129,6 +135,8 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=cmd_validate)
 
     args = parser.parse_args(argv)
+    if args.func is cmd_compute and args.dump_arrangement and not args.json:
+        p_comp.error("--dump-arrangement needs --json: the table has no arrangement")
     return args.func(args)
 
 

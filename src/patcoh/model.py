@@ -11,8 +11,8 @@ import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .field import FElem, FieldSpec, dot, restrict_scalars
-from .linalg import rat_rank, rref
+from .field import FElem, FieldSpec, restrict_scalars, scalar_matrix
+from .linalg import clear_denominators, rat_rank, rref
 
 MAX_PLANES = 32
 
@@ -107,9 +107,10 @@ def _parse_felem(obj, fspec: FieldSpec) -> FElem:
     return FElem(a, b, fspec)
 
 
-def felem_json(x: FElem) -> list[str]:
-    """The schema's form of a field element: its rational components."""
-    return [str(c) for c in restrict_scalars((x,))]
+def vector_json(xs, d: int, q: int = 1) -> list[list[str]]:
+    """The schema's form of the field vector with restricted coordinates
+    xs / q: the d rational components of each coordinate."""
+    return [[str(Fraction(x, q)) for x in xs[i:i + d]] for i in range(0, len(xs), d)]
 
 
 def field_json(fspec: FieldSpec) -> dict:
@@ -169,22 +170,32 @@ def parse_projection_data(text: str) -> ProjectionData:
 
 
 def serialize_projection_data(data: ProjectionData) -> str:
+    d = data.field.degree
     doc = {
         "schema": SCHEMA,
         "name": data.name,
         "field": field_json(data.field),
         "dim": data.m,
-        "generators": [[felem_json(x) for x in g] for g in data.gens],
-        "hyperplanes": [
-            {"normal": [felem_json(x) for x in h.normal], "offset": felem_json(h.offset)}
-            for h in data.planes
-        ],
+        "generators": [vector_json(restrict_scalars(g), d) for g in data.gens],
+        "hyperplanes": [{"normal": vector_json(restrict_scalars(h.normal), d),
+                         "offset": vector_json(restrict_scalars((h.offset,)), d)[0]}
+                        for h in data.planes],
     }
     return json.dumps(doc, indent=2)
 
 
 # ---------------------------------------------------------------------------
 # validation
+
+def pairing_table(normal, gen_ints) -> tuple[int, list[list[int]], list[list[int]]]:
+    """The pairing of a normal nu with Gamma in integers, (den, form, dots):
+    den <nu, x> = form res(x), and dots[i] = den <nu, g_i> for the
+    generators given as gen_ints = (G, q_G), res(g_i) = G_i / q_G."""
+    form, den = clear_denominators([sum(rows, ()) for rows in zip(*map(scalar_matrix, normal))])
+    gens, qg = gen_ints
+    dots = [[sum(a * b for a, b in zip(f, g)) for f in form] for g in gens]
+    return den * qg, [[qg * x for x in f] for f in form], dots
+
 
 def validate(data: ProjectionData) -> ValidationReport:
     """Structural checks: generator independence, spanning, indecomposability,
@@ -193,8 +204,8 @@ def validate(data: ProjectionData) -> ValidationReport:
     n, m = data.n, data.m
     if n <= m:
         rep.add("error", "rank", f"need rank Gamma = {n} > dim V = {m}")
-    restricted = [restrict_scalars(g) for g in data.gens]
-    if rat_rank(restricted) != n:
+    gen_ints = clear_denominators([restrict_scalars(g) for g in data.gens])
+    if rat_rank(gen_ints[0]) != n:
         rep.add("error", "gens_dependent",
                 "generators are Q-linearly dependent: Gamma is not free of rank n")
     # the normals as the columns of an m x k matrix
@@ -229,8 +240,7 @@ def validate(data: ProjectionData) -> ValidationReport:
     # of Q-rank > 1, otherwise the translated arrangement is not dense
     if rep.ok:
         for idx, h in enumerate(data.planes):
-            vals = [restrict_scalars([dot(h.normal, g)]) for g in data.gens]
-            if rat_rank(vals) <= 1:
+            if rat_rank(pairing_table(h.normal, gen_ints)[2]) <= 1:
                 rep.add("error", "density",
                         f"hyperplane {idx}: <normal, Gamma> has Q-rank <= 1, "
                         "so Gamma-translates of this plane are not dense")

@@ -7,18 +7,18 @@ stabilizer sublattices attached.  Each lattice question is at most one
 Hermite form, read for its echelon and kernel at once (`integer_kernel`).
 Each direction has one cached entry (`Engine._entry`) under the integer key
 `primitive_rref` of its cleared restricted columns, and the entry is read
-off the key: its field rows, the columns, their kernel R and the one frame
-R * (Gamma image), whose echelon labels reduce by and whose kernel is the
-stabilizer.  A cut finds its sub-direction's key from integers, so the
-engine does no field elimination.  A pair's classification subgroup (its
+off the key: the columns, their kernel R and the one frame R * (Gamma
+image), whose echelon labels reduce by and whose kernel is the stabilizer.
+A cut finds its sub-direction's key from integers, so the engine does no
+field elimination.  A pair's classification subgroup (its
 index counts the pair's classes; a rank deficiency, infinitely many) is the
 sum of the parent's and the plane's stabilizers.  Minors of the plane's
 integer table decide when that sum is all of Z^n; any other sum is one
 Hermite form.  A cut is an integer affine map on restricted coordinates, so
 its candidates' labels (`Engine.label`) are affine in the coset
 representative.  So deduplication is a set lookup, and a candidate's class
-lies one level below.  A class carries its entry and integer point for the
-next level, and a field point for the report.
+lies one level below.  A class is an integer record, so the level loop
+builds no field element: fields are read only off the input data.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .field import FElem, dot, res_mul, restrict_scalars, scalar_matrix
+from .field import res_mul, restrict_scalars
 from .linalg import (IntLattice, clear_denominators, coset_reps, integer_kernel, minor_gcd,
                      primitive_rref, remainder)
-from .model import ProjectionData
+from .model import ProjectionData, pairing_table
 
 DEFAULT_MAX_CLASSES = 100_000
 
@@ -59,28 +58,26 @@ class ResourceCapExceeded(Exception):
 
 @dataclass(frozen=True)
 class SingularClass:
-    """One orbit class of singular spaces: canonical direction, a
-    representative point, the stabilizer in generator coordinates, and the
-    entry its cut found with res = ([X], q), res(point) = X / q."""
+    """One orbit class of singular spaces, in integers: its stabilizer in Z^n,
+    its direction's entry, a point as res = ([X], q), res(point) = X / q, and
+    for a hyperplane class its plane (normal tables, offset numerators over
+    the offset denominator)."""
 
     id: int
     dim: int
-    direction: tuple[tuple[FElem, ...], ...]  # canonical rref rows, dim x m
-    point: tuple[FElem, ...]
     stabilizer: IntLattice
-    normal: tuple[FElem, ...] | None = None  # hyperplane classes only
-    offset: FElem | None = None
-    entry: _Direction | None = dc_field(default=None, compare=False, repr=False)
-    res: tuple | None = dc_field(default=None, compare=False, repr=False)
+    entry: _Direction | None = dc_field(compare=False, repr=False)
+    res: tuple | None = dc_field(compare=False, repr=False)
+    plane: tuple | None = dc_field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=False)
 class _Direction:
     """Engine cache entry of one direction, under the key primitive_rref(cols):
-    its rows, its restricted columns cols / q, its annihilator rows R, and
-    the echelon and kernel of its frame, the lattice R * (Gamma image)."""
+    its restricted columns cols / q (column delta j is res(u_j) for the
+    field rref rows u_j), its annihilator rows R, and the echelon and kernel
+    of its frame, the lattice R * (Gamma image)."""
 
-    direction: tuple[tuple[FElem, ...], ...]
     cols: list[list[int]]
     q: int
     rows: list[tuple[int, ...]]
@@ -89,9 +86,8 @@ class _Direction:
 
 
 class _Normal(NamedTuple):
-    """Integer tables of one normal nu, as field numerators (a,) or (a, b)
-    over den: den <nu, x> = form res(x), and dots[i] = den <nu, g_i>, the
-    map Z^n -> Z^delta whose kernel is the plane's stabilizer; g is the
+    """Integer tables of one normal nu: `pairing_table`'s den, form and dots,
+    the map Z^n -> Z^delta whose kernel is the plane's stabilizer, and g, the
     `minor_gcd` of dots, its image's index in Z^delta (0 below rank delta)."""
 
     den: int
@@ -153,21 +149,7 @@ class Engine:
         self._dirs: dict = {}  # primitive_rref of a direction's columns -> _Direction
         self._theta_powers = [[int(i == l) for i in range(self.delta)] for l in range(self.delta)]
 
-    # -- basic geometry helpers ---------------------------------------------
-
-    def dir_res_cols(self, direction) -> list[tuple[Fraction, ...]]:
-        """Rational basis (as columns) of the restricted span of a field
-        subspace: each field basis vector u contributes res(theta^k u) for
-        k < delta, theta the field generator.  Column k of scalar_matrix(x)
-        is res(theta^k x), so the columns of u are read off one scalar
-        matrix per coordinate, stacked."""
-        return [col for row in direction
-                for col in zip(*(r for x in row for r in scalar_matrix(x)))]
-
-    def _direction(self, direction) -> _Direction:
-        """The cached entry of a field direction, under the key
-        `primitive_rref` of its cleared restricted columns."""
-        return self._entry(primitive_rref(clear_denominators(self.dir_res_cols(direction))[0]))
+    # -- directions and orbit labels ------------------------------------------
 
     def _entry(self, key) -> _Direction:
         """The direction's cached entry, built from its key the first time.
@@ -176,20 +158,18 @@ class Engine:
         columns; coordinates are interleaved (a_i, b_i), so that rref is
         res(theta^l u_j), l < delta, for the field rref rows u_j in order, and
         u_j is key row delta j over its pivot.  The columns are the key rows
-        over the lcm q of the pivots, cols / q; the rows R, the Hermite basis
-        of their integer kernel, span their annihilator, so projecting by R
-        eliminates the direction.  Each row is scaled by the least s that
-        makes its values on the generators res(g_i) = G_i / q_G integral as
-        well.  The frame is one `integer_kernel` of the images R res(g_i),
-        whose kernel {y : R res(gamma(y)) = 0} is Gamma cap span(direction)."""
+        over the lcm q of the pivots, cols / q, so res(u_j) is column delta j
+        over q; the rows R, the Hermite basis of their integer kernel, span
+        their annihilator, so projecting by R eliminates the direction.  Each
+        row is scaled by the least s that makes its values on the generators
+        res(g_i) = G_i / q_G integral as well.  The frame is one
+        `integer_kernel` of the images R res(g_i), whose kernel {y : R
+        res(gamma(y)) = 0} is Gamma cap span(direction)."""
         entry = self._dirs.get(key)
         if entry is None:
-            d, pivots = self.delta, [next(x for x in row if x) for row in key]
+            pivots = [next(x for x in row if x) for row in key]
             q = math.lcm(*pivots)
             cols = [[x * (q // p) for x in row] for row, p in zip(key, pivots)]
-            direction = tuple(tuple(self.fspec.elem(*(Fraction(x, p) for x in row[i:i + d]))
-                                    for i in range(0, self.dm, d))
-                              for row, p in zip(key[::d], pivots[::d]))
             _, kernel = integer_kernel([[c[i] for c in cols] for i in range(self.dm)],
                                        len(cols))
             gens, qg = self.gen_ints
@@ -201,7 +181,7 @@ class Engine:
                 vals.append(tuple(s * x // qg for x in v))
             echelon, stab = integer_kernel([[v[i] for v in vals] for i in range(self.n)],
                                            len(vals))
-            entry = self._dirs[key] = _Direction(direction, cols, q, rows, echelon, stab)
+            entry = self._dirs[key] = _Direction(cols, q, rows, echelon, stab)
         return entry
 
     def stabilizer(self, entry: _Direction) -> IntLattice:
@@ -209,21 +189,19 @@ class Engine:
         the kernel of its frame."""
         return entry.stab
 
-    def label(self, direction, point) -> tuple:
-        """Canonical key of the Gamma-orbit of point + span(direction).
+    def label(self, entry: _Direction, res) -> tuple:
+        """Canonical key of the Gamma-orbit of p + span(entry's direction),
+        res = ([X], q) with res(p) = X / q.
 
         Two points share an orbit iff their difference lies in
-        span(direction) + Gamma image, i.e. iff R res(point) agrees modulo
-        the frame's lattice L = R (Gamma image).  With res(point) = X / q,
-        v = R X is reduced by q times the echelon rows of L, top to bottom,
-        taking the floor at each pivot; that leaves one representative of
-        v / q modulo L (each pivot entry in [0, q h_p)).  The key is (q, v)
-        divided by its gcd, so equal keys mean equal v / q.  The entries
-        depend on which basis R is, but which points share a key does not."""
-        entry = self._direction(direction)
-        (xs,), q = clear_denominators([restrict_scalars(point)])
-        return self._key(entry.echelon,
-                         [sum(map(operator.mul, row, xs)) for row in entry.rows], q)
+        span(direction) + Gamma image, i.e. iff R res(p) agrees modulo the
+        frame's lattice L = R (Gamma image).  v = R X is reduced by q times
+        the echelon rows of L, top to bottom, taking the floor at each
+        pivot; that leaves one representative of v / q modulo L (each pivot
+        entry in [0, q h_p)).  The key is (q, v) divided by its gcd, so equal
+        keys mean equal v / q, whichever basis R is."""
+        (xs,), q = res
+        return self._key(entry.echelon, [sum(map(operator.mul, r, xs)) for r in entry.rows], q)
 
     @staticmethod
     def _key(echelon, v: list[int], q: int) -> tuple:
@@ -234,26 +212,23 @@ class Engine:
         return (q // g, *(a // g for a in v))
 
     def same_orbit(self, a, b) -> bool:
-        """a, b: (direction, point) pairs.  Same Gamma-orbit of affine spaces?"""
-        return a[0] == b[0] and self.label(*a) == self.label(*b)
+        """a, b: (entry, res) pairs.  Same Gamma-orbit of affine spaces?"""
+        return a[0] is b[0] and self.label(*a) == self.label(*b)
 
     # -- intersections and per-pair classification ---------------------------
 
     def _plane(self, h):
-        """(normal tables, offset numerators, offset denominator) of h; with the
-        form F / den_F and generators G / q_G, the tables are den_F q_G, q_G F, F G_i."""
-        form, den = clear_denominators(
-            [[x for c in h.normal for x in scalar_matrix(c)[r]] for r in range(self.delta)])
-        gens, qg = self.gen_ints
+        """(normal tables, offset numerators, offset denominator) of the input
+        plane h: the normal's `pairing_table` and the `minor_gcd` of its
+        dots, and res(offset) = off / oden."""
+        den, form, dots = pairing_table(h.normal, self.gen_ints)
         (off,), oden = clear_denominators([restrict_scalars((h.offset,))])
-        dots = [[sum(map(operator.mul, f, g)) for f in form] for g in gens]
-        return (_Normal(den * qg, [[qg * x for x in f] for f in form], dots,
-                        minor_gcd(dots, self.delta)), off, oden)
+        return _Normal(den, form, dots, minor_gcd(dots, self.delta)), off, oden
 
     def intersect(self, entry: _Direction, res, plane) -> _Cut | None:
         """Cut the parent p + span(entry's direction) by the hyperplane
-        `plane` (from `_plane`), or None when the direction lies in it; res
-        = (X, q_p) is res(p) cleared by `clear_denominators`.
+        `plane` that a hyperplane class carries, or None when the direction
+        lies in it; res = ([X], q_p) with res(p) = X / q_p.
 
         With the direction's restricted columns cols / q from its entry, the
         normal's form gives alpha_j = den q <normal, u_j> per row u_j.  The
@@ -267,8 +242,7 @@ class Engine:
         nrec, off, oden = plane
         d, fspec = self.delta, self.fspec
         cols, q = entry.cols, entry.q
-        alphas = [[sum(map(operator.mul, f, cols[d * j])) for f in nrec.form]
-                  for j in range(len(entry.direction))]
+        alphas = [[sum(map(operator.mul, f, col)) for f in nrec.form] for col in cols[::d]]
         pivot = next((j for j, al in enumerate(alphas) if any(al)), None)
         if pivot is None:
             return None
@@ -299,15 +273,16 @@ class Engine:
         return [x + cut.s * sum(map(operator.mul, y, col))
                 for x, col in zip(cut.c0_num, zip(*cut.cs))]
 
-    def point(self, cut: _Cut, y: Sequence[int]) -> tuple[tuple[FElem, ...], tuple]:
-        """Coset rep y's field point and res ([X], q), from one numerator
-        vector: lcd s q X + q_p res_mul(c, q res(w)) over q_p lcd s q, c = `_num`."""
+    def point(self, cut: _Cut, y: Sequence[int]) -> tuple:
+        """Coset rep y's point as res ([X], q): the numerators lcd s q X + q_p
+        res_mul(c, q res(w)) over q_p lcd s q, c = `_num`, divided by their
+        gcd, so q is the least common denominator."""
         (xs,), qp = cut.res
         c, big, d = self._num(cut, y), cut.lcd * cut.s * cut.q, self.delta
         cw = [t for i in range(0, self.dm, d) for t in res_mul(c, cut.wq[i:i + d], self.fspec)]
-        coords = [Fraction(big * x + qp * t, qp * big) for x, t in zip(xs, cw)]
-        return (tuple(self.fspec.elem(*coords[i:i + d]) for i in range(0, self.dm, d)),
-                clear_denominators([coords]))
+        nums = [big * x + qp * t for x, t in zip(xs, cw)]
+        g = math.gcd(qp * big, *nums)
+        return [[x // g for x in nums]], qp * big // g
 
     def classify_pair(self, parent: SingularClass, hclass, level: int, cut: _Cut,
                       stab, modulus):
@@ -324,9 +299,10 @@ class Engine:
         coset rep is y = 0.  Otherwise H is the echelon of `integer_kernel`
         of the rows `stab` modulo the echelon `modulus` of the plane's
         stabilizer.  A candidate's key, base + c rw over lcd s q (c =
-        `_num`) reduced as `label` reduces, equals label(sub_direction,
-        point(cut, y)).  Returns (sub_direction, [(key, y) per coset rep
-        y], H); raises InfiniteArrangement when H is rank-deficient."""
+        `_num`) reduced as `label` reduces, equals the label of y's point
+        in the sub-direction.  Returns (the sub-direction's entry, [(key, y)
+        per coset rep y], H); raises InfiniteArrangement when H is
+        rank-deficient."""
         g = cut.normal.g
         if g and g == minor_gcd([[sum(map(operator.mul, s, col)) for col in zip(*cut.normal.dots)]
                                  for s in stab], self.delta):
@@ -345,7 +321,7 @@ class Engine:
             hsub = IntLattice(self.n, tuple(tuple(row) for _, row in h))
             reps = coset_reps(hsub)
         big = cut.lcd * cut.s * cut.q
-        return cut.sub.direction, [
+        return cut.sub, [
             (self._key(cut.sub.echelon, [b + sum(map(operator.mul, c, t))
                                          for b, t in zip(cut.base, cut.rw)], big), y)
             for y in reps for c in (self._num(cut, y),)], hsub
@@ -357,31 +333,35 @@ class Engine:
         """Classes at `level` from cutting each parent, by the entry and res
         it carries, with all translated hyperplane classes, deduplicated
         under Gamma on the candidate keys; an accepted class gets its cut's
-        entry and its point and res from `point`.  An hclass carries its
-        plane's stabilizer in Z^n.  Level m-1 classes are the hyperplane
-        classes, with their normal and offset.  The classes, new or seen,
-        that a parent's candidate keys resolve to are one level below it:
-        `covers`, if given, gets them once each under (parent.dim, parent.id)."""
+        entry and its res from `point`.  An hclass carries its plane's
+        tables and its stabilizer in Z^n.  A level m-1 class is a hyperplane
+        class, with its cut's normal tables and the offset den <nu, p> =
+        form res(p) in lowest terms.  The classes, new or seen, that a
+        parent's candidate keys resolve to are one level below it: `covers`,
+        if given, gets them once each under (parent.dim, parent.id)."""
         accepted: list[SingularClass] = []
         seen: dict = {}  # direction entry -> {key: class accepted for it}
-        planes = [(hc, self._plane(hc), hc.stabilizer.echelon) for hc in hclasses]
+        planes = [(hc, hc.stabilizer.echelon) for hc in hclasses]
         for parent in parents:
             below: dict = {}  # class id -> class
-            for hc, plane, modulus in planes:
-                cut = self.intersect(parent.entry, parent.res, plane)
+            for hc, modulus in planes:
+                cut = self.intersect(parent.entry, parent.res, hc.plane)
                 if cut is None:
                     continue  # the parent's direction lies in the hyperplane
-                sub_dir, candidates, _ = self.classify_pair(parent, hc, level, cut,
-                                                            parent.entry.stab.basis, modulus)
-                classes = seen.setdefault(cut.sub, {})
+                sub, candidates, _ = self.classify_pair(parent, hc, level, cut,
+                                                        parent.entry.stab.basis, modulus)
+                classes = seen.setdefault(sub, {})
                 for key, y in candidates:
                     cls = classes.get(key)
                     if cls is None:
-                        pt, res = self.point(cut, y)
-                        hyper = (hc.normal, dot(hc.normal, pt)) if level == self.m - 1 else ()
-                        cls = classes[key] = SingularClass(len(accepted), level, sub_dir, pt,
-                                                           self.stabilizer(cut.sub), *hyper,
-                                                           entry=cut.sub, res=res)
+                        res, plane, nrec = self.point(cut, y), None, cut.normal
+                        if level == self.m - 1:  # a hyperplane class: its offset from res
+                            (xs,), qp = res
+                            off = [sum(map(operator.mul, f, xs)) for f in nrec.form]
+                            g = math.gcd(nrec.den * qp, *off)
+                            plane = nrec, [o // g for o in off], nrec.den * qp // g
+                        cls = classes[key] = SingularClass(len(accepted), level,
+                                                           self.stabilizer(sub), sub, res, plane)
                         accepted.append(cls)
                         if len(accepted) > self.max_classes:
                             raise ResourceCapExceeded(
@@ -392,13 +372,11 @@ class Engine:
         return accepted
 
     def hyperplane_classes(self) -> list[SingularClass]:
-        """Gamma-orbit classes of the translated input planes (level m-1),
-        cut from the full space: the entry of the identity key, Z^dm's basis."""
+        """Gamma-orbit classes of the translated input planes (level m-1), one
+        `_plane` each, cut from the full space: the identity key's entry."""
         space = self._entry(IntLattice.full(self.dm).basis)
-        parent = SingularClass(-1, self.m, space.direction, (self.fspec.zero,) * self.m,
-                               space.stab, entry=space, res=([[0] * self.dm], 1))
-        pseudo = [SingularClass(i, self.m - 1, (), h.normal, self.full,
-                                normal=h.normal, offset=h.offset)
+        parent = SingularClass(-1, self.m, space.stab, space, ([[0] * self.dm], 1))
+        pseudo = [SingularClass(i, self.m - 1, self.full, None, None, self._plane(h))
                   for i, h in enumerate(self.data.planes)]
         # under the full space as parent H = Z^n, whatever a pseudo class carries
         return self.build_level([parent], pseudo, level=self.m - 1)

@@ -9,7 +9,7 @@ import time
 from dataclasses import asdict
 
 from .invariants import analyze
-from .model import ProjectionData, felem_json, field_json, validate
+from .model import ProjectionData, field_json, validate, vector_json
 from .orbits import Arrangement, ResourceCapExceeded
 
 REPORT_SCHEMA = "patcoh-report/1"
@@ -34,13 +34,14 @@ _RESULT_KEYS = ("finite", "L", "tilde_L1", "e", "r", "R", "D", "H", "K", "diagno
 
 
 def _arrangement_json(arr: Arrangement) -> dict:
-    levels = {}
+    # a direction's field rref rows are its entry's columns delta j over q
+    d, levels = arr.data.field.degree, {}
     for level in sorted(arr.levels, reverse=True):
         levels[str(level)] = [
             {
                 "id": cls.id,
-                "direction": [[felem_json(x) for x in row] for row in cls.direction],
-                "point": [felem_json(x) for x in cls.point],
+                "direction": [vector_json(col, d, cls.entry.q) for col in cls.entry.cols[::d]],
+                "point": vector_json(cls.res[0][0], d, cls.res[1]),
                 "stabilizer": [[str(v) for v in row] for row in cls.stabilizer.basis],
             }
             for cls in arr.levels[level]

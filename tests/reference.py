@@ -1,6 +1,70 @@
-"""Slower references that the engine's results are checked against."""
+"""Slower references that the engine's results are checked against, and
+the field values of the engine's integer records."""
 
-from patcoh.linalg import int_det, integer_kernel
+from fractions import Fraction
+
+from patcoh.field import restrict_scalars, scalar_matrix
+from patcoh.linalg import clear_denominators, int_det, integer_kernel, primitive_rref
+
+
+def dir_res_cols(direction):
+    """Rational basis (as columns) of the restricted span of a field
+    subspace: each field basis vector u contributes res(theta^k u) for k <
+    delta, theta the field generator.  Column k of scalar_matrix(x) is
+    res(theta^k x), so the columns of u are read off one scalar matrix per
+    coordinate, stacked."""
+    return [col for row in direction
+            for col in zip(*(r for x in row for r in scalar_matrix(x)))]
+
+
+def entry_of(eng, direction):
+    """The engine's entry of a field direction, under the key
+    `primitive_rref` of its cleared restricted columns."""
+    return eng._entry(primitive_rref(clear_denominators(dir_res_cols(direction))[0]))
+
+
+def res_of(point):
+    """res = ([X], q) of a field point, res(point) = X / q."""
+    return clear_denominators([restrict_scalars(point)])
+
+
+def field_label(eng, direction, point):
+    """The engine's label of point + span(direction), given as field values."""
+    return eng.label(entry_of(eng, direction), res_of(point))
+
+
+def field_vector(eng, xs, q):
+    """The field vector with restricted coordinates xs / q."""
+    d = eng.delta
+    return tuple(eng.fspec.elem(*(Fraction(x, q) for x in xs[i:i + d]))
+                 for i in range(0, len(xs), d))
+
+
+def field_direction(eng, entry):
+    """The field rref rows u_j of a direction entry: res(u_j) is its column
+    delta j over q."""
+    return tuple(field_vector(eng, col, entry.q) for col in entry.cols[::eng.delta])
+
+
+def field_point(eng, res):
+    """The field point of res = ([X], q)."""
+    (xs,), q = res
+    return field_vector(eng, xs, q)
+
+
+def field_class(eng, cls):
+    """(direction, point) of a class as field vectors."""
+    return field_direction(eng, cls.entry), field_point(eng, cls.res)
+
+
+def field_plane(eng, hc):
+    """(normal, offset) of a hyperplane class, read back off the tables it
+    carries: den <nu, x> = form res(x), so res(den nu_k) is the form's
+    column delta k, and res(offset) = off / oden."""
+    nrec, off, oden = hc.plane
+    normal = tuple(field_vector(eng, [row[k] for row in nrec.form], nrec.den)[0]
+                   for k in range(0, eng.dm, eng.delta))
+    return normal, field_vector(eng, off, oden)[0]
 
 
 def coords_of(lat, vec):
@@ -38,9 +102,9 @@ def lattice_index(s_lat, h_lat):
 def contains(eng, direction, sub_dir) -> bool:
     """True iff span(sub_dir) lies in span(direction): the annihilator
     rows of `direction` kill every restricted column of `sub_dir`."""
-    rows = eng._direction(direction).rows
+    rows = entry_of(eng, direction).rows
     return not any(sum(p * c for p, c in zip(row, col) if p)
-                   for col in eng._direction(sub_dir).cols for row in rows)
+                   for col in entry_of(eng, sub_dir).cols for row in rows)
 
 
 def label_incidence(eng, arrangement):
@@ -52,20 +116,21 @@ def label_incidence(eng, arrangement):
     by_dir = {level: {} for level in arrangement.levels}
     for level, classes in arrangement.levels.items():
         for cls in classes:
-            by_dir[level].setdefault(cls.direction, []).append(cls)
+            by_dir[level].setdefault(field_direction(eng, cls.entry), []).append(cls)
     below = {}
     for level in sorted(arrangement.levels):
         for direction, alphas in by_dir[level].items():
             labels = {}
             for alpha in alphas:
                 below[(level, alpha.id)] = []
-                labels[eng.label(direction, alpha.point)] = alpha
+                labels[field_label(eng, direction, field_point(eng, alpha.res))] = alpha
             for sub_level in range(level):
                 for sub_dir, betas in by_dir[sub_level].items():
                     if not contains(eng, direction, sub_dir):
                         continue  # dir(beta) does not lie in dir(alpha)
                     for beta in betas:
-                        alpha = labels.get(eng.label(direction, beta.point))
+                        alpha = labels.get(field_label(eng, direction,
+                                                       field_point(eng, beta.res)))
                         if alpha is not None:
                             below[(level, alpha.id)].append(beta)
     return below

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from patcoh.catalog import build, names
 from patcoh.cli import main
 from patcoh.model import parse_projection_data, serialize_projection_data
@@ -193,6 +195,27 @@ def test_dump_arrangement(capsys):
     assert set(levels) == {"0"}
     assert len(levels["0"]) == 1
     assert levels["0"][0]["stabilizer"] == []
+
+
+@pytest.mark.parametrize("argv", [["compute"], ["bogus"],
+                                  ["compute", "danzer", "--json", "--table"]],
+                         ids=["no_source", "unknown_command", "json_and_table"])
+def test_usage_error_exits_1(capsys, argv):
+    # a usage error exits 1, not argparse's 2, which is the validation code
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage: patcoh" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", [[], ["--table"]], ids=["default", "table"])
+def test_dump_arrangement_needs_json(capsys, fmt):
+    # the table has no place for the arrangement, so the flag alone is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "fibonacci", "--dump-arrangement", *fmt])
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == ""
+    assert "--dump-arrangement needs --json" in out.err
 
 
 def test_canonical_digest_ignores_timing():

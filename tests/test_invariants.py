@@ -3,7 +3,7 @@ import json
 import pytest
 
 from patcoh.catalog import build, names
-from patcoh.field import restrict_scalars
+from patcoh.field import dot, restrict_scalars
 from patcoh.invariants import (
     InternalConsistencyError,
     analyze,
@@ -17,7 +17,8 @@ from patcoh.linalg import clear_denominators
 from patcoh.model import parse_projection_data, validate
 from patcoh.orbits import Arrangement, Engine
 from patcoh.report import canonical_digest, compute_report
-from reference import label_incidence
+from reference import (entry_of, field_class, field_direction, field_label, field_plane,
+                       field_point, label_incidence)
 from test_orbits import DENSE_M2, _ammann_beenker_with, dense_m2, penrose
 
 
@@ -100,6 +101,27 @@ def test_penrose_golden():
     assert code == 0 and canonical_digest(other) == canonical_digest(doc)
 
 
+# exit code and canonical digest of the report with the arrangement dumped
+# (every class's direction and point as rational strings), for the dense
+# m = 2 fixtures over Q(sqrt 3), Q(sqrt 2), Q(sqrt 5) and for Penrose in
+# both presentations; pinned before classes became integer records
+PINNED_DUMPS = {
+    "dense-00": (0, "e94bba46a6dfe7aaaba718bed165ed9e7732d313aa00744aab9981d9be489e1c"),
+    "dense-01": (0, "0c98f96a3254d27dfe4a7b8aa92c2cc1d4b44f42048957cf3586ef20daa5f971"),
+    "dense-04": (0, "268e88360bd716cd867fb9a6e8ff0a89bc4d04cfea1a26c83605358f9d2c9cd0"),
+    "penrose": (0, "2211445fc73e0490c3af480d4c5441d851911055641db120d9a1b499ecb504a6"),
+    "penrose_zeta1": (0, "88f04181d67e17200bfc3c96fb1e81bf24bbadf5ffc979b38c336a7aba59035a"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_DUMPS)
+def test_arrangement_dump_is_pinned(name):
+    data = (penrose() if name == "penrose" else penrose(zeta_step=1) if name == "penrose_zeta1"
+            else dense_m2(name))
+    doc, code = compute_report(data, dump_arrangement=True)
+    assert (code, canonical_digest(doc)) == PINNED_DUMPS[name]
+
+
 def coupled_plane():
     """A genuinely coupled two-dimensional internal space (the r_p path)."""
     doc = {
@@ -134,18 +156,28 @@ _CARRIED = {**{nm: (lambda nm=nm: build(nm).data)
 @pytest.mark.parametrize("name", _CARRIED)
 def test_classes_carry_their_entry_and_integer_point(name):
     # the entry and res a class carries are what its field direction and
-    # point give back, on every class of the enumeration and of the
-    # relative enumeration inside one plane class
-    eng = Engine(_CARRIED[name]())
+    # point give back (res in lowest terms), on every class of the
+    # enumeration and of the relative enumeration inside one plane class;
+    # a hyperplane class's tables give back an input normal and the
+    # offset of its point
+    data = _CARRIED[name]()
+    eng = Engine(data)
     arr = eng.enumerate_arrangement()
     top = arr.levels[eng.m - 1]
     rel = eng.relative_levels(top[0], top)
     classes = [c for levels in (arr.levels, rel) for cs in levels.values() for c in cs]
     assert len(classes) > sum(arr.counts())
     for cls in classes:
-        assert cls.res == clear_denominators([restrict_scalars(cls.point)]), (cls.dim, cls.id)
-        assert cls.entry is eng._direction(cls.direction), (cls.dim, cls.id)
+        direction, point = field_class(eng, cls)
+        assert cls.res == clear_denominators([restrict_scalars(point)]), (cls.dim, cls.id)
+        assert cls.entry is entry_of(eng, direction), (cls.dim, cls.id)
         assert cls.stabilizer == cls.entry.stab, (cls.dim, cls.id)
+        assert (cls.plane is None) == (cls.dim < eng.m - 1), (cls.dim, cls.id)
+    for hc in top:
+        normal, offset = field_plane(eng, hc)
+        assert normal in {h.normal for h in data.planes}, hc.id
+        assert offset == dot(normal, field_point(eng, hc.res)), hc.id
+        assert not any(dot(normal, u) for u in field_direction(eng, hc.entry)), hc.id
 
 
 def test_analyze_codim_two_internally_consistent():
@@ -170,8 +202,11 @@ def test_incidence_matches_relative_enumeration(make):
     eng = Engine(make())
     arr = eng.enumerate_arrangement()
     below = incidence(arr)
-    by_label = {(c.direction, eng.label(c.direction, c.point)): c
-                for classes in arr.levels.values() for c in classes}
+    def label(cls):
+        direction, point = field_class(eng, cls)
+        return direction, field_label(eng, direction, point)
+
+    by_label = {label(c): c for classes in arr.levels.values() for c in classes}
     hclasses = arr.levels[eng.m - 1]
     pairs = 0
     for level, classes in arr.levels.items():
@@ -180,7 +215,7 @@ def test_incidence_matches_relative_enumeration(make):
             found = []
             for sub_level, rel_classes in rel.items():
                 for psi in rel_classes:
-                    key = (psi.direction, eng.label(psi.direction, psi.point))
+                    key = label(psi)
                     assert key in by_label, (level, alpha.id, sub_level)
                     beta = by_label[key]
                     assert beta.dim == sub_level

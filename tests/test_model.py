@@ -8,6 +8,7 @@ from patcoh.catalog import build, names
 from patcoh.field import quadratic
 from patcoh.linalg import rref
 from patcoh.model import (
+    Finding,
     Hyperplane,
     ParseError,
     ProjectionData,
@@ -156,7 +157,9 @@ def test_validate_density_partial_check():
         hyperplanes=[{"normal": [["1"], ["0"]]}, {"normal": [["0"], ["1"]]},
                      {"normal": [["1"], ["1"]]}])
     rep = validate(parse_projection_data(json.dumps(doc)))
-    assert any(f.code == "density" for f in rep.findings)
+    assert [f for f in rep.findings if f.severity == "error"] == [Finding(
+        "error", "density", "hyperplane 1: <normal, Gamma> has Q-rank <= 1, "
+        "so Gamma-translates of this plane are not dense")]
 
 
 def test_validate_invariant_under_plane_permutation():

@@ -10,7 +10,7 @@ import patcoh.linalg
 import patcoh.model
 import patcoh.orbits
 from patcoh.catalog import build
-from patcoh.field import QQ, dot, quadratic, restrict_scalars
+from patcoh.field import QQ, FElem, dot, quadratic, restrict_scalars
 from patcoh.invariants import analyze
 from patcoh.linalg import (IntLattice, clear_denominators, mixed_solve, primitive_rref, remainder,
                            rref)
@@ -21,7 +21,9 @@ from patcoh.model import (
     parse_projection_data,
 )
 from patcoh.orbits import Engine, InfiniteArrangement, ResourceCapExceeded
-from reference import contains, coords_of, lattice_index, shift_subgroup
+from reference import (contains, coords_of, dir_res_cols, entry_of, field_class,
+                       field_direction, field_label, field_plane, field_point, lattice_index,
+                       res_of, shift_subgroup)
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -47,15 +49,19 @@ def field_inverse(rows):
 
 
 def _cut(eng, direction, point, h):
-    """The integer cut of point + span(direction) by h, as build_level makes it."""
-    res = clear_denominators([restrict_scalars(point)])
-    return eng.intersect(eng._direction(direction), res, eng._plane(h))
+    """The integer cut of point + span(direction) by the input plane h."""
+    return eng.intersect(entry_of(eng, direction), res_of(point), eng._plane(h))
+
+
+def _class_cut(eng, parent, hc):
+    """The cut of a class by a hyperplane class, as build_level makes it."""
+    return eng.intersect(parent.entry, parent.res, hc.plane)
 
 
 def _classify(eng, parent, hc, level, cut):
     """classify_pair with the stabilizers that build_level hands it: the
     parent's stabilizer rows in Z^n and the plane's echelon."""
-    stab = eng.stabilizer(eng._direction(parent.direction)).basis
+    stab = eng.stabilizer(parent.entry).basis
     return eng.classify_pair(parent, hc, level, cut, stab, hc.stabilizer.echelon)
 
 
@@ -67,8 +73,8 @@ def test_intersect_affine_example():
     point = (ZERO, ZERO, ZERO)
     h = Hyperplane((ZERO, ZERO, ONE), ZERO)
     cut = _cut(eng, direction, point, h)
-    assert cut.sub.direction == ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO))
-    assert eng.point(cut, (0,) * eng.n)[0] == point
+    assert field_direction(eng, cut.sub) == ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO))
+    assert field_point(eng, eng.point(cut, (0,) * eng.n)) == point
     # w, the first row off the plane, has a = <normal, w> = 1, so the
     # coefficients c_i = <normal, g_i>/a are the dots
     assert next(u for u in direction if dot(h.normal, u)) == (ZERO, ZERO, ONE)
@@ -82,7 +88,8 @@ def test_intersect_affine_offset_moves_point():
     direction = ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE))
     point = (ZERO, ZERO, ZERO)
     h = Hyperplane((ZERO, ZERO, ONE), TAU)
-    assert eng.point(_cut(eng, direction, point, h), (0,) * eng.n)[0] == (ZERO, ZERO, TAU)
+    cut = _cut(eng, direction, point, h)
+    assert field_point(eng, eng.point(cut, (0,) * eng.n)) == (ZERO, ZERO, TAU)
 
 
 def test_intersect_affine_rejects_containment():
@@ -110,23 +117,21 @@ def test_dir_res_cols_are_restrictions_of_theta_multiples(fspec):
         return fspec.elem(rat(), rat() if fspec.degree == 2 else 0)
 
     m = 3
-    basis = tuple(tuple(fspec.one if i == j else fspec.zero for j in range(m)) for i in range(m))
-    eng = Engine(ProjectionData(fspec, m, basis, (), "cols"))
     powers = [fspec.one] if fspec.degree == 1 else [fspec.one, fspec.elem(0, 1)]
     for k in range(1, m + 1):
         direction = tuple(tuple(elem() for _ in range(m)) for _ in range(k))
-        assert eng.dir_res_cols(direction) == [
+        assert dir_res_cols(direction) == [
             restrict_scalars([t * x for x in u]) for u in direction for t in powers]
 
 
 def test_same_orbit_fibonacci_points():
     data = build("fibonacci").data
     eng = Engine(data)
-    direction = ()  # points in a 1-dim internal space
+    entry = entry_of(eng, ())  # points in a 1-dim internal space
     # 0 and 1 + tau are lattice translates; 0 and 1/3 are not
-    assert eng.same_orbit((direction, (ZERO,)), (direction, (ONE + TAU,)))
-    assert not eng.same_orbit((direction, (ZERO,)), (direction, (F5.elem("1/3"),)))
-    assert eng.same_orbit((direction, (TAU,)), (direction, (TAU,)))
+    assert eng.same_orbit((entry, res_of((ZERO,))), (entry, res_of((ONE + TAU,))))
+    assert not eng.same_orbit((entry, res_of((ZERO,))), (entry, res_of((F5.elem("1/3"),))))
+    assert eng.same_orbit((entry, res_of((TAU,))), (entry, res_of((TAU,))))
 
 
 def _rand_felem(rng, fspec=F5):
@@ -152,24 +157,25 @@ def test_label_agrees_with_mixed_solve():
         g_res = _res_matrix([restrict_scalars(g) for g in data.gens], eng.dm)
         for classes in arr.levels.values():
             for cls in classes:
-                d_res = _res_matrix(eng.dir_res_cols(cls.direction), eng.dm)
-                base = eng.label(cls.direction, cls.point)
+                direction, point = field_class(eng, cls)
+                d_res = _res_matrix(dir_res_cols(direction), eng.dm)
+                base = eng.label(cls.entry, cls.res)
                 for k in range(4):
                     # gamma(y) + t.u is in the orbit (k < 2); a small random
                     # offset on top mostly leaves it (k >= 2)
                     y = [rng.randint(-3, 3) for _ in range(eng.n)]
                     delta = gamma_vec(eng, y)
-                    for u in cls.direction:
+                    for u in direction:
                         t = _rand_felem(rng, eng.fspec)
                         delta = tuple(a + t * x for a, x in zip(delta, u))
                     if k >= 2:
                         delta = tuple(a + _rand_felem(rng, eng.fspec) for a in delta)
-                    moved = tuple(p + a for p, a in zip(cls.point, delta))
-                    same = eng.label(cls.direction, moved) == base
+                    moved = tuple(p + a for p, a in zip(point, delta))
+                    same = eng.label(cls.entry, res_of(moved)) == base
                     sol = mixed_solve(g_res, d_res, restrict_scalars(delta), eng.n)
                     assert same == (sol is not None), (data.name, cls.dim, cls.id, k)
-                    assert eng.same_orbit((cls.direction, cls.point),
-                                          (cls.direction, moved)) == same
+                    assert eng.same_orbit((cls.entry, cls.res),
+                                          (cls.entry, res_of(moved))) == same
                     verdicts.append(same)
         assert 0 < sum(verdicts) < len(verdicts), data.name
 
@@ -185,15 +191,16 @@ def test_classify_pair_subgroup_agrees_with_mixed_solve():
         eng = Engine(data)
         g_res = _res_matrix([restrict_scalars(g) for g in data.gens], eng.dm)
         for level, parent, hc in _enumeration_pairs(eng, eng.enumerate_arrangement()):
-            cut = _cut(eng, parent.direction, parent.point, hc)
+            cut = _class_cut(eng, parent, hc)
             if cut is None:
                 continue
-            sub_dir, candidates, hsub = _classify(eng, parent, hc, level, cut)
+            sub, candidates, hsub = _classify(eng, parent, hc, level, cut)
             assert len(candidates) == lattice_index(IntLattice.full(eng.n), hsub)
-            w = next(u for u in parent.direction if dot(hc.normal, u))
-            a = dot(hc.normal, w)
-            d_res = _res_matrix(eng.dir_res_cols(sub_dir), eng.dm)
-            coefs = [dot(hc.normal, g) / a for g in data.gens]
+            normal, _ = field_plane(eng, hc)
+            w = next(u for u in field_direction(eng, parent.entry) if dot(normal, u))
+            a = dot(normal, w)
+            d_res = _res_matrix(dir_res_cols(field_direction(eng, sub)), eng.dm)
+            coefs = [dot(normal, g) / a for g in data.gens]
             for k in range(3):
                 # k = 0 draws from H itself, k >= 1 from a small box
                 if k == 0:
@@ -215,9 +222,8 @@ def _enumeration_pairs(eng, arr):
     """(level, parent, hyperplane class) for every pair the enumeration
     cuts, with the full space as the parent of the top level."""
     top = arr.levels[eng.m - 1]
-    ident = tuple(tuple(eng.fspec.one if i == j else eng.fspec.zero for j in range(eng.m))
-                  for i in range(eng.m))
-    space = patcoh.orbits.SingularClass(-1, eng.m, ident, (eng.fspec.zero,) * eng.m, eng.full)
+    entry = eng._entry(IntLattice.full(eng.dm).basis)
+    space = patcoh.orbits.SingularClass(-1, eng.m, eng.full, entry, ([[0] * eng.dm], 1))
     return [(eng.m - 1, space, hc) for hc in top] + [
         (level, parent, hc) for level in range(eng.m - 1)
         for parent in arr.levels[level + 1] for hc in top]
@@ -226,10 +232,10 @@ def _enumeration_pairs(eng, arr):
 @pytest.mark.parametrize("name", ["danzer", "ammann_beenker"])
 def test_candidate_keys_are_labels_of_their_points(name, monkeypatch):
     # a candidate's key is affine in its coset rep y: it must equal the
-    # label of y's field point, which lies in the parent space and on the
-    # plane translated by gamma(y); every pair as enumerated and once more
-    # with the parent point and the offset moved off the lattice, so that
-    # the cut point and its denominators are not trivial; danzer (m = 3,
+    # label of y's point, which lies in the parent space and on the plane
+    # translated by gamma(y); every pair as enumerated and once more with
+    # the parent point and the offset moved off the lattice, so that the
+    # cut point and its denominators are not trivial; danzer (m = 3,
     # Q(sqrt 5)) and Ammann-Beenker (m = 2, Q(sqrt 2))
     data = build(name).data if name == "danzer" else _ammann_beenker_with()
     eng = Engine(data)
@@ -238,26 +244,30 @@ def test_candidate_keys_are_labels_of_their_points(name, monkeypatch):
     monkeypatch.setattr(Engine, "point",
                         lambda self, cut, y: built.append(y) or real(self, cut, y))
     arr = eng.enumerate_arrangement()
-    # build_level builds a field point for the accepted classes only
+    # build_level works out a point for the accepted classes only
     assert len(built) == sum(arr.counts())
     monkeypatch.undo()
     rng = random.Random(7)
     keys = []
     for level, parent, hc in _enumeration_pairs(eng, arr):
-        moved = (dataclasses.replace(parent, point=tuple(
-                     x + _rand_felem(rng, eng.fspec) for x in parent.point)),
-                 dataclasses.replace(hc, offset=hc.offset + _rand_felem(rng, eng.fspec)))
+        point = tuple(x + _rand_felem(rng, eng.fspec) for x in field_point(eng, parent.res))
+        normal, offset = field_plane(eng, hc)
+        moved = (dataclasses.replace(parent, res=res_of(point)),
+                 dataclasses.replace(hc, plane=eng._plane(
+                     Hyperplane(normal, offset + _rand_felem(rng, eng.fspec)))))
         for parent, hc in ((parent, hc), moved):
-            cut = _cut(eng, parent.direction, parent.point, hc)
+            cut = _class_cut(eng, parent, hc)
             if cut is None:
                 continue
-            sub_dir, candidates, _ = _classify(eng, parent, hc, level, cut)
+            sub, candidates, _ = _classify(eng, parent, hc, level, cut)
+            (direction, point), (normal, offset) = field_class(eng, parent), field_plane(eng, hc)
             for key, y in candidates:
-                pt, _ = eng.point(cut, y)
-                assert key == eng.label(sub_dir, pt), (level, parent.id, hc.id, y)
-                assert dot(hc.normal, pt) == hc.offset + dot(hc.normal, gamma_vec(eng, y))
-                step = tuple(a - b for a, b in zip(pt, parent.point))
-                assert len(rref(parent.direction + (step,))) == len(parent.direction)
+                pt = field_point(eng, eng.point(cut, y))
+                assert key == field_label(eng, field_direction(eng, sub), pt), (
+                    level, parent.id, hc.id, y)
+                assert dot(normal, pt) == offset + dot(normal, gamma_vec(eng, y))
+                step = tuple(a - b for a, b in zip(pt, point))
+                assert len(rref(direction + (step,))) == len(direction)
                 keys.append(key)
     assert len(built) < len(set(keys)) < len(keys)
 
@@ -267,7 +277,8 @@ def test_contains_agrees_with_rref(name):
     # span(sub) lies in span(direction) iff stacking them adds no rank
     eng = Engine(build(name).data)
     arr = eng.enumerate_arrangement()
-    dirs = list(dict.fromkeys(c.direction for cs in arr.levels.values() for c in cs))
+    dirs = list(dict.fromkeys(field_direction(eng, c.entry)
+                              for cs in arr.levels.values() for c in cs))
     verdicts = []
     for direction in dirs:
         for sub in dirs:
@@ -295,10 +306,11 @@ def test_danzer_counts_and_level_law():
     assert arr.counts() == [1, 15, 6]
     for level, classes in arr.levels.items():
         for cls in classes:
+            direction = field_direction(eng, cls.entry)
             assert cls.dim == level
-            assert len(cls.direction) == level
+            assert len(direction) == level
             # direction rows are a canonical rref basis
-            assert tuple(tuple(r) for r in rref(cls.direction)) == cls.direction
+            assert tuple(tuple(r) for r in rref(direction)) == direction
 
 
 def test_danzer_translate_closure():
@@ -308,9 +320,8 @@ def test_danzer_translate_closure():
     for classes in arr.levels.values():
         for cls in classes:
             y = [rng.randint(-3, 3) for _ in range(eng.n)]
-            shift = gamma_vec(eng, y)
-            moved = tuple(p + s for p, s in zip(cls.point, shift))
-            assert eng.same_orbit((cls.direction, cls.point), (cls.direction, moved))
+            moved = tuple(p + s for p, s in zip(field_point(eng, cls.res), gamma_vec(eng, y)))
+            assert eng.same_orbit((cls.entry, cls.res), (cls.entry, res_of(moved)))
 
 
 def test_danzer_stabilizer_rank_law():
@@ -427,12 +438,30 @@ def test_analyze_does_no_field_elimination(monkeypatch):
     assert calls == []
 
 
+def test_enumeration_builds_no_field_element(monkeypatch):
+    # classes are integer records, so once the engine is built neither the
+    # enumeration nor a relative enumeration makes a field element, on the
+    # m = 3 entries, Ammann-Beenker and the dense m = 2 pool
+    engines = [Engine(build(nm).data) for nm in
+               ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]]
+    engines += [Engine(_ammann_beenker_with())] + [Engine(dense_m2(nm)) for nm in DENSE_M2]
+    made = []
+    real = FElem.__post_init__
+    monkeypatch.setattr(FElem, "__post_init__", lambda self: made.append(self) or real(self))
+    for eng in engines:
+        top = eng.enumerate_arrangement().levels[eng.m - 1]
+        assert eng.relative_levels(top[0], top)
+    assert made == []
+    assert ONE + TAU and len(made) == 1  # the spy sees a field sum
+
+
 @pytest.mark.parametrize("fspec", [QQ, quadratic(2), quadratic(5)], ids=["Q", "Qsqrt2", "Qsqrt5"])
 def test_entry_from_its_key_matches_the_field_rref(fspec):
     # a field subspace of each dimension 0..m, given by random rows and
     # re-based by a random invertible field matrix: the entry built from
-    # the integer key of its restricted columns has the field rref of the
-    # rows as its direction, and that rref's cleared restricted columns
+    # the integer key of its restricted columns holds that rref's cleared
+    # restricted columns, so its columns delta j over q are the field rref
+    # of the rows
     rng = random.Random(167)
 
     def rat():
@@ -458,10 +487,10 @@ def test_entry_from_its_key_matches_the_field_rref(fspec):
             rebased = [tuple(sum((c * row[x] for c, row in zip(ci, rows)), fspec.zero)
                              for x in range(m)) for ci in change]
             canon = tuple(tuple(r) for r in rref(rows))
-            key = primitive_rref(clear_denominators(eng.dir_res_cols(rebased))[0])
+            key = primitive_rref(clear_denominators(dir_res_cols(rebased))[0])
             entry = eng._entry(key)
-            assert entry.direction == canon
-            assert (entry.cols, entry.q) == clear_denominators(eng.dir_res_cols(canon))
+            assert field_direction(eng, entry) == canon
+            assert (entry.cols, entry.q) == clear_denominators(dir_res_cols(canon))
             dims.add(k)
     assert dims == set(range(m + 1))
 
@@ -558,16 +587,16 @@ def _stabilizer_sum(eng, parent, hc, cache):
     """Hermite basis of Stab(parent) + Stab(plane of hc) in Z^n, each by the
     Smith-form `mixed_solve`: y with gamma(y) in span(parent), and y with
     <normal, gamma(y)> = 0."""
-    key = parent.direction
+    key, (normal, _) = field_direction(eng, parent.entry), field_plane(eng, hc)
     if key not in cache:
         g_res = _res_matrix([restrict_scalars(g) for g in eng.data.gens], eng.dm)
-        d_res = _res_matrix(eng.dir_res_cols(parent.direction), eng.dm)
+        d_res = _res_matrix(dir_res_cols(key), eng.dm)
         cache[key] = list(mixed_solve(g_res, d_res, [0] * eng.dm, eng.n).lattice.basis)
-    if hc.normal not in cache:
-        dots = _res_matrix([restrict_scalars((dot(hc.normal, g),)) for g in eng.data.gens],
+    if normal not in cache:
+        dots = _res_matrix([restrict_scalars((dot(normal, g),)) for g in eng.data.gens],
                            eng.delta)
-        cache[hc.normal] = list(mixed_solve(dots, [], [0] * eng.delta, eng.n).lattice.basis)
-    return IntLattice.from_rows(eng.n, cache[key] + cache[hc.normal])
+        cache[normal] = list(mixed_solve(dots, [], [0] * eng.delta, eng.n).lattice.basis)
+    return IntLattice.from_rows(eng.n, cache[key] + cache[normal])
 
 
 _PAIR_CASES = {"danzer": lambda: build("danzer").data,
@@ -634,7 +663,7 @@ def test_plane_image_below_full_rank_takes_the_form(monkeypatch):
     def spy(self, parent, hc, level, cut, stab, modulus):
         kernels.clear()
         out = real(self, parent, hc, level, cut, stab, modulus)
-        rational = hc.normal == (eng.fspec.one, eng.fspec.zero)
+        rational = field_plane(eng, hc)[0] == (eng.fspec.one, eng.fspec.zero)
         pairs.append((level, rational, cut.normal.g, len(kernels), out[2]))
         assert out[2] == _stabilizer_sum(eng, parent, hc, cache)
         return out
@@ -674,8 +703,8 @@ def test_relative_levels_empty_without_proper_cuts(monkeypatch):
     data = build("square_fibonacci").data
     eng = Engine(data)
     hcs = eng.hyperplane_classes()
-    vertical = [hc for hc in hcs if hc.normal == (ONE, ZERO)]
-    assert vertical and vertical[0].direction == ((ZERO, ONE),)
+    vertical = [hc for hc in hcs if field_plane(eng, hc)[0] == (ONE, ZERO)]
+    assert vertical and field_direction(eng, vertical[0].entry) == ((ZERO, ONE),)
     calls = []
     monkeypatch.setattr(Engine, "classify_pair", lambda *args: calls.append(args))
     out = eng.relative_levels(vertical[0], vertical)

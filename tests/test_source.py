@@ -8,6 +8,7 @@ import pytest
 
 import patcoh
 import patcoh.invariants
+import patcoh.model
 import patcoh.orbits
 import patcoh.report
 
@@ -85,23 +86,46 @@ def test_orbits_takes_each_lattice_from_one_hermite_form():
     assert "hnf" not in imported and not uses["hnf"] and not uses["from_rows"]
 
 
+def _engine_calls(name):
+    """The callee of each call in the Engine method `name`, as source text."""
+    tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
+    engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Engine")
+    method = next(n for n in engine.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    return {ast.unparse(c.func) for c in ast.walk(method) if isinstance(c, ast.Call)}
+
+
 def test_classify_pair_does_no_field_arithmetic():
     # candidate keys are integer affine maps of the coset reps, and a cut
     # finds its sub-direction's entry by an integer key, so a pair takes no
     # field dot product, restriction, scalar matrix, inverse, element or
-    # elimination in intersect or classify_pair; a new entry reads its
-    # field rows off its key, with no field arithmetic or elimination
-    # either: its one field call makes each element of those rows
-    tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
-    engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Engine")
+    # elimination in intersect or classify_pair; a new entry is read off
+    # its key with none of them either
     for name in ("intersect", "classify_pair", "_entry"):
-        method = next(n for n in engine.body
-                      if isinstance(n, ast.FunctionDef) and n.name == name)
-        called = {ast.unparse(c.func) for c in ast.walk(method) if isinstance(c, ast.Call)}
+        called = _engine_calls(name)
         field = {f for f in called if f.split(".")[-1] in (
             "dot", "restrict_scalars", "scalar_matrix", "dir_res_cols", "inverse", "rref", "FElem")
             or f.endswith("fspec.elem")}
-        assert called and field == ({"self.fspec.elem"} if name == "_entry" else set()), name
+        assert called and field == set(), name
+
+
+@pytest.mark.parametrize("name", ["point", "_entry", "intersect", "classify_pair",
+                                  "build_level", "hyperplane_classes"])
+def test_level_loop_builds_no_field_element(name):
+    # a class is an integer record: the level loop makes no field element
+    # or rational and takes no field dot product
+    called = _engine_calls(name)
+    field = {f for f in called if f.split(".")[-1] in ("elem", "FElem", "Fraction", "dot")}
+    assert called and not field, (name, field)
+
+
+def test_validate_pairs_normals_in_integers():
+    # the density check reads the normal's integer pairing table, the one
+    # the engine's planes are built from, and takes no field dot product
+    tree = ast.parse(Path(patcoh.model.__file__).read_text())
+    validate = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "validate")
+    called = {ast.unparse(c.func) for c in ast.walk(validate) if isinstance(c, ast.Call)}
+    assert "pairing_table" in called and "dot" not in called
+    assert "pairing_table" in _engine_calls("_plane")
 
 
 def test_invariants_asks_no_label_or_containment():
