@@ -14,11 +14,12 @@ field elimination.  A pair's classification subgroup (its
 index counts the pair's classes; a rank deficiency, infinitely many) is the
 sum of the parent's and the plane's stabilizers.  Minors of the plane's
 integer table decide when that sum is all of Z^n; any other sum is one
-Hermite form.  A cut is an integer affine map on restricted coordinates, so
-its candidates' labels (`Engine.label`) are affine in the coset
-representative.  So deduplication is a set lookup, and a candidate's class
-lies one level below.  A class is an integer record, so the level loop
-builds no field element: fields are read only off the input data.
+Hermite form.  A cut is an integer affine map on restricted coordinates:
+each coset representative's point is one integer vector (`Engine.point`),
+and its label (`Engine.label`) is the dedup key, so deduplication is a
+set lookup, and a candidate's class lies one level below.  A class is an
+integer record, so the level loop builds no field element: fields are
+read only off the input data.
 """
 
 from __future__ import annotations
@@ -104,9 +105,7 @@ class _Cut(NamedTuple):
     c0_num / (lcd s) and c_i = cs_i / lcd as field numerators.  res = (X,
     q_p) is res(p) = X / q_p, and wq = q res(w) is w's column of the
     direction's entry.  sub is the sub-direction's entry (found by its
-    integer key), with rows R; rw_k = (q R_k res(theta^l w), l < delta), and
-    the R-image of p + c w / (lcd s) is (base + c rw) / (lcd s q).  normal
-    is the plane's tables."""
+    integer key)."""
 
     sub: _Direction
     res: tuple
@@ -114,11 +113,8 @@ class _Cut(NamedTuple):
     lcd: int
     q: int
     s: int
-    rw: list[list[int]]
     c0_num: list[int]
     cs: list[list[int]]
-    base: list[int]
-    normal: _Normal
 
 
 @dataclass
@@ -137,6 +133,8 @@ class Engine:
     """Enumeration engine bound to one validated projection data set."""
 
     def __init__(self, data: ProjectionData, max_classes: int = DEFAULT_MAX_CLASSES):
+        if max_classes < 1:
+            raise ValueError(f"the class cap must be at least 1, not {max_classes}")
         self.data = data
         self.max_classes = max_classes
         self.fspec = data.field
@@ -201,13 +199,7 @@ class Engine:
         entry in [0, q h_p)).  The key is (q, v) divided by its gcd, so equal
         keys mean equal v / q, whichever basis R is."""
         (xs,), q = res
-        return self._key(entry.echelon, [sum(map(operator.mul, r, xs)) for r in entry.rows], q)
-
-    @staticmethod
-    def _key(echelon, v: list[int], q: int) -> tuple:
-        """`label`'s key of v / q: the `remainder` of v modulo q times the
-        echelon rows, then (q, v) divided by its gcd."""
-        v = remainder(echelon, v, q)
+        v = remainder(entry.echelon, [sum(map(operator.mul, r, xs)) for r in entry.rows], q)
         g = math.gcd(q, *v)
         return (q // g, *(a // g for a in v))
 
@@ -238,7 +230,8 @@ class Engine:
         is `_entry` of its key, the `primitive_rref` of the integer columns
         lcd q cols[delta j + l] - sum_i res(theta^l F_j)_i cols[delta pivot +
         i], l < delta.  The form also gives <normal, p> for c0 = (offset -
-        <normal, p>)/a, over s = q_p times the offset's denominator."""
+        <normal, p>)/a, over s = q_p times the offset's denominator, and
+        the dots give the c_i = <normal, g_i>/a."""
         nrec, off, oden = plane
         d, fspec = self.delta, self.fspec
         cols, q = entry.cols, entry.q
@@ -259,33 +252,28 @@ class Engine:
             for j, f in enumerate(ratios) if j != pivot
             for col, t in zip(cols[d * j: d * j + d],
                               [res_mul(e, f, fspec) for e in self._theta_powers])]))
-        rw = [[sum(map(operator.mul, row, col)) for col in pcols] for row in sub.rows]
         (xs,), qp = res
         nu_p = [sum(map(operator.mul, f, xs)) for f in nrec.form]
         c0 = res_mul([o * nrec.den * qp - oden * e for o, e in zip(off, nu_p)], inv, fspec)
-        base = [lcd * oden * q * sum(map(operator.mul, row, xs)) for row in sub.rows]
-        return _Cut(sub, res, pcols[0], lcd, q, qp * oden, rw, c0,
-                    [res_mul(nd, inv, fspec) for nd in nrec.dots], base, nrec)
-
-    @staticmethod
-    def _num(cut: _Cut, y: Sequence[int]) -> list[int]:
-        """c = lcd s (c0 + sum y_i c_i): coset rep y's cut point is p + c w / (lcd s)."""
-        return [x + cut.s * sum(map(operator.mul, y, col))
-                for x, col in zip(cut.c0_num, zip(*cut.cs))]
+        return _Cut(sub, res, pcols[0], lcd, q, qp * oden, c0,
+                    [res_mul(nd, inv, fspec) for nd in nrec.dots])
 
     def point(self, cut: _Cut, y: Sequence[int]) -> tuple:
-        """Coset rep y's point as res ([X], q): the numerators lcd s q X + q_p
-        res_mul(c, q res(w)) over q_p lcd s q, c = `_num`, divided by their
-        gcd, so q is the least common denominator."""
+        """Coset rep y's point as res ([X], q): with c = lcd s (c0 + sum y_i
+        c_i), the point is p + c w / (lcd s), so its numerators are lcd s q X
+        + q_p res_mul(c, q res(w)) over q_p lcd s q, divided by their gcd,
+        so q is the least common denominator."""
         (xs,), qp = cut.res
-        c, big, d = self._num(cut, y), cut.lcd * cut.s * cut.q, self.delta
+        c = [x + cut.s * sum(map(operator.mul, y, col))
+             for x, col in zip(cut.c0_num, zip(*cut.cs))]
+        big, d = cut.lcd * cut.s * cut.q, self.delta
         cw = [t for i in range(0, self.dm, d) for t in res_mul(c, cut.wq[i:i + d], self.fspec)]
         nums = [big * x + qp * t for x, t in zip(xs, cw)]
         g = math.gcd(qp * big, *nums)
         return [[x // g for x in nums]], qp * big // g
 
-    def classify_pair(self, parent: SingularClass, hclass, level: int, cut: _Cut,
-                      stab, modulus):
+    def classify_pair(self, parent: SingularClass, hclass: SingularClass, level: int,
+                      cut: _Cut):
         """Orbit classes among {rep(parent) cut by translated hclass}, for
         the proper `cut` of the pair (from `intersect`).
 
@@ -295,20 +283,21 @@ class Engine:
         stabilizer.  So H = Stab(parent) + Stab(hclass) in Z^n.  The plane's
         `dots` map Z^n onto VG with kernel Stab(hclass), so [Z^n : H] is
         [VG : dots(Stab(parent))]: when VG has full rank, H = Z^n iff the
-        `minor_gcd` of the images of the rows `stab` is VG's, and the one
-        coset rep is y = 0.  Otherwise H is the echelon of `integer_kernel`
-        of the rows `stab` modulo the echelon `modulus` of the plane's
-        stabilizer.  A candidate's key, base + c rw over lcd s q (c =
-        `_num`) reduced as `label` reduces, equals the label of y's point
-        in the sub-direction.  Returns (the sub-direction's entry, [(key, y)
-        per coset rep y], H); raises InfiniteArrangement when H is
+        `minor_gcd` of the images of the parent's stabilizer rows is VG's,
+        and the one coset rep is y = 0.  Otherwise H is the echelon of
+        `integer_kernel` of those rows modulo the echelon of the plane's
+        stabilizer.  A candidate is a coset rep's point, res from `point`,
+        keyed by its `label` in the sub-direction.  Returns (the
+        sub-direction's entry, [(label, res) per coset rep, in the order of
+        `coset_reps`], H); raises InfiniteArrangement when H is
         rank-deficient."""
-        g = cut.normal.g
-        if g and g == minor_gcd([[sum(map(operator.mul, s, col)) for col in zip(*cut.normal.dots)]
-                                 for s in stab], self.delta):
+        stab, nrec = parent.stabilizer.basis, hclass.plane[0]
+        if nrec.g and nrec.g == minor_gcd([[sum(map(operator.mul, s, col))
+                                            for col in zip(*nrec.dots)] for s in stab],
+                                          self.delta):
             hsub, reps = self.full, [(0,) * self.n]
         else:
-            h, _ = integer_kernel(stab, self.n, modulus)
+            h, _ = integer_kernel(stab, self.n, hclass.stabilizer.echelon)
             if len(h) < self.n:
                 raise InfiniteArrangement(level, parent.id, hclass.id, len(h), self.n)
             # the cosets of H are pairwise distinct classes, so an index above
@@ -320,11 +309,8 @@ class Engine:
                     f"{hclass.id}): {index} classes, more than the cap of {self.max_classes}")
             hsub = IntLattice(self.n, tuple(tuple(row) for _, row in h))
             reps = coset_reps(hsub)
-        big = cut.lcd * cut.s * cut.q
-        return cut.sub, [
-            (self._key(cut.sub.echelon, [b + sum(map(operator.mul, c, t))
-                                         for b, t in zip(cut.base, cut.rw)], big), y)
-            for y in reps for c in (self._num(cut, y),)], hsub
+        return cut.sub, [(self.label(cut.sub, res), res)
+                         for res in (self.point(cut, y) for y in reps)], hsub
 
     # -- level-wise enumeration ----------------------------------------------
 
@@ -332,31 +318,30 @@ class Engine:
                     covers: dict | None = None) -> list[SingularClass]:
         """Classes at `level` from cutting each parent, by the entry and res
         it carries, with all translated hyperplane classes, deduplicated
-        under Gamma on the candidate keys; an accepted class gets its cut's
-        entry and its res from `point`.  An hclass carries its plane's
+        under Gamma on the candidates' labels; an accepted class gets its
+        cut's entry and its candidate's res.  An hclass carries its plane's
         tables and its stabilizer in Z^n.  A level m-1 class is a hyperplane
-        class, with its cut's normal tables and the offset den <nu, p> =
+        class, with its hclass's normal tables and the offset den <nu, p> =
         form res(p) in lowest terms.  The classes, new or seen, that a
-        parent's candidate keys resolve to are one level below it: `covers`,
-        if given, gets them once each under (parent.dim, parent.id)."""
+        parent's candidate labels resolve to are one level below it:
+        `covers`, if given, gets them once each under (parent.dim,
+        parent.id)."""
         accepted: list[SingularClass] = []
-        seen: dict = {}  # direction entry -> {key: class accepted for it}
-        planes = [(hc, hc.stabilizer.echelon) for hc in hclasses]
+        seen: dict = {}  # direction entry -> {label: class accepted for it}
         for parent in parents:
             below: dict = {}  # class id -> class
-            for hc, modulus in planes:
+            for hc in hclasses:
                 cut = self.intersect(parent.entry, parent.res, hc.plane)
                 if cut is None:
                     continue  # the parent's direction lies in the hyperplane
-                sub, candidates, _ = self.classify_pair(parent, hc, level, cut,
-                                                        parent.entry.stab.basis, modulus)
+                sub, candidates, _ = self.classify_pair(parent, hc, level, cut)
                 classes = seen.setdefault(sub, {})
-                for key, y in candidates:
+                for key, res in candidates:
                     cls = classes.get(key)
                     if cls is None:
-                        res, plane, nrec = self.point(cut, y), None, cut.normal
+                        plane = None
                         if level == self.m - 1:  # a hyperplane class: its offset from res
-                            (xs,), qp = res
+                            nrec, ((xs,), qp) = hc.plane[0], res
                             off = [sum(map(operator.mul, f, xs)) for f in nrec.form]
                             g = math.gcd(nrec.den * qp, *off)
                             plane = nrec, [o // g for o in off], nrec.den * qp // g

@@ -139,8 +139,14 @@ def label_incidence(eng, arrangement):
 def shift_subgroup(eng, cut):
     """A pair's classification subgroup from the shifts of its cut: moving
     the plane by gamma(y) moves the cut point's R-image by sum y_i ds_i /
-    (lcd q), ds_i = rw cs_i, so H is the kernel of the ds_i modulo lcd q E,
-    E the echelon rows of the sub-direction's frame."""
-    ds = [[sum(r * c for r, c in zip(rwk, cs)) for rwk in cut.rw] for cs in cut.cs]
+    (lcd q), ds_i = rw cs_i with rw_kl = q R_k res(theta^l w), R the rows of
+    the sub-direction and w the pivot row (its column q res(w) is cut.wq),
+    so H is the kernel of the ds_i modulo lcd q E, E the echelon rows of
+    the sub-direction's frame."""
+    w = field_vector(eng, cut.wq, cut.q)
+    rw = [[cut.q * sum(r * c for r, c in zip(row, col)) for col in dir_res_cols((w,))]
+          for row in cut.sub.rows]
+    assert all(x.denominator == 1 for row in rw for x in row)
+    ds = [[int(sum(r * c for r, c in zip(rwk, cs))) for rwk in rw] for cs in cut.cs]
     modulus = [(p, [cut.lcd * cut.q * x for x in row]) for p, row in cut.sub.echelon]
-    return integer_kernel(ds, len(cut.rw), modulus)[1]
+    return integer_kernel(ds, len(rw), modulus)[1]

@@ -261,15 +261,28 @@ def test_incidence_matches_label_scan(make):
 
 
 def test_analyze_asks_no_orbit_label(monkeypatch):
-    # labels are read off the candidates while enumerating; the incidence
-    # poset asks the engine for none
-    calls = []
-    real = Engine.label
-    monkeypatch.setattr(Engine, "label",
-                        lambda self, *args: calls.append(args) or real(self, *args))
+    # labels are read off the candidates inside classify_pair while
+    # enumerating; the incidence poset, the Euler count and the wedges ask
+    # the engine for none
+    depth, inside, outside = [0], [], []
+    real_label, real_pair = Engine.label, Engine.classify_pair
+
+    def label_spy(self, *args):
+        (inside if depth[0] else outside).append(args)
+        return real_label(self, *args)
+
+    def pair_spy(self, *args):
+        depth[0] += 1
+        try:
+            return real_pair(self, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Engine, "label", label_spy)
+    monkeypatch.setattr(Engine, "classify_pair", pair_spy)
     rep = analyze(build("danzer").data)
     assert rep.H == build("danzer").expected["H"]
-    assert calls == []
+    assert inside and outside == []
 
 
 def test_compute_nu_rejects_bad_stabilizer():

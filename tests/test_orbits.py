@@ -12,8 +12,8 @@ import patcoh.orbits
 from patcoh.catalog import build
 from patcoh.field import QQ, FElem, dot, quadratic, restrict_scalars
 from patcoh.invariants import analyze
-from patcoh.linalg import (IntLattice, clear_denominators, mixed_solve, primitive_rref, remainder,
-                           rref)
+from patcoh.linalg import (IntLattice, clear_denominators, coset_reps, mixed_solve,
+                           primitive_rref, remainder, rref)
 from patcoh.model import (
     Hyperplane,
     ProjectionData,
@@ -21,6 +21,7 @@ from patcoh.model import (
     parse_projection_data,
 )
 from patcoh.orbits import Engine, InfiniteArrangement, ResourceCapExceeded
+from patcoh.report import compute_report
 from reference import (contains, coords_of, dir_res_cols, entry_of, field_class,
                        field_direction, field_label, field_plane, field_point, lattice_index,
                        res_of, shift_subgroup)
@@ -56,13 +57,6 @@ def _cut(eng, direction, point, h):
 def _class_cut(eng, parent, hc):
     """The cut of a class by a hyperplane class, as build_level makes it."""
     return eng.intersect(parent.entry, parent.res, hc.plane)
-
-
-def _classify(eng, parent, hc, level, cut):
-    """classify_pair with the stabilizers that build_level hands it: the
-    parent's stabilizer rows in Z^n and the plane's echelon."""
-    stab = eng.stabilizer(parent.entry).basis
-    return eng.classify_pair(parent, hc, level, cut, stab, hc.stabilizer.echelon)
 
 
 def test_intersect_affine_example():
@@ -194,7 +188,7 @@ def test_classify_pair_subgroup_agrees_with_mixed_solve():
             cut = _class_cut(eng, parent, hc)
             if cut is None:
                 continue
-            sub, candidates, hsub = _classify(eng, parent, hc, level, cut)
+            sub, candidates, hsub = eng.classify_pair(parent, hc, level, cut)
             assert len(candidates) == lattice_index(IntLattice.full(eng.n), hsub)
             normal, _ = field_plane(eng, hc)
             w = next(u for u in field_direction(eng, parent.entry) if dot(normal, u))
@@ -230,23 +224,16 @@ def _enumeration_pairs(eng, arr):
 
 
 @pytest.mark.parametrize("name", ["danzer", "ammann_beenker"])
-def test_candidate_keys_are_labels_of_their_points(name, monkeypatch):
-    # a candidate's key is affine in its coset rep y: it must equal the
-    # label of y's point, which lies in the parent space and on the plane
-    # translated by gamma(y); every pair as enumerated and once more with
+def test_candidate_keys_are_labels_of_their_points(name):
+    # a candidate is the point of its coset rep y, which lies in the parent
+    # space and on the plane translated by gamma(y), and its key must equal
+    # that point's label; every pair as enumerated and once more with
     # the parent point and the offset moved off the lattice, so that the
     # cut point and its denominators are not trivial; danzer (m = 3,
     # Q(sqrt 5)) and Ammann-Beenker (m = 2, Q(sqrt 2))
     data = build(name).data if name == "danzer" else _ammann_beenker_with()
     eng = Engine(data)
-    built = []
-    real = Engine.point
-    monkeypatch.setattr(Engine, "point",
-                        lambda self, cut, y: built.append(y) or real(self, cut, y))
     arr = eng.enumerate_arrangement()
-    # build_level works out a point for the accepted classes only
-    assert len(built) == sum(arr.counts())
-    monkeypatch.undo()
     rng = random.Random(7)
     keys = []
     for level, parent, hc in _enumeration_pairs(eng, arr):
@@ -259,17 +246,20 @@ def test_candidate_keys_are_labels_of_their_points(name, monkeypatch):
             cut = _class_cut(eng, parent, hc)
             if cut is None:
                 continue
-            sub, candidates, _ = _classify(eng, parent, hc, level, cut)
+            sub, candidates, hsub = eng.classify_pair(parent, hc, level, cut)
             (direction, point), (normal, offset) = field_class(eng, parent), field_plane(eng, hc)
-            for key, y in candidates:
-                pt = field_point(eng, eng.point(cut, y))
+            reps = coset_reps(hsub)
+            assert len(candidates) == len(reps)
+            for (key, res), y in zip(candidates, reps):
+                assert res == eng.point(cut, y)
+                pt = field_point(eng, res)
                 assert key == field_label(eng, field_direction(eng, sub), pt), (
                     level, parent.id, hc.id, y)
                 assert dot(normal, pt) == offset + dot(normal, gamma_vec(eng, y))
                 step = tuple(a - b for a, b in zip(pt, point))
                 assert len(rref(direction + (step,))) == len(direction)
                 keys.append(key)
-    assert len(built) < len(set(keys)) < len(keys)
+    assert sum(arr.counts()) < len(set(keys)) < len(keys)
 
 
 @pytest.mark.parametrize("name", ["danzer", "ammann_kramer"])
@@ -386,18 +376,18 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
 
     monkeypatch.setattr(patcoh.orbits, "integer_kernel", kernel_spy)
 
-    def pair_spy(self, parent, hclass, level, cut, stab, modulus):
+    def pair_spy(self, parent, hclass, level, cut):
         forms.clear()
         kernels.clear()
         reps.clear()
-        out = real_pair(self, parent, hclass, level, cut, stab, modulus)
+        out = real_pair(self, parent, hclass, level, cut)
         index_one = out[2].basis == IntLattice.full(self.n).basis
         shape[0] += 1
         shape[1] += len(out[1])
         shape[2] += index_one
         if index_one:
             assert (forms, kernels, reps) == ([], [], [])
-            assert [y for _, y in out[1]] == [(0,) * self.n]
+            assert [res for _, res in out[1]] == [self.point(cut, (0,) * self.n)]
             return out
         ((images, width, modulus), (echelon, _)), = kernels
         assert [tuple(row) for row in images] == list(parent.stabilizer.basis)
@@ -508,6 +498,19 @@ def test_resource_cap():
     eng = Engine(build("danzer").data, max_classes=3)
     with pytest.raises(ResourceCapExceeded):
         eng.enumerate_arrangement()
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_resource_cap_below_one_is_refused(cap):
+    # a cap below 1 admits no class at all: the engine refuses it, as the
+    # CLI refuses such a PATCOH_MAX_CLASSES, so neither analyze nor
+    # compute_report turns it into a resource-cap verdict; a cap of 1 runs
+    data = build("danzer").data
+    for run in (Engine, analyze, compute_report):
+        with pytest.raises(ValueError, match="at least 1"):
+            run(data, max_classes=cap)
+    with pytest.raises(ResourceCapExceeded):
+        Engine(data, max_classes=1).enumerate_arrangement()
 
 
 def _ammann_beenker_with(*extra_normals):
@@ -637,10 +640,10 @@ def test_classification_subgroup_is_the_sum_of_the_stabilizers(name, monkeypatch
         plane = arr.levels[2][0]
         eng.relative_levels(plane, arr.levels[2])
     cache = {}
-    for (parent, hc, level, cut, stab, modulus), h in pairs:
+    for (parent, hc, level, cut), h in pairs:
         assert h == shift_subgroup(eng, cut), (level, parent.id, hc.id)
         assert h == _stabilizer_sum(eng, parent, hc, cache), (level, parent.id, hc.id)
-    roots = {tuple(stab) for (parent, _, _, _, stab, _), _ in pairs
+    roots = {parent.stabilizer.basis for (parent, _, _, _), _ in pairs
              if parent.id == -1 or relative and parent is plane}
     assert roots == {plane.stabilizer.basis if relative else eng.full.basis}
     formed = {h != eng.full for _, h in pairs}
@@ -660,11 +663,11 @@ def test_plane_image_below_full_rank_takes_the_form(monkeypatch):
     pairs, kernels = [], []
     real, real_kernel = Engine.classify_pair, patcoh.orbits.integer_kernel
 
-    def spy(self, parent, hc, level, cut, stab, modulus):
+    def spy(self, parent, hc, level, cut):
         kernels.clear()
-        out = real(self, parent, hc, level, cut, stab, modulus)
+        out = real(self, parent, hc, level, cut)
         rational = field_plane(eng, hc)[0] == (eng.fspec.one, eng.fspec.zero)
-        pairs.append((level, rational, cut.normal.g, len(kernels), out[2]))
+        pairs.append((level, rational, hc.plane[0].g, len(kernels), out[2]))
         assert out[2] == _stabilizer_sum(eng, parent, hc, cache)
         return out
 

@@ -95,8 +95,8 @@ def _engine_calls(name):
 
 
 def test_classify_pair_does_no_field_arithmetic():
-    # candidate keys are integer affine maps of the coset reps, and a cut
-    # finds its sub-direction's entry by an integer key, so a pair takes no
+    # a candidate's point and its label are integer maps of its coset rep,
+    # and a cut finds its sub-direction's entry by an integer key, so a pair takes no
     # field dot product, restriction, scalar matrix, inverse, element or
     # elimination in intersect or classify_pair; a new entry is read off
     # its key with none of them either
@@ -165,18 +165,31 @@ def test_levels_cut_from_what_each_class_carries():
     # a class carries the entry its cut found and its point's integer
     # coordinates, so the level loop and the hyperplane pass turn no field
     # element back into a direction entry or an integer point, and a
-    # relative enumeration starts from the class itself
+    # relative enumeration starts from the class itself.  Each candidate
+    # carries its point, so the level loop works out none; a cut holds no
+    # affine copy of the label (shift rows, base image) and no copy of its
+    # plane's tables, classify_pair reads the stabilizers and the plane
+    # off the classes it is handed, and `label` is the one method that
+    # reduces a point to an orbit key
     tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
-    engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Engine")
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+    methods = {n.name: n for n in classes["Engine"].body if isinstance(n, ast.FunctionDef)}
     rederive = {"_direction", "dir_res_cols", "restrict_scalars", "clear_denominators",
                 "scalar_matrix"}
-    for name, banned in (("build_level", rederive), ("hyperplane_classes", rederive),
+    for name, banned in (("build_level", rederive | {"point"}),
+                         ("hyperplane_classes", rederive),
                          ("relative_levels", {"_direction"})):
-        method = next(n for n in engine.body
-                      if isinstance(n, ast.FunctionDef) and n.name == name)
         called = {c.func.id if isinstance(c.func, ast.Name) else getattr(c.func, "attr", None)
-                  for c in ast.walk(method) if isinstance(c, ast.Call)}
+                  for c in ast.walk(methods[name]) if isinstance(c, ast.Call)}
         assert called and not called & banned, (name, called & banned)
+    fields = {n.target.id for n in classes["_Cut"].body if isinstance(n, ast.AnnAssign)}
+    assert {"sub", "res", "cs"} <= fields and not fields & {"rw", "base", "normal"}
+    assert [a.arg for a in methods["classify_pair"].args.args] == [
+        "self", "parent", "hclass", "level", "cut"]
+    reducers = {name for name, meth in methods.items()
+                if "remainder" in {ast.unparse(c.func) for c in ast.walk(meth)
+                                   if isinstance(c, ast.Call)}}
+    assert reducers == {"label"}
 
 
 def test_engine_classifies_under_gamma_only():
