@@ -17,9 +17,11 @@ integer table decide when that sum is all of Z^n; any other sum is one
 Hermite form.  A cut is an integer affine map on restricted coordinates:
 each coset representative's point is one integer vector (`Engine.point`),
 and its label (`Engine.label`) is the dedup key, so deduplication is a
-set lookup, and a candidate's class lies one level below.  A class is an
-integer record, so the level loop builds no field element: fields are
-read only off the input data.
+set lookup, and a candidate's class lies one level below.  At level m-2
+both sides of a pair are hyperplane classes, and the intersections of
+translates of two planes do not depend on their order, so each unordered
+pair is classified once.  A class is an integer record, so the level loop
+builds no field element: fields are read only off the input data.
 """
 
 from __future__ import annotations
@@ -325,17 +327,31 @@ class Engine:
         form res(p) in lowest terms.  The classes, new or seen, that a
         parent's candidate labels resolve to are one level below it:
         `covers`, if given, gets them once each under (parent.dim,
-        parent.id)."""
+        parent.id).
+
+        When `parents` is `hclasses` (level m-2), the pair of parent i and
+        hclass j cuts translates of the same two planes as the pair (j, i),
+        so it resolves to the same classes: it is classified only for j >=
+        i, and for j < i the parent takes the classes that (j, i) resolved
+        to.  The accepted classes come out as if every pair were
+        classified, and H is symmetric, so the first pair to trip the
+        index cap or a rank deficiency is the same; only the order within
+        a `covers` list may differ."""
         accepted: list[SingularClass] = []
         seen: dict = {}  # direction entry -> {label: class accepted for it}
-        for parent in parents:
+        mirror = {} if parents is hclasses else None  # (i, j) -> (j, i)'s classes
+        for i, parent in enumerate(parents):
             below: dict = {}  # class id -> class
-            for hc in hclasses:
+            for j, hc in enumerate(hclasses):
+                if mirror is not None and j < i:
+                    below.update(mirror.pop((i, j), {}))
+                    continue
                 cut = self.intersect(parent.entry, parent.res, hc.plane)
                 if cut is None:
                     continue  # the parent's direction lies in the hyperplane
                 sub, candidates, _ = self.classify_pair(parent, hc, level, cut)
                 classes = seen.setdefault(sub, {})
+                found: dict = {}  # class id -> class, for this pair
                 for key, res in candidates:
                     cls = classes.get(key)
                     if cls is None:
@@ -351,7 +367,10 @@ class Engine:
                         if len(accepted) > self.max_classes:
                             raise ResourceCapExceeded(
                                 f"more than {self.max_classes} classes at level {level}")
-                    below[cls.id] = cls
+                    found[cls.id] = cls
+                below.update(found)
+                if mirror is not None:
+                    mirror[(j, i)] = found
             if covers is not None:
                 covers[(parent.dim, parent.id)] = list(below.values())
         return accepted

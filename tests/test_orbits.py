@@ -357,7 +357,8 @@ def test_gl_equivariance_danzer():
 
 def test_work_shape_of_the_icosahedral_entries(monkeypatch):
     # proper pairs, candidates, index-1 pairs and classes of analyze per
-    # m = 3 catalog entry.  An index-1 pair is decided by minors: it makes
+    # m = 3 catalog entry, with each unordered pair of hyperplane classes
+    # classified once at level 1.  An index-1 pair is decided by minors: it makes
     # no integer_kernel, hnf or coset_reps call, and its one coset rep is
     # 0.  Every other pair's lattice question is its one integer_kernel
     # call, of the parent's stabilizer rows modulo the plane's echelon,
@@ -407,11 +408,11 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
         shape = [0, 0, 0]
         classes = sum(analyze(build(name).data).L)
         found[name] = (*shape, classes)
-    assert found == {"danzer": (96, 96, 96, 22),
-                     "ammann_kramer": (795, 1095, 555, 93),
-                     "canonical_d6": (856, 1156, 766, 117),
-                     "dual_canonical_d6": (1185, 1995, 915, 155)}
-    assert [sum(col) for col in zip(*found.values())] == [2932, 4342, 2332, 387]
+    assert found == {"danzer": (81, 81, 81, 22),
+                     "ammann_kramer": (690, 975, 465, 93),
+                     "canonical_d6": (736, 1036, 646, 117),
+                     "dual_canonical_d6": (1080, 1845, 825, 155)}
+    assert [sum(col) for col in zip(*found.values())] == [2587, 3937, 2017, 387]
 
 
 def test_analyze_does_no_field_elimination(monkeypatch):
@@ -490,8 +491,8 @@ def test_infinite_demo_raises_with_witness():
     with pytest.raises(InfiniteArrangement) as exc:
         eng.enumerate_arrangement()
     err = exc.value
-    assert err.witness_level == 0
-    assert err.deficient_subgroup_rank < err.full_rank == 3
+    assert (err.witness_level, err.witness_pair) == (0, (0, 1))
+    assert (err.deficient_subgroup_rank, err.full_rank) == (2, 3)
 
 
 def test_resource_cap():
@@ -651,14 +652,58 @@ def test_classification_subgroup_is_the_sum_of_the_stabilizers(name, monkeypatch
                       else {False, True})
 
 
+@pytest.mark.parametrize("name", _PAIR_CASES)
+def test_each_unordered_pair_of_hyperplane_classes_is_classified_once(name, monkeypatch):
+    # at level m-2 the parents are the hyperplane classes, and build_level
+    # classifies the pair (i, j) only for j >= i; a copy of the list turns
+    # that off.  Both runs accept the same classes in the same order, with
+    # the same res, entry and stabilizer, and find the same classes below
+    # each parent; the copy classifies every proper pair, twice as many.
+    # With the copy at every level, the dumped report is the same
+    data = _PAIR_CASES[name]()
+    eng = Engine(data)
+    top = eng.hyperplane_classes()
+    pairs = []
+    real = Engine.classify_pair
+    monkeypatch.setattr(Engine, "classify_pair",
+                        lambda self, *args: pairs.append(args[:2]) or real(self, *args))
+    runs = []
+    for hclasses in (top, list(top)):
+        pairs.clear()
+        covers = {}
+        classes = eng.build_level(top, hclasses, level=eng.m - 2, covers=covers)
+        runs.append((classes, covers, list(pairs)))
+    (once, once_covers, once_pairs), (every, every_covers, every_pairs) = runs
+    assert once == every and [c.res for c in once] == [c.res for c in every]
+    assert all(a.entry is b.entry for a, b in zip(once, every))
+    assert once_covers.keys() == every_covers.keys() == {(eng.m - 1, c.id) for c in top}
+    assert all({c.id for c in once_covers[k]} == {c.id for c in every_covers[k]}
+               for k in once_covers)
+    assert all(parent.id < hc.id for parent, hc in once_pairs)
+    assert 0 < 2 * len(once_pairs) == len(every_pairs)
+
+    real_build = Engine.build_level
+    docs = [compute_report(data, dump_arrangement=True)]
+    monkeypatch.setattr(Engine, "build_level", lambda self, parents, hclasses, *args, **kw:
+                        real_build(self, parents, list(hclasses), *args, **kw))
+    docs.append(compute_report(data, dump_arrangement=True))
+    for doc, _ in docs:
+        del doc["timing"]
+    assert docs[0] == docs[1] and docs[0][0]["status"] == "finite"
+
+
 def test_plane_image_below_full_rank_takes_the_form(monkeypatch):
     # <(1, 0), gamma> is rational on every generator of Z + Z + sqrt2 Z
-    # (in the second coordinate), so that plane's dots have rank 1 below
-    # delta = 2 and minor gcd 0: its pairs take the Hermite form, although
-    # their H is Z^3, and the other plane's pairs do not
+    # (in the second coordinate), so the planes x = 0 and x = 1/2 have dots
+    # of rank 1 below delta = 2 and minor gcd 0: their pairs take the
+    # Hermite form, although their H is Z^3, and the plane y = 0's pairs do
+    # not.  Level 0 classifies the pairs (x = 0, y = 0) and (y = 0, x =
+    # 1/2), one by minors and one by the form, and takes the pair (x = 1/2,
+    # y = 0) from the first; x = 0 and x = 1/2 do not meet
     doc = {"schema": "patcoh/1", "name": "rational_x", "field": {"kind": "Qsqrt", "D": 2},
            "dim": 2, "generators": [[["1"], ["0"]], [["0"], ["1"]], [["0"], ["0", "1"]]],
-           "hyperplanes": [{"normal": [["1"], ["0"]]}, {"normal": [["0"], ["1"]]}]}
+           "hyperplanes": [{"normal": [["1"], ["0"]]}, {"normal": [["0"], ["1"]]},
+                           {"normal": [["1"], ["0"]], "offset": ["1/2"]}]}
     eng = Engine(parse_projection_data(json.dumps(doc)))
     pairs, kernels = [], []
     real, real_kernel = Engine.classify_pair, patcoh.orbits.integer_kernel
@@ -675,10 +720,10 @@ def test_plane_image_below_full_rank_takes_the_form(monkeypatch):
     monkeypatch.setattr(Engine, "classify_pair", spy)
     monkeypatch.setattr(patcoh.orbits, "integer_kernel",
                         lambda *args: kernels.append(args) or real_kernel(*args))
-    assert eng.enumerate_arrangement().counts() == [1, 2]
+    assert eng.enumerate_arrangement().counts() == [2, 3]
     assert sorted(pairs, key=lambda pair: pair[:2]) == [
         (0, False, 1, 0, eng.full), (0, True, 0, 1, eng.full),
-        (1, False, 1, 0, eng.full), (1, True, 0, 1, eng.full)]
+        (1, False, 1, 0, eng.full), (1, True, 0, 1, eng.full), (1, True, 0, 1, eng.full)]
 
 
 def test_resource_cap_fires_before_listing_cosets(monkeypatch):
@@ -696,8 +741,8 @@ def test_resource_cap_fires_before_listing_cosets(monkeypatch):
     with pytest.raises(ResourceCapExceeded) as exc:
         Engine(data, max_classes=10).enumerate_arrangement()
     assert indices and max(indices) <= 10
-    msg = str(exc.value)
-    assert "level 0" in msg and "200" in msg and "hyperplane class" in msg
+    assert str(exc.value) == ("level 0, pair (parent 0, hyperplane class 4): 200 classes, "
+                              "more than the cap of 10")
 
 
 def test_relative_levels_empty_without_proper_cuts(monkeypatch):
