@@ -176,6 +176,11 @@ def res_mul(x: Sequence, y: Sequence, fspec: FieldSpec) -> list:
             [x[0] * y[0] + fspec.D * x[1] * y[1], x[0] * y[1] + x[1] * y[0]])
 
 
+def theta_powers(fspec: FieldSpec) -> list[list[int]]:
+    """res(theta^l), l < delta: res_mul(res(theta^l), res(x)) = res(theta^l x)."""
+    return [[int(i == l) for i in range(fspec.degree)] for l in range(fspec.degree)]
+
+
 def dot(u: Iterable[FElem], v: Iterable[FElem]) -> FElem:
     it = iter(v)
     total = None

@@ -6,11 +6,11 @@ fraction-free elimination, `primitive_rref`), the Hermite normal form over Z
 images modulo a lattice are first reduced by its echelon rows, `remainder`,
 and only those left nonzero enter the form), coset representatives read off
 the Hermite box, the index of a full-rank row lattice from its maximal
-minors, and ranks of spans of exterior powers.  The Smith form and the
-rational annihilator serve only `mixed_solve`, the reference solver the
-engine is tested against, so the two share no normal form.
-Matrices are lists of row tuples; rational entries are Fractions, integer
-entries are plain ints.
+minors, and ranks of spans of exterior powers.  The field `rref`, the
+Smith form and the rational annihilator serve only `mixed_solve`, the
+reference solver the engine is tested against, so the two share no
+normal form.  Matrices are lists of row tuples; rational entries are
+Fractions, integer entries are plain ints.
 """
 
 from __future__ import annotations

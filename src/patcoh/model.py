@@ -11,8 +11,8 @@ import json
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .field import FElem, FieldSpec, restrict_scalars, scalar_matrix
-from .linalg import clear_denominators, rat_rank, rref
+from .field import FElem, FieldSpec, res_mul, restrict_scalars, scalar_matrix, theta_powers
+from .linalg import clear_denominators, primitive_rref, rat_rank
 
 MAX_PLANES = 32
 
@@ -197,6 +197,17 @@ def pairing_table(normal, gen_ints) -> tuple[int, list[list[int]], list[list[int
     return den * qg, [[qg * x for x in f] for f in form], dots
 
 
+def normal_supports(data: ProjectionData) -> list[set[int]]:
+    """Supports of the rref rows u_j of the normals as field columns, one per
+    rank: the key of the rows res(theta^l r_i) of the normals' rows r_i is
+    res(theta^l u_j) in order, so u_j is nonzero at the blocks of row delta j."""
+    d, fspec, normals = data.field.degree, data.field, [h.normal for h in data.planes]
+    rows, _ = clear_denominators([restrict_scalars(r) for r in zip(*normals)])
+    key = primitive_rref([[y for c in range(0, len(r), d) for y in res_mul(t, r[c:c + d], fspec)]
+                          for r in rows for t in theta_powers(fspec)])
+    return [{c for c in range(len(normals)) if any(row[d * c:d * c + d])} for row in key[::d]]
+
+
 def validate(data: ProjectionData) -> ValidationReport:
     """Structural checks: generator independence, spanning, indecomposability,
     divisibility of rank(Gamma) by dim V, and the partial density check."""
@@ -208,23 +219,18 @@ def validate(data: ProjectionData) -> ValidationReport:
     if rat_rank(gen_ints[0]) != n:
         rep.add("error", "gens_dependent",
                 "generators are Q-linearly dependent: Gamma is not free of rank n")
-    # the normals as the columns of an m x k matrix
-    red = rref([[h.normal[i] for h in data.planes] for i in range(m)])
-    if len(red) != m:
+    supports = normal_supports(data)
+    if len(supports) != m:
         rep.add("error", "normals_span", "hyperplane normals do not span V")
     if len(data.planes) > MAX_PLANES:
         rep.add("error", "too_many_planes",
                 f"at most {MAX_PLANES} hyperplanes supported, got {len(data.planes)}")
     elif rep.ok:
-        # decomposability: the pivot columns of `red` are a basis, and each
-        # row's nonzero columns are its pivot plus every other column whose
-        # fundamental circuit holds that pivot.  The family splits into
-        # complementary spans iff this fundamental graph is disconnected
-        # (for any basis), and a component's rank is its number of pivots;
-        # so merge rows whose supports meet and count the pivots per part.
+        # decomposability: a row's support is its pivot and each column whose
+        # fundamental circuit holds it; the family splits into complementary
+        # spans iff the supports fall into disjoint parts, each of rank its rows.
         parts: list[tuple[int, set[int]]] = []  # (rank, columns)
-        for row in red:
-            cols = {j for j, x in enumerate(row) if x}
+        for cols in supports:
             meet = [p for p in parts if p[1] & cols]
             parts = [p for p in parts if not p[1] & cols]
             parts.append((1 + sum(r for r, _ in meet), cols.union(*(c for _, c in meet))))

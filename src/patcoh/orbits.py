@@ -6,22 +6,23 @@ level (each level cuts the previous one by translated hyperplanes), with
 stabilizer sublattices attached.  Each lattice question is at most one
 Hermite form, read for its echelon and kernel at once (`integer_kernel`).
 Each direction has one cached entry (`Engine._entry`) under the integer key
-`primitive_rref` of its cleared restricted columns, and the entry is read
-off the key: the columns, their kernel R and the one frame R * (Gamma
-image), whose echelon labels reduce by and whose kernel is the stabilizer.
-A cut finds its sub-direction's key from integers, so the engine does no
-field elimination.  A pair's classification subgroup (its
-index counts the pair's classes; a rank deficiency, infinitely many) is the
-sum of the parent's and the plane's stabilizers.  Minors of the plane's
-integer table decide when that sum is all of Z^n; any other sum is one
-Hermite form.  A cut is an integer affine map on restricted coordinates:
-each coset representative's point is one integer vector (`Engine.point`),
-and its label (`Engine.label`) is the dedup key, so deduplication is a
-set lookup, and a candidate's class lies one level below.  At level m-2
-both sides of a pair are hyperplane classes, and the intersections of
-translates of two planes do not depend on their order, so each unordered
-pair is classified once.  A class is an integer record, so the level loop
-builds no field element: fields are read only off the input data.
+`primitive_rref` of its cleared restricted columns, read off the key: the
+columns, rows R spanning their annihilator over Q, and the one frame R *
+(Gamma image), whose echelon labels reduce by and whose kernel is the
+stabilizer.  A cut finds its sub-direction's key from integers, so the
+engine does no field elimination.  A pair's classification subgroup (its
+index counts the pair's classes; a rank deficiency, infinitely many) is
+the sum of the parent's and the plane's stabilizers.  Minors of the
+plane's integer table decide when that sum is all of Z^n; any other sum
+is one Hermite form.  A cut is an integer affine map on restricted
+coordinates: each coset representative's point is one integer vector
+(`Engine.point`), and its label (`Engine.label`) is the dedup key, so
+deduplication is a set lookup, and a candidate's class lies one level
+below.  At level m-2 both sides of a pair are hyperplane classes, and the
+intersections of translates of two planes do not depend on their order,
+so each unordered pair is classified once.  A class is an integer record,
+so the level loop builds no field element: fields are read only off the
+input data.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import operator
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Sequence
 
-from .field import res_mul, restrict_scalars
+from .field import res_mul, restrict_scalars, theta_powers
 from .linalg import (IntLattice, clear_denominators, coset_reps, integer_kernel, minor_gcd,
                      primitive_rref, remainder)
 from .model import ProjectionData, pairing_table
@@ -78,8 +79,8 @@ class SingularClass:
 class _Direction:
     """Engine cache entry of one direction, under the key primitive_rref(cols):
     its restricted columns cols / q (column delta j is res(u_j) for the
-    field rref rows u_j), its annihilator rows R, and the echelon and kernel
-    of its frame, the lattice R * (Gamma image)."""
+    field rref rows u_j), rows R spanning its annihilator over Q, and the
+    echelon and kernel of its frame, the lattice R * (Gamma image)."""
 
     cols: list[list[int]]
     q: int
@@ -147,7 +148,7 @@ class Engine:
         self.full = IntLattice.full(self.n)
         self.gen_ints = clear_denominators([restrict_scalars(g) for g in data.gens])
         self._dirs: dict = {}  # primitive_rref of a direction's columns -> _Direction
-        self._theta_powers = [[int(i == l) for i in range(self.delta)] for l in range(self.delta)]
+        self._theta_powers = theta_powers(self.fspec)
 
     # -- directions and orbit labels ------------------------------------------
 
@@ -155,33 +156,32 @@ class Engine:
         """The direction's cached entry, built from its key the first time.
 
         The key rows over their pivots are the rref over Q of the restricted
-        columns; coordinates are interleaved (a_i, b_i), so that rref is
-        res(theta^l u_j), l < delta, for the field rref rows u_j in order, and
-        u_j is key row delta j over its pivot.  The columns are the key rows
-        over the lcm q of the pivots, cols / q, so res(u_j) is column delta j
-        over q; the rows R, the Hermite basis of their integer kernel, span
-        their annihilator, so projecting by R eliminates the direction.  Each
-        row is scaled by the least s that makes its values on the generators
-        res(g_i) = G_i / q_G integral as well.  The frame is one
+        columns, res(theta^l u_j), l < delta, for the field rref rows u_j in
+        order (coordinates interleave (a_i, b_i)); cols / q are the key rows
+        over the lcm q of the pivots.  Column j is q at pivot(j) and 0 at the
+        other pivots, so each other coordinate f gives a row q e_f - sum_j
+        cols_j[f] e_pivot(j) that kills every column: these rows R span the
+        annihilator over Q, so ker R = span(direction) and `label` is exact.
+        Each is scaled by the least s that makes its values on the
+        generators res(g_i) = G_i / q_G integral.  The frame is one
         `integer_kernel` of the images R res(g_i), whose kernel {y : R
         res(gamma(y)) = 0} is Gamma cap span(direction)."""
         entry = self._dirs.get(key)
         if entry is None:
-            pivots = [next(x for x in row if x) for row in key]
-            q = math.lcm(*pivots)
-            cols = [[x * (q // p) for x in row] for row, p in zip(key, pivots)]
-            _, kernel = integer_kernel([[c[i] for c in cols] for i in range(self.dm)],
-                                       len(cols))
+            heads = [next(i for i, x in enumerate(row) if x) for row in key]
+            q = math.lcm(*(row[i] for row, i in zip(key, heads)))
+            cols = {i: [x * (q // row[i]) for x in row] for row, i in zip(key, heads)}
             gens, qg = self.gen_ints
             rows, vals = [], []
-            for r in kernel.basis:
+            for f in sorted(set(range(self.dm)) - set(cols)):
+                r = [-cols[i][f] if i in cols else q * (i == f) for i in range(self.dm)]
                 v = [sum(map(operator.mul, r, g)) for g in gens]
                 s = qg // math.gcd(qg, *v)
                 rows.append(tuple(s * ri for ri in r))
                 vals.append(tuple(s * x // qg for x in v))
             echelon, stab = integer_kernel([[v[i] for v in vals] for i in range(self.n)],
                                            len(vals))
-            entry = self._dirs[key] = _Direction(cols, q, rows, echelon, stab)
+            entry = self._dirs[key] = _Direction([*cols.values()], q, rows, echelon, stab)
         return entry
 
     def stabilizer(self, entry: _Direction) -> IntLattice:
@@ -198,8 +198,8 @@ class Engine:
         frame's lattice L = R (Gamma image).  v = R X is reduced by q times
         the echelon rows of L, top to bottom, taking the floor at each
         pivot; that leaves one representative of v / q modulo L (each pivot
-        entry in [0, q h_p)).  The key is (q, v) divided by its gcd, so equal
-        keys mean equal v / q, whichever basis R is."""
+        entry in [0, q h_p)).  The key is (q, v) over its gcd, so equal keys
+        mean equal v / q."""
         (xs,), q = res
         v = remainder(entry.echelon, [sum(map(operator.mul, r, xs)) for r in entry.rows], q)
         g = math.gcd(q, *v)
@@ -329,14 +329,13 @@ class Engine:
         `covers`, if given, gets them once each under (parent.dim,
         parent.id).
 
-        When `parents` is `hclasses` (level m-2), the pair of parent i and
-        hclass j cuts translates of the same two planes as the pair (j, i),
-        so it resolves to the same classes: it is classified only for j >=
-        i, and for j < i the parent takes the classes that (j, i) resolved
-        to.  The accepted classes come out as if every pair were
-        classified, and H is symmetric, so the first pair to trip the
-        index cap or a rank deficiency is the same; only the order within
-        a `covers` list may differ."""
+        When `parents` is `hclasses` (level m-2), the pair (parent i, hclass
+        j) cuts translates of the same two planes as (j, i), so it resolves
+        to the same classes: it is classified only for j >= i, and for j < i
+        the parent takes the classes (j, i) resolved to.  Accepted classes
+        come out as if every pair were classified, and H is symmetric, so the
+        first pair to trip the index cap or a rank deficiency is the same;
+        only the order in a `covers` list may differ."""
         accepted: list[SingularClass] = []
         seen: dict = {}  # direction entry -> {label: class accepted for it}
         mirror = {} if parents is hclasses else None  # (i, j) -> (j, i)'s classes

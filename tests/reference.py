@@ -4,7 +4,7 @@ the field values of the engine's integer records."""
 from fractions import Fraction
 
 from patcoh.field import restrict_scalars, scalar_matrix
-from patcoh.linalg import clear_denominators, int_det, integer_kernel, primitive_rref
+from patcoh.linalg import clear_denominators, int_det, integer_kernel, primitive_rref, rref
 
 
 def dir_res_cols(direction):
@@ -21,6 +21,25 @@ def entry_of(eng, direction):
     """The engine's entry of a field direction, under the key
     `primitive_rref` of its cleared restricted columns."""
     return eng._entry(primitive_rref(clear_denominators(dir_res_cols(direction))[0]))
+
+
+def hermite_stabilizer(eng, entry):
+    """Gamma cap span(entry's direction) by the Hermite route: R the Hermite
+    basis of the integer kernel of the direction's restricted columns, and
+    the stabilizer the kernel of y -> R res(gamma(y)), whose images R G_i
+    are integral for res(g_i) = G_i / q_G."""
+    _, kernel = integer_kernel([[c[i] for c in entry.cols] for i in range(eng.dm)],
+                               len(entry.cols))
+    gens, _ = eng.gen_ints
+    images = [[sum(r * x for r, x in zip(row, g)) for row in kernel.basis] for g in gens]
+    return integer_kernel(images, len(kernel.basis))[1]
+
+
+def field_normal_supports(data):
+    """The supports of the rows of one field `rref` of the normals taken as
+    the columns of an m x k matrix, in order: one per rank."""
+    red = rref([[h.normal[i] for h in data.planes] for i in range(data.m)])
+    return [{j for j, x in enumerate(row) if x} for row in red]
 
 
 def res_of(point):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import patcoh.model
 from patcoh.catalog import build, names
 from patcoh.field import quadratic
 from patcoh.linalg import rref
@@ -13,10 +14,12 @@ from patcoh.model import (
     ParseError,
     ProjectionData,
     canonical_hyperplane,
+    normal_supports,
     parse_projection_data,
     serialize_projection_data,
     validate,
 )
+from reference import field_normal_supports
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -236,3 +239,32 @@ def test_decomposable_matches_bipartition_oracle():
             outcomes.add((m, low))
     # every split a family of dim <= 4 can have, and connected families
     assert outcomes >= {(2, None), (2, 1), (3, None), (3, 1), (4, None), (4, 1), (4, 2)}
+
+
+def test_validate_reads_the_normals_off_their_integer_key(monkeypatch):
+    # the normals' rank and row supports from `primitive_rref` of their
+    # rows res(theta^l r_i) equal those of the field rref, and validate's
+    # findings (codes, messages, order) are the same on either route: on
+    # seeded families as given, moved by a map of V, and cut to m - 1
+    # normals (so not spanning), and on every catalog entry
+    rng = random.Random(67)
+    cases = [build(nm).data for nm in names()]
+    for m, irrational in itertools.product((2, 3, 4), (False, True)):
+        gens = tuple(tuple(c if i == j else F5.zero for j in range(m))
+                     for c in (F5.one, TAU) for i in range(m))
+        for _ in range(40):
+            normals, moved = random_normals(rng, m, irrational)
+            cases += [ProjectionData(F5, m, gens, tuple(Hyperplane(tuple(v), F5.zero)
+                                                        for v in family), "oracle")
+                      for family in (normals, moved, moved[:m - 1])]
+    codes = set()
+    for data in cases:
+        supports = normal_supports(data)
+        assert supports == field_normal_supports(data), data
+        found = validate(data).findings
+        with monkeypatch.context() as patched:
+            patched.setattr(patcoh.model, "normal_supports", field_normal_supports)
+            assert validate(data).findings == found, data
+        codes.update(f.code for f in found)
+    assert len(cases) == 7 + 6 * 40 * 3
+    assert {"normals_span", "decomposable", "density_assumed"} <= codes

@@ -9,7 +9,7 @@ import patcoh.invariants
 import patcoh.linalg
 import patcoh.model
 import patcoh.orbits
-from patcoh.catalog import build
+from patcoh.catalog import build, names
 from patcoh.field import QQ, FElem, dot, quadratic, restrict_scalars
 from patcoh.invariants import analyze
 from patcoh.linalg import (IntLattice, clear_denominators, coset_reps, mixed_solve,
@@ -19,12 +19,13 @@ from patcoh.model import (
     ProjectionData,
     canonical_hyperplane,
     parse_projection_data,
+    serialize_projection_data,
 )
 from patcoh.orbits import Engine, InfiniteArrangement, ResourceCapExceeded
 from patcoh.report import compute_report
 from reference import (contains, coords_of, dir_res_cols, entry_of, field_class,
-                       field_direction, field_label, field_plane, field_point, lattice_index,
-                       res_of, shift_subgroup)
+                       field_direction, field_label, field_plane, field_point,
+                       hermite_stabilizer, lattice_index, res_of, shift_subgroup)
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -416,17 +417,36 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
 
 
 def test_analyze_does_no_field_elimination(monkeypatch):
-    # each direction entry reads its field rows off its integer key, so
-    # analyze calls linalg.rref at no site that imports it, on any of the
-    # m = 3 entries
+    # each direction entry and the normals' rank and supports are read off
+    # integer keys, so neither validation nor analyze calls linalg.rref at
+    # any site that imports it: compute_report, dumped, on every catalog
+    # entry
     calls = []
     real = patcoh.linalg.rref
-    for module in (patcoh.linalg, patcoh.model, patcoh.orbits, patcoh.invariants):
+    for module in (patcoh.linalg, patcoh.model, patcoh.orbits, patcoh.invariants,
+                   patcoh.report):
         if hasattr(module, "rref"):
             monkeypatch.setattr(module, "rref", lambda rows: calls.append(1) or real(rows))
-    for name in ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]:
-        assert sum(analyze(build(name).data).L) > 0
+    codes = {compute_report(build(name).data, dump_arrangement=True)[1] for name in names()}
+    assert calls == [] and codes == {0, 2, 3}
+    assert patcoh.linalg.rref([[Fraction(2)]]) and calls == [1]  # the spy sees a call
+
+
+def test_report_divides_no_field_element(monkeypatch):
+    # after parsing, the only field inverse is canonical_hyperplane's: a
+    # report, validation and dump included, takes no FElem inverse or
+    # division on any catalog entry
+    datas = [parse_projection_data(serialize_projection_data(build(name).data))
+             for name in names()]
+    calls = []
+    for name in ("inverse", "__truediv__", "__rtruediv__"):
+        real = getattr(FElem, name)
+        monkeypatch.setattr(FElem, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    for data in datas:
+        compute_report(data, dump_arrangement=True)
     assert calls == []
+    assert ONE / TAU == TAU - ONE and calls == ["__truediv__", "inverse"]
 
 
 def test_enumeration_builds_no_field_element(monkeypatch):
@@ -609,6 +629,66 @@ _PAIR_CASES = {"danzer": lambda: build("danzer").data,
                "dual_canonical_d6": lambda: build("dual_canonical_d6").data,
                "ammann_beenker": _ammann_beenker_with, "penrose": penrose,
                **{nm: (lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2}}
+
+
+def _check_annihilator(eng, entry):
+    """R integral, killing every column of the entry, of rank dm - len(cols)
+    and integral on the generators; its stabilizer the Hermite route's."""
+    cols, rows = entry.cols, entry.rows
+    gens, qg = eng.gen_ints
+    assert all(type(x) is int for row in rows for x in row)
+    assert not any(sum(r * c for r, c in zip(row, col)) for row in rows for col in cols)
+    assert len(primitive_rref(rows)) == len(rows) == eng.dm - len(cols)
+    assert not any(sum(r * x for r, x in zip(row, g)) % qg for row in rows for g in gens)
+    assert entry.stab == hermite_stabilizer(eng, entry)
+
+
+@pytest.mark.parametrize("fspec", [QQ, quadratic(5)], ids=["Q", "Qsqrt5"])
+def test_annihilator_read_off_the_key(fspec):
+    # random field subspaces of each dimension 0..m, under 2m random
+    # generators with denominators: the rows R read off each entry's key
+    # annihilate exactly its span, and the stabilizer is the Hermite
+    # route's (R the Hermite basis of the columns' integer kernel)
+    rng = random.Random(173)
+
+    def elem():
+        return fspec.elem(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                          Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                          if fspec.degree == 2 else 0)
+
+    m = 3
+    gens = tuple(tuple(elem() for _ in range(m)) for _ in range(2 * m))
+    eng = Engine(ProjectionData(fspec, m, gens, (), "annihilators"))
+    dims = set()
+    for _ in range(12):
+        for k in range(m + 1):
+            rows = [tuple(elem() if rng.random() < 0.6 else fspec.zero for _ in range(m))
+                    for _ in range(k)]
+            if len(rref(rows)) == k:
+                _check_annihilator(eng, entry_of(eng, rows))
+                dims.add(k)
+    assert dims == set(range(m + 1))
+
+
+@pytest.mark.parametrize("name", _PAIR_CASES)
+def test_annihilator_of_every_entry_met(name, monkeypatch):
+    # every direction entry that analyze builds on the m = 3 entries,
+    # Ammann-Beenker, Penrose and the dense m = 2 fixtures, checked as it
+    # is built
+    met = []
+    real = Engine._entry
+
+    def spy(self, key):
+        fresh = key not in self._dirs
+        entry = real(self, key)
+        if fresh:
+            _check_annihilator(self, entry)
+            met.append(entry)
+        return entry
+
+    monkeypatch.setattr(Engine, "_entry", spy)
+    assert analyze(_PAIR_CASES[name]()).finite
+    assert len(met) > 1
 
 
 @pytest.mark.parametrize("name", [*_PAIR_CASES, "danzer_relative"])

@@ -76,14 +76,20 @@ def test_only_mixed_solve_calls(callee):
 
 
 def test_orbits_takes_each_lattice_from_one_hermite_form():
-    # each frame, pair and direction reads its echelon and kernel off one
-    # Hermite form through integer_kernel, never a second form of a kernel
+    # a direction's annihilator rows are read off its key, so its one
+    # Hermite form is its frame; that frame and each pair read echelon and
+    # kernel off one form through integer_kernel, never a second form of
+    # a kernel
     tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     uses = _uses(tree)
     assert "integer_kernel" in imported and uses["integer_kernel"]
     assert "hnf" not in imported and not uses["hnf"] and not uses["from_rows"]
+    engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Engine")
+    entry = next(n for n in engine.body if isinstance(n, ast.FunctionDef) and n.name == "_entry")
+    assert [ast.unparse(c.func) for c in ast.walk(entry)
+            if isinstance(c, ast.Call)].count("integer_kernel") == 1
 
 
 def _engine_calls(name):
@@ -120,12 +126,21 @@ def test_level_loop_builds_no_field_element(name):
 
 def test_validate_pairs_normals_in_integers():
     # the density check reads the normal's integer pairing table, the one
-    # the engine's planes are built from, and takes no field dot product
+    # the engine's planes are built from, and takes no field dot product;
+    # the normals' rank and supports come off their integer key, so
+    # validate takes no field rref and model imports none
     tree = ast.parse(Path(patcoh.model.__file__).read_text())
-    validate = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "validate")
-    called = {ast.unparse(c.func) for c in ast.walk(validate) if isinstance(c, ast.Call)}
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    called = {ast.unparse(c.func) for c in ast.walk(funcs["validate"]) if isinstance(c, ast.Call)}
     assert "pairing_table" in called and "dot" not in called
     assert "pairing_table" in _engine_calls("_plane")
+    called |= {ast.unparse(c.func) for c in ast.walk(funcs["normal_supports"])
+               if isinstance(c, ast.Call)}
+    assert {"normal_supports", "primitive_rref", "res_mul"} <= called
+    assert not {f for f in called if f.split(".")[-1] in ("rref", "inverse")}
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "rref" not in imported
 
 
 def test_invariants_asks_no_label_or_containment():
