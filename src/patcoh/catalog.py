@@ -49,7 +49,14 @@ def _dedup_lines(vectors) -> list[tuple[FElem, ...]]:
 
 def axis_normals(kind: str) -> list[tuple[FElem, ...]]:
     """Normals of the lattice planes perpendicular to the icosahedral
-    2-fold, 3-fold, or 5-fold axes, as canonical line representatives."""
+    2-fold, 3-fold, or 5-fold axes, as canonical line representatives.
+
+    The physical star v_i = conj(w_i) holds one of each antipodal pair of
+    icosahedron vertices, and a vertex pairs to tau = |v|^2 / sqrt5 with its
+    five neighbours, so s_ij v_j neighbours v_i for s_ij the sign of <v_i,
+    v_j>.  Up to -1, which keeps the axis, a face has +v_i first: for
+    i < j < k, v_i, s_ij v_j, s_ik v_k is a face iff s_ij s_ik s_jk = +1,
+    and its 3-fold axis is conj(w_i + s_ij w_j + s_ik w_k)."""
     w = icosahedral_star()
     if kind == "five_fold":
         return _dedup_lines(w)
@@ -61,29 +68,19 @@ def axis_normals(kind: str) -> list[tuple[FElem, ...]]:
         return _dedup_lines(vecs)
     if kind == "three_fold":
         v = [tuple(x.conj() for x in wi) for wi in w]  # physical star
-        vecs = []
-        for i, j, k in itertools.combinations(range(6), 3):
-            for sj, sk in itertools.product((1, -1), repeat=2):
-                # fix s_i = +1: antipodal triples give the same line anyway
-                trio = [
-                    v[i],
-                    tuple(x if sj == 1 else -x for x in v[j]),
-                    tuple(x if sk == 1 else -x for x in v[k]),
-                ]
-                if all(dot(a, b) == TAU for a, b in itertools.combinations(trio, 2)):
-                    signs = (1, sj, sk)
-                    vecs.append(tuple(
-                        w[i][c] * F5.elem(signs[0])
-                        + w[j][c] * F5.elem(signs[1])
-                        + w[k][c] * F5.elem(signs[2])
-                        for c in range(3)))
-        return _dedup_lines(vecs)
+        s = {(i, j): 1 if dot(v[i], v[j]) == TAU else -1
+             for i, j in itertools.combinations(range(6), 2)}
+        return _dedup_lines(
+            [a + (b if s[i, j] > 0 else -b) + (c if s[i, k] > 0 else -c)
+             for a, b, c in zip(w[i], w[j], w[k])]
+            for i, j, k in itertools.combinations(range(6), 3)
+            if s[i, j] * s[i, k] * s[j, k] > 0)
     raise ValueError(f"unknown axis kind {kind!r}")
 
 
 def _planes(normals) -> tuple[Hyperplane, ...]:
-    return tuple(canonical_hyperplane(Hyperplane(tuple(nrm), F5.zero))
-                 for nrm in normals)
+    """Planes through the origin with the given canonical normals."""
+    return tuple(Hyperplane(tuple(nrm), F5.zero) for nrm in normals)
 
 
 def _d6_generators() -> tuple[tuple[FElem, ...], ...]:
@@ -105,7 +102,7 @@ def _entries() -> dict[str, CatalogEntry]:
 
     fib = ProjectionData(
         F5, 1, ((F5.one,), (TAU,)),
-        (canonical_hyperplane(Hyperplane((F5.one,), F5.zero)),),
+        (Hyperplane((F5.one,), F5.zero),),
         "fibonacci")
     out["fibonacci"] = CatalogEntry(
         "fibonacci", "Fibonacci chain: Z + tau*Z in a one-dimensional internal space",

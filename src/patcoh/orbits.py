@@ -323,11 +323,11 @@ class Engine:
         under Gamma on the candidates' labels; an accepted class gets its
         cut's entry and its candidate's res.  An hclass carries its plane's
         tables and its stabilizer in Z^n.  A level m-1 class is a hyperplane
-        class, with its hclass's normal tables and the offset den <nu, p> =
-        form res(p) in lowest terms.  The classes, new or seen, that a
-        parent's candidate labels resolve to are one level below it:
-        `covers`, if given, gets them once each under (parent.dim,
-        parent.id).
+        class: its point is the cut point (y = 0) on its hclass's input
+        plane, so it keeps that plane's tables, offset included.  The
+        classes, new or seen, that a parent's candidate labels resolve to
+        are one level below it: `covers`, if given, gets them once each
+        under (parent.dim, parent.id).
 
         When `parents` is `hclasses` (level m-2), the pair (parent i, hclass
         j) cuts translates of the same two planes as (j, i), so it resolves
@@ -354,12 +354,7 @@ class Engine:
                 for key, res in candidates:
                     cls = classes.get(key)
                     if cls is None:
-                        plane = None
-                        if level == self.m - 1:  # a hyperplane class: its offset from res
-                            nrec, ((xs,), qp) = hc.plane[0], res
-                            off = [sum(map(operator.mul, f, xs)) for f in nrec.form]
-                            g = math.gcd(nrec.den * qp, *off)
-                            plane = nrec, [o // g for o in off], nrec.den * qp // g
+                        plane = hc.plane if level == self.m - 1 else None
                         cls = classes[key] = SingularClass(len(accepted), level,
                                                            self.stabilizer(sub), sub, res, plane)
                         accepted.append(cls)

@@ -1,10 +1,13 @@
 """Slower references that the engine's results are checked against, and
 the field values of the engine's integer records."""
 
+import itertools
 from fractions import Fraction
 
-from patcoh.field import restrict_scalars, scalar_matrix
+from patcoh.catalog import F5, TAU, icosahedral_star
+from patcoh.field import dot, restrict_scalars, scalar_matrix
 from patcoh.linalg import clear_denominators, int_det, integer_kernel, primitive_rref, rref
+from patcoh.model import Hyperplane, canonical_hyperplane
 
 
 def dir_res_cols(direction):
@@ -169,3 +172,38 @@ def shift_subgroup(eng, cut):
     ds = [[int(sum(r * c for r, c in zip(rwk, cs))) for rwk in rw] for cs in cut.cs]
     modulus = [(p, [cut.lcd * cut.q * x for x in row]) for p, row in cut.sub.echelon]
     return integer_kernel(ds, len(rw), modulus)[1]
+
+
+def searched_axis_normals(kind):
+    """The icosahedral axis normals found by search, in the order of the
+    search: the five-fold axes are the star w_i, the two-fold ones w_i +- w_j,
+    and a three-fold one is w_i + s_j w_j + s_k w_k for every signed triple
+    whose physical images (Galois conjugates) pair to +tau two by two, the
+    sign of w_i fixed at +1 since antipodal triples give the same line.  Each
+    vector is canonicalized and the first of each line kept."""
+    w = icosahedral_star()
+    if kind == "five_fold":
+        vecs = list(w)
+    elif kind == "two_fold":
+        vecs = [tuple(a + sign * b for a, b in zip(w[i], w[j]))
+                for i, j in itertools.combinations(range(6), 2)
+                for sign in (F5.one, -F5.one)]
+    elif kind == "three_fold":
+        v = [tuple(x.conj() for x in wi) for wi in w]  # physical star
+        vecs = []
+        for i, j, k in itertools.combinations(range(6), 3):
+            for sj, sk in itertools.product((1, -1), repeat=2):
+                trio = [v[i],
+                        tuple(x if sj == 1 else -x for x in v[j]),
+                        tuple(x if sk == 1 else -x for x in v[k])]
+                if all(dot(a, b) == TAU for a, b in itertools.combinations(trio, 2)):
+                    vecs.append(tuple(w[i][c] + w[j][c] * F5.elem(sj) + w[k][c] * F5.elem(sk)
+                                      for c in range(3)))
+    else:
+        raise ValueError(f"unknown axis kind {kind!r}")
+    lines = []
+    for vec in vecs:
+        normal = canonical_hyperplane(Hyperplane(vec, F5.zero)).normal
+        if normal not in lines:
+            lines.append(normal)
+    return lines

@@ -1,10 +1,14 @@
+import hashlib
+import itertools
+
 import pytest
 
 from patcoh.catalog import axis_normals, build, catalog, icosahedral_star, names
 from patcoh.field import dot, quadratic, restrict_scalars
 from patcoh.linalg import rat_rank
-from patcoh.model import validate
+from patcoh.model import serialize_projection_data, validate
 from patcoh.report import canonical_digest, compute_report
+from reference import searched_axis_normals
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -32,9 +36,12 @@ def test_physical_star_is_galois_conjugate():
     star = icosahedral_star()
     phys = [tuple(x.conj() for x in w) for w in star]
     norm = dot(phys[0], phys[0])
-    # in the physical star, adjacent legs pair to tau * (norm/ (tau+2))
+    # in the physical star, any two legs pair to +-tau * (norm / (tau + 2)),
+    # which is +-tau: each is a neighbour of the other or of its antipode
     expected = TAU * norm / (TAU + F5.elem(2))
-    assert dot(phys[0], phys[2]) in (expected, -expected)
+    assert expected == TAU
+    for i, j in itertools.combinations(range(6), 2):
+        assert dot(phys[i], phys[j]) in (expected, -expected), (i, j)
 
 
 def test_axis_counts():
@@ -43,6 +50,11 @@ def test_axis_counts():
     assert len(axis_normals("five_fold")) == 6
     with pytest.raises(ValueError):
         axis_normals("seven_fold")
+
+
+@pytest.mark.parametrize("kind", ["two_fold", "three_fold", "five_fold"])
+def test_axis_normals_equal_the_search_in_order(kind):
+    assert axis_normals(kind) == searched_axis_normals(kind)
 
 
 def test_catalog_names_and_build():
@@ -87,11 +99,32 @@ PINNED_DIGESTS = {
 }
 
 
+# SHA-256 of each entry's serialized input: generators and planes, in order.
+# A plain report does not change when the planes are permuted (criterion 6),
+# but plane order decides class ids, which a dump shows; this pins the input
+# itself, its order included
+PINNED_INPUTS = {
+    "fibonacci": "6724f8819f9b0b974336a2bc486cb8dedefdf2e75b9dcc7d672406424b49dabd",
+    "ammann_kramer": "3a140061ea27ee8edd99c8919364a009acd5e2e344223b58a6a8bc4a15e7ecb0",
+    "canonical_d6": "8ec99ad3b74a16d4537ab98af6c01ca10d9dfaa6cadf11babfa1dba3b705f819",
+    "dual_canonical_d6": "05188c3ed8312590056a33b371d98fc3f78e9b77896e4c0fb58aaaf0c3505826",
+    "danzer": "a844c3a7031dccd89753e0990ff0381f17c21d3495c5cafe58e86fa6d77bb57b",
+    "infinite_demo": "5582d24934900d89fe8e03630e156a48fe5f7595ada7647d01a809ecafe62d1c",
+    "square_fibonacci": "3815164b5ea070f0c91c04463f53963678cf48aa7ca7751cdeaaa88b2b6142b9",
+}
+
+
 def test_pinned_digests_cover_the_catalog():
-    assert set(PINNED_DIGESTS) == set(names())
+    assert set(PINNED_DIGESTS) == set(PINNED_INPUTS) == set(names())
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
 def test_arrangement_digest_is_pinned(name):
     doc, code = compute_report(build(name).data, dump_arrangement=True)
     assert (code, canonical_digest(doc)) == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INPUTS))
+def test_entry_input_is_pinned(name):
+    text = serialize_projection_data(build(name).data)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_INPUTS[name]

@@ -607,6 +607,35 @@ def dense_m2(name):
     return parse_projection_data(json.dumps(DENSE_M2[name]))
 
 
+def _translated(data, v):
+    """data with every plane moved by the vector v: offset += <nu, v>."""
+    return ProjectionData(data.field, data.m, data.gens,
+                          tuple(Hyperplane(h.normal, h.offset + dot(h.normal, v))
+                                for h in data.planes), data.name)
+
+
+VALID_ENTRIES = [nm for nm in names() if build(nm).expected.get("status") != "validation_error"]
+
+
+@pytest.mark.parametrize("make", [
+    *[(lambda nm=nm: build(nm).data) for nm in VALID_ENTRIES],
+    penrose, lambda: penrose(1), *[(lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2],
+    lambda: _translated(build("danzer").data, (F5.elem("1/3"), F5.elem(0, "1/5"), TAU)),
+    lambda: _translated(penrose(), (F5.elem("2/7", "1/3"), F5.elem("-1/2"))),
+], ids=[*VALID_ENTRIES, "penrose", "penrose_zeta1", *DENSE_M2, "danzer_translated",
+        "penrose_translated"])
+def test_hyperplane_class_point_lies_on_its_input_plane(make):
+    data = make()
+    eng = Engine(data)
+    for hc in eng.hyperplane_classes():
+        normal, offset = field_plane(eng, hc)
+        direction, point = field_class(eng, hc)
+        assert Hyperplane(normal, offset) in data.planes
+        assert dot(normal, point) == offset
+        assert len(direction) == data.m - 1
+        assert not any(dot(normal, u) for u in direction)
+
+
 def _stabilizer_sum(eng, parent, hc, cache):
     """Hermite basis of Stab(parent) + Stab(plane of hc) in Z^n, each by the
     Smith-form `mixed_solve`: y with gamma(y) in span(parent), and y with
