@@ -15,14 +15,14 @@ index counts the pair's classes; a rank deficiency, infinitely many) is
 the sum of the parent's and the plane's stabilizers.  Minors of the
 plane's integer table decide when that sum is all of Z^n; any other sum
 is one Hermite form.  A cut is an integer affine map on restricted
-coordinates: each coset representative's point is one integer vector
-(`Engine.point`), and its label (`Engine.label`) is the dedup key, so
-deduplication is a set lookup, and a candidate's class lies one level
-below.  At level m-2 both sides of a pair are hyperplane classes, and the
-intersections of translates of two planes do not depend on their order,
-so each unordered pair is classified once.  A class is an integer record,
-so the level loop builds no field element: fields are read only off the
-input data.
+coordinates: each coset representative's point is one integer vector in
+lowest terms (`Engine.point`).  A level labels each distinct point once
+(`Engine.label`), the dedup key, so deduplication is a set lookup, and a
+candidate's class lies one level below.  At level m-2 both sides of a
+pair are hyperplane classes, and the intersections of translates of two
+planes do not depend on their order, so each unordered pair is
+classified once.  A class is an integer record, so the level loop builds
+no field element: fields are read only off the input data.
 """
 
 from __future__ import annotations
@@ -90,22 +90,24 @@ class _Direction:
 
 
 class _Normal(NamedTuple):
-    """Integer tables of one normal nu: `pairing_table`'s den, form and dots,
-    the map Z^n -> Z^delta whose kernel is the plane's stabilizer, and g, the
-    `minor_gcd` of dots, its image's index in Z^delta (0 below rank delta)."""
+    """Integer tables of one normal nu: `pairing_table`'s den and form, the
+    columns of its dots (the map Z^n -> Z^delta whose kernel is the plane's
+    stabilizer), and g, the `minor_gcd` of dots, its image's index in
+    Z^delta (0 below rank delta)."""
 
     den: int
     form: list[list[int]]
-    dots: list[list[int]]
+    cols: list[tuple[int, ...]]
     g: int
 
 
 class _Cut(NamedTuple):
     """A proper cut of p + span(direction) by a hyperplane with normal nu,
     in integers, for the classification of its translates.  The pivot row
-    w of the direction has <nu, w> != 0.  The cut point is p + c0 w, and
-    translating the plane by gamma(y) adds (sum y_i c_i) w, with c0 =
-    c0_num / (lcd s) and c_i = cs_i / lcd as field numerators.  res = (X,
+    w of the direction has a = <nu, w> != 0.  The cut point is p + c0 w,
+    and translating the plane by gamma(y) adds (sum y_i c_i) w, with c0 =
+    c0_num / (lcd s) and c_i = <nu, g_i> / a = res_mul(dots_i, inv) / lcd
+    as field numerators, dots_i read off the plane's `cols`.  res = (X,
     q_p) is res(p) = X / q_p, and wq = q res(w) is w's column of the
     direction's entry.  sub is the sub-direction's entry (found by its
     integer key)."""
@@ -117,7 +119,8 @@ class _Cut(NamedTuple):
     q: int
     s: int
     c0_num: list[int]
-    cs: list[list[int]]
+    inv: list[int]
+    cols: list[tuple[int, ...]]
 
 
 @dataclass
@@ -217,7 +220,7 @@ class Engine:
         dots, and res(offset) = off / oden."""
         den, form, dots = pairing_table(h.normal, self.gen_ints)
         (off,), oden = clear_denominators([restrict_scalars((h.offset,))])
-        return _Normal(den, form, dots, minor_gcd(dots, self.delta)), off, oden
+        return _Normal(den, form, [*zip(*dots)], minor_gcd(dots, self.delta)), off, oden
 
     def intersect(self, entry: _Direction, res, plane) -> _Cut | None:
         """Cut the parent p + span(entry's direction) by the hyperplane
@@ -232,8 +235,7 @@ class Engine:
         is `_entry` of its key, the `primitive_rref` of the integer columns
         lcd q cols[delta j + l] - sum_i res(theta^l F_j)_i cols[delta pivot +
         i], l < delta.  The form also gives <normal, p> for c0 = (offset -
-        <normal, p>)/a, over s = q_p times the offset's denominator, and
-        the dots give the c_i = <normal, g_i>/a."""
+        <normal, p>)/a, over s = q_p times the offset's denominator."""
         nrec, off, oden = plane
         d, fspec = self.delta, self.fspec
         cols, q = entry.cols, entry.q
@@ -257,17 +259,19 @@ class Engine:
         (xs,), qp = res
         nu_p = [sum(map(operator.mul, f, xs)) for f in nrec.form]
         c0 = res_mul([o * nrec.den * qp - oden * e for o, e in zip(off, nu_p)], inv, fspec)
-        return _Cut(sub, res, pcols[0], lcd, q, qp * oden, c0,
-                    [res_mul(nd, inv, fspec) for nd in nrec.dots])
+        return _Cut(sub, res, pcols[0], lcd, q, qp * oden, c0, inv, nrec.cols)
 
     def point(self, cut: _Cut, y: Sequence[int]) -> tuple:
         """Coset rep y's point as res ([X], q): with c = lcd s (c0 + sum y_i
         c_i), the point is p + c w / (lcd s), so its numerators are lcd s q X
         + q_p res_mul(c, q res(w)) over q_p lcd s q, divided by their gcd,
-        so q is the least common denominator."""
+        so q is the least common denominator and equal points are equal.
+        For y != 0, lcd s sum y_i c_i is s res_mul(sum y_i dots_i, inv)."""
         (xs,), qp = cut.res
-        c = [x + cut.s * sum(map(operator.mul, y, col))
-             for x, col in zip(cut.c0_num, zip(*cut.cs))]
+        c = cut.c0_num
+        if any(y):
+            t = res_mul([sum(map(operator.mul, y, col)) for col in cut.cols], cut.inv, self.fspec)
+            c = [x + cut.s * v for x, v in zip(c, t)]
         big, d = cut.lcd * cut.s * cut.q, self.delta
         cw = [t for i in range(0, self.dm, d) for t in res_mul(c, cut.wq[i:i + d], self.fspec)]
         nums = [big * x + qp * t for x, t in zip(xs, cw)]
@@ -288,14 +292,13 @@ class Engine:
         `minor_gcd` of the images of the parent's stabilizer rows is VG's,
         and the one coset rep is y = 0.  Otherwise H is the echelon of
         `integer_kernel` of those rows modulo the echelon of the plane's
-        stabilizer.  A candidate is a coset rep's point, res from `point`,
-        keyed by its `label` in the sub-direction.  Returns (the
-        sub-direction's entry, [(label, res) per coset rep, in the order of
-        `coset_reps`], H); raises InfiniteArrangement when H is
+        stabilizer.  A candidate is a coset rep's point, res from `point`.
+        Returns (the sub-direction's entry, [res per coset rep, in the order
+        of `coset_reps`], H); raises InfiniteArrangement when H is
         rank-deficient."""
         stab, nrec = parent.stabilizer.basis, hclass.plane[0]
         if nrec.g and nrec.g == minor_gcd([[sum(map(operator.mul, s, col))
-                                            for col in zip(*nrec.dots)] for s in stab],
+                                            for col in nrec.cols] for s in stab],
                                           self.delta):
             hsub, reps = self.full, [(0,) * self.n]
         else:
@@ -311,8 +314,7 @@ class Engine:
                     f"{hclass.id}): {index} classes, more than the cap of {self.max_classes}")
             hsub = IntLattice(self.n, tuple(tuple(row) for _, row in h))
             reps = coset_reps(hsub)
-        return cut.sub, [(self.label(cut.sub, res), res)
-                         for res in (self.point(cut, y) for y in reps)], hsub
+        return cut.sub, [self.point(cut, y) for y in reps], hsub
 
     # -- level-wise enumeration ----------------------------------------------
 
@@ -320,12 +322,13 @@ class Engine:
                     covers: dict | None = None) -> list[SingularClass]:
         """Classes at `level` from cutting each parent, by the entry and res
         it carries, with all translated hyperplane classes, deduplicated
-        under Gamma on the candidates' labels; an accepted class gets its
-        cut's entry and its candidate's res.  An hclass carries its plane's
-        tables and its stabilizer in Z^n.  A level m-1 class is a hyperplane
+        under Gamma on the labels of the candidates' points, each distinct
+        point labeled once; an accepted class gets its cut's entry and its
+        candidate's res.  An hclass carries its plane's tables and its
+        stabilizer in Z^n.  A level m-1 class is a hyperplane
         class: its point is the cut point (y = 0) on its hclass's input
         plane, so it keeps that plane's tables, offset included.  The
-        classes, new or seen, that a parent's candidate labels resolve to
+        classes, new or seen, that a parent's candidates resolve to
         are one level below it: `covers`, if given, gets them once each
         under (parent.dim, parent.id).
 
@@ -337,7 +340,8 @@ class Engine:
         first pair to trip the index cap or a rank deficiency is the same;
         only the order in a `covers` list may differ."""
         accepted: list[SingularClass] = []
-        seen: dict = {}  # direction entry -> {label: class accepted for it}
+        seen: dict = {}  # (direction entry, label) -> class accepted for it
+        known: dict = {}  # (direction entry, q, *X) of a point -> its class
         mirror = {} if parents is hclasses else None  # (i, j) -> (j, i)'s classes
         for i, parent in enumerate(parents):
             below: dict = {}  # class id -> class
@@ -348,19 +352,24 @@ class Engine:
                 cut = self.intersect(parent.entry, parent.res, hc.plane)
                 if cut is None:
                     continue  # the parent's direction lies in the hyperplane
-                sub, candidates, _ = self.classify_pair(parent, hc, level, cut)
-                classes = seen.setdefault(sub, {})
+                sub, points, _ = self.classify_pair(parent, hc, level, cut)
                 found: dict = {}  # class id -> class, for this pair
-                for key, res in candidates:
-                    cls = classes.get(key)
+                for res in points:
+                    (xs,), q = res
+                    cls = known.get(at := (sub, q, *xs))
+                    if cls is None:  # a new point: label it
+                        cls = known[at] = seen.get(key := (sub, self.label(sub, res)))
                     if cls is None:
                         plane = hc.plane if level == self.m - 1 else None
-                        cls = classes[key] = SingularClass(len(accepted), level,
-                                                           self.stabilizer(sub), sub, res, plane)
+                        cls = known[at] = seen[key] = SingularClass(
+                            len(accepted), level, self.stabilizer(sub), sub, res, plane)
                         accepted.append(cls)
                         if len(accepted) > self.max_classes:
+                            who = (f"parent {parent.id}, hyperplane class" if parent.dim < self.m
+                                   else "the whole space, input plane")
                             raise ResourceCapExceeded(
-                                f"more than {self.max_classes} classes at level {level}")
+                                f"level {level}, pair ({who} {hc.id}): {len(accepted)} classes "
+                                f"at the level, more than the cap of {self.max_classes}")
                     found[cls.id] = cls
                 below.update(found)
                 if mirror is not None:

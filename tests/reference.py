@@ -5,7 +5,7 @@ import itertools
 from fractions import Fraction
 
 from patcoh.catalog import F5, TAU, icosahedral_star
-from patcoh.field import dot, restrict_scalars, scalar_matrix
+from patcoh.field import dot, res_mul, restrict_scalars, scalar_matrix
 from patcoh.linalg import clear_denominators, int_det, integer_kernel, primitive_rref, rref
 from patcoh.model import Hyperplane, canonical_hyperplane
 
@@ -158,6 +158,14 @@ def label_incidence(eng, arrangement):
     return below
 
 
+def cut_shifts(eng, cut):
+    """The numerators cs_i = res_mul(dots_i, inv) of a cut's coefficients
+    c_i = cs_i / lcd, dots_i = den <nu, g_i> read off the plane's dots'
+    columns that the cut holds: moving the plane by gamma(y) moves the cut
+    point by (sum y_i c_i) w."""
+    return [res_mul(dots, cut.inv, eng.fspec) for dots in zip(*cut.cols)]
+
+
 def shift_subgroup(eng, cut):
     """A pair's classification subgroup from the shifts of its cut: moving
     the plane by gamma(y) moves the cut point's R-image by sum y_i ds_i /
@@ -169,7 +177,8 @@ def shift_subgroup(eng, cut):
     rw = [[cut.q * sum(r * c for r, c in zip(row, col)) for col in dir_res_cols((w,))]
           for row in cut.sub.rows]
     assert all(x.denominator == 1 for row in rw for x in row)
-    ds = [[int(sum(r * c for r, c in zip(rwk, cs))) for rwk in rw] for cs in cut.cs]
+    ds = [[int(sum(r * c for r, c in zip(rwk, cs))) for rwk in rw]
+          for cs in cut_shifts(eng, cut)]
     modulus = [(p, [cut.lcd * cut.q * x for x in row]) for p, row in cut.sub.echelon]
     return integer_kernel(ds, len(rw), modulus)[1]
 

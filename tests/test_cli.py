@@ -267,6 +267,8 @@ def test_report_keys_on_every_exit_path():
     assert docs[4]["L"] == [1, 10, 10, 5] and docs[4]["e"] == 4  # regression values
     assert canonical_digest(docs[4]) == (
         "31fda8520bc41f8c507fd2c15f70ef5ffd745852520eab914b9ff7360451bf94")
-    assert docs[5]["diagnostics"] == {"message": "more than 5 classes at level 2"}
+    assert docs[5]["diagnostics"] == {"message": "level 2, pair (the whole space, input "
+                                                 "plane 5): 6 classes at the level, more "
+                                                 "than the cap of 5"}
     assert canonical_digest(docs[5]) == (
         "93c0ffaaa304c4757f742668fc16898c9c14a03797d470bcf5c34f07b7a2342f")

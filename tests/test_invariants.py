@@ -261,25 +261,31 @@ def test_incidence_matches_label_scan(make):
 
 
 def test_analyze_asks_no_orbit_label(monkeypatch):
-    # labels are read off the candidates inside classify_pair while
-    # enumerating; the incidence poset, the Euler count and the wedges ask
-    # the engine for none
-    depth, inside, outside = [0], [], []
-    real_label, real_pair = Engine.label, Engine.classify_pair
+    # build_level labels each new point of a level while enumerating, and
+    # classify_pair labels none; the incidence poset, the Euler count and
+    # the wedges ask the engine for none
+    depth, inside, outside = {"build_level": 0, "classify_pair": 0}, [], []
+    real_label = Engine.label
 
     def label_spy(self, *args):
-        (inside if depth[0] else outside).append(args)
+        (inside if depth["build_level"] else outside).append(args)
+        assert not depth["classify_pair"]
         return real_label(self, *args)
 
-    def pair_spy(self, *args):
-        depth[0] += 1
-        try:
-            return real_pair(self, *args)
-        finally:
-            depth[0] -= 1
+    def spy(name):
+        real = getattr(Engine, name)
+
+        def method(self, *args, **kwargs):
+            depth[name] += 1
+            try:
+                return real(self, *args, **kwargs)
+            finally:
+                depth[name] -= 1
+        return method
 
     monkeypatch.setattr(Engine, "label", label_spy)
-    monkeypatch.setattr(Engine, "classify_pair", pair_spy)
+    for name in depth:
+        monkeypatch.setattr(Engine, name, spy(name))
     rep = analyze(build("danzer").data)
     assert rep.H == build("danzer").expected["H"]
     assert inside and outside == []

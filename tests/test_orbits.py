@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,8 @@ from patcoh.model import (
 )
 from patcoh.orbits import Engine, InfiniteArrangement, ResourceCapExceeded
 from patcoh.report import compute_report
-from reference import (contains, coords_of, dir_res_cols, entry_of, field_class,
-                       field_direction, field_label, field_plane, field_point,
+from reference import (contains, coords_of, cut_shifts, dir_res_cols, entry_of, field_class,
+                       field_direction, field_label, field_plane, field_point, field_vector,
                        hermite_stabilizer, lattice_index, res_of, shift_subgroup)
 
 F5 = quadratic(5)
@@ -71,9 +72,10 @@ def test_intersect_affine_example():
     assert field_direction(eng, cut.sub) == ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO))
     assert field_point(eng, eng.point(cut, (0,) * eng.n)) == point
     # w, the first row off the plane, has a = <normal, w> = 1, so the
-    # coefficients c_i = <normal, g_i>/a are the dots
+    # coefficients c_i = res_mul(dots_i, inv) / lcd = <normal, g_i>/a are
+    # the normal's values on the generators
     assert next(u for u in direction if dot(h.normal, u)) == (ZERO, ZERO, ONE)
-    assert [F5.elem(*(Fraction(x, cut.lcd) for x in c)) for c in cut.cs] == [
+    assert [F5.elem(*(Fraction(x, cut.lcd) for x in c)) for c in cut_shifts(eng, cut)] == [
         dot(h.normal, g) for g in data.gens]
 
 
@@ -224,45 +226,6 @@ def _enumeration_pairs(eng, arr):
         for parent in arr.levels[level + 1] for hc in top]
 
 
-@pytest.mark.parametrize("name", ["danzer", "ammann_beenker"])
-def test_candidate_keys_are_labels_of_their_points(name):
-    # a candidate is the point of its coset rep y, which lies in the parent
-    # space and on the plane translated by gamma(y), and its key must equal
-    # that point's label; every pair as enumerated and once more with
-    # the parent point and the offset moved off the lattice, so that the
-    # cut point and its denominators are not trivial; danzer (m = 3,
-    # Q(sqrt 5)) and Ammann-Beenker (m = 2, Q(sqrt 2))
-    data = build(name).data if name == "danzer" else _ammann_beenker_with()
-    eng = Engine(data)
-    arr = eng.enumerate_arrangement()
-    rng = random.Random(7)
-    keys = []
-    for level, parent, hc in _enumeration_pairs(eng, arr):
-        point = tuple(x + _rand_felem(rng, eng.fspec) for x in field_point(eng, parent.res))
-        normal, offset = field_plane(eng, hc)
-        moved = (dataclasses.replace(parent, res=res_of(point)),
-                 dataclasses.replace(hc, plane=eng._plane(
-                     Hyperplane(normal, offset + _rand_felem(rng, eng.fspec)))))
-        for parent, hc in ((parent, hc), moved):
-            cut = _class_cut(eng, parent, hc)
-            if cut is None:
-                continue
-            sub, candidates, hsub = eng.classify_pair(parent, hc, level, cut)
-            (direction, point), (normal, offset) = field_class(eng, parent), field_plane(eng, hc)
-            reps = coset_reps(hsub)
-            assert len(candidates) == len(reps)
-            for (key, res), y in zip(candidates, reps):
-                assert res == eng.point(cut, y)
-                pt = field_point(eng, res)
-                assert key == field_label(eng, field_direction(eng, sub), pt), (
-                    level, parent.id, hc.id, y)
-                assert dot(normal, pt) == offset + dot(normal, gamma_vec(eng, y))
-                step = tuple(a - b for a, b in zip(pt, point))
-                assert len(rref(direction + (step,))) == len(direction)
-                keys.append(key)
-    assert sum(arr.counts()) < len(set(keys)) < len(keys)
-
-
 @pytest.mark.parametrize("name", ["danzer", "ammann_kramer"])
 def test_contains_agrees_with_rref(name):
     # span(sub) lies in span(direction) iff stacking them adds no rank
@@ -357,9 +320,10 @@ def test_gl_equivariance_danzer():
 
 
 def test_work_shape_of_the_icosahedral_entries(monkeypatch):
-    # proper pairs, candidates, index-1 pairs and classes of analyze per
-    # m = 3 catalog entry, with each unordered pair of hyperplane classes
-    # classified once at level 1.  An index-1 pair is decided by minors: it makes
+    # proper pairs, candidates, index-1 pairs, label calls and classes of
+    # analyze per m = 3 catalog entry, with each unordered pair of
+    # hyperplane classes classified once at level 1 and each distinct
+    # point of a level labeled once.  An index-1 pair is decided by minors: it makes
     # no integer_kernel, hnf or coset_reps call, and its one coset rep is
     # 0.  Every other pair's lattice question is its one integer_kernel
     # call, of the parent's stabilizer rows modulo the plane's echelon,
@@ -377,6 +341,13 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
         return out
 
     monkeypatch.setattr(patcoh.orbits, "integer_kernel", kernel_spy)
+    real_label = Engine.label
+
+    def label_spy(self, *args):
+        shape[3] += 1
+        return real_label(self, *args)
+
+    monkeypatch.setattr(Engine, "label", label_spy)
 
     def pair_spy(self, parent, hclass, level, cut):
         forms.clear()
@@ -389,7 +360,7 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
         shape[2] += index_one
         if index_one:
             assert (forms, kernels, reps) == ([], [], [])
-            assert [res for _, res in out[1]] == [self.point(cut, (0,) * self.n)]
+            assert out[1] == [self.point(cut, (0,) * self.n)]
             return out
         ((images, width, modulus), (echelon, _)), = kernels
         assert [tuple(row) for row in images] == list(parent.stabilizer.basis)
@@ -406,14 +377,14 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
     monkeypatch.setattr(Engine, "classify_pair", pair_spy)
     found = {}
     for name in ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]:
-        shape = [0, 0, 0]
+        shape = [0, 0, 0, 0]
         classes = sum(analyze(build(name).data).L)
         found[name] = (*shape, classes)
-    assert found == {"danzer": (81, 81, 81, 22),
-                     "ammann_kramer": (690, 975, 465, 93),
-                     "canonical_d6": (736, 1036, 646, 117),
-                     "dual_canonical_d6": (1080, 1845, 825, 155)}
-    assert [sum(col) for col in zip(*found.values())] == [2587, 3937, 2017, 387]
+    assert found == {"danzer": (81, 81, 81, 22, 22),
+                     "ammann_kramer": (690, 975, 465, 187, 93),
+                     "canonical_d6": (736, 1036, 646, 323, 117),
+                     "dual_canonical_d6": (1080, 1845, 825, 368, 155)}
+    assert [sum(col) for col in zip(*found.values())] == [2587, 3937, 2017, 900, 387]
 
 
 def test_analyze_does_no_field_elimination(monkeypatch):
@@ -516,9 +487,28 @@ def test_infinite_demo_raises_with_witness():
 
 
 def test_resource_cap():
+    # the accept cap names the level, the pair that went past it and the
+    # cap; the hyperplane pass cuts the whole space by an input plane
     eng = Engine(build("danzer").data, max_classes=3)
-    with pytest.raises(ResourceCapExceeded):
+    with pytest.raises(ResourceCapExceeded) as exc:
         eng.enumerate_arrangement()
+    assert str(exc.value) == ("level 2, pair (the whole space, input plane 3): 4 classes "
+                              "at the level, more than the cap of 3")
+
+
+def test_resource_cap_below_the_top_names_the_parent():
+    # below the hyperplane pass the pair is (parent, hyperplane class), as
+    # in the index cap's message, in the enumeration and inside a class
+    data = build("danzer").data
+    with pytest.raises(ResourceCapExceeded) as exc:
+        Engine(data, max_classes=10).enumerate_arrangement()
+    assert str(exc.value) == ("level 1, pair (parent 2, hyperplane class 4): 11 classes "
+                              "at the level, more than the cap of 10")
+    top = Engine(data).hyperplane_classes()
+    with pytest.raises(ResourceCapExceeded) as exc:
+        Engine(data, max_classes=4).relative_levels(top[0], top)
+    assert str(exc.value) == ("level 1, pair (parent 0, hyperplane class 5): 5 classes "
+                              "at the level, more than the cap of 4")
 
 
 @pytest.mark.parametrize("cap", [0, -5])
@@ -660,6 +650,102 @@ _PAIR_CASES = {"danzer": lambda: build("danzer").data,
                **{nm: (lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2}}
 
 
+def _resolving(monkeypatch):
+    """Spy on classify_pair: each pair's (level, parent, hclass, cut,
+    points, H, classes), classes the class build_level resolved each point
+    to.  That is the loop's `cls` when the loop asks for the next point, or
+    ends."""
+    pairs = []
+    real = Engine.classify_pair
+
+    def watched(points, classes):
+        caller = sys._getframe(1)
+        for res in points:
+            yield res
+            classes.append(caller.f_locals["cls"])
+
+    def spy(self, parent, hc, level, cut):
+        sub, points, hsub = real(self, parent, hc, level, cut)
+        pairs.append((level, parent, hc, cut, points, hsub, []))
+        return sub, watched(points, pairs[-1][-1]), hsub
+
+    monkeypatch.setattr(Engine, "classify_pair", spy)
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["danzer", "ammann_beenker", "penrose", *DENSE_M2])
+def test_candidate_keys_are_labels_of_their_points(name, monkeypatch):
+    # a candidate is the point of its coset rep y, which lies in the parent
+    # space and on the plane translated by gamma(y).  The test labels every
+    # candidate's point itself, from its field value, and that label must
+    # be the label of the class build_level resolved the candidate to,
+    # also for a candidate whose point the level met before, which takes
+    # its class with no label call.  Every pair as enumerated, and once
+    # more with the parent point and the offset moved off the lattice, so
+    # that the cut point and its denominators are not trivial
+    eng = Engine(_PAIR_CASES[name]())
+    pairs = _resolving(monkeypatch)
+    arr = eng.enumerate_arrangement()
+    met = {(level, id(cut.sub), tuple(xs), q) for level, _, _, cut, points, _, _ in pairs
+           for (xs,), q in points}
+    assert len(met) < sum(len(points) for *_, points, _, _ in pairs)
+    rng = random.Random(7)
+    for level, parent, hc in _enumeration_pairs(eng, arr):
+        point = tuple(x + _rand_felem(rng, eng.fspec) for x in field_point(eng, parent.res))
+        normal, offset = field_plane(eng, hc)
+        moved = eng._plane(Hyperplane(normal, offset + _rand_felem(rng, eng.fspec)))
+        eng.build_level([dataclasses.replace(parent, res=res_of(point))],
+                        [dataclasses.replace(hc, plane=moved)], level)
+    keys = []
+    for level, parent, hc, cut, points, hsub, classes in pairs:
+        (direction, point), (normal, offset) = field_class(eng, parent), field_plane(eng, hc)
+        reps = coset_reps(hsub)
+        assert len(points) == len(reps) == len(classes)
+        for res, y, cls in zip(points, reps, classes):
+            assert res == eng.point(cut, y)
+            pt = field_point(eng, res)
+            key = field_label(eng, field_direction(eng, cut.sub), pt)
+            assert cls.entry is cut.sub and cls.dim == level
+            assert key == field_label(eng, *field_class(eng, cls)), (level, parent.id, hc.id, y)
+            assert dot(normal, pt) == offset + dot(normal, gamma_vec(eng, y))
+            step = tuple(a - b for a, b in zip(pt, point))
+            assert len(rref(direction + (step,))) == len(direction)
+            keys.append(key)
+    assert sum(arr.counts()) < len(set(keys)) < len(keys)
+
+
+@pytest.mark.parametrize("name", ["danzer", "penrose"])
+def test_point_of_a_nonzero_rep_is_its_field_point(name):
+    # with every plane moved off the origin, point(cut, y) for random
+    # nonzero y is p + (c0 + sum y_i <nu, g_i> / a) w in field arithmetic,
+    # w the pivot row, a = <nu, w> and c0 = (offset - <nu, p>) / a
+    if name == "danzer":
+        data = _translated(build("danzer").data, (F5.elem("1/3"), F5.elem(0, "1/5"), TAU))
+    else:
+        data = _translated(penrose(), (F5.elem("2/7", "1/3"), F5.elem("-1/2")))
+    eng = Engine(data)
+    rng = random.Random(29)
+    checked = 0
+    for level, parent, hc in _enumeration_pairs(eng, eng.enumerate_arrangement()):
+        cut = _class_cut(eng, parent, hc)
+        if cut is None:
+            continue
+        (direction, p), (normal, offset) = field_class(eng, parent), field_plane(eng, hc)
+        w = next(u for u in direction if dot(normal, u))
+        a = dot(normal, w)
+        for _ in range(3):
+            y = [0] * eng.n
+            while not any(y):
+                y = [rng.randint(-3, 3) for _ in range(eng.n)]
+            c = (offset - dot(normal, p)) / a + sum(
+                (eng.fspec.elem(yi) * dot(normal, g) for yi, g in zip(y, data.gens)),
+                eng.fspec.zero) / a
+            assert field_point(eng, eng.point(cut, y)) == tuple(
+                x + c * u for x, u in zip(p, w)), (level, parent.id, hc.id, y)
+            checked += 1
+    assert checked > 30
+
+
 def _check_annihilator(eng, entry):
     """R integral, killing every column of the entry, of rank dm - len(cols)
     and integral on the generators; its stabilizer the Hermite route's."""
@@ -725,6 +811,8 @@ def test_classification_subgroup_is_the_sum_of_the_stabilizers(name, monkeypatch
     # every proper pair the engine classifies: its H equals the kernel of
     # the cut's shifts ds_i modulo lcd q E (the reference route) and the
     # Hermite basis of Stab(parent) + Stab(plane), both found here; the
+    # cut reads its plane's dots' columns, not a copy, and its coefficients
+    # c_i are <normal, g_i> / <normal, w> for the pivot row w; the
     # relative case classifies inside a plane class, whose root hands over
     # the plane's stabilizer.  The minors decide every index-1 pair, and
     # the Hermite form runs on the others; Danzer and Penrose have no
@@ -749,8 +837,15 @@ def test_classification_subgroup_is_the_sum_of_the_stabilizers(name, monkeypatch
         pairs.clear()
         plane = arr.levels[2][0]
         eng.relative_levels(plane, arr.levels[2])
-    cache = {}
+    cache, coefs = {}, {}
     for (parent, hc, level, cut), h in pairs:
+        assert cut.cols is hc.plane[0].cols
+        normal, _ = field_plane(eng, hc)
+        w = next(u for u in field_direction(eng, parent.entry) if dot(normal, u))
+        if (normal, w) not in coefs:
+            coefs[normal, w] = [dot(normal, g) / dot(normal, w) for g in eng.data.gens]
+        assert [field_vector(eng, c, cut.lcd)[0] for c in cut_shifts(eng, cut)] == (
+            coefs[normal, w]), (level, parent.id, hc.id)
         assert h == shift_subgroup(eng, cut), (level, parent.id, hc.id)
         assert h == _stabilizer_sum(eng, parent, hc, cache), (level, parent.id, hc.id)
     roots = {parent.stabilizer.basis for (parent, _, _, _), _ in pairs

@@ -182,10 +182,11 @@ def test_levels_cut_from_what_each_class_carries():
     # element back into a direction entry or an integer point, and a
     # relative enumeration starts from the class itself.  Each candidate
     # carries its point, so the level loop works out none; a cut holds no
-    # affine copy of the label (shift rows, base image) and no copy of its
-    # plane's tables, classify_pair reads the stabilizers and the plane
-    # off the classes it is handed, and `label` is the one method that
-    # reduces a point to an orbit key
+    # affine copy of the label (shift rows, base image), only `inv`, 1 /
+    # (den a) over lcd, for the shift of a nonzero rep, and no copy of its
+    # plane's tables, classify_pair reads the stabilizers and the plane off the
+    # classes it is handed, and `label` is the one method that reduces a
+    # point to an orbit key
     tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
     classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
     methods = {n.name: n for n in classes["Engine"].body if isinstance(n, ast.FunctionDef)}
@@ -198,7 +199,7 @@ def test_levels_cut_from_what_each_class_carries():
                   for c in ast.walk(methods[name]) if isinstance(c, ast.Call)}
         assert called and not called & banned, (name, called & banned)
     fields = {n.target.id for n in classes["_Cut"].body if isinstance(n, ast.AnnAssign)}
-    assert {"sub", "res", "cs"} <= fields and not fields & {"rw", "base", "normal"}
+    assert {"sub", "res", "inv"} <= fields and not fields & {"rw", "base", "normal", "cs"}
     assert [a.arg for a in methods["classify_pair"].args.args] == [
         "self", "parent", "hclass", "level", "cut"]
     reducers = {name for name, meth in methods.items()
