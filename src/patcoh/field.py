@@ -1,7 +1,10 @@
 """Exact arithmetic in Q and real quadratic fields Q(sqrt(D)).
 
 Elements are pairs (a, b) of rationals representing a + b*sqrt(D); over the
-rationals b is identically zero.  No floating point is used anywhere:
+rationals b is identically zero.  The field's rules are stated once, on
+restricted coordinates or their integer numerators: `res_mul` is the
+product and `res_adjugate` the inverse, and `FElem`'s product and inverse
+call them.  No floating point is used anywhere:
 field coordinates are Fractions, and the engine's hot paths (orbit labels,
 integer kernels, wedge ranks) clear denominators and work on plain ints.
 """
@@ -113,21 +116,15 @@ class FElem:
         self._check(other)
         if self.field.degree == 1:
             return FElem(self.a * other.a, Fraction(0), self.field)
-        d = self.field.D
-        return FElem(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            self.field,
-        )
+        return FElem(*res_mul((self.a, self.b), (other.a, other.b), self.field), self.field)
 
     def inverse(self) -> FElem:
         if not self:
             raise ZeroDivisionError("division by zero field element")
         if self.field.degree == 1:
             return FElem(1 / self.a, Fraction(0), self.field)
-        # multiply by the conjugate, divide by the norm a^2 - b^2 D
-        norm = self.a * self.a - self.b * self.b * self.field.D
-        return FElem(self.a / norm, -self.b / norm, self.field)
+        (a, b), norm = res_adjugate((self.a, self.b), self.field)
+        return FElem(a / norm, b / norm, self.field)
 
     def __truediv__(self, other: FElem) -> FElem:
         if not isinstance(other, FElem):
@@ -161,19 +158,20 @@ def restrict_scalars(v: Sequence[FElem]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def scalar_matrix(lam: FElem) -> tuple[tuple[Fraction, ...], ...]:
-    """Multiplication by lam on restricted coordinates, as a delta x delta matrix."""
-    if lam.field.degree == 1:
-        return ((lam.a,),)
-    d = lam.field.D
-    return ((lam.a, lam.b * d), (lam.b, lam.a))
-
-
 def res_mul(x: Sequence, y: Sequence, fspec: FieldSpec) -> list:
-    """res(x y) from res(x) = (a,) or (a, b) and res(y).  Bilinear, so it
-    takes integer multiples of them (field numerators) as well."""
+    """res(x y) from res(x) = (a,) or (a, b) and res(y): the field's one
+    product rule.  Bilinear, so it takes integer multiples of them (field
+    numerators) as well."""
     return ([x[0] * y[0]] if len(x) == 1 else
             [x[0] * y[0] + fspec.D * x[1] * y[1], x[0] * y[1] + x[1] * y[0]])
+
+
+def res_adjugate(x: Sequence, fspec: FieldSpec) -> tuple[list, object]:
+    """(adj, norm) with res_mul(x, adj) = (norm, 0, ...), so 1/x = adj / norm
+    for x != 0: ([1], a) over Q, and the conjugate ([a, -b], a^2 - D b^2)
+    over Q(sqrt(D)).  Closed forms, like `res_mul`; numerators in, numerators
+    out."""
+    return ([1], x[0]) if len(x) == 1 else ([x[0], -x[1]], x[0] * x[0] - fspec.D * x[1] * x[1])
 
 
 def theta_powers(fspec: FieldSpec) -> list[list[int]]:

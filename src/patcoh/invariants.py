@@ -106,9 +106,10 @@ def euler_characteristic(arrangement: Arrangement, below: dict) -> int:
     return total if arrangement.data.m % 2 == 0 else -total
 
 
-def _wedge_quantities(arrangement: Arrangement, below: dict, d: int):
+def _wedge_quantities(arrangement: Arrangement, d: int):
     """(r_p, None) (m = 2) or (R_p, tilde_L1) (m = 3), for p = 1 .. d+1;
-    each lattice's p x p minors are taken once per p."""
+    each lattice's p x p minors are taken once per p.  A plane's lines are
+    the classes it covers (`arrangement.covers`)."""
     minors: dict = {}
     if arrangement.data.m == 2:
         stabs = [c.stabilizer for c in arrangement.levels[1]]
@@ -119,7 +120,7 @@ def _wedge_quantities(arrangement: Arrangement, below: dict, d: int):
     per_plane_line_stabs = []
     tilde = -len(arrangement.levels[1])
     for alpha in arrangement.levels[2]:
-        lines = [b for b in below[(2, alpha.id)] if b.dim == 1]
+        lines = arrangement.covers[(2, alpha.id)]
         tilde += len(lines)
         per_plane_line_stabs.append(list(dict.fromkeys(b.stabilizer for b in lines)))
     big_r = []
@@ -212,7 +213,7 @@ def analyze(data: ProjectionData, max_classes: int | None = None) -> InvariantRe
     report.status = "finite"
     wedges = None
     if m > 1:
-        wedges, report.tilde_L1 = _wedge_quantities(arrangement, below, d)
+        wedges, report.tilde_L1 = _wedge_quantities(arrangement, d)
         setattr(report, "r" if m == 2 else "R", wedges)
     report.D = rank_formulas(m, nu, d, report.e, report.L, report.tilde_L1, wedges)
     alt_sum = sum((-1) ** p * dp for p, dp in enumerate(report.D))

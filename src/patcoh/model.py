@@ -8,11 +8,13 @@ family of affine hyperplanes whose Gamma-translates form the singular set.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .field import FElem, FieldSpec, res_mul, restrict_scalars, scalar_matrix, theta_powers
-from .linalg import clear_denominators, primitive_rref, rat_rank
+from .field import FElem, FieldSpec, res_mul, restrict_scalars, theta_powers
+from .linalg import clear_denominators, minor_gcd, primitive_rref, rat_rank
 
 MAX_PLANES = 32
 
@@ -187,14 +189,35 @@ def serialize_projection_data(data: ProjectionData) -> str:
 # ---------------------------------------------------------------------------
 # validation
 
-def pairing_table(normal, gen_ints) -> tuple[int, list[list[int]], list[list[int]]]:
-    """The pairing of a normal nu with Gamma in integers, (den, form, dots):
-    den <nu, x> = form res(x), and dots[i] = den <nu, g_i> for the
-    generators given as gen_ints = (G, q_G), res(g_i) = G_i / q_G."""
-    form, den = clear_denominators([sum(rows, ()) for rows in zip(*map(scalar_matrix, normal))])
+class PlaneTable(NamedTuple):
+    """One input plane <nu, x> = offset in integers, for generators given
+    as gen_ints = (G, q_G), res(g_i) = G_i / q_G: den <nu, x> = form res(x);
+    cols, the columns of the dots den <nu, g_i> (the map Z^n -> Z^delta
+    whose kernel is the plane's stabilizer); g, their `minor_gcd`, the
+    image's index in Z^delta (0 below rank delta); and res(offset) = off /
+    oden."""
+
+    den: int
+    form: list[list[int]]
+    cols: list[tuple[int, ...]]
+    g: int
+    off: list[int]
+    oden: int
+
+
+def plane_table(h: Hyperplane, gen_ints) -> PlaneTable:
+    """The plane h's `PlaneTable`.  With res(nu) = N / q_N, column (k, l) of
+    the form is res(theta^l nu_k) = res_mul(theta^l, N_k) / q_N, so the form
+    is built from N, over den = q_N q_G."""
+    fspec = h.offset.field
+    d, powers = fspec.degree, theta_powers(fspec)
+    (nu,), qn = clear_denominators([restrict_scalars(h.normal)])
+    form = [*zip(*(res_mul(t, nu[c:c + d], fspec) for c in range(0, len(nu), d) for t in powers))]
     gens, qg = gen_ints
-    dots = [[sum(a * b for a, b in zip(f, g)) for f in form] for g in gens]
-    return den * qg, [[qg * x for x in f] for f in form], dots
+    dots = [[sum(map(operator.mul, f, g)) for f in form] for g in gens]
+    (off,), oden = clear_denominators([restrict_scalars((h.offset,))])
+    return PlaneTable(qn * qg, [[qg * x for x in f] for f in form], [*zip(*dots)],
+                      minor_gcd(dots, d), off, oden)
 
 
 def normal_supports(data: ProjectionData) -> list[set[int]]:
@@ -210,7 +233,8 @@ def normal_supports(data: ProjectionData) -> list[set[int]]:
 
 def validate(data: ProjectionData) -> ValidationReport:
     """Structural checks: generator independence, spanning, indecomposability,
-    divisibility of rank(Gamma) by dim V, and the partial density check."""
+    divisibility of rank(Gamma) by dim V, and the partial density check, the
+    rank of each plane's pairing with Gamma (its `plane_table`'s cols)."""
     rep = ValidationReport()
     n, m = data.n, data.m
     if n <= m:
@@ -246,7 +270,7 @@ def validate(data: ProjectionData) -> ValidationReport:
     # of Q-rank > 1, otherwise the translated arrangement is not dense
     if rep.ok:
         for idx, h in enumerate(data.planes):
-            if rat_rank(pairing_table(h.normal, gen_ints)[2]) <= 1:
+            if rat_rank(plane_table(h, gen_ints).cols) <= 1:
                 rep.add("error", "density",
                         f"hyperplane {idx}: <normal, Gamma> has Q-rank <= 1, "
                         "so Gamma-translates of this plane are not dense")

@@ -21,8 +21,11 @@ lowest terms (`Engine.point`).  A level labels each distinct point once
 candidate's class lies one level below.  At level m-2 both sides of a
 pair are hyperplane classes, and the intersections of translates of two
 planes do not depend on their order, so each unordered pair is
-classified once.  A class is an integer record, so the level loop builds
-no field element: fields are read only off the input data.
+classified once.  A class is an integer record, and a hyperplane class
+carries its input plane's one integer record (`model.PlaneTable`), so the
+level loop builds no field element: fields are read only off the input
+data, and the field's product and inverse are `field.res_mul` and
+`field.res_adjugate` on numerators.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ import operator
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Sequence
 
-from .field import res_mul, restrict_scalars, theta_powers
+from .field import res_adjugate, res_mul, restrict_scalars, theta_powers
 from .linalg import (IntLattice, clear_denominators, coset_reps, integer_kernel, minor_gcd,
                      primitive_rref, remainder)
-from .model import ProjectionData, pairing_table
+from .model import PlaneTable, ProjectionData, plane_table
 
 DEFAULT_MAX_CLASSES = 100_000
 
@@ -64,15 +67,14 @@ class ResourceCapExceeded(Exception):
 class SingularClass:
     """One orbit class of singular spaces, in integers: its stabilizer in Z^n,
     its direction's entry, a point as res = ([X], q), res(point) = X / q, and
-    for a hyperplane class its plane (normal tables, offset numerators over
-    the offset denominator)."""
+    for a hyperplane class its input plane's `PlaneTable`."""
 
     id: int
     dim: int
     stabilizer: IntLattice
     entry: _Direction | None = dc_field(compare=False, repr=False)
     res: tuple | None = dc_field(compare=False, repr=False)
-    plane: tuple | None = dc_field(default=None, compare=False, repr=False)
+    plane: PlaneTable | None = dc_field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -87,18 +89,6 @@ class _Direction:
     rows: list[tuple[int, ...]]
     echelon: list  # Hermite rows (pivot, row) of R * (Gamma image)
     stab: IntLattice  # Gamma cap span(direction) in Z^n
-
-
-class _Normal(NamedTuple):
-    """Integer tables of one normal nu: `pairing_table`'s den and form, the
-    columns of its dots (the map Z^n -> Z^delta whose kernel is the plane's
-    stabilizer), and g, the `minor_gcd` of dots, its image's index in
-    Z^delta (0 below rank delta)."""
-
-    den: int
-    form: list[list[int]]
-    cols: list[tuple[int, ...]]
-    g: int
 
 
 class _Cut(NamedTuple):
@@ -214,41 +204,30 @@ class Engine:
 
     # -- intersections and per-pair classification ---------------------------
 
-    def _plane(self, h):
-        """(normal tables, offset numerators, offset denominator) of the input
-        plane h: the normal's `pairing_table` and the `minor_gcd` of its
-        dots, and res(offset) = off / oden."""
-        den, form, dots = pairing_table(h.normal, self.gen_ints)
-        (off,), oden = clear_denominators([restrict_scalars((h.offset,))])
-        return _Normal(den, form, [*zip(*dots)], minor_gcd(dots, self.delta)), off, oden
-
     def intersect(self, entry: _Direction, res, plane) -> _Cut | None:
-        """Cut the parent p + span(entry's direction) by the hyperplane
-        `plane` that a hyperplane class carries, or None when the direction
-        lies in it; res = ([X], q_p) with res(p) = X / q_p.
+        """Cut the parent p + span(entry's direction) by the input plane
+        whose `PlaneTable` a hyperplane class carries (`plane`), or None when
+        the direction lies in it; res = ([X], q_p) with res(p) = X / q_p.
 
         With the direction's restricted columns cols / q from its entry, the
-        normal's form gives alpha_j = den q <normal, u_j> per row u_j.  The
-        first row with alpha != 0 is the pivot w, 1/a = den q conj(alpha) /
-        norm(alpha), and the sub-direction is spanned by the other rows u_j
+        plane's form gives alpha_j = den q <normal, u_j> per row u_j.  The
+        first row with alpha != 0 is the pivot w, 1/a = den q adj(alpha) /
+        norm(alpha) by `res_adjugate`, and the sub-direction is spanned by the other rows u_j
         less (alpha_j / alpha) w, alpha_j / alpha = F_j / (lcd q).  Its entry
         is `_entry` of its key, the `primitive_rref` of the integer columns
         lcd q cols[delta j + l] - sum_i res(theta^l F_j)_i cols[delta pivot +
         i], l < delta.  The form also gives <normal, p> for c0 = (offset -
-        <normal, p>)/a, over s = q_p times the offset's denominator."""
-        nrec, off, oden = plane
+        <normal, p>)/a, over s = q_p oden."""
         d, fspec = self.delta, self.fspec
         cols, q = entry.cols, entry.q
-        alphas = [[sum(map(operator.mul, f, col)) for f in nrec.form] for col in cols[::d]]
+        alphas = [[sum(map(operator.mul, f, col)) for f in plane.form] for col in cols[::d]]
         pivot = next((j for j, al in enumerate(alphas) if any(al)), None)
         if pivot is None:
             return None
-        a = alphas[pivot]
-        conj = a[:1] + [-x for x in a[1:]]
-        norm = res_mul(a, conj, fspec)[0]
-        inv = [nrec.den * q * x * (1 if norm > 0 else -1) for x in conj]
+        adj, norm = res_adjugate(alphas[pivot], fspec)
+        inv = [plane.den * q * x * (1 if norm > 0 else -1) for x in adj]
         g = math.gcd(norm, *inv)
-        inv, lcd = [x // g for x in inv], nrec.den * abs(norm) // g
+        inv, lcd = [x // g for x in inv], plane.den * abs(norm) // g
         ratios = [res_mul(al, inv, fspec) for al in alphas]
         pcols = cols[d * pivot: d * pivot + d]
         sub = self._entry(primitive_rref([
@@ -257,9 +236,10 @@ class Engine:
             for col, t in zip(cols[d * j: d * j + d],
                               [res_mul(e, f, fspec) for e in self._theta_powers])]))
         (xs,), qp = res
-        nu_p = [sum(map(operator.mul, f, xs)) for f in nrec.form]
-        c0 = res_mul([o * nrec.den * qp - oden * e for o, e in zip(off, nu_p)], inv, fspec)
-        return _Cut(sub, res, pcols[0], lcd, q, qp * oden, c0, inv, nrec.cols)
+        nu_p = [sum(map(operator.mul, f, xs)) for f in plane.form]
+        c0 = res_mul([o * plane.den * qp - plane.oden * e for o, e in zip(plane.off, nu_p)],
+                     inv, fspec)
+        return _Cut(sub, res, pcols[0], lcd, q, qp * plane.oden, c0, inv, plane.cols)
 
     def point(self, cut: _Cut, y: Sequence[int]) -> tuple:
         """Coset rep y's point as res ([X], q): with c = lcd s (c0 + sum y_i
@@ -296,10 +276,10 @@ class Engine:
         Returns (the sub-direction's entry, [res per coset rep, in the order
         of `coset_reps`], H); raises InfiniteArrangement when H is
         rank-deficient."""
-        stab, nrec = parent.stabilizer.basis, hclass.plane[0]
-        if nrec.g and nrec.g == minor_gcd([[sum(map(operator.mul, s, col))
-                                            for col in nrec.cols] for s in stab],
-                                          self.delta):
+        stab, plane = parent.stabilizer.basis, hclass.plane
+        if plane.g and plane.g == minor_gcd([[sum(map(operator.mul, s, col))
+                                              for col in plane.cols] for s in stab],
+                                            self.delta):
             hsub, reps = self.full, [(0,) * self.n]
         else:
             h, _ = integer_kernel(stab, self.n, hclass.stabilizer.echelon)
@@ -324,10 +304,10 @@ class Engine:
         it carries, with all translated hyperplane classes, deduplicated
         under Gamma on the labels of the candidates' points, each distinct
         point labeled once; an accepted class gets its cut's entry and its
-        candidate's res.  An hclass carries its plane's tables and its
-        stabilizer in Z^n.  A level m-1 class is a hyperplane
+        candidate's res.  An hclass carries its input plane's `PlaneTable`
+        and its stabilizer in Z^n.  A level m-1 class is a hyperplane
         class: its point is the cut point (y = 0) on its hclass's input
-        plane, so it keeps that plane's tables, offset included.  The
+        plane, so it keeps that plane's `PlaneTable`.  The
         classes, new or seen, that a parent's candidates resolve to
         are one level below it: `covers`, if given, gets them once each
         under (parent.dim, parent.id).
@@ -379,11 +359,13 @@ class Engine:
         return accepted
 
     def hyperplane_classes(self) -> list[SingularClass]:
-        """Gamma-orbit classes of the translated input planes (level m-1), one
-        `_plane` each, cut from the full space: the identity key's entry."""
+        """Gamma-orbit classes of the translated input planes (level m-1), cut
+        from the full space (the identity key's entry) by one pseudo class per
+        input plane, which carries the plane's `plane_table`."""
         space = self._entry(IntLattice.full(self.dm).basis)
         parent = SingularClass(-1, self.m, space.stab, space, ([[0] * self.dm], 1))
-        pseudo = [SingularClass(i, self.m - 1, self.full, None, None, self._plane(h))
+        pseudo = [SingularClass(i, self.m - 1, self.full, None, None,
+                                plane_table(h, self.gen_ints))
                   for i, h in enumerate(self.data.planes)]
         # under the full space as parent H = Z^n, whatever a pseudo class carries
         return self.build_level([parent], pseudo, level=self.m - 1)

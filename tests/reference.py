@@ -5,9 +5,18 @@ import itertools
 from fractions import Fraction
 
 from patcoh.catalog import F5, TAU, icosahedral_star
-from patcoh.field import dot, res_mul, restrict_scalars, scalar_matrix
+from patcoh.field import dot, res_mul, restrict_scalars
 from patcoh.linalg import clear_denominators, int_det, integer_kernel, primitive_rref, rref
 from patcoh.model import Hyperplane, canonical_hyperplane
+
+
+def scalar_matrix(lam):
+    """Multiplication by lam on restricted coordinates, as a delta x delta
+    matrix, from the closed form of the product in Q(sqrt(D))."""
+    if lam.field.degree == 1:
+        return ((lam.a,),)
+    d = lam.field.D
+    return ((lam.a, lam.b * d), (lam.b, lam.a))
 
 
 def dir_res_cols(direction):
@@ -80,13 +89,13 @@ def field_class(eng, cls):
 
 
 def field_plane(eng, hc):
-    """(normal, offset) of a hyperplane class, read back off the tables it
-    carries: den <nu, x> = form res(x), so res(den nu_k) is the form's
+    """(normal, offset) of a hyperplane class, read back off the `PlaneTable`
+    it carries: den <nu, x> = form res(x), so res(den nu_k) is the form's
     column delta k, and res(offset) = off / oden."""
-    nrec, off, oden = hc.plane
-    normal = tuple(field_vector(eng, [row[k] for row in nrec.form], nrec.den)[0]
+    plane = hc.plane
+    normal = tuple(field_vector(eng, [row[k] for row in plane.form], plane.den)[0]
                    for k in range(0, eng.dm, eng.delta))
-    return normal, field_vector(eng, off, oden)[0]
+    return normal, field_vector(eng, plane.off, plane.oden)[0]
 
 
 def coords_of(lat, vec):

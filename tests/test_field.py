@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from patcoh.field import MAX_D, FElem, QQ, quadratic, restrict_scalars, scalar_matrix
+from patcoh.field import MAX_D, FElem, QQ, quadratic, res_adjugate, res_mul, restrict_scalars
+from reference import scalar_matrix
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -119,3 +120,39 @@ def test_restrict_scalars_q_linearity():
             for row in mat:
                 rhs.append(sum(r * p for r, p in zip(row, pair)))
         assert list(lhs) == [a + b for a, b in zip(rx, rhs)]
+
+
+@pytest.mark.parametrize("field", [QQ, quadratic(2), quadratic(3), F5],
+                         ids=["Q", "Qsqrt2", "Qsqrt3", "Qsqrt5"])
+def test_res_adjugate_inverts_by_res_mul(field):
+    # res_mul(x, adj) = (norm, 0, ...) on field numerators and on rational
+    # coordinates, negative norms included; FElem.inverse is adj / norm and
+    # round-trips
+    rng = random.Random(f"adjugate:{field!r}")
+    xs = [[rng.randint(-30, 30) for _ in range(field.degree)] for _ in range(40)]
+    xs += [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(field.degree)]
+           for _ in range(40)]
+    xs += [[1, -1][:field.degree], [-3, 2][:field.degree]]  # 1 - sqrt(D), -3 + 2 sqrt(D)
+    norms = set()
+    for x in xs:
+        if not any(x):
+            continue
+        adj, norm = res_adjugate(x, field)
+        assert res_mul(x, adj, field) == [norm, 0][:field.degree]
+        norms.add(norm > 0)
+        elem = field.elem(*x)
+        inv = elem.inverse()
+        assert restrict_scalars((inv,)) == tuple(Fraction(a, 1) / norm for a in adj)
+        assert elem * inv == field.one and inv.inverse() == elem
+    assert norms == {True, False}
+
+
+def test_res_adjugate_closed_forms():
+    # ([1], a) over Q and the conjugate over its norm over Q(sqrt(D)):
+    # 1 - sqrt(2) has norm -1 and inverse -1 - sqrt(2)
+    q2 = quadratic(2)
+    assert res_adjugate([3], QQ) == ([1], 3)
+    assert res_adjugate([1, -1], q2) == ([1, 1], -1)
+    half = Fraction(1, 2)
+    assert res_adjugate([half, half], F5) == ([half, -half], -1)  # tau
+    assert q2.elem(1, -1).inverse() == q2.elem(-1, -1)

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -13,20 +15,21 @@ import patcoh.orbits
 from patcoh.catalog import build, names
 from patcoh.field import QQ, FElem, dot, quadratic, restrict_scalars
 from patcoh.invariants import analyze
-from patcoh.linalg import (IntLattice, clear_denominators, coset_reps, mixed_solve,
+from patcoh.linalg import (IntLattice, clear_denominators, coset_reps, int_det, mixed_solve,
                            primitive_rref, remainder, rref)
 from patcoh.model import (
     Hyperplane,
     ProjectionData,
     canonical_hyperplane,
     parse_projection_data,
+    plane_table,
     serialize_projection_data,
 )
 from patcoh.orbits import Engine, InfiniteArrangement, ResourceCapExceeded
 from patcoh.report import compute_report
 from reference import (contains, coords_of, cut_shifts, dir_res_cols, entry_of, field_class,
                        field_direction, field_label, field_plane, field_point, field_vector,
-                       hermite_stabilizer, lattice_index, res_of, shift_subgroup)
+                       hermite_stabilizer, lattice_index, res_of, scalar_matrix, shift_subgroup)
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -53,7 +56,7 @@ def field_inverse(rows):
 
 def _cut(eng, direction, point, h):
     """The integer cut of point + span(direction) by the input plane h."""
-    return eng.intersect(entry_of(eng, direction), res_of(point), eng._plane(h))
+    return eng.intersect(entry_of(eng, direction), res_of(point), plane_table(h, eng.gen_ints))
 
 
 def _class_cut(eng, parent, hc):
@@ -607,13 +610,19 @@ def _translated(data, v):
 VALID_ENTRIES = [nm for nm in names() if build(nm).expected.get("status") != "validation_error"]
 
 
-@pytest.mark.parametrize("make", [
-    *[(lambda nm=nm: build(nm).data) for nm in VALID_ENTRIES],
-    penrose, lambda: penrose(1), *[(lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2],
-    lambda: _translated(build("danzer").data, (F5.elem("1/3"), F5.elem(0, "1/5"), TAU)),
-    lambda: _translated(penrose(), (F5.elem("2/7", "1/3"), F5.elem("-1/2"))),
-], ids=[*VALID_ENTRIES, "penrose", "penrose_zeta1", *DENSE_M2, "danzer_translated",
-        "penrose_translated"])
+# valid inputs whose input planes the hyperplane pass and plane_table read
+INPUT_PLANE_CASES = {
+    **{nm: (lambda nm=nm: build(nm).data) for nm in VALID_ENTRIES},
+    "penrose": penrose, "penrose_zeta1": lambda: penrose(1),
+    **{nm: (lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2},
+    "danzer_translated":
+        lambda: _translated(build("danzer").data, (F5.elem("1/3"), F5.elem(0, "1/5"), TAU)),
+    "penrose_translated":
+        lambda: _translated(penrose(), (F5.elem("2/7", "1/3"), F5.elem("-1/2"))),
+}
+
+
+@pytest.mark.parametrize("make", INPUT_PLANE_CASES.values(), ids=INPUT_PLANE_CASES)
 def test_hyperplane_class_point_lies_on_its_input_plane(make):
     data = make()
     eng = Engine(data)
@@ -624,6 +633,48 @@ def test_hyperplane_class_point_lies_on_its_input_plane(make):
         assert dot(normal, point) == offset
         assert len(direction) == data.m - 1
         assert not any(dot(normal, u) for u in direction)
+
+
+def _random_planes(fspec, seed):
+    """Random generators and planes off the origin over fspec, unvalidated."""
+    rng = random.Random(seed)
+
+    def elem():
+        return fspec.elem(*(Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                            for _ in range(fspec.degree)))
+
+    gens = tuple(tuple(elem() for _ in range(2)) for _ in range(4))
+    planes = tuple(Hyperplane((elem() or fspec.one, elem()), elem()) for _ in range(5))
+    return ProjectionData(fspec, 2, gens, planes, f"random-{fspec!r}")
+
+
+@pytest.mark.parametrize("make", [*INPUT_PLANE_CASES.values(), _ammann_beenker_with,
+                                  *[(lambda f=f: _random_planes(f, 29)) for f in
+                                    (QQ, quadratic(2), quadratic(3), F5)]],
+                         ids=[*INPUT_PLANE_CASES, "ammann_beenker", "random_Q", "random_Qsqrt2",
+                              "random_Qsqrt3", "random_Qsqrt5"])
+def test_plane_table_matches_the_scalar_matrix_reference(make):
+    # den and form against the closed-form scalar matrices of the normal's
+    # coordinates (den <nu, x> = form res(x)), cols against field dot
+    # products with the generators, g against the minors and the offset
+    # against its restriction
+    data = make()
+    gen_ints = clear_denominators([restrict_scalars(g) for g in data.gens])
+    gens, qg = gen_ints
+    d = data.field.degree
+    for h in data.planes:
+        table = plane_table(h, gen_ints)
+        form, den = clear_denominators([sum(rows, ())
+                                        for rows in zip(*map(scalar_matrix, h.normal))])
+        assert table.den == den * qg
+        assert [list(f) for f in table.form] == [[qg * x for x in f] for f in form]
+        dots = [[table.den * x for x in restrict_scalars((dot(h.normal, g),))]
+                for g in data.gens]
+        assert table.cols == [*zip(*dots)]
+        assert table.g == math.gcd(*(int_det(rows)
+                                     for rows in itertools.combinations(zip(*table.cols), d)))
+        assert [Fraction(x, table.oden) for x in table.off] == list(restrict_scalars((h.offset,)))
+        assert math.gcd(table.oden, *table.off) == 1
 
 
 def _stabilizer_sum(eng, parent, hc, cache):
@@ -693,7 +744,8 @@ def test_candidate_keys_are_labels_of_their_points(name, monkeypatch):
     for level, parent, hc in _enumeration_pairs(eng, arr):
         point = tuple(x + _rand_felem(rng, eng.fspec) for x in field_point(eng, parent.res))
         normal, offset = field_plane(eng, hc)
-        moved = eng._plane(Hyperplane(normal, offset + _rand_felem(rng, eng.fspec)))
+        moved = plane_table(Hyperplane(normal, offset + _rand_felem(rng, eng.fspec)),
+                            eng.gen_ints)
         eng.build_level([dataclasses.replace(parent, res=res_of(point))],
                         [dataclasses.replace(hc, plane=moved)], level)
     keys = []
@@ -744,6 +796,53 @@ def test_point_of_a_nonzero_rep_is_its_field_point(name):
                 x + c * u for x, u in zip(p, w)), (level, parent.id, hc.id, y)
             checked += 1
     assert checked > 30
+
+
+@pytest.mark.parametrize("fspec", [QQ, quadratic(2), quadratic(3), F5],
+                         ids=["Q", "Qsqrt2", "Qsqrt3", "Qsqrt5"])
+def test_intersect_is_the_field_cut(fspec):
+    # random directions, points and planes off the origin over each field,
+    # unvalidated: intersect's pivot row w is the first rref row u_j with a
+    # = <nu, u_j> != 0, inv / lcd is 1 / (den a), the sub-direction is the
+    # plane's part of the direction, and point(cut, y) is p + (c0 + sum y_i
+    # <nu, g_i>) w / a in field arithmetic, c0 = offset - <nu, p>
+    rng = random.Random(f"cut:{fspec!r}")
+
+    def elem():
+        return fspec.elem(*(Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                            for _ in range(fspec.degree)))
+
+    m, n = 3, 3 * fspec.degree + 1
+    data = ProjectionData(fspec, m, tuple(tuple(elem() for _ in range(m)) for _ in range(n)),
+                          (), "cuts")
+    eng = Engine(data)
+    proper = 0
+    for _ in range(30):
+        k = rng.randint(1, m)
+        direction = tuple(tuple(elem() for _ in range(m)) for _ in range(k))
+        if len(rref(direction)) < k:
+            continue
+        p, h = tuple(elem() for _ in range(m)), Hyperplane(tuple(elem() for _ in range(m)), elem())
+        if not any(h.normal):
+            continue
+        cut, rows = _cut(eng, direction, p, h), field_direction(eng, entry_of(eng, direction))
+        if cut is None:
+            assert not any(dot(h.normal, u) for u in rows)
+            continue
+        proper += 1
+        w = next(u for u in rows if dot(h.normal, u))
+        a, den = dot(h.normal, w), plane_table(h, eng.gen_ints).den
+        assert field_vector(eng, cut.wq, cut.q) == w
+        assert field_vector(eng, cut.inv, cut.lcd)[0] * fspec.elem(den) * a == fspec.one
+        sub = field_direction(eng, cut.sub)
+        assert len(sub) == k - 1 and not any(dot(h.normal, u) for u in sub)
+        assert contains(eng, direction, sub)
+        for y in ([0] * n, [rng.randint(-3, 3) for _ in range(n)]):
+            c = h.offset - dot(h.normal, p) + sum(
+                (fspec.elem(yi) * dot(h.normal, g) for yi, g in zip(y, data.gens)), fspec.zero)
+            assert field_point(eng, eng.point(cut, y)) == tuple(
+                x + c / a * u for x, u in zip(p, w))
+    assert proper > 10
 
 
 def _check_annihilator(eng, entry):
@@ -839,7 +938,7 @@ def test_classification_subgroup_is_the_sum_of_the_stabilizers(name, monkeypatch
         eng.relative_levels(plane, arr.levels[2])
     cache, coefs = {}, {}
     for (parent, hc, level, cut), h in pairs:
-        assert cut.cols is hc.plane[0].cols
+        assert cut.cols is hc.plane.cols
         normal, _ = field_plane(eng, hc)
         w = next(u for u in field_direction(eng, parent.entry) if dot(normal, u))
         if (normal, w) not in coefs:
@@ -916,7 +1015,7 @@ def test_plane_image_below_full_rank_takes_the_form(monkeypatch):
         kernels.clear()
         out = real(self, parent, hc, level, cut)
         rational = field_plane(eng, hc)[0] == (eng.fspec.one, eng.fspec.zero)
-        pairs.append((level, rational, hc.plane[0].g, len(kernels), out[2]))
+        pairs.append((level, rational, hc.plane.g, len(kernels), out[2]))
         assert out[2] == _stabilizer_sum(eng, parent, hc, cache)
         return out
 

@@ -132,8 +132,8 @@ def test_validate_pairs_normals_in_integers():
     tree = ast.parse(Path(patcoh.model.__file__).read_text())
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     called = {ast.unparse(c.func) for c in ast.walk(funcs["validate"]) if isinstance(c, ast.Call)}
-    assert "pairing_table" in called and "dot" not in called
-    assert "pairing_table" in _engine_calls("_plane")
+    assert "plane_table" in called and "dot" not in called
+    assert "plane_table" in _engine_calls("hyperplane_classes")
     called |= {ast.unparse(c.func) for c in ast.walk(funcs["normal_supports"])
                if isinstance(c, ast.Call)}
     assert {"normal_supports", "primitive_rref", "res_mul"} <= called
@@ -169,11 +169,25 @@ def test_report_imports_no_private_name():
 
 
 def test_orbits_reads_no_field_discriminant():
-    # the engine's field arithmetic goes through `field`, so orbits never
-    # reads sqrt(D)'s D itself
-    tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
-    assert not [ast.unparse(node) for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and node.attr == "D"]
+    # the field's rules live in `field` (res_mul, res_adjugate), so neither
+    # the engine nor the plane tables read sqrt(D)'s D themselves; only the
+    # schema's encoder `field_json` writes it out
+    for module in (patcoh.orbits, patcoh.model):
+        tree = ast.parse(Path(module.__file__).read_text())
+        tree.body = [node for node in tree.body
+                     if not (isinstance(node, ast.FunctionDef) and node.name == "field_json")]
+        assert not [ast.unparse(node) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "D"], module.__name__
+
+
+def test_scalar_matrix_lives_only_in_the_test_reference():
+    # the product rule is stated once, in field.res_mul; the closed-form
+    # scalar matrix is the tests' independent reference
+    defined = {node.name for path in Path(patcoh.__file__).parent.rglob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"scalar_matrix", "pairing_table", "_Normal", "_plane"}
+    assert {"res_mul", "res_adjugate", "plane_table", "PlaneTable"} <= defined
 
 
 def test_levels_cut_from_what_each_class_carries():
