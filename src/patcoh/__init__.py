@@ -7,7 +7,7 @@ pattern cohomology and K-groups.
 """
 
 from .catalog import build, names
-from .field import FElem, FieldSpec, QQ, quadratic, restrict_scalars
+from .field import FElem, FieldSpec, quadratic, restrict_scalars
 from .invariants import InvariantReport, analyze, k_ranks, rank_formulas
 from .model import (
     Hyperplane,
@@ -29,7 +29,6 @@ __all__ = [
     "InfiniteArrangement",
     "InvariantReport",
     "ProjectionData",
-    "QQ",
     "SingularClass",
     "analyze",
     "build",

@@ -1,10 +1,11 @@
-"""Exact arithmetic in Q and real quadratic fields Q(sqrt(D)).
+"""Exact arithmetic in real quadratic fields Q(sqrt(D)).
 
-Elements are pairs (a, b) of rationals representing a + b*sqrt(D); over the
-rationals b is identically zero.  The field's rules are stated once, on
-restricted coordinates or their integer numerators: `res_mul` is the
-product and `res_adjugate` the inverse, and `FElem`'s product and inverse
-call them.  No floating point is used anywhere:
+Elements are pairs (a, b) of rationals representing a + b*sqrt(D).  The
+rational field itself is refused: Gamma needs n > m generators that are
+independent over Q, and n > m vectors of Q^m never are.  The field's rules
+are stated once, on restricted coordinates or their integer numerators:
+`res_mul` is the product and `res_adjugate` the inverse, and `FElem`'s
+product and inverse call them.  No floating point is used anywhere:
 field coordinates are Fractions, and the engine's hot paths (orbit labels,
 integer kernels, wedge ranks) clear denominators and work on plain ints.
 """
@@ -33,26 +34,25 @@ def _is_squarefree(d: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coordinate field: the rationals or a real quadratic field Q(sqrt(D))."""
+    """Coordinate field: a real quadratic field Q(sqrt(D))."""
 
-    kind: str  # "Q" or "Qsqrt"
+    kind: str  # "Qsqrt"
     D: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind == "Q":
-            if self.D is not None:
-                raise ValueError("rational field carries no discriminant")
-        elif self.kind == "Qsqrt":
-            if self.D is not None and self.D > MAX_D:
-                raise ValueError(f"D must be at most 2**31 = {MAX_D}, got {self.D}")
-            if self.D is None or not _is_squarefree(self.D):
-                raise ValueError(f"D must be a squarefree integer >= 2, got {self.D}")
-        else:
+            raise ValueError("the rational field is refused: Gamma needs n > m generators "
+                             "independent over Q, and n > m vectors of Q^m never are")
+        if self.kind != "Qsqrt":
             raise ValueError(f"unknown field kind {self.kind!r}")
+        if self.D is not None and self.D > MAX_D:
+            raise ValueError(f"D must be at most 2**31 = {MAX_D}, got {self.D}")
+        if self.D is None or not _is_squarefree(self.D):
+            raise ValueError(f"D must be a squarefree integer >= 2, got {self.D}")
 
     @property
     def degree(self) -> int:
-        return 1 if self.kind == "Q" else 2
+        return 2
 
     def elem(self, a, b=0) -> FElem:
         return FElem(Fraction(a), Fraction(b), self)
@@ -66,10 +66,7 @@ class FieldSpec:
         return self.elem(1)
 
     def __repr__(self) -> str:
-        return "Q" if self.kind == "Q" else f"Q(sqrt {self.D})"
-
-
-QQ = FieldSpec("Q")
+        return f"Q(sqrt {self.D})"
 
 
 def quadratic(D: int) -> FieldSpec:
@@ -83,10 +80,6 @@ class FElem:
     a: Fraction
     b: Fraction
     field: FieldSpec
-
-    def __post_init__(self) -> None:
-        if self.field.degree == 1 and self.b != 0:
-            raise ValueError("irrational component over the rationals")
 
     def _check(self, other: FElem) -> None:
         if self.field != other.field:
@@ -114,15 +107,11 @@ class FElem:
         if not isinstance(other, FElem):
             return NotImplemented
         self._check(other)
-        if self.field.degree == 1:
-            return FElem(self.a * other.a, Fraction(0), self.field)
         return FElem(*res_mul((self.a, self.b), (other.a, other.b), self.field), self.field)
 
     def inverse(self) -> FElem:
         if not self:
             raise ZeroDivisionError("division by zero field element")
-        if self.field.degree == 1:
-            return FElem(1 / self.a, Fraction(0), self.field)
         (a, b), norm = res_adjugate((self.a, self.b), self.field)
         return FElem(a / norm, b / norm, self.field)
 
@@ -140,7 +129,7 @@ class FElem:
         return FElem(self.a, -self.b, self.field)
 
     def __repr__(self) -> str:
-        if self.field.degree == 1 or self.b == 0:
+        if self.b == 0:
             return str(self.a)
         return f"({self.a}+{self.b}*sqrt{self.field.D})"
 
@@ -150,28 +139,21 @@ def restrict_scalars(v: Sequence[FElem]) -> tuple[Fraction, ...]:
 
     Identifies F^m with Q^(delta*m); Q-linear and injective.
     """
-    out: list[Fraction] = []
-    for x in v:
-        out.append(x.a)
-        if x.field.degree == 2:
-            out.append(x.b)
-    return tuple(out)
+    return tuple(c for x in v for c in (x.a, x.b))
 
 
 def res_mul(x: Sequence, y: Sequence, fspec: FieldSpec) -> list:
-    """res(x y) from res(x) = (a,) or (a, b) and res(y): the field's one
-    product rule.  Bilinear, so it takes integer multiples of them (field
-    numerators) as well."""
-    return ([x[0] * y[0]] if len(x) == 1 else
-            [x[0] * y[0] + fspec.D * x[1] * y[1], x[0] * y[1] + x[1] * y[0]])
+    """res(x y) = (a c + D b e, a e + b c) from res(x) = (a, b) and res(y) =
+    (c, e): the field's one product rule.  Bilinear, so it takes integer
+    multiples of them (field numerators) as well."""
+    return [x[0] * y[0] + fspec.D * x[1] * y[1], x[0] * y[1] + x[1] * y[0]]
 
 
 def res_adjugate(x: Sequence, fspec: FieldSpec) -> tuple[list, object]:
-    """(adj, norm) with res_mul(x, adj) = (norm, 0, ...), so 1/x = adj / norm
-    for x != 0: ([1], a) over Q, and the conjugate ([a, -b], a^2 - D b^2)
-    over Q(sqrt(D)).  Closed forms, like `res_mul`; numerators in, numerators
-    out."""
-    return ([1], x[0]) if len(x) == 1 else ([x[0], -x[1]], x[0] * x[0] - fspec.D * x[1] * x[1])
+    """(adj, norm) with res_mul(x, adj) = (norm, 0), so 1/x = adj / norm for
+    x != 0: the conjugate ([a, -b], a^2 - D b^2).  A closed form, like
+    `res_mul`; numerators in, numerators out."""
+    return [x[0], -x[1]], x[0] * x[0] - fspec.D * x[1] * x[1]
 
 
 def theta_powers(fspec: FieldSpec) -> list[list[int]]:

@@ -241,10 +241,8 @@ def int_det(m: Sequence[Sequence[int]]) -> int:
 
 def minor_gcd(rows: Sequence[Sequence[int]], d: int) -> int:
     """gcd of the d x d minors of integer rows of length d: the index of
-    their row lattice in Z^d, or 0 when its rank is below d.  Closed forms
-    for d = 1 and d = 2, `int_det` above."""
-    if d == 1:
-        return math.gcd(*(r[0] for r in rows))
+    their row lattice in Z^d, or 0 when its rank is below d.  A closed form
+    for d = 2, the degree of every field; `int_det` minors otherwise."""
     if d == 2:
         return math.gcd(*(a * y - b * x for (a, b), (x, y) in itertools.combinations(rows, 2)))
     return math.gcd(*map(int_det, itertools.combinations(rows, d)))

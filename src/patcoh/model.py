@@ -1,8 +1,11 @@
 """Projection data (V, Gamma, W): input schema, canonicalization, validation.
 
-A data set is a coordinate field, the dimension m of the internal space V,
-n generators of the dense lattice Gamma (as field vectors), and a finite
-family of affine hyperplanes whose Gamma-translates form the singular set.
+A data set is a coordinate field Q(sqrt(D)), the dimension m of the
+internal space V, n generators of the dense lattice Gamma (as field
+vectors), and a finite family of affine hyperplanes whose Gamma-translates
+form the singular set.  A data set derives its integer form once, on
+first use: the cleared generators (`gen_ints`) and one `PlaneTable` per
+input plane (`tables`), which validation and the engine both read.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import json
 import operator
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .field import FElem, FieldSpec, res_mul, restrict_scalars, theta_powers
@@ -63,6 +67,16 @@ class ProjectionData:
     def d(self) -> int:
         return self.n - self.m
 
+    @cached_property
+    def gen_ints(self) -> tuple[list[list[int]], int]:
+        """(G, q_G) with res(g_i) = G_i / q_G: the generators cleared once."""
+        return clear_denominators([restrict_scalars(g) for g in self.gens])
+
+    @cached_property
+    def tables(self) -> tuple[PlaneTable, ...]:
+        """Each input plane's `plane_table`, in plane order, built once."""
+        return tuple(plane_table(h, self.gen_ints) for h in self.planes)
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -104,8 +118,6 @@ def _parse_felem(obj, fspec: FieldSpec) -> FElem:
         raise ParseError(f"field element must be ['a'] or ['a','b'], got {obj!r}")
     a = _parse_rat(obj[0])
     b = _parse_rat(obj[1]) if len(obj) == 2 else Fraction(0)
-    if fspec.degree == 1 and b != 0:
-        raise ParseError(f"irrational component {obj!r} over the rationals")
     return FElem(a, b, fspec)
 
 
@@ -117,7 +129,7 @@ def vector_json(xs, d: int, q: int = 1) -> list[list[str]]:
 
 def field_json(fspec: FieldSpec) -> dict:
     """The schema's form of the coordinate field."""
-    return {"kind": "Q"} if fspec.degree == 1 else {"kind": "Qsqrt", "D": fspec.D}
+    return {"kind": "Qsqrt", "D": fspec.D}
 
 
 def _parse_vector(obj, fspec: FieldSpec, m: int, what: str) -> tuple[FElem, ...]:
@@ -127,7 +139,8 @@ def _parse_vector(obj, fspec: FieldSpec, m: int, what: str) -> tuple[FElem, ...]
 
 
 def parse_projection_data(text: str) -> ProjectionData:
-    """Parse and canonicalize the JSON input schema; does not validate."""
+    """Parse and canonicalize the JSON input schema; does not validate.
+    A `{"kind": "Q"}` field is refused here, with its reason (`FieldSpec`)."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int too long
@@ -138,7 +151,7 @@ def parse_projection_data(text: str) -> ProjectionData:
         raise ParseError(f"schema must be {SCHEMA!r}, got {doc.get('schema')!r}")
     fobj = doc.get("field")
     if not isinstance(fobj, dict) or "kind" not in fobj:
-        raise ParseError("field must be {'kind': 'Q'} or {'kind': 'Qsqrt', 'D': int}")
+        raise ParseError("field must be {'kind': 'Qsqrt', 'D': int}")
     d = fobj.get("D")
     if d is not None and (not isinstance(d, int) or isinstance(d, bool)):
         raise ParseError(f"field needs an integer D, got {d!r}")
@@ -206,9 +219,10 @@ class PlaneTable(NamedTuple):
 
 
 def plane_table(h: Hyperplane, gen_ints) -> PlaneTable:
-    """The plane h's `PlaneTable`.  With res(nu) = N / q_N, column (k, l) of
-    the form is res(theta^l nu_k) = res_mul(theta^l, N_k) / q_N, so the form
-    is built from N, over den = q_N q_G."""
+    """The plane h's `PlaneTable`, read through `ProjectionData.tables`.
+    With res(nu) = N / q_N, column (k, l) of the form is res(theta^l nu_k) =
+    res_mul(theta^l, N_k) / q_N, so the form is built from N, over den =
+    q_N q_G."""
     fspec = h.offset.field
     d, powers = fspec.degree, theta_powers(fspec)
     (nu,), qn = clear_denominators([restrict_scalars(h.normal)])
@@ -232,15 +246,15 @@ def normal_supports(data: ProjectionData) -> list[set[int]]:
 
 
 def validate(data: ProjectionData) -> ValidationReport:
-    """Structural checks: generator independence, spanning, indecomposability,
-    divisibility of rank(Gamma) by dim V, and the partial density check, the
-    rank of each plane's pairing with Gamma (its `plane_table`'s cols)."""
+    """Structural checks: generator independence (the rank of `gen_ints`),
+    spanning, indecomposability, divisibility of rank(Gamma) by dim V, and
+    the partial density check, the rank of each plane's pairing with Gamma
+    (the cols of its table in `tables`, the ones the engine reads)."""
     rep = ValidationReport()
     n, m = data.n, data.m
     if n <= m:
         rep.add("error", "rank", f"need rank Gamma = {n} > dim V = {m}")
-    gen_ints = clear_denominators([restrict_scalars(g) for g in data.gens])
-    if rat_rank(gen_ints[0]) != n:
+    if rat_rank(data.gen_ints[0]) != n:
         rep.add("error", "gens_dependent",
                 "generators are Q-linearly dependent: Gamma is not free of rank n")
     supports = normal_supports(data)
@@ -269,8 +283,8 @@ def validate(data: ProjectionData) -> ValidationReport:
     # partial density check: each normal must pair with Gamma into a subgroup
     # of Q-rank > 1, otherwise the translated arrangement is not dense
     if rep.ok:
-        for idx, h in enumerate(data.planes):
-            if rat_rank(plane_table(h, gen_ints).cols) <= 1:
+        for idx, table in enumerate(data.tables):
+            if rat_rank(table.cols) <= 1:
                 rep.add("error", "density",
                         f"hyperplane {idx}: <normal, Gamma> has Q-rank <= 1, "
                         "so Gamma-translates of this plane are not dense")

@@ -23,9 +23,11 @@ pair are hyperplane classes, and the intersections of translates of two
 planes do not depend on their order, so each unordered pair is
 classified once.  A class is an integer record, and a hyperplane class
 carries its input plane's one integer record (`model.PlaneTable`), so the
-level loop builds no field element: fields are read only off the input
-data, and the field's product and inverse are `field.res_mul` and
-`field.res_adjugate` on numerators.
+level loop builds no field element: the engine reads the input's integer
+form, its cleared generators and plane tables, off the data
+(`ProjectionData.gen_ints` and `tables`, built once and read by
+validation too), and the field's product and inverse are `field.res_mul`
+and `field.res_adjugate` on numerators.
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ import operator
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Sequence
 
-from .field import res_adjugate, res_mul, restrict_scalars, theta_powers
-from .linalg import (IntLattice, clear_denominators, coset_reps, integer_kernel, minor_gcd,
-                     primitive_rref, remainder)
-from .model import PlaneTable, ProjectionData, plane_table
+from .field import res_adjugate, res_mul, theta_powers
+from .linalg import IntLattice, coset_reps, integer_kernel, minor_gcd, primitive_rref, remainder
+from .model import PlaneTable, ProjectionData
 
 DEFAULT_MAX_CLASSES = 100_000
 
@@ -139,7 +140,6 @@ class Engine:
         self.n = data.n
         self.dm = self.delta * self.m
         self.full = IntLattice.full(self.n)
-        self.gen_ints = clear_denominators([restrict_scalars(g) for g in data.gens])
         self._dirs: dict = {}  # primitive_rref of a direction's columns -> _Direction
         self._theta_powers = theta_powers(self.fspec)
 
@@ -156,15 +156,15 @@ class Engine:
         cols_j[f] e_pivot(j) that kills every column: these rows R span the
         annihilator over Q, so ker R = span(direction) and `label` is exact.
         Each is scaled by the least s that makes its values on the
-        generators res(g_i) = G_i / q_G integral.  The frame is one
-        `integer_kernel` of the images R res(g_i), whose kernel {y : R
-        res(gamma(y)) = 0} is Gamma cap span(direction)."""
+        generators res(g_i) = G_i / q_G (the data's `gen_ints`) integral.
+        The frame is one `integer_kernel` of the images R res(g_i), whose
+        kernel {y : R res(gamma(y)) = 0} is Gamma cap span(direction)."""
         entry = self._dirs.get(key)
         if entry is None:
             heads = [next(i for i, x in enumerate(row) if x) for row in key]
             q = math.lcm(*(row[i] for row, i in zip(key, heads)))
             cols = {i: [x * (q // row[i]) for x in row] for row, i in zip(key, heads)}
-            gens, qg = self.gen_ints
+            gens, qg = self.data.gen_ints
             rows, vals = [], []
             for f in sorted(set(range(self.dm)) - set(cols)):
                 r = [-cols[i][f] if i in cols else q * (i == f) for i in range(self.dm)]
@@ -361,12 +361,11 @@ class Engine:
     def hyperplane_classes(self) -> list[SingularClass]:
         """Gamma-orbit classes of the translated input planes (level m-1), cut
         from the full space (the identity key's entry) by one pseudo class per
-        input plane, which carries the plane's `plane_table`."""
+        input plane, which carries the plane's table from `data.tables`."""
         space = self._entry(IntLattice.full(self.dm).basis)
         parent = SingularClass(-1, self.m, space.stab, space, ([[0] * self.dm], 1))
-        pseudo = [SingularClass(i, self.m - 1, self.full, None, None,
-                                plane_table(h, self.gen_ints))
-                  for i, h in enumerate(self.data.planes)]
+        pseudo = [SingularClass(i, self.m - 1, self.full, None, None, table)
+                  for i, table in enumerate(self.data.tables)]
         # under the full space as parent H = Z^n, whatever a pseudo class carries
         return self.build_level([parent], pseudo, level=self.m - 1)
 

@@ -13,8 +13,6 @@ from patcoh.model import Hyperplane, canonical_hyperplane
 def scalar_matrix(lam):
     """Multiplication by lam on restricted coordinates, as a delta x delta
     matrix, from the closed form of the product in Q(sqrt(D))."""
-    if lam.field.degree == 1:
-        return ((lam.a,),)
     d = lam.field.D
     return ((lam.a, lam.b * d), (lam.b, lam.a))
 
@@ -42,7 +40,7 @@ def hermite_stabilizer(eng, entry):
     are integral for res(g_i) = G_i / q_G."""
     _, kernel = integer_kernel([[c[i] for c in entry.cols] for i in range(eng.dm)],
                                len(entry.cols))
-    gens, _ = eng.gen_ints
+    gens, _ = eng.data.gen_ints
     images = [[sum(r * x for r, x in zip(row, g)) for row in kernel.basis] for g in gens]
     return integer_kernel(images, len(kernel.basis))[1]
 

@@ -122,7 +122,7 @@ def _field_inverse(rows, field):
 def _rand_felem(field, rng, nonzero=False):
     while True:
         a = rng.randint(-2, 2)
-        b = rng.randint(-1, 1) if field.degree == 2 else 0
+        b = rng.randint(-1, 1)
         x = field.elem(a, b)
         if x or not nonzero:
             return x
@@ -159,9 +159,7 @@ def _gl_map(data, rng):
          for i in range(m)]
     if m > 1:
         i, j = rng.sample(range(m), 2)
-        lam = rng.choice([fs.one, -fs.one, fs.elem("1/2", "1/2"),
-                          fs.elem("1/2", "-1/2")] if fs.degree == 2
-                         else [fs.one, -fs.one, fs.elem(2)])
+        lam = rng.choice([fs.one, -fs.one, fs.elem("1/2", "1/2"), fs.elem("1/2", "-1/2")])
         t[i] = [x + lam * y for x, y in zip(t[i], t[j])]
     else:
         t[0] = [t[0][0] + t[0][0]]

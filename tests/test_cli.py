@@ -111,6 +111,22 @@ def test_huge_discriminant_is_a_parse_error(capsys, tmp_path):
         assert "at most 2**31" in err, command
 
 
+@pytest.mark.parametrize("field", [{"kind": "Q"}, {"kind": "Q", "D": 5}], ids=["bare", "with_D"])
+def test_rational_field_is_a_parse_error(capsys, tmp_path, field):
+    # over Q no input can pass validation, so both commands refuse the
+    # field at parse (exit 1) and say why, before any validation finding
+    doc = {"schema": "patcoh/1", "name": "rational", "field": field, "dim": 1,
+           "generators": [[["1"]], [["1/2"]]], "hyperplanes": [{"normal": [["1"]]}]}
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps(doc))
+    for command in ("compute", "validate"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (1, ""), command
+        assert err == (f"patcoh: parse error in {path}: the rational field is refused: Gamma "
+                       "needs n > m generators independent over Q, and n > m vectors of Q^m "
+                       "never are\n"), command
+
+
 def test_unreadable_file_is_reported(capsys, tmp_path, monkeypatch):
     # a file that exists but cannot be read ends either command with a
     # message and exit 1, not an OSError traceback

@@ -3,16 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from patcoh.field import MAX_D, FElem, QQ, quadratic, res_adjugate, res_mul, restrict_scalars
+from patcoh.field import MAX_D, FElem, FieldSpec, quadratic, res_adjugate, res_mul, restrict_scalars
 from reference import scalar_matrix
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
 
 
-def rand_elem(field, rng):
+def rand_elem(field, rng, rational=False):
     a = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-    b = Fraction(rng.randint(-9, 9), rng.randint(1, 7)) if field.degree == 2 else 0
+    b = 0 if rational else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
     return field.elem(a, b)
 
 
@@ -26,7 +26,10 @@ def test_inverse_of_tau_is_tau_minus_one():
 
 
 def test_rational_addition():
-    assert QQ.elem("1/3") + QQ.elem("1/6") == QQ.elem("1/2")
+    # the rationals are the elements with b = 0 of every field
+    assert F5.elem("1/3") + F5.elem("1/6") == F5.elem("1/2")
+    assert F5.elem("2/3") * F5.elem("3/4") == F5.elem("1/2")
+    assert F5.one / F5.elem(-4) == F5.elem("-1/4")
 
 
 def test_conj_of_tau():
@@ -51,15 +54,18 @@ def test_conj_is_ring_homomorphism():
 
 
 def test_field_axioms_random():
+    # over Q(sqrt 5), and on its rational elements (b = 0), which stay rational
     rng = random.Random(7)
-    for field in (QQ, F5):
+    for rational in (True, False):
         for _ in range(40):
-            x, y, z = (rand_elem(field, rng) for _ in range(3))
+            x, y, z = (rand_elem(F5, rng, rational) for _ in range(3))
             assert (x + y) + z == x + (y + z)
             assert (x * y) * z == x * (y * z)
             assert x * (y + z) == x * y + x * z
             if x:
-                assert x * x.inverse() == field.one
+                assert x * x.inverse() == F5.one
+            if rational:
+                assert not (x * y).b and not (x - y).b and (not x or not x.inverse().b)
 
 
 def test_division_by_zero():
@@ -69,12 +75,14 @@ def test_division_by_zero():
 
 def test_field_mismatch():
     with pytest.raises(ValueError):
-        F5.one + QQ.one
+        F5.one + quadratic(2).one
 
 
 def test_irrational_component_over_q_rejected():
-    with pytest.raises(ValueError):
-        FElem(Fraction(1), Fraction(1), QQ)
+    # no element over Q can be built: the rational field itself is refused
+    for d in (None, 5):
+        with pytest.raises(ValueError, match="rational field is refused"):
+            FElem(Fraction(1), Fraction(1), FieldSpec("Q", d))
 
 
 def test_non_squarefree_discriminant_rejected():
@@ -100,8 +108,8 @@ def test_restrict_scalars_examples():
     assert restrict_scalars((F5.one, sigma, F5.zero)) == (
         Fraction(1), Fraction(0), Fraction(1, 2), Fraction(-1, 2),
         Fraction(0), Fraction(0))
-    assert restrict_scalars((QQ.elem("1/3"), QQ.elem(2))) == (
-        Fraction(1, 3), Fraction(2))
+    assert restrict_scalars((F5.elem("1/3"), F5.elem(2))) == (
+        Fraction(1, 3), Fraction(0), Fraction(2), Fraction(0))
 
 
 def test_restrict_scalars_q_linearity():
@@ -122,23 +130,23 @@ def test_restrict_scalars_q_linearity():
         assert list(lhs) == [a + b for a, b in zip(rx, rhs)]
 
 
-@pytest.mark.parametrize("field", [QQ, quadratic(2), quadratic(3), F5],
-                         ids=["Q", "Qsqrt2", "Qsqrt3", "Qsqrt5"])
+@pytest.mark.parametrize("field", [quadratic(2), quadratic(3), F5],
+                         ids=["Qsqrt2", "Qsqrt3", "Qsqrt5"])
 def test_res_adjugate_inverts_by_res_mul(field):
-    # res_mul(x, adj) = (norm, 0, ...) on field numerators and on rational
+    # res_mul(x, adj) = (norm, 0) on field numerators and on rational
     # coordinates, negative norms included; FElem.inverse is adj / norm and
     # round-trips
     rng = random.Random(f"adjugate:{field!r}")
-    xs = [[rng.randint(-30, 30) for _ in range(field.degree)] for _ in range(40)]
-    xs += [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(field.degree)]
+    xs = [[rng.randint(-30, 30) for _ in range(2)] for _ in range(40)]
+    xs += [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2)]
            for _ in range(40)]
-    xs += [[1, -1][:field.degree], [-3, 2][:field.degree]]  # 1 - sqrt(D), -3 + 2 sqrt(D)
+    xs += [[1, -1], [-3, 2]]  # 1 - sqrt(D), -3 + 2 sqrt(D)
     norms = set()
     for x in xs:
         if not any(x):
             continue
         adj, norm = res_adjugate(x, field)
-        assert res_mul(x, adj, field) == [norm, 0][:field.degree]
+        assert res_mul(x, adj, field) == [norm, 0]
         norms.add(norm > 0)
         elem = field.elem(*x)
         inv = elem.inverse()
@@ -148,10 +156,10 @@ def test_res_adjugate_inverts_by_res_mul(field):
 
 
 def test_res_adjugate_closed_forms():
-    # ([1], a) over Q and the conjugate over its norm over Q(sqrt(D)):
-    # 1 - sqrt(2) has norm -1 and inverse -1 - sqrt(2)
+    # the conjugate over its norm: 1 - sqrt(2) has norm -1 and inverse
+    # -1 - sqrt(2), and a rational a has adjugate (a, 0) over a^2
     q2 = quadratic(2)
-    assert res_adjugate([3], QQ) == ([1], 3)
+    assert res_adjugate([3, 0], q2) == ([3, 0], 9)
     assert res_adjugate([1, -1], q2) == ([1, 1], -1)
     half = Fraction(1, 2)
     assert res_adjugate([half, half], F5) == ([half, -half], -1)  # tau

@@ -70,9 +70,10 @@ def test_parse_bare_string_element():
     # an exponent is refused, however small: Fraction would build 10**e
     ({"hyperplanes": [{"normal": [["1"]], "offset": ["1e-3"]}]}, "bad rational"),
     ({"generators": [[["5E2"]], [["1/2", "1/2"]]]}, "bad rational"),
-    # the field rules are FieldSpec's: Q takes no D, and D has a bound
-    ({"field": {"kind": "Q", "D": 5}}, "no discriminant"),
+    # the field rules are FieldSpec's: Q is refused, and D has a bound
+    ({"field": {"kind": "Q", "D": 5}}, "rational field is refused"),
     ({"field": {"kind": "Qsqrt", "D": 1000000000000000003}}, r"at most 2\*\*31"),
+    ({"field": {"kind": "Q"}}, "rational field is refused"),
 ])
 def test_parse_errors_are_distinct(mangle, match):
     with pytest.raises(ParseError, match=match):
@@ -85,8 +86,9 @@ def test_parse_rejects_malformed_json():
 
 
 def test_irrational_component_over_q():
+    # refused with the field, before any element is read
     doc = minimal_doc(field={"kind": "Q"}, generators=[[["1"]], [["1/2", "1/2"]]])
-    with pytest.raises(ParseError, match="irrational"):
+    with pytest.raises(ParseError, match="rational field is refused"):
         parse_projection_data(json.dumps(doc))
 
 

@@ -13,7 +13,7 @@ import patcoh.linalg
 import patcoh.model
 import patcoh.orbits
 from patcoh.catalog import build, names
-from patcoh.field import QQ, FElem, dot, quadratic, restrict_scalars
+from patcoh.field import FElem, dot, quadratic, restrict_scalars
 from patcoh.invariants import analyze
 from patcoh.linalg import (IntLattice, clear_denominators, coset_reps, int_det, mixed_solve,
                            primitive_rref, remainder, rref)
@@ -56,7 +56,8 @@ def field_inverse(rows):
 
 def _cut(eng, direction, point, h):
     """The integer cut of point + span(direction) by the input plane h."""
-    return eng.intersect(entry_of(eng, direction), res_of(point), plane_table(h, eng.gen_ints))
+    return eng.intersect(entry_of(eng, direction), res_of(point),
+                         plane_table(h, eng.data.gen_ints))
 
 
 def _class_cut(eng, parent, hc):
@@ -104,7 +105,7 @@ def test_intersect_affine_rejects_containment():
     assert _cut(eng, ((ONE, ZERO, ZERO), (ZERO, ONE, TAU)), origin, h) is not None
 
 
-@pytest.mark.parametrize("fspec", [QQ, quadratic(2), quadratic(5)], ids=["Q", "Qsqrt2", "Qsqrt5"])
+@pytest.mark.parametrize("fspec", [quadratic(2), quadratic(5)], ids=["Qsqrt2", "Qsqrt5"])
 def test_dir_res_cols_are_restrictions_of_theta_multiples(fspec):
     # a row u gives one column res(theta^k u) per k < delta, theta = sqrt(D),
     # here with theta^k u taken by field products
@@ -114,10 +115,10 @@ def test_dir_res_cols_are_restrictions_of_theta_multiples(fspec):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
 
     def elem():
-        return fspec.elem(rat(), rat() if fspec.degree == 2 else 0)
+        return fspec.elem(rat(), rat())
 
     m = 3
-    powers = [fspec.one] if fspec.degree == 1 else [fspec.one, fspec.elem(0, 1)]
+    powers = [fspec.one, fspec.elem(0, 1)]
     for k in range(1, m + 1):
         direction = tuple(tuple(elem() for _ in range(m)) for _ in range(k))
         assert dir_res_cols(direction) == [
@@ -431,8 +432,9 @@ def test_enumeration_builds_no_field_element(monkeypatch):
                ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]]
     engines += [Engine(_ammann_beenker_with())] + [Engine(dense_m2(nm)) for nm in DENSE_M2]
     made = []
-    real = FElem.__post_init__
-    monkeypatch.setattr(FElem, "__post_init__", lambda self: made.append(self) or real(self))
+    real = FElem.__init__
+    monkeypatch.setattr(FElem, "__init__",
+                        lambda self, *args: made.append(args) or real(self, *args))
     for eng in engines:
         top = eng.enumerate_arrangement().levels[eng.m - 1]
         assert eng.relative_levels(top[0], top)
@@ -440,7 +442,7 @@ def test_enumeration_builds_no_field_element(monkeypatch):
     assert ONE + TAU and len(made) == 1  # the spy sees a field sum
 
 
-@pytest.mark.parametrize("fspec", [QQ, quadratic(2), quadratic(5)], ids=["Q", "Qsqrt2", "Qsqrt5"])
+@pytest.mark.parametrize("fspec", [quadratic(2), quadratic(5)], ids=["Qsqrt2", "Qsqrt5"])
 def test_entry_from_its_key_matches_the_field_rref(fspec):
     # a field subspace of each dimension 0..m, given by random rows and
     # re-based by a random invertible field matrix: the entry built from
@@ -453,7 +455,7 @@ def test_entry_from_its_key_matches_the_field_rref(fspec):
         return Fraction(rng.randint(-4, 4), rng.randint(1, 5))
 
     def elem():
-        return fspec.elem(rat(), rat() if fspec.degree == 2 else 0)
+        return fspec.elem(rat(), rat())
 
     m = 3
     basis = tuple(tuple(fspec.one if i == j else fspec.zero for j in range(m)) for i in range(m))
@@ -650,20 +652,23 @@ def _random_planes(fspec, seed):
 
 @pytest.mark.parametrize("make", [*INPUT_PLANE_CASES.values(), _ammann_beenker_with,
                                   *[(lambda f=f: _random_planes(f, 29)) for f in
-                                    (QQ, quadratic(2), quadratic(3), F5)]],
-                         ids=[*INPUT_PLANE_CASES, "ammann_beenker", "random_Q", "random_Qsqrt2",
+                                    (quadratic(2), quadratic(3), F5)]],
+                         ids=[*INPUT_PLANE_CASES, "ammann_beenker", "random_Qsqrt2",
                               "random_Qsqrt3", "random_Qsqrt5"])
 def test_plane_table_matches_the_scalar_matrix_reference(make):
     # den and form against the closed-form scalar matrices of the normal's
     # coordinates (den <nu, x> = form res(x)), cols against field dot
     # products with the generators, g against the minors and the offset
-    # against its restriction
+    # against its restriction; the data's own tables and cleared generators
+    # are these, in plane order
     data = make()
     gen_ints = clear_denominators([restrict_scalars(g) for g in data.gens])
     gens, qg = gen_ints
     d = data.field.degree
-    for h in data.planes:
+    assert data.gen_ints == gen_ints and len(data.tables) == len(data.planes)
+    for h, own in zip(data.planes, data.tables):
         table = plane_table(h, gen_ints)
+        assert own == table
         form, den = clear_denominators([sum(rows, ())
                                         for rows in zip(*map(scalar_matrix, h.normal))])
         assert table.den == den * qg
@@ -675,6 +680,28 @@ def test_plane_table_matches_the_scalar_matrix_reference(make):
                                      for rows in itertools.combinations(zip(*table.cols), d)))
         assert [Fraction(x, table.oden) for x in table.off] == list(restrict_scalars((h.offset,)))
         assert math.gcd(table.oden, *table.off) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_projection_data(serialize_projection_data(build("ammann_kramer").data)),
+    lambda: dense_m2("dense-01")], ids=["ammann_kramer", "dense-01"])
+def test_one_plane_table_per_input_plane(make, monkeypatch):
+    # validation's density check and the engine's hyperplane pass read the
+    # same tables: one compute_report builds each input plane's table once,
+    # in plane order, whichever module holds the name
+    data, calls = make(), []
+    real = patcoh.model.plane_table
+
+    def spy(h, gen_ints):
+        calls.append(h)
+        return real(h, gen_ints)
+
+    for module in (patcoh.model, patcoh.orbits, patcoh.invariants):
+        if getattr(module, "plane_table", None) is real:
+            monkeypatch.setattr(module, "plane_table", spy)
+    doc, code = compute_report(data, dump_arrangement=True)
+    assert (code, doc["status"]) == (0, "finite")
+    assert calls == list(data.planes)
 
 
 def _stabilizer_sum(eng, parent, hc, cache):
@@ -745,7 +772,7 @@ def test_candidate_keys_are_labels_of_their_points(name, monkeypatch):
         point = tuple(x + _rand_felem(rng, eng.fspec) for x in field_point(eng, parent.res))
         normal, offset = field_plane(eng, hc)
         moved = plane_table(Hyperplane(normal, offset + _rand_felem(rng, eng.fspec)),
-                            eng.gen_ints)
+                            eng.data.gen_ints)
         eng.build_level([dataclasses.replace(parent, res=res_of(point))],
                         [dataclasses.replace(hc, plane=moved)], level)
     keys = []
@@ -798,8 +825,8 @@ def test_point_of_a_nonzero_rep_is_its_field_point(name):
     assert checked > 30
 
 
-@pytest.mark.parametrize("fspec", [QQ, quadratic(2), quadratic(3), F5],
-                         ids=["Q", "Qsqrt2", "Qsqrt3", "Qsqrt5"])
+@pytest.mark.parametrize("fspec", [quadratic(2), quadratic(3), F5],
+                         ids=["Qsqrt2", "Qsqrt3", "Qsqrt5"])
 def test_intersect_is_the_field_cut(fspec):
     # random directions, points and planes off the origin over each field,
     # unvalidated: intersect's pivot row w is the first rref row u_j with a
@@ -831,7 +858,7 @@ def test_intersect_is_the_field_cut(fspec):
             continue
         proper += 1
         w = next(u for u in rows if dot(h.normal, u))
-        a, den = dot(h.normal, w), plane_table(h, eng.gen_ints).den
+        a, den = dot(h.normal, w), plane_table(h, eng.data.gen_ints).den
         assert field_vector(eng, cut.wq, cut.q) == w
         assert field_vector(eng, cut.inv, cut.lcd)[0] * fspec.elem(den) * a == fspec.one
         sub = field_direction(eng, cut.sub)
@@ -849,7 +876,7 @@ def _check_annihilator(eng, entry):
     """R integral, killing every column of the entry, of rank dm - len(cols)
     and integral on the generators; its stabilizer the Hermite route's."""
     cols, rows = entry.cols, entry.rows
-    gens, qg = eng.gen_ints
+    gens, qg = eng.data.gen_ints
     assert all(type(x) is int for row in rows for x in row)
     assert not any(sum(r * c for r, c in zip(row, col)) for row in rows for col in cols)
     assert len(primitive_rref(rows)) == len(rows) == eng.dm - len(cols)
@@ -857,7 +884,7 @@ def _check_annihilator(eng, entry):
     assert entry.stab == hermite_stabilizer(eng, entry)
 
 
-@pytest.mark.parametrize("fspec", [QQ, quadratic(5)], ids=["Q", "Qsqrt5"])
+@pytest.mark.parametrize("fspec", [quadratic(5)], ids=["Qsqrt5"])
 def test_annihilator_read_off_the_key(fspec):
     # random field subspaces of each dimension 0..m, under 2m random
     # generators with denominators: the rows R read off each entry's key
@@ -867,8 +894,7 @@ def test_annihilator_read_off_the_key(fspec):
 
     def elem():
         return fspec.elem(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                          Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                          if fspec.degree == 2 else 0)
+                          Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
 
     m = 3
     gens = tuple(tuple(elem() for _ in range(m)) for _ in range(2 * m))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import patcoh
+import patcoh.field
 import patcoh.invariants
 import patcoh.model
 import patcoh.orbits
@@ -92,12 +93,16 @@ def test_orbits_takes_each_lattice_from_one_hermite_form():
             if isinstance(c, ast.Call)].count("integer_kernel") == 1
 
 
-def _engine_calls(name):
-    """The callee of each call in the Engine method `name`, as source text."""
+def _engine_method(name):
+    """The syntax tree of the Engine method `name`."""
     tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
     engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Engine")
-    method = next(n for n in engine.body if isinstance(n, ast.FunctionDef) and n.name == name)
-    return {ast.unparse(c.func) for c in ast.walk(method) if isinstance(c, ast.Call)}
+    return next(n for n in engine.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def _engine_calls(name):
+    """The callee of each call in the Engine method `name`, as source text."""
+    return {ast.unparse(c.func) for c in ast.walk(_engine_method(name)) if isinstance(c, ast.Call)}
 
 
 def test_classify_pair_does_no_field_arithmetic():
@@ -124,16 +129,24 @@ def test_level_loop_builds_no_field_element(name):
     assert called and not field, (name, field)
 
 
+def _attributes(node) -> set:
+    """Every attribute read in a syntax tree, as source text."""
+    return {ast.unparse(n) for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
 def test_validate_pairs_normals_in_integers():
-    # the density check reads the normal's integer pairing table, the one
-    # the engine's planes are built from, and takes no field dot product;
-    # the normals' rank and supports come off their integer key, so
-    # validate takes no field rref and model imports none
+    # the density check and the engine's hyperplane pass read the same
+    # integer pairing tables, the data's `tables`, and neither builds one
+    # or takes a field dot product; the normals' rank and supports come off
+    # their integer key, so validate takes no field rref and model imports
+    # none
     tree = ast.parse(Path(patcoh.model.__file__).read_text())
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     called = {ast.unparse(c.func) for c in ast.walk(funcs["validate"]) if isinstance(c, ast.Call)}
-    assert "plane_table" in called and "dot" not in called
-    assert "plane_table" in _engine_calls("hyperplane_classes")
+    assert "data.tables" in _attributes(funcs["validate"])
+    assert not {"plane_table", "dot", "clear_denominators"} & called
+    assert "self.data.tables" in _attributes(_engine_method("hyperplane_classes"))
+    assert "plane_table" not in _engine_calls("hyperplane_classes")
     called |= {ast.unparse(c.func) for c in ast.walk(funcs["normal_supports"])
                if isinstance(c, ast.Call)}
     assert {"normal_supports", "primitive_rref", "res_mul"} <= called
@@ -188,6 +201,61 @@ def test_scalar_matrix_lives_only_in_the_test_reference():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not defined & {"scalar_matrix", "pairing_table", "_Normal", "_plane"}
     assert {"res_mul", "res_adjugate", "plane_table", "PlaneTable"} <= defined
+
+
+def _package_trees():
+    return [(path.name, ast.parse(path.read_text()))
+            for path in sorted(Path(patcoh.__file__).parent.rglob("*.py"))]
+
+
+def test_no_rational_field_branch():
+    # Q is refused at parse, so the package keeps no rational field object
+    # and no degree-1 arm: nothing compares a degree or a length of field
+    # coordinates with 1, and minor_gcd compares its d with nothing but 2
+    found = []
+    for name, tree in _package_trees():
+        found += [f"{name}: defines QQ" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "QQ"
+                  and isinstance(node.ctx, ast.Store)]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Compare)
+                    and all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                    and any(isinstance(c, ast.Constant) and c.value == 1
+                            for c in node.comparators)):
+                continue
+            left = node.left
+            if (isinstance(left, ast.Attribute) and left.attr == "degree") or (
+                    isinstance(left, ast.Call) and ast.unparse(left.func) == "len"):
+                found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and func.name == "minor_gcd":
+                found += [f"{name}:{n.lineno}: {ast.unparse(n)}" for n in ast.walk(func)
+                          if isinstance(n, ast.Compare) and ast.unparse(n) != "d == 2"]
+    assert not found, found
+    assert "QQ" not in patcoh.__all__ and not hasattr(patcoh.field, "QQ")
+
+
+def test_only_projection_data_derives_the_integer_form():
+    # an input's cleared generators and plane tables are built in one place,
+    # the data's lazily built `gen_ints` and `tables`: no other code calls
+    # plane_table or clears the generators
+    sites = []
+    for name, tree in _package_trees():
+        owner = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, (ast.ClassDef, ast.FunctionDef)):
+                for node in ast.walk(cls):
+                    owner.setdefault(node, cls.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func).split(".")[-1]
+            clears_gens = func == "clear_denominators" and any(
+                isinstance(n, ast.Attribute) and n.attr == "gens" for n in ast.walk(node))
+            if func == "plane_table" or clears_gens:
+                sites.append((name, owner.get(node), func))
+    assert sorted(sites) == [("model.py", "ProjectionData", "clear_denominators"),
+                             ("model.py", "ProjectionData", "plane_table")]
 
 
 def test_levels_cut_from_what_each_class_carries():
