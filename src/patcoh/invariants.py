@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .linalg import wedge_span_rank
+from .linalg import kernel_top_wedge, wedge_span_rank
 from .model import ProjectionData
 from .orbits import DEFAULT_MAX_CLASSES, Arrangement, Engine, InfiniteArrangement, SingularClass
 
@@ -107,13 +107,19 @@ def euler_characteristic(arrangement: Arrangement, below: dict) -> int:
 
 
 def _wedge_quantities(arrangement: Arrangement, d: int):
-    """(r_p, None) (m = 2) or (R_p, tilde_L1) (m = 3), for p = 1 .. d+1;
-    each lattice's p x p minors are taken once per p.  A plane's lines are
-    the classes it covers (`arrangement.covers`)."""
-    minors: dict = {}
-    if arrangement.data.m == 2:
+    """(r_p, None) (m = 2) or (R_p, tilde_L1) (m = 3), for p = 1 .. d+1.
+    Each stabilizer enters `wedge_span_rank` through its top wedge, taken
+    once per report.  A hyperplane class's stabilizer is the kernel of its
+    plane table's `cols`, so its top wedge is their `kernel_top_wedge`
+    when they have rank delta (g != 0); every other stabilizer (the lines')
+    gives its maximal minors.  A plane's lines are the classes it covers
+    (`arrangement.covers`)."""
+    data = arrangement.data
+    tops = {c.stabilizer: kernel_top_wedge(c.plane.cols, data.n)
+            for c in arrangement.levels[data.m - 1] if c.plane.g}
+    if data.m == 2:
         stabs = [c.stabilizer for c in arrangement.levels[1]]
-        return [wedge_span_rank(stabs, p + 1, minors) for p in range(1, d + 2)], None
+        return [wedge_span_rank(stabs, p + 1, tops) for p in range(1, d + 2)], None
     # m == 3: tilde_L1 counts (line, plane) incidences beyond L_1
     plane_stabs = [c.stabilizer for c in arrangement.levels[2]]
     line_stabs = [c.stabilizer for c in arrangement.levels[1]]
@@ -125,9 +131,9 @@ def _wedge_quantities(arrangement: Arrangement, d: int):
         per_plane_line_stabs.append(list(dict.fromkeys(b.stabilizer for b in lines)))
     big_r = []
     for p in range(1, d + 2):
-        t1 = wedge_span_rank(plane_stabs, p + 2, minors)
-        t2 = wedge_span_rank(line_stabs, p + 1, minors)
-        t3 = sum(wedge_span_rank(u, p + 1, minors) for u in per_plane_line_stabs)
+        t1 = wedge_span_rank(plane_stabs, p + 2, tops)
+        t2 = wedge_span_rank(line_stabs, p + 1, tops)
+        t3 = sum(wedge_span_rank(u, p + 1, tops) for u in per_plane_line_stabs)
         big_r.append(t1 - t2 + t3)
     return big_r, tilde
 

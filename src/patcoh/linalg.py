@@ -6,7 +6,10 @@ fraction-free elimination, `primitive_rref`), the Hermite normal form over Z
 images modulo a lattice are first reduced by its echelon rows, `remainder`,
 and only those left nonzero enter the form), coset representatives read off
 the Hermite box, the index of a full-rank row lattice from its maximal
-minors, and ranks of spans of exterior powers.  The field `rref`, the
+minors, and ranks of spans of exterior powers, where a lattice of rank r
+enters through one vector, its top wedge (its r x r minors, or for a
+kernel the Hodge dual of its equations' minors), whose contractions span
+its p-fold wedges.  The field `rref`, the
 Smith form and the rational annihilator serve only `mixed_solve`, the
 reference solver the engine is tested against, so the two share no
 normal form.  Matrices are lists of row tuples; rational entries are
@@ -15,6 +18,7 @@ Fractions, integer entries are plain ints.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -239,13 +243,20 @@ def int_det(m: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
+def minors(vectors: Sequence[Sequence[int]], k: int) -> list[int]:
+    """The determinants of the k-subsets of integer vectors of length k, in
+    lexicographic order: the maximal minors of the k-row matrix whose
+    columns they are.  A closed form for k = 2, the degree of every field
+    and the rank of the lines' stabilizers; `int_det` otherwise."""
+    if k == 2:
+        return [a * y - b * x for (a, b), (x, y) in itertools.combinations(vectors, 2)]
+    return [int_det(sub) for sub in itertools.combinations(vectors, k)]
+
+
 def minor_gcd(rows: Sequence[Sequence[int]], d: int) -> int:
     """gcd of the d x d minors of integer rows of length d: the index of
-    their row lattice in Z^d, or 0 when its rank is below d.  A closed form
-    for d = 2, the degree of every field; `int_det` minors otherwise."""
-    if d == 2:
-        return math.gcd(*(a * y - b * x for (a, b), (x, y) in itertools.combinations(rows, 2)))
-    return math.gcd(*map(int_det, itertools.combinations(rows, d)))
+    their row lattice in Z^d, or 0 when its rank is below d."""
+    return math.gcd(*minors(rows, d))
 
 
 # ---------------------------------------------------------------------------
@@ -401,28 +412,70 @@ def coset_reps(h_lat: IntLattice) -> list[tuple[int, ...]]:
     return list(itertools.product(*(range(row[i]) for i, row in enumerate(h_lat.basis))))
 
 
-def wedge_span_rank(lats: Sequence[IntLattice], p: int, minors: dict | None = None) -> int:
+def kernel_top_wedge(rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """A nonzero multiple of the top wedge of {x in Q^n : rows x = 0}, for k
+    independent integer rows: the Hodge dual of the rows' top wedge (their
+    maximal `minors`), omega[I] = sign(I^c, I) minor(rows, I^c), where
+    sign(I^c, I) = (-1)^sum(I^c) up to the global sign (-1)^(k(k-1)/2).
+    The complements I^c of the lexicographic (n - k)-subsets I run through
+    the k-subsets in reverse order."""
+    return [(-1) ** sum(c) * w for c, w in
+            zip(itertools.combinations(range(n), len(rows)), minors(zip(*rows), len(rows)))][::-1]
+
+
+def wedge_span_rank(lats: Sequence[IntLattice], p: int, tops: dict | None = None) -> int:
     """Rank over Q of the span of all p-fold wedges of the lattices' bases.
 
-    Coordinates in Lambda^p Z^n indexed by lexicographic p-subsets; entries
-    are p x p minors, kept per (lattice, p) in `minors` across calls when
-    given.  p = 0 gives 1 for a nonempty family.
+    A lattice of rank r >= p enters through its top wedge omega over the
+    lexicographic r-subsets: `tops[lattice]`, which may be any nonzero
+    multiple, else the maximal `minors` of its basis, stored in `tops`.
+    Its p-fold wedges span the contractions of omega by the coordinate
+    (r - p)-forms e^J: the row of J holds sign * omega[K u J] at each
+    p-subset K disjoint from J, sign = (-1)^(sum of the positions of J in
+    K u J), up to the sign (-1)^(t(t-1)/2), t = r - p, shared by all rows.
+    Subsets are keyed by bit masks.  The rank is that of one fraction-free
+    forward elimination, in place: each pivot row clears its column in the
+    rows left, and each changed row is divided by its gcd (folded pairwise:
+    `math.gcd(*row)` would build a tuple per call, and Python keeps up to
+    2,000 freed tuples of each length).  p = 0 gives 1 for a nonempty family.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
     if p == 0:
         return 1 if lats else 0
-    minors = {} if minors is None else minors
+    tops = {} if tops is None else tops
+    n = next((lat.ambient for lat in lats if lat.rank >= p), 0)  # 0: no row, no column
+    col = {sum(1 << i for i in k): c for c, k in enumerate(itertools.combinations(range(n), p))}
     rows = []
     for lat in lats:
-        if lat.rank < p:
+        r = lat.rank
+        if r < p:
             continue
-        wedges = minors.get((lat, p))
-        if wedges is None:
-            col_subsets = list(itertools.combinations(range(lat.ambient), p))
-            wedges = minors[(lat, p)] = [
-                [int_det([[lat.basis[i][j] for j in cols_sel] for i in rows_sel])
-                 for cols_sel in col_subsets]
-                for rows_sel in itertools.combinations(range(lat.rank), p)]
-        rows += wedges
-    return sum(1 for row in hnf(rows) if any(row))
+        if lat not in tops:
+            tops[lat] = minors(zip(*lat.basis), r)
+        by_j: dict = {}
+        for subset, w in zip(itertools.combinations(range(n), r), tops[lat]):
+            if not w:
+                continue
+            whole = sum(1 << i for i in subset)
+            for pos in itertools.combinations(range(r), r - p):
+                j = sum(1 << subset[i] for i in pos)
+                if j not in by_j:
+                    by_j[j] = [0] * len(col)
+                by_j[j][col[whole ^ j]] = (-1) ** sum(pos) * w
+        rows += by_j.values()
+    rank = 0
+    while rows:
+        piv = rows.pop()
+        c = next((c for c, x in enumerate(piv) if x), None)
+        if c is None:
+            continue
+        rank += 1
+        for row in rows:
+            a, b = piv[c], row[c]
+            if b:
+                row[:] = [a * x - b * y for x, y in zip(row, piv)]
+                g = functools.reduce(math.gcd, row)
+                if g > 1:
+                    row[:] = [x // g for x in row]
+    return rank

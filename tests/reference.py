@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from patcoh.catalog import F5, TAU, icosahedral_star
 from patcoh.field import dot, res_mul, restrict_scalars
-from patcoh.linalg import clear_denominators, int_det, integer_kernel, primitive_rref, rref
+from patcoh.linalg import clear_denominators, hnf, int_det, integer_kernel, primitive_rref, rref
 from patcoh.model import Hyperplane, canonical_hyperplane
 
 
@@ -223,3 +223,24 @@ def searched_axis_normals(kind):
         if normal not in lines:
             lines.append(normal)
     return lines
+
+
+def maximal_minors(lat):
+    """The r x r minors of a rank-r lattice's basis over the column r-subsets
+    in lexicographic order, each by `int_det`."""
+    return [int_det([[row[j] for j in cols] for row in lat.basis])
+            for cols in itertools.combinations(range(lat.ambient), lat.rank)]
+
+
+def wedge_span_rank_by_minors(lats, p):
+    """Rank over Q of the span of all p-fold wedges of the lattices' bases,
+    with every p x p minor of every basis taken by `int_det`: each p-subset
+    of a basis gives the row of its minors over the lexicographic column
+    p-subsets, and the rank is read off their Hermite form."""
+    if p == 0:
+        return 1 if lats else 0
+    rows = [[int_det([[lat.basis[i][j] for j in cols] for i in sel])
+             for cols in itertools.combinations(range(lat.ambient), p)]
+            for lat in lats if lat.rank >= p
+            for sel in itertools.combinations(range(lat.rank), p)]
+    return sum(1 for row in hnf(rows) if any(row))

@@ -1,25 +1,30 @@
 import json
+import random
 
 import pytest
 
+import patcoh.invariants
+import patcoh.linalg
 from patcoh.catalog import build, names
-from patcoh.field import dot, restrict_scalars
+from patcoh.field import dot, quadratic, restrict_scalars
 from patcoh.invariants import (
     InternalConsistencyError,
     analyze,
     binom,
+    compute_nu,
     euler_characteristic,
     incidence,
     k_ranks,
     rank_formulas,
 )
-from patcoh.linalg import clear_denominators
-from patcoh.model import parse_projection_data, validate
+from patcoh.linalg import clear_denominators, kernel_top_wedge
+from patcoh.model import (Hyperplane, ProjectionData, canonical_hyperplane, parse_projection_data,
+                          validate)
 from patcoh.orbits import Arrangement, Engine
 from patcoh.report import canonical_digest, compute_report
 from reference import (entry_of, field_class, field_direction, field_label, field_plane,
-                       field_point, label_incidence)
-from test_orbits import DENSE_M2, _ammann_beenker_with, dense_m2, penrose
+                       field_point, label_incidence, maximal_minors, wedge_span_rank_by_minors)
+from test_orbits import DENSE_M2, INPUT_PLANE_CASES, _ammann_beenker_with, dense_m2, penrose
 
 
 def test_binom_vanishes_out_of_range():
@@ -312,3 +317,127 @@ def test_rank_formulas_codim_three_need_tilde_l1():
 def test_rank_formulas_reject_unknown_codimension():
     with pytest.raises(ValueError):
         rank_formulas(4, 2, 5, 0, [1, 1, 1, 1], None, None)
+
+
+def test_work_shape_of_the_wedge_ranks(monkeypatch):
+    # calls made inside _wedge_quantities over one analyze of each m = 3
+    # catalog entry: no int_det minor and no Hermite form.  Each hyperplane
+    # class takes one kernel_top_wedge of its plane table, and each
+    # distinct line stabilizer the maximal minors of its basis; all minors
+    # are 2 x 2, in closed form
+    inside, calls = [False], {"int_det": [], "hnf": [], "kernel_top_wedge": [], "minors": []}
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            if inside[0]:
+                calls[name].append(args)
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+    real_quantities = patcoh.invariants._wedge_quantities
+
+    def quantities(*args):
+        inside[0] = True
+        try:
+            return real_quantities(*args)
+        finally:
+            inside[0] = False
+
+    for name in ["int_det", "hnf", "minors"]:
+        spy(patcoh.linalg, name)
+    spy(patcoh.invariants, "kernel_top_wedge")
+    monkeypatch.setattr(patcoh.invariants, "_wedge_quantities", quantities)
+    found = {}
+    for name in ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]:
+        for seen in calls.values():
+            seen.clear()
+        rep = analyze(build(name).data)
+        assert rep.H == build(name).expected["H"]
+        lines = {c.stabilizer for c in rep.arrangement.levels[1]}
+        assert len(calls["kernel_top_wedge"]) == rep.L[2]
+        assert len(calls["minors"]) == rep.L[2] + len(lines)
+        assert all(k == 2 for _, k in calls["minors"])
+        found[name] = tuple(map(len, calls.values()))
+    assert found == {"danzer": (0, 0, 6, 21),
+                     "ammann_kramer": (0, 0, 15, 46),
+                     "canonical_d6": (0, 0, 16, 61),
+                     "dual_canonical_d6": (0, 0, 15, 46)}
+
+
+@pytest.mark.parametrize("make", INPUT_PLANE_CASES.values(), ids=INPUT_PLANE_CASES)
+def test_plane_table_top_wedge_is_a_multiple_of_the_stabilizer_minors(make):
+    # a hyperplane class's stabilizer is the kernel of its plane table's
+    # cols, which have rank delta (g != 0) on every case, so the Hodge dual
+    # of their minors is a nonzero multiple of the stabilizer's own top wedge
+    data = make()
+    for hc in Engine(data).hyperplane_classes():
+        assert hc.plane.g
+        omega, direct = kernel_top_wedge(hc.plane.cols, data.n), maximal_minors(hc.stabilizer)
+        i = next(i for i, x in enumerate(direct) if x)
+        assert omega[i] and all(x * direct[i] == y * omega[i] for x, y in zip(omega, direct))
+
+
+def dense_m3(D, seed):
+    """Draw `seed` of the dense m = 3 pool over K = Q(sqrt D): Gamma = O_K^3
+    in the Z-basis 1, omega of each coordinate, and rng.randint(4, 6)
+    distinct planes through 0 whose normals have components a + b sqrt(D),
+    a, b in {-1, 0, 1}, from random.Random(f"m3/{D}/{seed}").  The pool
+    (D in {2, 3, 5}, seeds 0-3) and its coefficient range were fixed before
+    any answer was looked at, and no draw is dropped."""
+    rng, field = random.Random(f"m3/{D}/{seed}"), quadratic(D)
+    omega = field.elem("1/2", "1/2") if D == 5 else field.elem(0, 1)
+    gens = tuple(tuple(x if i == k else field.zero for i in range(3))
+                 for k in range(3) for x in (field.one, omega))
+    count, planes = rng.randint(4, 6), []
+    while len(planes) < count:
+        normal = tuple(field.elem(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(3))
+        if any(normal):
+            plane = canonical_hyperplane(Hyperplane(normal, field.zero))
+            if plane not in planes:
+                planes.append(plane)
+    return ProjectionData(field, 3, gens, tuple(planes), f"m3-{D}-{seed}")
+
+
+# (L, H) of each dense m = 3 draw, equal to the minors-based wedge's
+DENSE_M3 = {
+    "m3-2-0": ([244, 20, 5], [1, 6, 21, 283]),
+    "m3-2-1": ([188, 16, 5], [1, 6, 17, 211]),
+    "m3-2-2": ([607, 16, 6], [1, 6, 16, 633]),
+    "m3-2-3": ([43, 7, 4], [1, 6, 12, 52]),
+    "m3-3-0": ([102, 6, 4], [1, 6, 11, 110]),
+    "m3-3-1": ([125, 13, 5], [1, 6, 14, 145]),
+    "m3-3-2": ([71, 10, 5], [1, 6, 11, 82]),
+    "m3-3-3": ([414, 13, 5], [1, 6, 14, 428]),
+    "m3-5-0": ([1222, 37, 6], [1, 6, 37, 1319]),
+    "m3-5-1": ([85, 9, 4], [1, 6, 14, 96]),
+    "m3-5-2": ([177, 15, 5], [1, 6, 19, 198]),
+    "m3-5-3": ([3708, 25, 6], [1, 6, 25, 3752]),
+}
+
+
+@pytest.mark.parametrize("D,seed", [(D, seed) for D in (2, 3, 5) for seed in range(4)],
+                         ids=[f"m3-{D}-{seed}" for D in (2, 3, 5) for seed in range(4)])
+def test_dense_m3_pool(D, seed):
+    # every draw validates and is finite; R_p is the minors reference on its
+    # stabilizers; H^0 = 1 and H^1 = 6 + L_2 - R_2 (R_3 = 0 for n = 6); the
+    # Euler identity, the K-sum and the stabilizer rank law hold
+    data = dense_m3(D, seed)
+    assert validate(data).ok
+    rep = analyze(data)
+    assert rep.status == "finite" and (rep.n, rep.m, rep.d) == (6, 3, 3)
+    arr = rep.arrangement
+    planes = [c.stabilizer for c in arr.levels[2]]
+    lines = [c.stabilizer for c in arr.levels[1]]
+    per_plane = [list(dict.fromkeys(b.stabilizer for b in arr.covers[(2, c.id)]))
+                 for c in arr.levels[2]]
+    assert rep.R == [wedge_span_rank_by_minors(planes, p + 2)
+                     - wedge_span_rank_by_minors(lines, p + 1)
+                     + sum(wedge_span_rank_by_minors(u, p + 1) for u in per_plane)
+                     for p in range(1, 5)]
+    assert rep.H[0] == 1 and rep.H[1] == 6 + rep.L[2] - rep.R[1]
+    assert sum((-1) ** p * dp for p, dp in enumerate(rep.D)) == rep.e
+    assert sum(rep.K) == sum(rep.D)
+    assert compute_nu(arr) == 2
+    assert (rep.L, rep.H) == DENSE_M3[data.name]

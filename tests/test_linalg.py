@@ -16,6 +16,7 @@ from patcoh.linalg import (
     int_det,
     integer_kernel,
     minor_gcd,
+    minors,
     mixed_solve,
     primitive_rref,
     rat_rank,
@@ -25,7 +26,7 @@ from patcoh.linalg import (
     snf,
     wedge_span_rank,
 )
-from reference import coords_of, lattice_index
+from reference import coords_of, lattice_index, maximal_minors, wedge_span_rank_by_minors
 
 F = Fraction
 
@@ -573,3 +574,47 @@ def test_wedge_span_rank_basis_invariance():
         lat2 = IntLattice.from_rows(4, int_matmul(u, [list(r) for r in lat.basis]))
         for p in (1, 2):
             assert wedge_span_rank([lat], p) == wedge_span_rank([lat2], p)
+
+
+def _lattice_of_rank(rng, n, r):
+    """A random sublattice of Z^n of rank exactly r, with sparse rows."""
+    while True:
+        rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(r)]
+        lat = IntLattice.from_rows(n, rows) if r else IntLattice(n, ())
+        if lat.rank == r:
+            return lat
+
+
+def test_wedge_span_rank_matches_the_minors_reference():
+    # each lattice entering through its top wedge, or through any nonzero
+    # multiple of it, gives the rank of the span of every p x p minor of
+    # every basis: seeded families of 0-4 lattices in Z^n, n <= 6, every
+    # rank 0..n, p = 0..n+1, some lattices repeated
+    rng = random.Random(2701)
+    ranks = set()
+    for n in range(1, 7):
+        for _ in range(30):
+            lats = []
+            for _ in range(rng.randint(0, 4)):
+                if lats and rng.random() < 0.2:
+                    lats.append(rng.choice(lats))
+                else:
+                    lats.append(_lattice_of_rank(rng, n, rng.randint(0, n)))
+            ranks |= {(n, lat.rank) for lat in lats}
+            scaled = {lat: [k * x for x in maximal_minors(lat)]
+                      for lat, k in zip(lats, rng.choices((1, -1, 2, -3), k=len(lats)))}
+            for p in range(n + 2):
+                expected = wedge_span_rank_by_minors(lats, p)
+                assert wedge_span_rank(lats, p) == expected, (n, p, lats)
+                assert wedge_span_rank(lats, p, dict(scaled)) == expected, (n, p, lats)
+    assert ranks == {(n, r) for n in range(1, 7) for r in range(n + 1)}
+
+
+def test_minors_of_the_columns_are_the_maximal_minors():
+    # the closed form for two rows and int_det for any other count agree
+    # with every r x r minor of a basis taken by int_det
+    rng = random.Random(2702)
+    for n in range(1, 7):
+        for r in range(1, n + 1):
+            lat = _lattice_of_rank(rng, n, r)
+            assert minors(list(zip(*lat.basis)), r) == maximal_minors(lat)
