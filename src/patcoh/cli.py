@@ -4,6 +4,7 @@ the pipeline on catalog entries or user files."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -109,7 +110,10 @@ def cmd_validate(args) -> int:
     return EXIT_VALIDATION
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> tuple[_Parser, _Parser]:
+    """(the parser, its `compute` subparser), built on the first `main` call
+    and reused by every later one: argparse keeps its parse state per call."""
     parser = _Parser(
         prog="patcoh",
         description="Cohomology and K-group ranks of projection point patterns "
@@ -133,7 +137,13 @@ def main(argv=None) -> int:
     p_val = sub.add_parser("validate", help="validate an input file or catalog entry")
     p_val.add_argument("source", help="catalog name or input file path")
     p_val.set_defaults(func=cmd_validate)
+    return parser, p_comp
 
+
+def main(argv=None) -> int:
+    """Run one command and return its exit code; may be called many times
+    in one process."""
+    parser, p_comp = _parser()
     args = parser.parse_args(argv)
     if args.func is cmd_compute and args.dump_arrangement and not args.json:
         p_comp.error("--dump-arrangement needs --json: the table has no arrangement")

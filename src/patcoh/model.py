@@ -3,9 +3,11 @@
 A data set is a coordinate field Q(sqrt(D)), the dimension m of the
 internal space V, n generators of the dense lattice Gamma (as field
 vectors), and a finite family of affine hyperplanes whose Gamma-translates
-form the singular set.  A data set derives its integer form once, on
-first use: the cleared generators (`gen_ints`) and one `PlaneTable` per
-input plane (`tables`), which validation and the engine both read.
+form the singular set.  Parsing canonicalizes each plane on integer
+numerators (`canonical_hyperplane`), taking no field product or inverse.
+A data set derives its integer form once, on first use: the cleared
+generators (`gen_ints`) and one `PlaneTable` per input plane (`tables`),
+which validation and the engine both read.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .field import FElem, FieldSpec, res_mul, restrict_scalars, theta_powers
+from .field import FElem, FieldSpec, res_adjugate, res_mul, restrict_scalars, theta_powers
 from .linalg import clear_denominators, minor_gcd, primitive_rref, rat_rank
 
 MAX_PLANES = 32
@@ -42,13 +44,22 @@ def canonical_hyperplane(h: Hyperplane) -> Hyperplane:
 
     Divides by the first nonzero coordinate of the normal, which puts a 1
     in the earliest possible rational slot of the restricted normal.
-    Idempotent.
+    Idempotent.  Works on integer numerators: with (normal, offset)
+    cleared together, each coordinate c over the lead is res_mul(c, adj) /
+    norm for the lead's (adj, norm) = `res_adjugate`, the common denominator
+    cancelling, so no field product or inverse is taken.
     """
-    lead = next((x for x in h.normal if x), None)
+    fspec = h.offset.field
+    d = fspec.degree
+    (xs,), _ = clear_denominators([restrict_scalars((*h.normal, h.offset))])
+    coords = [xs[i:i + d] for i in range(0, len(xs), d)]
+    lead = next((c for c in coords[:-1] if any(c)), None)
     if lead is None:
         raise ValueError("hyperplane normal is zero")
-    inv = lead.inverse()
-    return Hyperplane(tuple(x * inv for x in h.normal), h.offset * inv)
+    adj, norm = res_adjugate(lead, fspec)
+    *normal, offset = (FElem(*(Fraction(x, norm) for x in res_mul(c, adj, fspec)), fspec)
+                       for c in coords)
+    return Hyperplane(tuple(normal), offset)
 
 
 @dataclass(frozen=True)

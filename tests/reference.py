@@ -45,6 +45,17 @@ def hermite_stabilizer(eng, entry):
     return integer_kernel(images, len(kernel.basis))[1]
 
 
+def field_canonical_hyperplane(h):
+    """The scalar class representative of (normal, offset) by field
+    arithmetic: every coordinate times the inverse of the normal's first
+    nonzero coordinate."""
+    lead = next((x for x in h.normal if x), None)
+    if lead is None:
+        raise ValueError("hyperplane normal is zero")
+    inv = lead.inverse()
+    return Hyperplane(tuple(x * inv for x in h.normal), h.offset * inv)
+
+
 def field_normal_supports(data):
     """The supports of the rows of one field `rref` of the normals taken as
     the columns of an m x k matrix, in order: one per rank."""

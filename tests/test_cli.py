@@ -1,8 +1,11 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import patcoh.cli
 from patcoh.catalog import build, names
 from patcoh.cli import main
 from patcoh.model import parse_projection_data, serialize_projection_data
@@ -232,6 +235,41 @@ def test_dump_arrangement_needs_json(capsys, fmt):
     out = capsys.readouterr()
     assert exc.value.code == 1 and out.out == ""
     assert "--dump-arrangement needs --json" in out.err
+
+
+def test_main_reuses_one_parser_and_keeps_no_state(capsys, monkeypatch, tmp_path):
+    # the parser is built on the first call and reused: every path run
+    # twice in one process gives the same stdout (timing stripped), stderr
+    # and exit code, and no ArgumentParser is built after the first call
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    paths = [["list"], ["list", "--json"], ["compute", "fibonacci"],
+             ["compute", "infinite_demo", "--json"],
+             ["compute", "fibonacci", "--json", "--dump-arrangement"],
+             ["validate", "square_fibonacci"], ["compute", "no_such_entry"],
+             ["compute", str(bad)], ["validate", str(bad)], ["compute"], ["bogus"],
+             ["compute", "danzer", "--json", "--table"],
+             ["compute", "fibonacci", "--dump-arrangement"]]
+    built = []
+    real = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *args, **kwargs:
+                        built.append(1) or real(self, *args, **kwargs))
+
+    def once(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, re.sub(r'"(\w+_ms)": \d+', r'"\1": 0', out.out), out.err
+
+    patcoh.cli._parser.cache_clear()
+    runs = [(once(argv), once(argv)) for argv in paths]
+    assert len(built) == 4  # the parser and its three subparsers, on the first call
+    for argv, (first, second) in zip(paths, runs):
+        assert first == second, argv
+    assert [first[0] for first, _ in runs] == [0, 0, 0, 3, 0, 2, 1, 1, 1, 1, 1, 1, 1]
+    assert all(first[2].startswith("usage: patcoh") for first, _ in runs[-4:])
 
 
 def test_canonical_digest_ignores_timing():

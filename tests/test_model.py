@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from patcoh.model import (
     serialize_projection_data,
     validate,
 )
-from reference import field_normal_supports
+from reference import field_canonical_hyperplane, field_normal_supports
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -100,6 +101,44 @@ def test_canonical_hyperplane():
     assert canonical_hyperplane(c) == c
     with pytest.raises(ValueError):
         canonical_hyperplane(Hyperplane((F5.zero,), F5.one))
+
+
+def test_canonical_hyperplane_matches_the_field_reference():
+    # seeded planes over Q(sqrt D), D in {2, 3, 5}, m = 1..3: leading zero
+    # coordinates, leads 1 + sqrt D (negative norm), denominators and
+    # nonzero offsets; the integer route gives the field route's plane,
+    # lead exactly 1, and is idempotent
+    rng = random.Random("canonical_hyperplane")
+    seen = {"leading_zero": 0, "negative_norm": 0, "denominator": 0, "offset": 0}
+
+    def rat():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+
+    for D, m in itertools.product((2, 3, 5), (1, 2, 3)):
+        fspec = quadratic(D)
+        for k in range(30):
+            zeros = rng.randint(0, m - 1)
+            normal = [fspec.zero] * zeros + [fspec.elem(rat(), rat()) for _ in range(m - zeros)]
+            if k % 5 == 0:
+                normal[zeros] = fspec.elem(1, 1)
+            offset = fspec.elem(rat(), rat()) if k % 3 else fspec.zero
+            h = Hyperplane(tuple(normal), offset)
+            lead = next((x for x in normal if x), None)
+            if lead is None:
+                for canon in (canonical_hyperplane, field_canonical_hyperplane):
+                    with pytest.raises(ValueError, match="normal is zero"):
+                        canon(h)
+                continue
+            c = canonical_hyperplane(h)
+            assert c == field_canonical_hyperplane(h), h
+            assert c.normal[normal.index(lead)] == fspec.one
+            assert canonical_hyperplane(c) == c
+            seen["leading_zero"] += lead is not normal[0]
+            seen["negative_norm"] += lead.a ** 2 - D * lead.b ** 2 < 0
+            seen["denominator"] += any(y.denominator > 1 for x in (*normal, offset)
+                                       for y in (x.a, x.b))
+            seen["offset"] += bool(offset)
+    assert min(seen.values()) > 50, seen
 
 
 def test_parse_canonicalizes_planes():

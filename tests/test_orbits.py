@@ -408,20 +408,19 @@ def test_analyze_does_no_field_elimination(monkeypatch):
 
 
 def test_report_divides_no_field_element(monkeypatch):
-    # after parsing, the only field inverse is canonical_hyperplane's: a
-    # report, validation and dump included, takes no FElem inverse or
-    # division on any catalog entry
-    datas = [parse_projection_data(serialize_projection_data(build(name).data))
-             for name in names()]
+    # canonical_hyperplane works on integer numerators, so from parse
+    # through a report, validation and dump included, no FElem inverse,
+    # division or product is taken on any catalog entry
+    texts = [serialize_projection_data(build(name).data) for name in names()]
     calls = []
-    for name in ("inverse", "__truediv__", "__rtruediv__"):
+    for name in ("inverse", "__truediv__", "__rtruediv__", "__mul__"):
         real = getattr(FElem, name)
         monkeypatch.setattr(FElem, name, lambda *args, real=real, name=name:
                             calls.append(name) or real(*args))
-    for data in datas:
-        compute_report(data, dump_arrangement=True)
+    for text in texts:
+        compute_report(parse_projection_data(text), dump_arrangement=True)
     assert calls == []
-    assert ONE / TAU == TAU - ONE and calls == ["__truediv__", "inverse"]
+    assert ONE / TAU == TAU - ONE and calls == ["__truediv__", "inverse", "__mul__"]
 
 
 def test_enumeration_builds_no_field_element(monkeypatch):
