@@ -113,7 +113,9 @@ def cmd_validate(args) -> int:
 @functools.cache
 def _parser() -> tuple[_Parser, _Parser]:
     """(the parser, its `compute` subparser), built on the first `main` call
-    and reused by every later one: argparse keeps its parse state per call."""
+    and reused by every later one: argparse keeps its parse state per call.
+    Only repeated `main` calls in one process gain from the reuse; the
+    `patcoh` command makes one call per process."""
     parser = _Parser(
         prog="patcoh",
         description="Cohomology and K-group ranks of projection point patterns "
