@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from patcoh.catalog import F5, TAU, icosahedral_star
 from patcoh.field import dot, res_mul, restrict_scalars
+from patcoh.invariants import InternalConsistencyError, binom
 from patcoh.linalg import clear_denominators, hnf, int_det, integer_kernel, primitive_rref, rref
 from patcoh.model import Hyperplane, canonical_hyperplane
 
@@ -255,3 +256,38 @@ def wedge_span_rank_by_minors(lats, p):
             for lat in lats if lat.rank >= p
             for sel in itertools.combinations(range(lat.rank), p)]
     return sum(1 for row in hnf(rows) if any(row))
+
+
+def rank_formulas_by_codimension(m, nu, d, e, L, tilde_L1, wedges):
+    """D_0 .. D_d written out per codimension, one branch each for m = 1, 2
+    and 3, with the arguments and errors of `invariants.rank_formulas`."""
+
+    def wp(p):
+        if wedges is None or p < 1:
+            raise InternalConsistencyError("wedge rank index out of range")
+        return wedges[p - 1] if p - 1 < len(wedges) else 0
+
+    out = []
+    if m == 1:
+        out.append((nu - 1) + e)
+        for p in range(1, d + 1):
+            out.append(binom(nu, p + 1))
+    elif m == 2:
+        out.append(binom(2 * nu, 2) - 2 * nu + 1 + L[1] * (nu - 1) + e - wp(1))
+        for p in range(1, d + 1):
+            out.append(binom(2 * nu, p + 2) + L[1] * binom(nu, p + 1)
+                       - wp(p + 1) - wp(p))
+    elif m == 3:
+        if tilde_L1 is None:
+            raise InternalConsistencyError("m = 3 rank formulas need tilde_L1")
+        d0 = sum((-1) ** j * binom(3 * nu, 3 - j) for j in range(4))
+        d0 += L[2] * sum((-1) ** j * binom(2 * nu, 2 - j) for j in range(3))
+        d0 += tilde_L1 * sum((-1) ** j * binom(nu, 1 - j) for j in range(2))
+        d0 += e - wp(1)
+        out.append(d0)
+        for p in range(1, d + 1):
+            out.append(binom(3 * nu, p + 3) + L[2] * binom(2 * nu, p + 2)
+                       + tilde_L1 * binom(nu, p + 1) - wp(p) - wp(p + 1))
+    else:
+        raise ValueError(f"no rank formulas for m = {m}")
+    return out

@@ -23,7 +23,8 @@ from patcoh.model import (Hyperplane, ProjectionData, canonical_hyperplane, pars
 from patcoh.orbits import Arrangement, Engine
 from patcoh.report import canonical_digest, compute_report
 from reference import (entry_of, field_class, field_direction, field_label, field_plane,
-                       field_point, label_incidence, maximal_minors, wedge_span_rank_by_minors)
+                       field_point, label_incidence, maximal_minors, rank_formulas_by_codimension,
+                       wedge_span_rank_by_minors)
 from test_orbits import DENSE_M2, INPUT_PLANE_CASES, _ammann_beenker_with, dense_m2, penrose
 
 
@@ -52,6 +53,47 @@ def test_rank_formulas_codim_three_golden():
         d = rank_formulas(3, 2, 3, e, L, tilde, big_r + [0, 0])
         assert d == expected_d
         assert sum((-1) ** p * dp for p, dp in enumerate(d)) == e
+
+
+def test_rank_formulas_codim_two_golden():
+    # Penrose, H = (1, 5, 8) (Anderson-Putnam), and Ammann-Beenker, H =
+    # (1, 5, 9), a regression value: nu = 2, d = 2, with (e, L, r) read
+    # off their arrangements
+    cases = {"penrose": (penrose, (4, [1, 5], [4, 0, 0]), [8, 5, 1]),
+             "ammann_beenker": (_ammann_beenker_with, (5, [3, 4], [3, 0, 0]), [9, 5, 1])}
+    for name, (make, (e, L, r), expected_d) in cases.items():
+        rep = analyze(make())
+        assert (rep.e, rep.L, rep.r) == (e, L, r), name
+        assert rank_formulas(2, 2, 2, e, L, None, r) == expected_d, name
+
+
+def _outcome(formulas, *args):
+    """The list `formulas` returns on args, or the type of what it raises."""
+    try:
+        return formulas(*args)
+    except (InternalConsistencyError, ValueError) as exc:
+        return type(exc)
+
+
+def test_rank_formulas_match_the_branches_by_codimension():
+    # seeded arguments for m = 1, 2, 3 and nu = 1 .. 4, with tilde_L1 or the
+    # wedge ranks sometimes missing and wedge lists of every length around
+    # d + 1: the one formula returns or raises as the per-codimension
+    # branches do
+    rng = random.Random("rank_formulas")
+    raised = 0
+    for _ in range(1500):
+        m, nu = rng.randint(1, 3), rng.randint(1, 4)
+        d = (nu - 1) * m
+        L = [rng.randint(1, 80) for _ in range(m)]
+        tilde = None if rng.random() < 0.1 else rng.randint(0, 120)
+        wedges = (None if rng.random() < 0.1
+                  else [rng.randint(0, 90) for _ in range(rng.randint(0, d + 2))])
+        args = (m, nu, d, rng.randint(-50, 400), L, tilde, wedges)
+        expected = _outcome(rank_formulas_by_codimension, *args)
+        assert _outcome(rank_formulas, *args) == expected, args
+        raised += expected is InternalConsistencyError
+    assert raised > 100
 
 
 def test_k_ranks_examples():
