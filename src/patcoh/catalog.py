@@ -168,9 +168,13 @@ def _entries() -> dict[str, CatalogEntry]:
 
 _CATALOG = None
 
+NAMES = ("fibonacci", "ammann_kramer", "canonical_d6", "dual_canonical_d6", "danzer",
+         "infinite_demo", "square_fibonacci")
+
 
 def names() -> list[str]:
-    return list(catalog().keys())
+    """The entries' names in catalog order, without building any entry."""
+    return list(NAMES)
 
 
 def catalog() -> dict[str, CatalogEntry]:

@@ -140,39 +140,26 @@ def _wedge_quantities(arrangement: Arrangement, d: int):
 
 def rank_formulas(m: int, nu: int, d: int, e: int, L: list[int],
                   tilde_L1: int | None, wedges: list[int] | None) -> list[int]:
-    """Closed formulas for D_0 .. D_d per codimension block.
+    """Closed formulas for D_0 .. D_d in codimension m <= 3, one for all m.
 
-    `wedges` is r_1..r_{d+1} for m = 2 and R_1..R_{d+1} for m = 3."""
+    The strata of dimension k enter with weight c_k: c_m = 1, c_{m-1} =
+    L_{m-1} for m >= 2 and c_1 = tilde_L1 for m = 3.  With w_p the wedge
+    ranks `wedges` (r_1..r_{d+1} for m = 2, R_1..R_{d+1} for m = 3, 0 past
+    the list, and w = 0 for m = 1),
 
-    def wp(p: int) -> int:
-        if wedges is None or p < 1:
-            raise InternalConsistencyError("wedge rank index out of range")
-        return wedges[p - 1] if p - 1 < len(wedges) else 0
-
-    out = []
-    if m == 1:
-        out.append((nu - 1) + e)
-        for p in range(1, d + 1):
-            out.append(binom(nu, p + 1))
-    elif m == 2:
-        out.append(binom(2 * nu, 2) - 2 * nu + 1 + L[1] * (nu - 1) + e - wp(1))
-        for p in range(1, d + 1):
-            out.append(binom(2 * nu, p + 2) + L[1] * binom(nu, p + 1)
-                       - wp(p + 1) - wp(p))
-    elif m == 3:
-        if tilde_L1 is None:
-            raise InternalConsistencyError("m = 3 rank formulas need tilde_L1")
-        d0 = sum((-1) ** j * binom(3 * nu, 3 - j) for j in range(4))
-        d0 += L[2] * sum((-1) ** j * binom(2 * nu, 2 - j) for j in range(3))
-        d0 += tilde_L1 * sum((-1) ** j * binom(nu, 1 - j) for j in range(2))
-        d0 += e - wp(1)
-        out.append(d0)
-        for p in range(1, d + 1):
-            out.append(binom(3 * nu, p + 3) + L[2] * binom(2 * nu, p + 2)
-                       + tilde_L1 * binom(nu, p + 1) - wp(p) - wp(p + 1))
-    else:
+        D_0 = sum_k c_k sum_{j <= k} (-1)^j C(k nu, k - j) + e - w_1,
+        D_p = sum_k c_k C(k nu, p + k) - w_p - w_{p+1}."""
+    if not 1 <= m <= 3:
         raise ValueError(f"no rank formulas for m = {m}")
-    return out
+    c = dict(zip(range(m, 0, -1), (1, L[m - 1], tilde_L1)))
+    wedges = () if m == 1 else wedges
+    if None in c.values() or wedges is None:
+        raise InternalConsistencyError(f"m = {m} rank formulas lack tilde_L1 or the wedge ranks")
+    w = [0, *wedges, *[0] * (d + 2)]  # w[p] = w_p
+    d0 = sum(ck * sum((-1) ** j * binom(k * nu, k - j) for j in range(k + 1))
+             for k, ck in c.items())
+    return [d0 + e - w[1]] + [sum(ck * binom(k * nu, p + k) for k, ck in c.items())
+                              - w[p] - w[p + 1] for p in range(1, d + 1)]
 
 
 def k_ranks(h_ranks: list[int], d: int) -> tuple[int, int]:

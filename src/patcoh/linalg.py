@@ -9,10 +9,11 @@ the Hermite box, the index of a full-rank row lattice from its maximal
 minors, and ranks of spans of exterior powers, where a lattice of rank r
 enters through one vector, its top wedge (its r x r minors, or for a
 kernel the Hodge dual of its equations' minors), whose contractions span
-its p-fold wedges.  The field `rref`, the
-Smith form and the rational annihilator serve only `mixed_solve`, the
-reference solver the engine is tested against, so the two share no
-normal form.  Matrices are lists of row tuples; rational entries are
+its p-fold wedges.  No command runs the field `rref`, the Smith form or
+the rational annihilator: the benchmark's tracer wraps them by name, and
+the mixed integer-rational solver of the tests (`tests/reference.py`),
+which the engine is checked against, is built on them, so the two share
+no normal form.  Matrices are lists of row tuples; rational entries are
 Fractions, integer entries are plain ints.
 """
 
@@ -217,10 +218,6 @@ def snf(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]]
     return d, u, v
 
 
-def int_matvec(a: Sequence[Sequence[int]], x: Sequence) -> list:
-    return [sum(p * q for p, q in zip(row, x)) for row in a]
-
-
 def int_det(m: Sequence[Sequence[int]]) -> int:
     """Determinant by Bareiss fraction-free elimination."""
     a = [list(r) for r in m]
@@ -270,11 +267,6 @@ class IntLattice:
     basis: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def from_rows(ambient: int, rows: Sequence[Sequence[int]]) -> "IntLattice":
-        nonzero = tuple(tuple(r) for r in hnf(rows) if any(r))
-        return IntLattice(ambient, nonzero)
-
-    @staticmethod
     def full(n: int) -> "IntLattice":
         return IntLattice(n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
@@ -286,18 +278,6 @@ class IntLattice:
     def echelon(self) -> list[tuple[int, tuple[int, ...]]]:
         """The basis as Hermite echelon rows (pivot column, row)."""
         return [(next(j for j, x in enumerate(row) if x), row) for row in self.basis]
-
-    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Canonical representative of vec modulo this lattice (HNF box)."""
-        return tuple(remainder(self.echelon, vec))
-
-
-@dataclass(frozen=True)
-class Coset:
-    """Affine solution set base + lattice inside Z^k."""
-
-    base: tuple[int, ...]
-    lattice: IntLattice
 
 
 def clear_denominators(rows) -> tuple[list[list[int]], int]:
@@ -348,56 +328,6 @@ def integer_kernel(images: Sequence[Sequence[int]], width: int,
             tail = dict(zip(left, row[width:]))
             kernel.append(tuple(tail.get(i, 0) for i in range(k)))
     return echelon, IntLattice(k, tuple(sorted(kernel, reverse=True)))
-
-
-def mixed_solve(a_rows, b_rows, c, k: int) -> Coset | None:
-    """Solve {x in Z^k : exists t in Q^s, A x + B t = c}.
-
-    a_rows: r x k rational, b_rows: r x s rational, c: length-r rational.
-    Eliminates t by projecting onto a rational complement of col(B), then
-    solves the pure-integer affine system by SNF.  Returns None when empty.
-    """
-    r = len(a_rows)
-    if r == 0:
-        return Coset(tuple([0] * k), IntLattice.full(k))
-    s = len(b_rows[0]) if (b_rows and b_rows[0]) else 0
-    if s:
-        proj = left_annihilator(b_rows, s)
-    else:
-        proj = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
-    if not proj:
-        return Coset(tuple([0] * k), IntLattice.full(k))
-    m_rows = []
-    rhs = []
-    for p in proj:
-        m_rows.append([sum(p[i] * Fraction(a_rows[i][j]) for i in range(r)) for j in range(k)])
-        rhs.append(sum(p[i] * Fraction(c[i]) for i in range(r)))
-    # clear denominators row by row
-    int_m: list[list[int]] = []
-    int_b: list[int] = []
-    for row, b in zip(m_rows, rhs):
-        scale = math.lcm(b.denominator, *(x.denominator for x in row))
-        int_m.append([int(x * scale) for x in row])
-        int_b.append(int(b * scale))
-    d, u, v = snf(int_m)
-    ub = int_matvec(u, int_b)
-    rank = 0
-    y0 = [0] * k
-    for i in range(min(len(d), k)):
-        if d[i][i] != 0:
-            rank = i + 1
-    for i in range(len(ub)):
-        if i < rank:
-            q, rem = divmod(ub[i], d[i][i])
-            if rem != 0:
-                return None
-            y0[i] = q
-        elif ub[i] != 0:
-            return None
-    x0 = int_matvec(v, y0)
-    gens = [tuple(v[i][j] for i in range(k)) for j in range(rank, k)]
-    lat = IntLattice.from_rows(k, gens)
-    return Coset(lat.reduce(x0), lat)
 
 
 def coset_reps(h_lat: IntLattice) -> list[tuple[int, ...]]:

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .field import FElem, FieldSpec, res_adjugate, res_mul, restrict_scalars, theta_powers
-from .linalg import clear_denominators, minor_gcd, primitive_rref, rat_rank
+from .linalg import clear_denominators, hnf, minor_gcd, primitive_rref, rat_rank
 
 MAX_PLANES = 32
 
@@ -217,9 +217,8 @@ class PlaneTable(NamedTuple):
     """One input plane <nu, x> = offset in integers, for generators given
     as gen_ints = (G, q_G), res(g_i) = G_i / q_G: den <nu, x> = form res(x);
     cols, the columns of the dots den <nu, g_i> (the map Z^n -> Z^delta
-    whose kernel is the plane's stabilizer); g, their `minor_gcd`, the
-    image's index in Z^delta (0 below rank delta); and res(offset) = off /
-    oden."""
+    whose kernel is the plane's stabilizer); g, the image's index in
+    Z^delta (0 below rank delta); and res(offset) = off / oden."""
 
     den: int
     form: list[list[int]]
@@ -233,7 +232,9 @@ def plane_table(h: Hyperplane, gen_ints) -> PlaneTable:
     """The plane h's `PlaneTable`, read through `ProjectionData.tables`.
     With res(nu) = N / q_N, column (k, l) of the form is res(theta^l nu_k) =
     res_mul(theta^l, N_k) / q_N, so the form is built from N, over den =
-    q_N q_G."""
+    q_N q_G.  g is the `minor_gcd` of the dots' at most delta nonzero
+    Hermite rows, not of all n dots: validation reads every input's
+    tables, and n is not bounded before the generators' rank is checked."""
     fspec = h.offset.field
     d, powers = fspec.degree, theta_powers(fspec)
     (nu,), qn = clear_denominators([restrict_scalars(h.normal)])
@@ -242,18 +243,21 @@ def plane_table(h: Hyperplane, gen_ints) -> PlaneTable:
     dots = [[sum(map(operator.mul, f, g)) for f in form] for g in gens]
     (off,), oden = clear_denominators([restrict_scalars((h.offset,))])
     return PlaneTable(qn * qg, [[qg * x for x in f] for f in form], [*zip(*dots)],
-                      minor_gcd(dots, d), off, oden)
+                      minor_gcd(hnf(dots)[:d], d), off, oden)
 
 
 def normal_supports(data: ProjectionData) -> list[set[int]]:
     """Supports of the rref rows u_j of the normals as field columns, one per
-    rank: the key of the rows res(theta^l r_i) of the normals' rows r_i is
-    res(theta^l u_j) in order, so u_j is nonzero at the blocks of row delta j."""
-    d, fspec, normals = data.field.degree, data.field, [h.normal for h in data.planes]
-    rows, _ = clear_denominators([restrict_scalars(r) for r in zip(*normals)])
-    key = primitive_rref([[y for c in range(0, len(r), d) for y in res_mul(t, r[c:c + d], fspec)]
-                          for r in rows for t in theta_powers(fspec)])
-    return [{c for c in range(len(normals)) if any(row[d * c:d * c + d])} for row in key[::d]]
+    rank.  Plane c's `form` in `data.tables` is res(theta^l nu_k) at column
+    (k, l), times a positive integer, so the `primitive_rref` of the forms'
+    columns is the key of the rows res(theta^l r_k) of the normals' rows
+    r_k with each plane's block scaled, which moves no zero: its rows are
+    res(theta^l u_j) in order, so u_j is nonzero at the blocks of row
+    delta j."""
+    d = data.field.degree
+    key = primitive_rref([*zip(*(row for table in data.tables for row in table.form))])
+    return [{c for c in range(len(data.planes)) if any(row[d * c:d * c + d])}
+            for row in key[::d]]
 
 
 def validate(data: ProjectionData) -> ValidationReport:

@@ -2,12 +2,15 @@
 the field values of the engine's integer records."""
 
 import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from patcoh.catalog import F5, TAU, icosahedral_star
 from patcoh.field import dot, res_mul, restrict_scalars
 from patcoh.invariants import InternalConsistencyError, binom
-from patcoh.linalg import clear_denominators, hnf, int_det, integer_kernel, primitive_rref, rref
+from patcoh.linalg import (IntLattice, clear_denominators, hnf, int_det, integer_kernel,
+                           left_annihilator, primitive_rref, remainder, rref, snf)
 from patcoh.model import Hyperplane, canonical_hyperplane
 
 
@@ -291,3 +294,88 @@ def rank_formulas_by_codimension(m, nu, d, e, L, tilde_L1, wedges):
     else:
         raise ValueError(f"no rank formulas for m = {m}")
     return out
+
+
+def field_inverse(rows):
+    """Inverse of a square invertible matrix of field elements, read off the
+    field `rref` of [rows | I]."""
+    field, m = rows[0][0].field, len(rows)
+    red = rref([[*row, *(field.one if i == j else field.zero for j in range(m))]
+                for i, row in enumerate(rows)])
+    if len(red) < m:
+        raise ValueError("the matrix is singular")
+    return [tuple(row[m:]) for row in red]
+
+
+def lattice_from_rows(ambient, rows):
+    """The lattice spanned by integer rows, its basis their nonzero Hermite
+    rows."""
+    return IntLattice(ambient, tuple(tuple(r) for r in hnf(rows) if any(r)))
+
+
+def lattice_reduce(lat, vec):
+    """Canonical representative of vec modulo the lattice (Hermite box)."""
+    return tuple(remainder(lat.echelon, vec))
+
+
+def int_matvec(a, x):
+    return [sum(p * q for p, q in zip(row, x)) for row in a]
+
+
+@dataclass(frozen=True)
+class Coset:
+    """Affine solution set base + lattice inside Z^k."""
+
+    base: tuple
+    lattice: IntLattice
+
+
+def mixed_solve(a_rows, b_rows, c, k):
+    """Solve {x in Z^k : exists t in Q^s, A x + B t = c}.
+
+    a_rows: r x k rational, b_rows: r x s rational, c: length-r rational.
+    Eliminates t by projecting onto a rational complement of col(B), then
+    solves the pure-integer affine system by the Smith form.  Returns None
+    when empty.
+    """
+    r = len(a_rows)
+    if r == 0:
+        return Coset(tuple([0] * k), IntLattice.full(k))
+    s = len(b_rows[0]) if (b_rows and b_rows[0]) else 0
+    if s:
+        proj = left_annihilator(b_rows, s)
+    else:
+        proj = [tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)]
+    if not proj:
+        return Coset(tuple([0] * k), IntLattice.full(k))
+    m_rows = []
+    rhs = []
+    for p in proj:
+        m_rows.append([sum(p[i] * Fraction(a_rows[i][j]) for i in range(r)) for j in range(k)])
+        rhs.append(sum(p[i] * Fraction(c[i]) for i in range(r)))
+    # clear denominators row by row
+    int_m = []
+    int_b = []
+    for row, b in zip(m_rows, rhs):
+        scale = math.lcm(b.denominator, *(x.denominator for x in row))
+        int_m.append([int(x * scale) for x in row])
+        int_b.append(int(b * scale))
+    d, u, v = snf(int_m)
+    ub = int_matvec(u, int_b)
+    rank = 0
+    y0 = [0] * k
+    for i in range(min(len(d), k)):
+        if d[i][i] != 0:
+            rank = i + 1
+    for i in range(len(ub)):
+        if i < rank:
+            q, rem = divmod(ub[i], d[i][i])
+            if rem != 0:
+                return None
+            y0[i] = q
+        elif ub[i] != 0:
+            return None
+    x0 = int_matvec(v, y0)
+    gens = [tuple(v[i][j] for i in range(k)) for j in range(rank, k)]
+    lat = lattice_from_rows(k, gens)
+    return Coset(lattice_reduce(lat, x0), lat)

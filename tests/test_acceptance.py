@@ -19,14 +19,12 @@ from patcoh.linalg import (
     coset_reps,
     hnf,
     int_det,
-    mixed_solve,
-    rref,
     snf,
 )
 from patcoh.model import Hyperplane, ProjectionData, canonical_hyperplane
 from patcoh.report import canonical_digest, compute_report
 
-from reference import coords_of, lattice_index
+from reference import coords_of, field_inverse, lattice_from_rows, lattice_index, mixed_solve
 from test_linalg import brute_force_box, int_matmul, rand_int_matrix, rand_unimodular
 from test_orbits import DENSE_M2, dense_m2
 
@@ -110,16 +108,6 @@ def test_criterion_5_stabilizer_rank_law(reports):
 
 # -- criterion 6: invariance under input presentation --------------------------
 
-def _field_inverse(rows, field):
-    m = len(rows)
-    aug = [list(rows[i]) + [field.one if i == j else field.zero
-                            for j in range(m)] for i in range(m)]
-    red = rref(aug)
-    if len(red) < m:
-        return None
-    return [tuple(red[i][m:]) for i in range(m)]
-
-
 def _rand_felem(field, rng, nonzero=False):
     while True:
         a = rng.randint(-2, 2)
@@ -165,8 +153,7 @@ def _gl_map(data, rng):
     else:
         t[0] = [t[0][0] + t[0][0]]
     t = [tuple(row) for row in t]
-    tinv = _field_inverse(t, data.field)
-    assert tinv is not None
+    tinv = field_inverse(t)
     gens = tuple(tuple(dot(row, g) for row in t) for g in data.gens)
     planes = tuple(
         canonical_hyperplane(Hyperplane(
@@ -283,7 +270,7 @@ def test_criterion_8_linear_algebra_properties():
         rows = rand_int_matrix(rng, 2, 2, -4, 4)
         if int_det(rows) == 0:
             continue
-        sub = IntLattice.from_rows(2, rows)
+        sub = lattice_from_rows(2, rows)
         assert len(coset_reps(sub)) == lattice_index(IntLattice.full(2), sub)
         counted += 1
     from fractions import Fraction as F

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import patcoh.catalog
 import patcoh.cli
 from patcoh.catalog import build, names
 from patcoh.cli import main
@@ -59,6 +60,19 @@ def test_compute_file_matches_catalog(capsys, tmp_path):
     code2, out2, _ = run(capsys, "compute", "danzer", "--json")
     assert code1 == code2 == 0
     assert canonical_digest(json.loads(out1)) == canonical_digest(json.loads(out2))
+
+
+def test_a_file_source_builds_no_catalog_entry(capsys, tmp_path, monkeypatch):
+    # a source is looked up among the catalog's names without building the
+    # catalog, so `compute FILE` and `validate FILE` build no entry; the
+    # names are the built catalog's, in its order
+    path = tmp_path / "danzer.json"
+    path.write_text(serialize_projection_data(build("danzer").data))
+    assert names() == list(patcoh.catalog.catalog())
+    monkeypatch.setattr(patcoh.catalog, "_CATALOG", None)
+    assert run(capsys, "compute", str(path), "--json")[0] == 0
+    assert run(capsys, "validate", str(path))[0] == 0
+    assert patcoh.catalog._CATALOG is None
 
 
 def test_compute_json_is_deterministic(capsys):

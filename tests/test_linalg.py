@@ -8,7 +8,6 @@ import pytest
 import patcoh.linalg
 from patcoh.field import quadratic, restrict_scalars
 from patcoh.linalg import (
-    Coset,
     IntLattice,
     clear_denominators,
     coset_reps,
@@ -17,7 +16,6 @@ from patcoh.linalg import (
     integer_kernel,
     minor_gcd,
     minors,
-    mixed_solve,
     primitive_rref,
     rat_rank,
     rational_kernel,
@@ -26,7 +24,8 @@ from patcoh.linalg import (
     snf,
     wedge_span_rank,
 )
-from reference import coords_of, lattice_index, maximal_minors, wedge_span_rank_by_minors
+from reference import (coords_of, lattice_from_rows, lattice_index, lattice_reduce,
+                       maximal_minors, mixed_solve, wedge_span_rank_by_minors)
 
 F = Fraction
 
@@ -268,7 +267,7 @@ def test_minor_gcd_is_the_index_of_the_row_lattice():
             basis = rand_int_matrix(rng, r, d, -6, 6)
             rows = (int_matmul(rand_int_matrix(rng, k, r, -3, 3), basis) if r
                     else [[0] * d for _ in range(k)])
-            lat = IntLattice.from_rows(d, rows)
+            lat = lattice_from_rows(d, rows)
             index = lattice_index(IntLattice.full(d), lat)
             assert minor_gcd(rows, d) == (0 if index is None else index), (d, rows)
             seen.add((d, index is None))
@@ -313,7 +312,7 @@ def smith_kernel(rows, ncols):
         return IntLattice.full(ncols)
     d, _, v = snf(int_rows)
     rank = sum(1 for i in range(min(len(d), ncols)) if d[i][i] != 0)
-    return IntLattice.from_rows(
+    return lattice_from_rows(
         ncols, [[v[i][j] for i in range(ncols)] for j in range(rank, ncols)])
 
 
@@ -347,7 +346,7 @@ def test_integer_kernel_membership_random():
             rows.append(list(rng.choice(rows)))
         lat = kernel_of(rows, ncols)
         assert lat == smith_kernel(rows, ncols), rows
-        assert lat == IntLattice.from_rows(ncols, lat.basis)
+        assert lat == lattice_from_rows(ncols, lat.basis)
         for vec in lat.basis:
             assert all(sum(r[j] * vec[j] for j in range(ncols)) == 0 for r in rows)
         deficient += 0 < lat.rank < ncols
@@ -366,9 +365,9 @@ def test_integer_kernel_modulus_against_brute_force():
         images = rand_int_matrix(rng, k, width, -4, 4)
         modulus = rand_int_matrix(rng, rng.randint(1, 3), width, -3, 3)
         echelon, lat = integer_kernel(images, width, integer_kernel(modulus, width)[0])
-        assert lat.ambient == k and lat == IntLattice.from_rows(k, lat.basis)
+        assert lat.ambient == k and lat == lattice_from_rows(k, lat.basis)
         assert [tuple(row) for _, row in echelon] == list(
-            IntLattice.from_rows(width, images + modulus).basis)
+            lattice_from_rows(width, images + modulus).basis)
         assert all(row[p] > 0 and not any(row[:p]) for p, row in echelon)
         mod_cols = [[F(r[j]) for r in modulus] for j in range(width)]
         for y in itertools.product(range(-2, 3), repeat=k):
@@ -410,7 +409,7 @@ def test_integer_kernel_images_equal_their_remainders(monkeypatch):
         k, width = rng.randint(1, 5), rng.randint(1, 4)
         raw = rand_int_matrix(rng, rng.randint(1, 4), width, -6, 6)
         modulus = integer_kernel(raw, width)[0]
-        lattice = IntLattice.from_rows(width, raw)
+        lattice = lattice_from_rows(width, raw)
         if mode != "all" and lattice.rank == width and all(row[p] == 1 for p, row in modulus):
             continue  # the lattice is Z^width: every image is a member
         inside = [mode == "all" or (mode == "some" and i % 2 == 0) for i in range(k)]
@@ -445,15 +444,15 @@ def test_integer_kernel_images_equal_their_remainders(monkeypatch):
 
 
 def test_lattice_reduce_is_canonical():
-    lat = IntLattice.from_rows(2, [[2, 0], [0, 3]])
+    lat = lattice_from_rows(2, [[2, 0], [0, 3]])
     rng = random.Random(47)
     for _ in range(30):
         v = [rng.randint(-20, 20), rng.randint(-20, 20)]
         shift = [rng.randint(-5, 5), rng.randint(-5, 5)]
         moved = [v[j] + 2 * shift[0] * (j == 0) + 3 * shift[1] * (j == 1)
                  for j in range(2)]
-        assert lat.reduce(v) == lat.reduce(moved)
-    assert lat.reduce((5, -4)) == (1, 2)
+        assert lattice_reduce(lat, v) == lattice_reduce(lat, moved)
+    assert lattice_reduce(lat, (5, -4)) == (1, 2)
 
 
 # -- mixed integer-rational solving ------------------------------------------
@@ -514,22 +513,22 @@ def test_mixed_solve_against_brute_force():
 
 def test_lattice_index_examples():
     z2 = IntLattice.full(2)
-    sub = IntLattice.from_rows(2, [[2, 0], [0, 3]])
+    sub = lattice_from_rows(2, [[2, 0], [0, 3]])
     assert lattice_index(z2, sub) == 6
-    line = IntLattice.from_rows(2, [[1, 0]])
+    line = lattice_from_rows(2, [[1, 0]])
     assert lattice_index(z2, line) is None
     with pytest.raises(ValueError):
         lattice_index(sub, z2)
 
 
 def test_coset_reps_examples():
-    sub = IntLattice.from_rows(2, [[2, 0], [0, 3]])
+    sub = lattice_from_rows(2, [[2, 0], [0, 3]])
     reps = coset_reps(sub)
     assert reps == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    assert coset_reps(IntLattice.from_rows(1, [[5]])) == [
+    assert coset_reps(lattice_from_rows(1, [[5]])) == [
         (0,), (1,), (2,), (3,), (4,)]
     with pytest.raises(ValueError):
-        coset_reps(IntLattice.from_rows(2, [[1, 0]]))
+        coset_reps(lattice_from_rows(2, [[1, 0]]))
 
 
 def test_coset_reps_are_a_transversal():
@@ -541,7 +540,7 @@ def test_coset_reps_are_a_transversal():
             # the pairwise check below is quadratic in the index
             if not 0 < abs(int_det(rows)) <= 60:
                 continue
-            sub = IntLattice.from_rows(n, rows)
+            sub = lattice_from_rows(n, rows)
             reps = coset_reps(sub)
             assert len(reps) == lattice_index(IntLattice.full(n), sub)
             # the order fixes class ids, hence the canonical digests
@@ -553,8 +552,8 @@ def test_coset_reps_are_a_transversal():
 
 
 def test_wedge_span_rank_examples():
-    e12 = IntLattice.from_rows(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    e34 = IntLattice.from_rows(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
+    e12 = lattice_from_rows(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    e34 = lattice_from_rows(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
     assert wedge_span_rank([e12], 2) == 1
     assert wedge_span_rank([e12, e34], 2) == 2
     assert wedge_span_rank([e12, e34], 1) == 4
@@ -567,11 +566,11 @@ def test_wedge_span_rank_basis_invariance():
     rng = random.Random(59)
     for _ in range(10):
         rows = rand_int_matrix(rng, 2, 4, -3, 3)
-        lat = IntLattice.from_rows(4, rows)
+        lat = lattice_from_rows(4, rows)
         if lat.rank != 2:
             continue
         u = rand_unimodular(rng, 2)
-        lat2 = IntLattice.from_rows(4, int_matmul(u, [list(r) for r in lat.basis]))
+        lat2 = lattice_from_rows(4, int_matmul(u, [list(r) for r in lat.basis]))
         for p in (1, 2):
             assert wedge_span_rank([lat], p) == wedge_span_rank([lat2], p)
 
@@ -580,7 +579,7 @@ def _lattice_of_rank(rng, n, r):
     """A random sublattice of Z^n of rank exactly r, with sparse rows."""
     while True:
         rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(r)]
-        lat = IntLattice.from_rows(n, rows) if r else IntLattice(n, ())
+        lat = lattice_from_rows(n, rows) if r else IntLattice(n, ())
         if lat.rank == r:
             return lat
 

@@ -15,8 +15,8 @@ import patcoh.orbits
 from patcoh.catalog import build, names
 from patcoh.field import FElem, dot, quadratic, restrict_scalars
 from patcoh.invariants import analyze
-from patcoh.linalg import (IntLattice, clear_denominators, coset_reps, int_det, mixed_solve,
-                           primitive_rref, remainder, rref)
+from patcoh.linalg import (IntLattice, clear_denominators, coset_reps, int_det, primitive_rref,
+                           remainder, rref)
 from patcoh.model import (
     Hyperplane,
     ProjectionData,
@@ -28,8 +28,9 @@ from patcoh.model import (
 from patcoh.orbits import Engine, InfiniteArrangement, ResourceCapExceeded
 from patcoh.report import compute_report
 from reference import (contains, coords_of, cut_shifts, dir_res_cols, entry_of, field_class,
-                       field_direction, field_label, field_plane, field_point, field_vector,
-                       hermite_stabilizer, lattice_index, res_of, scalar_matrix, shift_subgroup)
+                       field_direction, field_inverse, field_label, field_plane, field_point,
+                       field_vector, hermite_stabilizer, lattice_from_rows, lattice_index,
+                       mixed_solve, res_of, scalar_matrix, shift_subgroup)
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -42,16 +43,6 @@ def gamma_vec(eng, y):
     for yi, g in zip(y, eng.data.gens):
         acc = tuple(a + eng.fspec.elem(yi) * x for a, x in zip(acc, g))
     return acc
-
-
-def field_inverse(rows):
-    """Inverse of a square invertible FElem matrix, via augmented rref."""
-    m = len(rows)
-    ident = [[ONE if i == j else ZERO for j in range(m)] for i in range(m)]
-    aug = [list(rows[i]) + ident[i] for i in range(m)]
-    red = rref(aug)
-    assert len(red) == m
-    return [tuple(red[i][m:]) for i in range(m)]
 
 
 def _cut(eng, direction, point, h):
@@ -716,7 +707,7 @@ def _stabilizer_sum(eng, parent, hc, cache):
         dots = _res_matrix([restrict_scalars((dot(normal, g),)) for g in eng.data.gens],
                            eng.delta)
         cache[normal] = list(mixed_solve(dots, [], [0] * eng.delta, eng.n).lattice.basis)
-    return IntLattice.from_rows(eng.n, cache[key] + cache[normal])
+    return lattice_from_rows(eng.n, cache[key] + cache[normal])
 
 
 _PAIR_CASES = {"danzer": lambda: build("danzer").data,

@@ -12,6 +12,7 @@ import patcoh.invariants
 import patcoh.model
 import patcoh.orbits
 import patcoh.report
+from test_tracing import _spans_module
 
 
 def test_no_assert_statements_in_package():
@@ -26,46 +27,75 @@ def test_no_assert_statements_in_package():
     assert not found, found
 
 
-# names the package keeps although only tests call them
-TEST_ONLY = {
-    "mixed_solve": "brute-force reference that Engine.label is checked against",
-    "Engine.same_orbit": "pairwise form of label equality that the benchmark traces",
-    "Engine.relative_levels": "per-class enumeration that the incidence poset is checked against",
-}
-
-
 def _uses(tree) -> Counter:
     """How often each name is read or taken as an attribute in a syntax tree."""
     return Counter(node.id if isinstance(node, ast.Name) else node.attr
                    for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
-def test_every_package_name_has_a_caller():
-    # each module-level function or class is used elsewhere in the package
-    # or exported, and each Engine method is called elsewhere in the package
-    trees = [ast.parse(p.read_text())
-             for p in sorted(Path(patcoh.__file__).parent.rglob("*.py"))]
-    total = sum((_uses(tree) for tree in trees), Counter())
-    unused = set()
+def _definitions(trees, methods_of=()):
+    """(defs, top): each module-level function and class of the syntax trees
+    with the names it uses, each method of the classes `methods_of` other
+    than dunders as its own `Class.method` entry, and the names used at
+    module level outside every definition."""
+    defs, top = {}, Counter()
     for tree in trees:
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                top += _uses(node)
                 continue
-            if total[node.name] == _uses(node)[node.name] and node.name not in patcoh.__all__:
-                unused.add(node.name)
-            if node.name == "Engine":
-                unused |= {f"Engine.{meth.name}" for meth in node.body
-                           if isinstance(meth, ast.FunctionDef)
-                           and not meth.name.startswith("__")
-                           and total[meth.name] == _uses(meth)[meth.name]}
-    assert unused == set(TEST_ONLY)
+            defs[node.name] = _uses(node)
+            if node.name in methods_of:
+                for meth in node.body:
+                    if isinstance(meth, ast.FunctionDef) and not meth.name.startswith("__"):
+                        defs[f"{node.name}.{meth.name}"] = _uses(meth)
+                        defs[node.name] -= _uses(meth)
+    return defs, top
+
+
+def _reached(defs, roots) -> set:
+    """The definitions reached from the names `roots`: one is reached when
+    its name, a method's without its class, is a root or is used by a
+    reached definition."""
+    reached, names = set(), set(roots)
+    while new := {key for key in defs if key not in reached and key.split(".")[-1] in names}:
+        reached |= new
+        names.update(*(defs[key] for key in new))
+    return reached
+
+
+def _spans_wrapped() -> set:
+    """The package functions and Engine methods the benchmark's tracer wraps."""
+    spans = _spans_module()
+    return ({attr for _, _, attr, _, _ in spans.FUNCTIONS}
+            | {attr for _, attr, _, _ in spans.ENGINE_METHODS})
+
+
+def test_every_package_name_has_a_caller():
+    # each module-level function or class and each Engine method is reached
+    # from what the package exports or runs at module level, through the
+    # names each reached one uses; the only others are the names the
+    # benchmark's tracer wraps and those that only they reach
+    defs, top = _definitions([tree for _, tree in _package_trees()], methods_of={"Engine"})
+    traced = _reached(defs, set(top) | set(patcoh.__all__) | _spans_wrapped())
+    assert set(defs) - traced == set()
+
+
+def test_every_reference_helper_has_a_test_caller():
+    # the slower references live in tests/reference.py; each is reached
+    # from the test modules, directly or through another reference
+    tests = Path(__file__).resolve().parent
+    defs, _ = _definitions([ast.parse((tests / "reference.py").read_text())])
+    roots = sum((_uses(ast.parse(path.read_text())) for path in sorted(tests.glob("test_*.py"))),
+                Counter())
+    assert set(defs) - _reached(defs, roots) == set()
 
 
 @pytest.mark.parametrize("callee", ["snf", "left_annihilator"])
-def test_only_mixed_solve_calls(callee):
+def test_no_package_function_calls(callee):
     # the engine reads labels, stabilizers and kernels off Hermite forms;
-    # the Smith form and the rational annihilator stay with the test
-    # reference, so the two share no normal form and no elimination
+    # the Smith form and the rational annihilator serve the tests' mixed
+    # solver, so the two share no normal form and no elimination
     callers = set()
     for path in sorted(Path(patcoh.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -73,7 +103,7 @@ def test_only_mixed_solve_calls(callee):
                     c.func.id if isinstance(c.func, ast.Name) else getattr(c.func, "attr", None)
                     for c in ast.walk(node) if isinstance(c, ast.Call)]:
                 callers.add(node.name)
-    assert callers == {"mixed_solve"}
+    assert callers == set()
 
 
 def test_orbits_takes_each_lattice_from_one_hermite_form():
@@ -138,8 +168,9 @@ def test_validate_pairs_normals_in_integers():
     # the density check and the engine's hyperplane pass read the same
     # integer pairing tables, the data's `tables`, and neither builds one
     # or takes a field dot product; the normals' rank and supports come off
-    # their integer key, so validate takes no field rref and model imports
-    # none
+    # the integer key of the tables' forms, so normal_supports restricts,
+    # clears and multiplies nothing again, validate takes no field rref
+    # and model imports none
     tree = ast.parse(Path(patcoh.model.__file__).read_text())
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     called = {ast.unparse(c.func) for c in ast.walk(funcs["validate"]) if isinstance(c, ast.Call)}
@@ -147,9 +178,13 @@ def test_validate_pairs_normals_in_integers():
     assert not {"plane_table", "dot", "clear_denominators"} & called
     assert "self.data.tables" in _attributes(_engine_method("hyperplane_classes"))
     assert "plane_table" not in _engine_calls("hyperplane_classes")
-    called |= {ast.unparse(c.func) for c in ast.walk(funcs["normal_supports"])
-               if isinstance(c, ast.Call)}
-    assert {"normal_supports", "primitive_rref", "res_mul"} <= called
+    supports = {ast.unparse(c.func) for c in ast.walk(funcs["normal_supports"])
+                if isinstance(c, ast.Call)}
+    assert "data.tables" in _attributes(funcs["normal_supports"])
+    assert "primitive_rref" in supports
+    assert not {"restrict_scalars", "clear_denominators", "res_mul"} & supports
+    called |= supports
+    assert "normal_supports" in called
     assert not {f for f in called if f.split(".")[-1] in ("rref", "inverse")}
     imported = {alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -195,11 +230,13 @@ def test_orbits_reads_no_field_discriminant():
 
 def test_scalar_matrix_lives_only_in_the_test_reference():
     # the product rule is stated once, in field.res_mul; the closed-form
-    # scalar matrix is the tests' independent reference
+    # scalar matrix is the tests' independent reference, and so are the
+    # mixed solver, its coset and the lattice helpers only it used
     defined = {node.name for path in Path(patcoh.__file__).parent.rglob("*.py")
                for node in ast.walk(ast.parse(path.read_text()))
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert not defined & {"scalar_matrix", "pairing_table", "_Normal", "_plane"}
+    assert not defined & {"scalar_matrix", "pairing_table", "_Normal", "_plane", "mixed_solve",
+                          "Coset", "int_matvec", "from_rows", "reduce"}
     assert {"res_mul", "res_adjugate", "plane_table", "PlaneTable"} <= defined
 
 
