@@ -13,15 +13,21 @@ stabilizer.  A cut finds its sub-direction's key from integers, so the
 engine does no field elimination.  A pair's classification subgroup (its
 index counts the pair's classes; a rank deficiency, infinitely many) is
 the sum of the parent's and the plane's stabilizers.  Minors of the
-plane's integer table decide when that sum is all of Z^n; any other sum
-is one Hermite form.  A cut is an integer affine map on restricted
+plane's integer table give its index when the plane's image has full
+rank (`Engine.pair_index`); index 1 is all of Z^n, and any other sum is
+one Hermite form.  A cut is an integer affine map on restricted
 coordinates: each coset representative's point is one integer vector in
 lowest terms (`Engine.point`).  A level labels each distinct point once
 (`Engine.label`), the dedup key, so deduplication is a set lookup, and a
 candidate's class lies one level below.  At level m-2 both sides of a
 pair are hyperplane classes, and the intersections of translates of two
 planes do not depend on their order, so each unordered pair is
-classified once.  A class is an integer record, and a hyperplane class
+classified once.  Each class of an enumeration carries a bit mask of
+hyperplane classes a translate of which holds it; a pair whose index,
+read off the minors, equals the number of classes below the parent with
+the plane's bit is not cut, as those are all of its classes (each is
+the parent cut by one translate of the plane, one coset of the pair's
+subgroup).  A class is an integer record, and a hyperplane class
 carries its input plane's one integer record (`model.PlaneTable`), so the
 level loop builds no field element: the engine reads the input's integer
 form, its cleared generators and plane tables, off the data
@@ -101,7 +107,7 @@ class _Cut(NamedTuple):
     as field numerators, dots_i read off the plane's `cols`.  res = (X,
     q_p) is res(p) = X / q_p, and wq = q res(w) is w's column of the
     direction's entry.  sub is the sub-direction's entry (found by its
-    integer key)."""
+    integer key), and index the pair's `pair_index`."""
 
     sub: _Direction
     res: tuple
@@ -112,6 +118,7 @@ class _Cut(NamedTuple):
     c0_num: list[int]
     inv: list[int]
     cols: list[tuple[int, ...]]
+    index: int
 
 
 @dataclass
@@ -204,10 +211,12 @@ class Engine:
 
     # -- intersections and per-pair classification ---------------------------
 
-    def intersect(self, entry: _Direction, res, plane) -> _Cut | None:
+    def intersect(self, entry: _Direction, res, plane, index: int | None = None) -> _Cut | None:
         """Cut the parent p + span(entry's direction) by the input plane
         whose `PlaneTable` a hyperplane class carries (`plane`), or None when
         the direction lies in it; res = ([X], q_p) with res(p) = X / q_p.
+        The cut carries the pair's `pair_index`: `index` when the caller
+        has read it already, else read here.
 
         With the direction's restricted columns cols / q from its entry, the
         plane's form gives alpha_j = den q <normal, u_j> per row u_j.  The
@@ -239,7 +248,9 @@ class Engine:
         nu_p = [sum(map(operator.mul, f, xs)) for f in plane.form]
         c0 = res_mul([o * plane.den * qp - plane.oden * e for o, e in zip(plane.off, nu_p)],
                      inv, fspec)
-        return _Cut(sub, res, pcols[0], lcd, q, qp * plane.oden, c0, inv, plane.cols)
+        if index is None:
+            index = self.pair_index(entry.stab, plane)
+        return _Cut(sub, res, pcols[0], lcd, q, qp * plane.oden, c0, inv, plane.cols, index)
 
     def point(self, cut: _Cut, y: Sequence[int]) -> tuple:
         """Coset rep y's point as res ([X], q): with c = lcd s (c0 + sum y_i
@@ -258,6 +269,18 @@ class Engine:
         g = math.gcd(qp * big, *nums)
         return [[x // g for x in nums]], qp * big // g
 
+    def pair_index(self, stab: IntLattice, plane: PlaneTable) -> int:
+        """[Z^n : H] for H = stab + Stab(plane), read off minors, or 0 when
+        they do not decide it.  The plane's `dots` map Z^n onto VG with
+        kernel Stab(plane), so [Z^n : H] is [VG : dots(stab)]: when VG has
+        full rank (g != 0), the `minor_gcd` of the images of stab's rows
+        over g, which is 0 when the images have rank below delta.  With a
+        nonzero index the normal is not 0 on stab, so the pair is proper."""
+        if not plane.g:
+            return 0
+        return minor_gcd([[sum(map(operator.mul, s, col)) for col in plane.cols]
+                          for s in stab.basis], self.delta) // plane.g
+
     def classify_pair(self, parent: SingularClass, hclass: SingularClass, level: int,
                       cut: _Cut):
         """Orbit classes among {rep(parent) cut by translated hclass}, for
@@ -266,23 +289,18 @@ class Engine:
         Coset reps y, y' give one Gamma-orbit iff (c(y) - c(y')) w is in
         Gamma image + span(sub).  That lattice element lies in span(parent);
         pairing with nu, zero on span(sub), puts y - y' in the plane's
-        stabilizer.  So H = Stab(parent) + Stab(hclass) in Z^n.  The plane's
-        `dots` map Z^n onto VG with kernel Stab(hclass), so [Z^n : H] is
-        [VG : dots(Stab(parent))]: when VG has full rank, H = Z^n iff the
-        `minor_gcd` of the images of the parent's stabilizer rows is VG's,
-        and the one coset rep is y = 0.  Otherwise H is the echelon of
-        `integer_kernel` of those rows modulo the echelon of the plane's
-        stabilizer.  A candidate is a coset rep's point, res from `point`.
-        Returns (the sub-direction's entry, [res per coset rep, in the order
-        of `coset_reps`], H); raises InfiniteArrangement when H is
+        stabilizer.  So H = Stab(parent) + Stab(hclass) in Z^n.  When the
+        cut's `pair_index` is 1, H = Z^n and the one coset rep is y = 0.
+        Otherwise H is the echelon of `integer_kernel` of the parent's
+        stabilizer rows modulo the echelon of the plane's stabilizer.  A
+        candidate is a coset rep's point, res from `point`.  Returns (the
+        sub-direction's entry, [res per coset rep, in the order of
+        `coset_reps`], H); raises InfiniteArrangement when H is
         rank-deficient."""
-        stab, plane = parent.stabilizer.basis, hclass.plane
-        if plane.g and plane.g == minor_gcd([[sum(map(operator.mul, s, col))
-                                              for col in plane.cols] for s in stab],
-                                            self.delta):
+        if cut.index == 1:
             hsub, reps = self.full, [(0,) * self.n]
         else:
-            h, _ = integer_kernel(stab, self.n, hclass.stabilizer.echelon)
+            h, _ = integer_kernel(parent.stabilizer.basis, self.n, hclass.stabilizer.echelon)
             if len(h) < self.n:
                 raise InfiniteArrangement(level, parent.id, hclass.id, len(h), self.n)
             # the cosets of H are pairwise distinct classes, so an index above
@@ -299,7 +317,7 @@ class Engine:
     # -- level-wise enumeration ----------------------------------------------
 
     def build_level(self, parents, hclasses, level: int,
-                    covers: dict | None = None) -> list[SingularClass]:
+                    covers: dict | None = None, on: dict | None = None) -> list[SingularClass]:
         """Classes at `level` from cutting each parent, by the entry and res
         it carries, with all translated hyperplane classes, deduplicated
         under Gamma on the labels of the candidates' points, each distinct
@@ -312,48 +330,80 @@ class Engine:
         are one level below it: `covers`, if given, gets them once each
         under (parent.dim, parent.id).
 
+        `on` maps (dim, id) of a class to a bit mask, bit j for hclasses[j],
+        that holds only j with some translate of hclasses[j] containing the
+        class: a class the pair (parent, hclasses[j]) yields gets the
+        parent's bits and bit j.  A parent with bit j lies in a translate of
+        hclasses[j], so that pair is not proper.  A pair whose index
+        (`pair_index`) equals the number of classes below the parent so far
+        that have bit j is not cut: those classes are all of its classes.  Each such beta has a
+        translate beta' in rep(parent) and in some h_j + gamma, and the
+        parent is not in the plane's direction (the index is not 0), so
+        beta' = rep(parent) cut by h_j + gamma: a class of the pair.
+        Distinct classes are distinct cosets of H, so there are no others.
+        Such a pair adds no class, and its index is at most the class cap
+        with H of full rank, so neither cap nor a rank deficiency can fire
+        there.  Pass `on` from one level to the next, as `covers`.
+
         When `parents` is `hclasses` (level m-2), the pair (parent i, hclass
         j) cuts translates of the same two planes as (j, i), so it resolves
         to the same classes: it is classified only for j >= i, and for j < i
-        the parent takes the classes (j, i) resolved to.  Accepted classes
-        come out as if every pair were classified, and H is symmetric, so the
-        first pair to trip the index cap or a rank deficiency is the same;
-        only the order in a `covers` list may differ."""
+        the parent takes the classes (j, i) resolved to, or took when it
+        was not cut.  Accepted classes come out as if every pair were
+        classified, and H is symmetric, so the first pair to trip the index
+        cap or a rank deficiency is the same; only the order in a `covers`
+        list may differ."""
         accepted: list[SingularClass] = []
         seen: dict = {}  # (direction entry, label) -> class accepted for it
         known: dict = {}  # (direction entry, q, *X) of a point -> its class
         mirror = {} if parents is hclasses else None  # (i, j) -> (j, i)'s classes
+        on = {} if on is None else on
         for i, parent in enumerate(parents):
             below: dict = {}  # class id -> class
+            mask, held = on.get((parent.dim, parent.id), 0), 0  # held: below's masks' union
             for j, hc in enumerate(hclasses):
+                bit = 1 << j
                 if mirror is not None and j < i:
-                    below.update(mirror.pop((i, j), {}))
-                    continue
-                cut = self.intersect(parent.entry, parent.res, hc.plane)
-                if cut is None:
-                    continue  # the parent's direction lies in the hyperplane
-                sub, points, _ = self.classify_pair(parent, hc, level, cut)
-                found: dict = {}  # class id -> class, for this pair
-                for res in points:
-                    (xs,), q = res
-                    cls = known.get(at := (sub, q, *xs))
-                    if cls is None:  # a new point: label it
-                        cls = known[at] = seen.get(key := (sub, self.label(sub, res)))
-                    if cls is None:
-                        plane = hc.plane if level == self.m - 1 else None
-                        cls = known[at] = seen[key] = SingularClass(
-                            len(accepted), level, self.stabilizer(sub), sub, res, plane)
-                        accepted.append(cls)
-                        if len(accepted) > self.max_classes:
-                            who = (f"parent {parent.id}, hyperplane class" if parent.dim < self.m
-                                   else "the whole space, input plane")
-                            raise ResourceCapExceeded(
-                                f"level {level}, pair ({who} {hc.id}): {len(accepted)} classes "
-                                f"at the level, more than the cap of {self.max_classes}")
-                    found[cls.id] = cls
+                    found = mirror.pop((i, j), {})
+                else:
+                    if mask & bit:
+                        continue  # the parent lies in a translate of the hyperplane
+                    index, hits = None, {}
+                    if held & bit:
+                        hits = {b.id: b for b in below.values() if on[level, b.id] & bit}
+                        index = self.pair_index(parent.stabilizer, hc.plane)
+                    if hits and index == len(hits):
+                        found = hits  # every class of the pair is below already: no cut
+                    else:
+                        cut = self.intersect(parent.entry, parent.res, hc.plane, index)
+                        if cut is None:
+                            continue  # the parent's direction lies in the hyperplane
+                        sub, points, _ = self.classify_pair(parent, hc, level, cut)
+                        found = {}  # class id -> class, for this pair
+                        for res in points:
+                            (xs,), q = res
+                            cls = known.get(at := (sub, q, *xs))
+                            if cls is None:  # a new point: label it
+                                cls = known[at] = seen.get(key := (sub, self.label(sub, res)))
+                            if cls is None:
+                                plane = hc.plane if level == self.m - 1 else None
+                                cls = known[at] = seen[key] = SingularClass(
+                                    len(accepted), level, self.stabilizer(sub), sub, res, plane)
+                                accepted.append(cls)
+                                if len(accepted) > self.max_classes:
+                                    who = (f"parent {parent.id}, hyperplane class"
+                                           if parent.dim < self.m else "the whole space, input plane")
+                                    raise ResourceCapExceeded(
+                                        f"level {level}, pair ({who} {hc.id}): {len(accepted)} "
+                                        f"classes at the level, more than the cap of "
+                                        f"{self.max_classes}")
+                            found[cls.id] = cls
+                    if mirror is not None:
+                        mirror[(j, i)] = found
+                for cid in found:
+                    on[level, cid] = on.get((level, cid), 0) | mask | bit
+                    held |= on[level, cid]
                 below.update(found)
-                if mirror is not None:
-                    mirror[(j, i)] = found
             if covers is not None:
                 covers[(parent.dim, parent.id)] = list(below.values())
         return accepted
@@ -377,9 +427,10 @@ class Engine:
         classification subgroup, which forces infinitely many classes."""
         top = self.hyperplane_classes()
         arr = Arrangement(self.data, {self.m - 1: top})
+        on = {(self.m - 1, k): 1 << k for k in range(len(top))}
         for level in range(self.m - 2, -1, -1):
             arr.levels[level] = self.build_level(arr.levels[level + 1], top, level=level,
-                                                 covers=arr.covers)
+                                                 covers=arr.covers, on=on)
         return arr
 
     def relative_levels(self, alpha: SingularClass, hclasses) -> dict[int, list[SingularClass]]:
@@ -390,7 +441,7 @@ class Engine:
         = Stab(alpha), so these are the Gamma-orbit classes inside alpha,
         and the enumeration runs under Gamma."""
         out: dict[int, list[SingularClass]] = {}
-        prev = [alpha]
+        prev, on = [alpha], {}
         for level in range(alpha.dim - 1, -1, -1):
-            prev = out[level] = self.build_level(prev, hclasses, level=level)
+            prev = out[level] = self.build_level(prev, hclasses, level=level, on=on)
         return out

@@ -20,12 +20,14 @@ from patcoh.invariants import (
 from patcoh.linalg import clear_denominators, kernel_top_wedge
 from patcoh.model import (Hyperplane, ProjectionData, canonical_hyperplane, parse_projection_data,
                           validate)
-from patcoh.orbits import Arrangement, Engine
+from patcoh.orbits import Arrangement, Engine, InfiniteArrangement
 from patcoh.report import canonical_digest, compute_report
 from reference import (entry_of, field_class, field_direction, field_label, field_plane,
                        field_point, label_incidence, maximal_minors, rank_formulas_by_codimension,
                        wedge_span_rank_by_minors)
-from test_orbits import DENSE_M2, INPUT_PLANE_CASES, _ammann_beenker_with, dense_m2, penrose
+from test_acceptance import _translate
+from test_orbits import (DENSE_M2, INPUT_PLANE_CASES, _ammann_beenker_with, _skipping, dense_m2,
+                         penrose)
 
 
 def test_binom_vanishes_out_of_range():
@@ -483,3 +485,81 @@ def test_dense_m3_pool(D, seed):
     assert sum(rep.K) == sum(rep.D)
     assert compute_nu(arr) == 2
     assert (rep.L, rep.H) == DENSE_M3[data.name]
+
+
+def _translated(name, k):
+    """Draw k of `test_criterion_6_translation_invariance` for `name`."""
+    data = build(name).data if name in names() else dense_m2(name)
+    rng = random.Random(f"translate/{name}")
+    for _ in range(k + 1):
+        moved = _translate(data, rng)
+    return moved
+
+
+_SKIP_CASES = {**{nm: (lambda nm=nm: build(nm).data) for nm in names()},
+               **{nm: (lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2},
+               "penrose": penrose, "penrose_zeta1": lambda: penrose(1),
+               **{f"m3-{D}-{seed}": (lambda D=D, seed=seed: dense_m3(D, seed))
+                  for D in (2, 3, 5) for seed in range(4)},
+               **{f"{nm}-translated-{k}": (lambda nm=nm, k=k: _translated(nm, k))
+                  for nm in names() + list(DENSE_M2) for k in range(2)}}
+
+
+def _check_skips(eng, skipped):
+    """Each pair taken without a cut, classified in full: its candidates'
+    classes, by label among the level's classes, are exactly the classes it
+    took, one per coset of H.  At level m-2 the mirrored pair (j, i) has
+    the same classes, and the hyperplane class j holds them below it."""
+    for level, parent, hc, mirrored, accepted, covers, hits in skipped:
+        labels = {(c.entry, eng.label(c.entry, c.res)): c for c in accepted}
+        for p, h in [(parent, hc), (hc, parent)] if mirrored else [(parent, hc)]:
+            cut = eng.intersect(p.entry, p.res, h.plane)
+            assert cut is not None, (level, p.id, h.id)
+            sub, points, _ = eng.classify_pair(p, h, level, cut)
+            classes = [labels[sub, eng.label(sub, res)] for res in points]
+            assert sorted(c.id for c in classes) == sorted(b.id for b in hits), (
+                level, p.id, h.id)
+        if mirrored and covers is not None:
+            assert {b.id for b in hits} <= {b.id for b in covers[(hc.dim, hc.id)]}
+
+
+# the inputs on which no parent holds all the classes of a later pair
+# (m = 1 has no level below the hyperplane classes), so that a check that
+# passes with no pair to check shows up
+_NO_SKIP = {f"{nm}{moved}" for nm in ["fibonacci", "infinite_demo", "square_fibonacci", "dense-04"]
+            for moved in ["", "-translated-0", "-translated-1"]} | {"m3-2-0", "m3-2-3", "m3-3-0"}
+
+
+@pytest.mark.parametrize("name", _SKIP_CASES)
+def test_every_pair_taken_without_a_cut_has_exactly_its_classes(name, monkeypatch):
+    # build_level takes a pair without a cut when its index equals the
+    # number of classes below the parent whose mask has its plane's bit:
+    # on every catalog entry, the dense m = 2 fixtures, Penrose in both
+    # presentations, the dense m = 3 pool and the translated inputs of
+    # criterion 6, each such pair classified in full has those classes
+    eng = Engine(_SKIP_CASES[name]())
+    skipped = _skipping(monkeypatch)
+    try:
+        eng.enumerate_arrangement()
+    except InfiniteArrangement:
+        assert name.startswith("infinite_demo")
+    _check_skips(eng, skipped)
+    assert bool(skipped) == (name not in _NO_SKIP), len(skipped)
+
+
+@pytest.mark.parametrize("name", ["danzer", "ammann_kramer"])
+def test_relative_pairs_taken_without_a_cut_have_exactly_their_classes(name, monkeypatch):
+    # the same inside each plane and line class, whose relative
+    # enumeration starts from a root with no bits (at m = 2 a relative
+    # enumeration has one parent, a line, and takes no pair without a cut)
+    eng = Engine(build(name).data)
+    arr = eng.enumerate_arrangement()
+    top = arr.levels[2]
+    skipped = _skipping(monkeypatch)
+    taken = 0
+    for alpha in arr.levels[2] + arr.levels[1]:
+        skipped.clear()
+        eng.relative_levels(alpha, top)
+        _check_skips(eng, skipped)
+        taken += len(skipped)
+    assert taken

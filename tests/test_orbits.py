@@ -314,11 +314,43 @@ def test_gl_equivariance_danzer():
         assert stabs1 == stabs2
 
 
+def _skipping(monkeypatch):
+    """Spy on pair_index and intersect: each pair for which build_level
+    reads the index and then makes no cut, as (level, parent, hclass,
+    mirrored, accepted, covers, hits), read off the loop: `hits` are the
+    classes below the parent that the pair takes, and `accepted` is the
+    level's list of classes, filled as the loop goes on."""
+    skipped = []
+    real_index, real_cut = Engine.pair_index, Engine.intersect
+
+    def index_spy(self, stab, plane):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "build_level":
+            loop = caller.f_locals
+            skipped.append((loop["level"], loop["parent"], loop["hc"],
+                            loop["mirror"] is not None, loop["accepted"], loop["covers"],
+                            list(loop["hits"].values())))
+        return real_index(self, stab, plane)
+
+    def cut_spy(self, *args):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "build_level" and skipped:
+            loop = caller.f_locals
+            if skipped[-1][1] is loop["parent"] and skipped[-1][2] is loop["hc"]:
+                skipped.pop()  # the pair is cut after all
+        return real_cut(self, *args)
+
+    monkeypatch.setattr(Engine, "pair_index", index_spy)
+    monkeypatch.setattr(Engine, "intersect", cut_spy)
+    return skipped
+
+
 def test_work_shape_of_the_icosahedral_entries(monkeypatch):
-    # proper pairs, candidates, index-1 pairs, label calls and classes of
-    # analyze per m = 3 catalog entry, with each unordered pair of
-    # hyperplane classes classified once at level 1 and each distinct
-    # point of a level labeled once.  An index-1 pair is decided by minors: it makes
+    # classified pairs, candidates, index-1 pairs, label calls, classes of
+    # analyze and pairs taken without a cut per m = 3 catalog entry, with
+    # each unordered pair of hyperplane classes classified once at level 1,
+    # each distinct point of a level labeled once, and each pair whose
+    # classes the parent already holds not cut.  An index-1 pair is decided by minors: it makes
     # no integer_kernel, hnf or coset_reps call, and its one coset rep is
     # 0.  Every other pair's lattice question is its one integer_kernel
     # call, of the parent's stabilizer rows modulo the plane's echelon,
@@ -370,16 +402,18 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
         return out
 
     monkeypatch.setattr(Engine, "classify_pair", pair_spy)
+    skipped = _skipping(monkeypatch)
     found = {}
     for name in ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]:
         shape = [0, 0, 0, 0]
+        skipped.clear()
         classes = sum(analyze(build(name).data).L)
-        found[name] = (*shape, classes)
-    assert found == {"danzer": (81, 81, 81, 22, 22),
-                     "ammann_kramer": (690, 975, 465, 187, 93),
-                     "canonical_d6": (736, 1036, 646, 323, 117),
-                     "dual_canonical_d6": (1080, 1845, 825, 368, 155)}
-    assert [sum(col) for col in zip(*found.values())] == [2587, 3937, 2017, 900, 387]
+        found[name] = (*shape, classes, len(skipped))
+    assert found == {"danzer": (39, 39, 39, 22, 22, 42),
+                     "ammann_kramer": (168, 289, 107, 160, 93, 522),
+                     "canonical_d6": (203, 428, 138, 282, 117, 533),
+                     "dual_canonical_d6": (246, 519, 155, 268, 155, 834)}
+    assert [sum(col) for col in zip(*found.values())] == [656, 1275, 439, 732, 387, 1931]
 
 
 def test_analyze_does_no_field_elimination(monkeypatch):
