@@ -336,14 +336,14 @@ class Engine:
         parent's bits and bit j.  A parent with bit j lies in a translate of
         hclasses[j], so that pair is not proper.  A pair whose index
         (`pair_index`) equals the number of classes below the parent so far
-        that have bit j is not cut: those classes are all of its classes.  Each such beta has a
-        translate beta' in rep(parent) and in some h_j + gamma, and the
-        parent is not in the plane's direction (the index is not 0), so
-        beta' = rep(parent) cut by h_j + gamma: a class of the pair.
-        Distinct classes are distinct cosets of H, so there are no others.
-        Such a pair adds no class, and its index is at most the class cap
-        with H of full rank, so neither cap nor a rank deficiency can fire
-        there.  Pass `on` from one level to the next, as `covers`.
+        that have bit j is not cut: those classes are all of its classes.
+        Each such beta has a translate beta' in rep(parent) and in some h_j
+        + gamma, and the parent is not in the plane's direction (the index
+        is not 0), so beta' = rep(parent) cut by h_j + gamma: a class of
+        the pair.  Distinct classes are distinct cosets of H, so there are
+        no others.  Such a pair adds no class, and its index is at most the
+        class cap with H of full rank, so neither cap nor a rank deficiency
+        can fire there.  Pass `on` from one level to the next, as `covers`.
 
         When `parents` is `hclasses` (level m-2), the pair (parent i, hclass
         j) cuts translates of the same two planes as (j, i), so it resolves
@@ -352,7 +352,11 @@ class Engine:
         was not cut.  Accepted classes come out as if every pair were
         classified, and H is symmetric, so the first pair to trip the index
         cap or a rank deficiency is the same; only the order in a `covers`
-        list may differ."""
+        list may differ from classifying every pair.  A pair not cut adds
+        nothing new below its parent, and at level m-2 the classes it hands
+        to j are below j already: bit j came from a pair (k, j), k < i, whose
+        classes j took first.  So not cutting leaves every `covers` list in
+        its order."""
         accepted: list[SingularClass] = []
         seen: dict = {}  # (direction entry, label) -> class accepted for it
         known: dict = {}  # (direction entry, q, *X) of a point -> its class
