@@ -27,7 +27,8 @@ hyperplane classes a translate of which holds it; a pair whose index,
 read off the minors, equals the number of classes below the parent with
 the plane's bit is not cut, as those are all of its classes (each is
 the parent cut by one translate of the plane, one coset of the pair's
-subgroup).  A class is an integer record, and a hyperplane class
+subgroup), and a parent with the plane's bit lies in a translate of the
+plane, so that pair is not proper.  A class is an integer record, and a hyperplane class
 carries its input plane's one integer record (`model.PlaneTable`), so the
 level loop builds no field element: the engine reads the input's integer
 form, its cleared generators and plane tables, off the data

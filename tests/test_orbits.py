@@ -348,9 +348,11 @@ def _skipping(monkeypatch):
 def test_work_shape_of_the_icosahedral_entries(monkeypatch):
     # classified pairs, candidates, index-1 pairs, label calls, classes of
     # analyze and pairs taken without a cut per m = 3 catalog entry, with
-    # each unordered pair of hyperplane classes classified once at level 1,
-    # each distinct point of a level labeled once, and each pair whose
-    # classes the parent already holds not cut.  An index-1 pair is decided by minors: it makes
+    # each unordered pair of hyperplane classes classified once at level
+    # 1, each distinct point of a level labeled once, and each pair whose
+    # classes the parent already holds not cut.  No cut is improper: a
+    # parent in a translate of the plane is passed over by its mask.  An
+    # index-1 pair is decided by minors: it makes
     # no integer_kernel, hnf or coset_reps call, and its one coset rep is
     # 0.  Every other pair's lattice question is its one integer_kernel
     # call, of the parent's stabilizer rows modulo the plane's echelon,
@@ -402,6 +404,15 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
         return out
 
     monkeypatch.setattr(Engine, "classify_pair", pair_spy)
+    real_cut, improper = Engine.intersect, []
+
+    def cut_spy(self, *args):
+        cut = real_cut(self, *args)
+        if cut is None:
+            improper.append(args)
+        return cut
+
+    monkeypatch.setattr(Engine, "intersect", cut_spy)
     skipped = _skipping(monkeypatch)
     found = {}
     for name in ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]:
@@ -414,6 +425,7 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
                      "canonical_d6": (203, 428, 138, 282, 117, 533),
                      "dual_canonical_d6": (246, 519, 155, 268, 155, 834)}
     assert [sum(col) for col in zip(*found.values())] == [656, 1275, 439, 732, 387, 1931]
+    assert improper == []
 
 
 def test_analyze_does_no_field_elimination(monkeypatch):
