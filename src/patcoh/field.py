@@ -36,15 +36,9 @@ def _is_squarefree(d: int) -> bool:
 class FieldSpec:
     """Coordinate field: a real quadratic field Q(sqrt(D))."""
 
-    kind: str  # "Qsqrt"
-    D: int | None = None
+    D: int
 
     def __post_init__(self) -> None:
-        if self.kind == "Q":
-            raise ValueError("the rational field is refused: Gamma needs n > m generators "
-                             "independent over Q, and n > m vectors of Q^m never are")
-        if self.kind != "Qsqrt":
-            raise ValueError(f"unknown field kind {self.kind!r}")
         if self.D is not None and self.D > MAX_D:
             raise ValueError(f"D must be at most 2**31 = {MAX_D}, got {self.D}")
         if self.D is None or not _is_squarefree(self.D):
@@ -70,7 +64,7 @@ class FieldSpec:
 
 
 def quadratic(D: int) -> FieldSpec:
-    return FieldSpec("Qsqrt", D)
+    return FieldSpec(D)
 
 
 @dataclass(frozen=True)

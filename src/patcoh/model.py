@@ -151,7 +151,7 @@ def _parse_vector(obj, fspec: FieldSpec, m: int, what: str) -> tuple[FElem, ...]
 
 def parse_projection_data(text: str) -> ProjectionData:
     """Parse and canonicalize the JSON input schema; does not validate.
-    A `{"kind": "Q"}` field is refused here, with its reason (`FieldSpec`)."""
+    A `{"kind": "Q"}` field is refused here, with its reason."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an int too long
@@ -166,8 +166,13 @@ def parse_projection_data(text: str) -> ProjectionData:
     d = fobj.get("D")
     if d is not None and (not isinstance(d, int) or isinstance(d, bool)):
         raise ParseError(f"field needs an integer D, got {d!r}")
+    if fobj["kind"] == "Q":
+        raise ParseError("the rational field is refused: Gamma needs n > m generators "
+                         "independent over Q, and n > m vectors of Q^m never are")
+    if fobj["kind"] != "Qsqrt":
+        raise ParseError(f"unknown field kind {fobj['kind']!r}")
     try:
-        fspec = FieldSpec(fobj["kind"], d)
+        fspec = FieldSpec(d)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     m = doc.get("dim")

@@ -22,19 +22,15 @@ lowest terms (`Engine.point`).  A level labels each distinct point once
 candidate's class lies one level below.  At level m-2 both sides of a
 pair are hyperplane classes, and the intersections of translates of two
 planes do not depend on their order, so each unordered pair is
-classified once.  Each class of an enumeration carries a bit mask of
-hyperplane classes a translate of which holds it; a pair whose index,
-read off the minors, equals the number of classes below the parent with
-the plane's bit is not cut, as those are all of its classes (each is
-the parent cut by one translate of the plane, one coset of the pair's
-subgroup), and a parent with the plane's bit lies in a translate of the
-plane, so that pair is not proper.  A class is an integer record, and a hyperplane class
-carries its input plane's one integer record (`model.PlaneTable`), so the
-level loop builds no field element: the engine reads the input's integer
-form, its cleared generators and plane tables, off the data
-(`ProjectionData.gen_ints` and `tables`, built once and read by
-validation too), and the field's product and inverse are `field.res_mul`
-and `field.res_adjugate` on numerators.
+classified once.  A pair whose classes its parent already holds is not
+cut: `Engine.build_level` states that rule, on bit masks of hyperplane
+classes and the pair's index.  A class is an integer record, and a
+hyperplane class carries its input plane's one integer record
+(`model.PlaneTable`), so the level loop builds no field element: the
+engine reads the input's integer form, its cleared generators and plane
+tables, off the data (`ProjectionData.gen_ints` and `tables`, built once
+and read by validation too), and the field's product and inverse are
+`field.res_mul` and `field.res_adjugate` on numerators.
 """
 
 from __future__ import annotations
@@ -212,12 +208,13 @@ class Engine:
 
     # -- intersections and per-pair classification ---------------------------
 
-    def intersect(self, entry: _Direction, res, plane, index: int | None = None) -> _Cut | None:
+    def intersect(self, entry: _Direction, res, plane, index: int) -> _Cut | None:
         """Cut the parent p + span(entry's direction) by the input plane
         whose `PlaneTable` a hyperplane class carries (`plane`), or None when
         the direction lies in it; res = ([X], q_p) with res(p) = X / q_p.
-        The cut carries the pair's `pair_index`: `index` when the caller
-        has read it already, else read here.
+        The cut carries `index`, the pair's `pair_index`, which
+        `build_level` reads to decide whether to cut at all (its docstring
+        has the rule).
 
         With the direction's restricted columns cols / q from its entry, the
         plane's form gives alpha_j = den q <normal, u_j> per row u_j.  The
@@ -249,8 +246,6 @@ class Engine:
         nu_p = [sum(map(operator.mul, f, xs)) for f in plane.form]
         c0 = res_mul([o * plane.den * qp - plane.oden * e for o, e in zip(plane.off, nu_p)],
                      inv, fspec)
-        if index is None:
-            index = self.pair_index(entry.stab, plane)
         return _Cut(sub, res, pcols[0], lcd, q, qp * plane.oden, c0, inv, plane.cols, index)
 
     def point(self, cut: _Cut, y: Sequence[int]) -> tuple:
@@ -335,16 +330,19 @@ class Engine:
         that holds only j with some translate of hclasses[j] containing the
         class: a class the pair (parent, hclasses[j]) yields gets the
         parent's bits and bit j.  A parent with bit j lies in a translate of
-        hclasses[j], so that pair is not proper.  A pair whose index
-        (`pair_index`) equals the number of classes below the parent so far
-        that have bit j is not cut: those classes are all of its classes.
+        hclasses[j], so that pair is not proper and is passed over.  Every
+        other pair that is not mirrored (below) is decided in one place: its
+        index is read first (`pair_index`), and when it equals the number of
+        classes below the parent so far that have bit j, and that number is
+        not 0, the pair is not cut, as those classes are all of its classes.
         Each such beta has a translate beta' in rep(parent) and in some h_j
         + gamma, and the parent is not in the plane's direction (the index
         is not 0), so beta' = rep(parent) cut by h_j + gamma: a class of
         the pair.  Distinct classes are distinct cosets of H, so there are
         no others.  Such a pair adds no class, and its index is at most the
         class cap with H of full rank, so neither cap nor a rank deficiency
-        can fire there.  Pass `on` from one level to the next, as `covers`.
+        can fire there.  Any other pair is cut by `intersect` with the index
+        read.  Pass `on` from one level to the next, as `covers`.
 
         When `parents` is `hclasses` (level m-2), the pair (parent i, hclass
         j) cuts translates of the same two planes as (j, i), so it resolves
@@ -365,7 +363,7 @@ class Engine:
         on = {} if on is None else on
         for i, parent in enumerate(parents):
             below: dict = {}  # class id -> class
-            mask, held = on.get((parent.dim, parent.id), 0), 0  # held: below's masks' union
+            mask = on.get((parent.dim, parent.id), 0)
             for j, hc in enumerate(hclasses):
                 bit = 1 << j
                 if mirror is not None and j < i:
@@ -373,10 +371,8 @@ class Engine:
                 else:
                     if mask & bit:
                         continue  # the parent lies in a translate of the hyperplane
-                    index, hits = None, {}
-                    if held & bit:
-                        hits = {b.id: b for b in below.values() if on[level, b.id] & bit}
-                        index = self.pair_index(parent.stabilizer, hc.plane)
+                    index = self.pair_index(parent.stabilizer, hc.plane)
+                    hits = {b.id: b for b in below.values() if on[level, b.id] & bit}
                     if hits and index == len(hits):
                         found = hits  # every class of the pair is below already: no cut
                     else:
@@ -407,7 +403,6 @@ class Engine:
                         mirror[(j, i)] = found
                 for cid in found:
                     on[level, cid] = on.get((level, cid), 0) | mask | bit
-                    held |= on[level, cid]
                 below.update(found)
             if covers is not None:
                 covers[(parent.dim, parent.id)] = list(below.values())

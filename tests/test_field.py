@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from patcoh.field import MAX_D, FElem, FieldSpec, quadratic, res_adjugate, res_mul, restrict_scalars
+from patcoh.field import MAX_D, quadratic, res_adjugate, res_mul, restrict_scalars
 from reference import scalar_matrix
 
 F5 = quadratic(5)
@@ -76,13 +76,6 @@ def test_division_by_zero():
 def test_field_mismatch():
     with pytest.raises(ValueError):
         F5.one + quadratic(2).one
-
-
-def test_irrational_component_over_q_rejected():
-    # no element over Q can be built: the rational field itself is refused
-    for d in (None, 5):
-        with pytest.raises(ValueError, match="rational field is refused"):
-            FElem(Fraction(1), Fraction(1), FieldSpec("Q", d))
 
 
 def test_non_squarefree_discriminant_rejected():

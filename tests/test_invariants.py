@@ -26,8 +26,8 @@ from reference import (entry_of, field_class, field_direction, field_label, fiel
                        field_point, label_incidence, maximal_minors, rank_formulas_by_codimension,
                        wedge_span_rank_by_minors)
 from test_acceptance import _translate
-from test_orbits import (DENSE_M2, INPUT_PLANE_CASES, _ammann_beenker_with, _skipping, dense_m2,
-                         penrose)
+from test_orbits import (DENSE_M2, INPUT_PLANE_CASES, _ammann_beenker_with, _index_reads_and_cuts,
+                         dense_m2, penrose)
 
 
 def test_binom_vanishes_out_of_range():
@@ -505,22 +505,50 @@ _SKIP_CASES = {**{nm: (lambda nm=nm: build(nm).data) for nm in names()},
                   for nm in names() + list(DENSE_M2) for k in range(2)}}
 
 
-def _check_skips(eng, skipped):
-    """Each pair taken without a cut, classified in full: its candidates'
-    classes, by label among the level's classes, are exactly the classes it
-    took, one per coset of H.  At level m-2 the mirrored pair (j, i) has
-    the same classes, and the hyperplane class j holds them below it."""
-    for level, parent, hc, mirrored, accepted, covers, hits in skipped:
-        labels = {(c.entry, eng.label(c.entry, c.res)): c for c in accepted}
-        for p, h in [(parent, hc), (hc, parent)] if mirrored else [(parent, hc)]:
-            cut = eng.intersect(p.entry, p.res, h.plane)
-            assert cut is not None, (level, p.id, h.id)
-            sub, points, _ = eng.classify_pair(p, h, level, cut)
-            classes = [labels[sub, eng.label(sub, res)] for res in points]
-            assert sorted(c.id for c in classes) == sorted(b.id for b in hits), (
-                level, p.id, h.id)
-        if mirrored and covers is not None:
-            assert {b.id for b in hits} <= {b.id for b in covers[(hc.dim, hc.id)]}
+def _conjugate(data):
+    """`data` under the Galois conjugation a + b sqrt(D) -> a - b sqrt(D),
+    applied to every generator, normal and offset."""
+    def bar(xs):
+        return tuple(data.field.elem(x.a, -x.b) for x in xs)
+
+    planes = tuple(canonical_hyperplane(Hyperplane(bar(h.normal), *bar([h.offset])))
+                   for h in data.planes)
+    return ProjectionData(data.field, data.m, tuple(map(bar, data.gens)), planes, data.name)
+
+
+@pytest.mark.parametrize("name", [nm for nm in _SKIP_CASES if "-translated-" not in nm])
+def test_galois_conjugation_is_an_exact_re_presentation(name):
+    # conjugation is a field automorphism and the engine uses no real
+    # order, so it leaves the canonical report and exit code of every
+    # catalog entry, the dense m = 2 geometries, Penrose in both
+    # presentations and the dense m = 3 pool as they are
+    data = _SKIP_CASES[name]()
+    bar = _conjugate(data)
+    assert (bar.gens, bar.planes) != (data.gens, data.planes)
+    (doc, code), (moved, moved_code) = compute_report(data), compute_report(bar)
+    assert (canonical_digest(moved), moved_code) == (canonical_digest(doc), code)
+
+
+def _check_pairs(eng, levels, top, covers, on):
+    """Each proper pair (P, j) of consecutive levels, classified in full:
+    its candidates' classes, by label among the level's classes, are
+    exactly the classes of covers[P] whose mask in `on` has bit j, one per
+    coset of H, whether build_level cut the pair or took it without a
+    cut.  Returns the number of pairs checked."""
+    checked = 0
+    for level in [lv for lv in levels if lv + 1 in levels]:
+        labels = {(c.entry, eng.label(c.entry, c.res)): c for c in levels[level]}
+        for p in levels[level + 1]:
+            for j, h in enumerate(top):
+                cut = eng.intersect(p.entry, p.res, h.plane, eng.pair_index(p.stabilizer, h.plane))
+                if cut is None:
+                    continue
+                sub, points, _ = eng.classify_pair(p, h, level, cut)
+                assert (sorted(labels[sub, eng.label(sub, res)].id for res in points)
+                        == sorted(c.id for c in covers[p.dim, p.id] if on[level, c.id] >> j & 1)), (
+                    level, p.id, j)
+                checked += 1
+    return checked
 
 
 # the inputs on which no parent holds all the classes of a later pair
@@ -533,33 +561,48 @@ _NO_SKIP = {f"{nm}{moved}" for nm in ["fibonacci", "infinite_demo", "square_fibo
 @pytest.mark.parametrize("name", _SKIP_CASES)
 def test_every_pair_taken_without_a_cut_has_exactly_its_classes(name, monkeypatch):
     # build_level takes a pair without a cut when its index equals the
-    # number of classes below the parent whose mask has its plane's bit:
-    # on every catalog entry, the dense m = 2 fixtures, Penrose in both
-    # presentations, the dense m = 3 pool and the translated inputs of
-    # criterion 6, each such pair classified in full has those classes
+    # number of classes below the parent whose mask has its plane's bit.
+    # The levels of enumerate_arrangement, run here with the test's own
+    # covers and masks: on every catalog entry, the dense m = 2 fixtures,
+    # Penrose in both presentations, the dense m = 3 pool and the
+    # translated inputs of criterion 6, every proper pair classified in
+    # full has exactly the classes below its parent with its plane's bit,
+    # cut or not (infinite_demo raises at level 0, so it has none to check)
     eng = Engine(_SKIP_CASES[name]())
-    skipped = _skipping(monkeypatch)
+    calls = _index_reads_and_cuts(monkeypatch)
+    top = eng.hyperplane_classes()
+    levels, covers = {eng.m - 1: top}, {}
+    on = {(eng.m - 1, k): 1 << k for k in range(len(top))}
     try:
-        eng.enumerate_arrangement()
+        for level in range(eng.m - 2, -1, -1):
+            levels[level] = eng.build_level(levels[level + 1], top, level=level,
+                                            covers=covers, on=on)
     except InfiniteArrangement:
         assert name.startswith("infinite_demo")
-    _check_skips(eng, skipped)
-    assert bool(skipped) == (name not in _NO_SKIP), len(skipped)
+    taken = calls[0] - calls[1]
+    checked = _check_pairs(eng, levels, top, covers, on)
+    assert bool(checked) == (eng.m > 1 and not name.startswith("infinite_demo")), checked
+    assert bool(taken) == (name not in _NO_SKIP), taken
 
 
 @pytest.mark.parametrize("name", ["danzer", "ammann_kramer"])
 def test_relative_pairs_taken_without_a_cut_have_exactly_their_classes(name, monkeypatch):
     # the same inside each plane and line class, whose relative
-    # enumeration starts from a root with no bits (at m = 2 a relative
-    # enumeration has one parent, a line, and takes no pair without a cut)
+    # enumeration (relative_levels' loop, with the test's own covers)
+    # starts from a root with no bits (at m = 2 a relative enumeration has
+    # one parent, a line, and takes no pair without a cut)
     eng = Engine(build(name).data)
     arr = eng.enumerate_arrangement()
     top = arr.levels[2]
-    skipped = _skipping(monkeypatch)
+    calls = _index_reads_and_cuts(monkeypatch)
     taken = 0
     for alpha in arr.levels[2] + arr.levels[1]:
-        skipped.clear()
-        eng.relative_levels(alpha, top)
-        _check_skips(eng, skipped)
-        taken += len(skipped)
+        calls[:] = [0, 0]
+        levels, covers, on = {alpha.dim: [alpha]}, {}, {}
+        for level in range(alpha.dim - 1, -1, -1):
+            levels[level] = eng.build_level(levels[level + 1], top, level=level,
+                                            covers=covers, on=on)
+        taken += calls[0] - calls[1]
+        assert _check_pairs(eng, levels, top, covers, on)
+        assert eng.relative_levels(alpha, top) == {lv: levels[lv] for lv in range(alpha.dim)}
     assert taken

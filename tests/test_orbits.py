@@ -47,13 +47,14 @@ def gamma_vec(eng, y):
 
 def _cut(eng, direction, point, h):
     """The integer cut of point + span(direction) by the input plane h."""
-    return eng.intersect(entry_of(eng, direction), res_of(point),
-                         plane_table(h, eng.data.gen_ints))
+    entry, plane = entry_of(eng, direction), plane_table(h, eng.data.gen_ints)
+    return eng.intersect(entry, res_of(point), plane, eng.pair_index(entry.stab, plane))
 
 
 def _class_cut(eng, parent, hc):
     """The cut of a class by a hyperplane class, as build_level makes it."""
-    return eng.intersect(parent.entry, parent.res, hc.plane)
+    return eng.intersect(parent.entry, parent.res, hc.plane,
+                         eng.pair_index(parent.stabilizer, hc.plane))
 
 
 def test_intersect_affine_example():
@@ -314,35 +315,24 @@ def test_gl_equivariance_danzer():
         assert stabs1 == stabs2
 
 
-def _skipping(monkeypatch):
-    """Spy on pair_index and intersect: each pair for which build_level
-    reads the index and then makes no cut, as (level, parent, hclass,
-    mirrored, accepted, covers, hits), read off the loop: `hits` are the
-    classes below the parent that the pair takes, and `accepted` is the
-    level's list of classes, filled as the loop goes on."""
-    skipped = []
+def _index_reads_and_cuts(monkeypatch):
+    """Spy on pair_index and intersect: [index reads, cuts] so far.
+    build_level reads each pair's index once and then cuts it or not, so
+    the difference counts the pairs it takes without a cut."""
+    calls = [0, 0]
     real_index, real_cut = Engine.pair_index, Engine.intersect
 
-    def index_spy(self, stab, plane):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "build_level":
-            loop = caller.f_locals
-            skipped.append((loop["level"], loop["parent"], loop["hc"],
-                            loop["mirror"] is not None, loop["accepted"], loop["covers"],
-                            list(loop["hits"].values())))
-        return real_index(self, stab, plane)
+    def index_spy(self, *args):
+        calls[0] += 1
+        return real_index(self, *args)
 
     def cut_spy(self, *args):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "build_level" and skipped:
-            loop = caller.f_locals
-            if skipped[-1][1] is loop["parent"] and skipped[-1][2] is loop["hc"]:
-                skipped.pop()  # the pair is cut after all
+        calls[1] += 1
         return real_cut(self, *args)
 
     monkeypatch.setattr(Engine, "pair_index", index_spy)
     monkeypatch.setattr(Engine, "intersect", cut_spy)
-    return skipped
+    return calls
 
 
 def test_work_shape_of_the_icosahedral_entries(monkeypatch):
@@ -413,13 +403,13 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
         return cut
 
     monkeypatch.setattr(Engine, "intersect", cut_spy)
-    skipped = _skipping(monkeypatch)
+    calls = _index_reads_and_cuts(monkeypatch)
     found = {}
     for name in ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]:
         shape = [0, 0, 0, 0]
-        skipped.clear()
+        calls[:] = [0, 0]
         classes = sum(analyze(build(name).data).L)
-        found[name] = (*shape, classes, len(skipped))
+        found[name] = (*shape, classes, calls[0] - calls[1])
     assert found == {"danzer": (39, 39, 39, 22, 22, 42),
                      "ammann_kramer": (168, 289, 107, 160, 93, 522),
                      "canonical_d6": (203, 428, 138, 282, 117, 533),

@@ -149,6 +149,22 @@ def test_classify_pair_does_no_field_arithmetic():
         assert called and field == set(), name
 
 
+def test_one_index_read_per_pair():
+    # build_level reads each pair's index, and decides there whether to
+    # cut the pair; intersect takes that index as a required argument and
+    # reads none itself
+    sites = []
+    for path in sorted(Path(patcoh.__file__).parent.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef):
+                sites += [(path.name, fn.name) for c in ast.walk(fn) if isinstance(c, ast.Call)
+                          and ast.unparse(c.func).split(".")[-1] == "pair_index"]
+    assert sites == [("orbits.py", "build_level")]
+    assert not {"self.pair_index", "minor_gcd"} & _engine_calls("intersect")
+    intersect = _engine_method("intersect").args
+    assert not intersect.defaults and intersect.args[-1].arg == "index"
+
+
 @pytest.mark.parametrize("name", ["point", "_entry", "intersect", "classify_pair",
                                   "build_level", "hyperplane_classes"])
 def test_level_loop_builds_no_field_element(name):
