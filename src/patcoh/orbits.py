@@ -19,12 +19,13 @@ one Hermite form.  A cut is an integer affine map on restricted
 coordinates: each coset representative's point is one integer vector in
 lowest terms (`Engine.point`).  A level labels each distinct point once
 (`Engine.label`), the dedup key, so deduplication is a set lookup, and a
-candidate's class lies one level below.  At level m-2 both sides of a
-pair are hyperplane classes, and the intersections of translates of two
-planes do not depend on their order, so each unordered pair is
-classified once.  A pair whose classes its parent already holds is not
-cut: `Engine.build_level` states that rule, on bit masks of hyperplane
-classes and the pair's index.  A class is an integer record, and a
+candidate's class lies one level below.  A pair whose classes its parent
+already holds is not cut: `Engine.build_level` states that rule, on bit
+masks of hyperplane classes and the pair's index.  At level m-2 both
+sides of a pair are hyperplane classes, each parent starts from the
+classes of the earlier pairs it belongs to, and the intersections of
+translates of two planes do not depend on their order, so that rule
+classifies each unordered pair once.  A class is an integer record, and a
 hyperplane class carries its input plane's one integer record
 (`model.PlaneTable`), so the level loop builds no field element: the
 engine reads the input's integer form, its cleared generators and plane
@@ -321,89 +322,81 @@ class Engine:
         candidate's res.  An hclass carries its input plane's `PlaneTable`
         and its stabilizer in Z^n.  A level m-1 class is a hyperplane
         class: its point is the cut point (y = 0) on its hclass's input
-        plane, so it keeps that plane's `PlaneTable`.  The
-        classes, new or seen, that a parent's candidates resolve to
-        are one level below it: `covers`, if given, gets them once each
-        under (parent.dim, parent.id).
+        plane, so it keeps that plane's `PlaneTable`.  The classes one
+        level below a parent are those its candidates resolve to, new or
+        seen, and those it starts from (below): `covers`, if given, gets
+        them once each under (parent.dim, parent.id).
 
         `on` maps (dim, id) of a class to a bit mask, bit j for hclasses[j],
         that holds only j with some translate of hclasses[j] containing the
         class: a class the pair (parent, hclasses[j]) yields gets the
         parent's bits and bit j.  A parent with bit j lies in a translate of
         hclasses[j], so that pair is not proper and is passed over.  Every
-        other pair that is not mirrored (below) is decided in one place: its
-        index is read first (`pair_index`), and when it equals the number of
-        classes below the parent so far that have bit j, and that number is
-        not 0, the pair is not cut, as those classes are all of its classes.
-        Each such beta has a translate beta' in rep(parent) and in some h_j
-        + gamma, and the parent is not in the plane's direction (the index
-        is not 0), so beta' = rep(parent) cut by h_j + gamma: a class of
-        the pair.  Distinct classes are distinct cosets of H, so there are
-        no others.  Such a pair adds no class, and its index is at most the
-        class cap with H of full rank, so neither cap nor a rank deficiency
-        can fire there.  Any other pair is cut by `intersect` with the index
-        read.  Pass `on` from one level to the next, as `covers`.
+        other pair is decided in one place: its index is read first
+        (`pair_index`), and when it equals the number of classes below the
+        parent so far that have bit j, and that number is not 0, the pair
+        is not cut, as those classes are all of its classes.  Each such
+        beta has a translate beta' in rep(parent) and in some h_j + gamma,
+        and the parent is not in the plane's direction (the index is not
+        0), so beta' = rep(parent) cut by h_j + gamma: a class of the pair.
+        Distinct classes are distinct cosets of H, so there are no others.
+        Such a pair adds no class and changes no mask, and its index is at
+        most the class cap with H of full rank, so neither cap nor a rank
+        deficiency can fire there.  Any other pair is cut by `intersect`
+        with the index read.  Pass `on` from one level to the next, as
+        `covers`.
 
-        When `parents` is `hclasses` (level m-2), the pair (parent i, hclass
-        j) cuts translates of the same two planes as (j, i), so it resolves
-        to the same classes: it is classified only for j >= i, and for j < i
-        the parent takes the classes (j, i) resolved to, or took when it
-        was not cut.  Accepted classes come out as if every pair were
-        classified, and H is symmetric, so the first pair to trip the index
-        cap or a rank deficiency is the same; only the order in a `covers`
-        list may differ from classifying every pair.  A pair not cut adds
-        nothing new below its parent, and at level m-2 the classes it hands
-        to j are below j already: bit j came from a pair (k, j), k < i, whose
-        classes j took first.  So not cutting leaves every `covers` list in
-        its order."""
+        A parent at level m-1 is a hyperplane class, and it starts from the
+        classes accepted so far that share a bit with it (a root of
+        `relative_levels` has none).  The start is exact: a parent at level
+        m-1 with bit i is a translate of the plane of hclasses[i], and a
+        class with bit i has a translate inside it.  At level m-2 the start
+        holds every class of each pair (j, i) with j < i, all of which have
+        bits i and j, and the pair (i, j) cuts translates of the same two
+        planes, so it has the same classes and is not cut unless its plane
+        has no index from minors: each unordered pair is classified once.
+        A pair not cut adds no class, so the accepted classes, their order
+        and the first pair to trip the class cap or a rank deficiency are
+        those of cutting every pair; only the order within a `covers` list
+        may differ, and no answer reads that order."""
         accepted: list[SingularClass] = []
         seen: dict = {}  # (direction entry, label) -> class accepted for it
         known: dict = {}  # (direction entry, q, *X) of a point -> its class
-        mirror = {} if parents is hclasses else None  # (i, j) -> (j, i)'s classes
         on = {} if on is None else on
-        for i, parent in enumerate(parents):
-            below: dict = {}  # class id -> class
+        for parent in parents:
             mask = on.get((parent.dim, parent.id), 0)
+            below = ({c.id: c for c in accepted if on[level, c.id] & mask}
+                     if parent.dim == self.m - 1 else {})  # class id -> class
             for j, hc in enumerate(hclasses):
                 bit = 1 << j
-                if mirror is not None and j < i:
-                    found = mirror.pop((i, j), {})
-                else:
-                    if mask & bit:
-                        continue  # the parent lies in a translate of the hyperplane
-                    index = self.pair_index(parent.stabilizer, hc.plane)
-                    hits = {b.id: b for b in below.values() if on[level, b.id] & bit}
-                    if hits and index == len(hits):
-                        found = hits  # every class of the pair is below already: no cut
-                    else:
-                        cut = self.intersect(parent.entry, parent.res, hc.plane, index)
-                        if cut is None:
-                            continue  # the parent's direction lies in the hyperplane
-                        sub, points, _ = self.classify_pair(parent, hc, level, cut)
-                        found = {}  # class id -> class, for this pair
-                        for res in points:
-                            (xs,), q = res
-                            cls = known.get(at := (sub, q, *xs))
-                            if cls is None:  # a new point: label it
-                                cls = known[at] = seen.get(key := (sub, self.label(sub, res)))
-                            if cls is None:
-                                plane = hc.plane if level == self.m - 1 else None
-                                cls = known[at] = seen[key] = SingularClass(
-                                    len(accepted), level, self.stabilizer(sub), sub, res, plane)
-                                accepted.append(cls)
-                                if len(accepted) > self.max_classes:
-                                    who = (f"parent {parent.id}, hyperplane class"
-                                           if parent.dim < self.m else "the whole space, input plane")
-                                    raise ResourceCapExceeded(
-                                        f"level {level}, pair ({who} {hc.id}): {len(accepted)} "
-                                        f"classes at the level, more than the cap of "
-                                        f"{self.max_classes}")
-                            found[cls.id] = cls
-                    if mirror is not None:
-                        mirror[(j, i)] = found
-                for cid in found:
-                    on[level, cid] = on.get((level, cid), 0) | mask | bit
-                below.update(found)
+                if mask & bit:
+                    continue  # the parent lies in a translate of the hyperplane
+                index = self.pair_index(parent.stabilizer, hc.plane)
+                if index and index == sum(on[level, b] >> j & 1 for b in below):
+                    continue  # every class of the pair is below already: no cut
+                cut = self.intersect(parent.entry, parent.res, hc.plane, index)
+                if cut is None:
+                    continue  # the parent's direction lies in the hyperplane
+                sub, points, _ = self.classify_pair(parent, hc, level, cut)
+                for res in points:
+                    (xs,), q = res
+                    cls = known.get(at := (sub, q, *xs))
+                    if cls is None:  # a new point: label it
+                        cls = known[at] = seen.get(key := (sub, self.label(sub, res)))
+                    if cls is None:
+                        plane = hc.plane if level == self.m - 1 else None
+                        cls = known[at] = seen[key] = SingularClass(
+                            len(accepted), level, self.stabilizer(sub), sub, res, plane)
+                        accepted.append(cls)
+                        if len(accepted) > self.max_classes:
+                            who = (f"parent {parent.id}, hyperplane class"
+                                   if parent.dim < self.m else "the whole space, input plane")
+                            raise ResourceCapExceeded(
+                                f"level {level}, pair ({who} {hc.id}): {len(accepted)} "
+                                f"classes at the level, more than the cap of "
+                                f"{self.max_classes}")
+                    below[cls.id] = cls
+                    on[level, cls.id] = on.get((level, cls.id), 0) | mask | bit
             if covers is not None:
                 covers[(parent.dim, parent.id)] = list(below.values())
         return accepted

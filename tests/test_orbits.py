@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -410,11 +409,11 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
         calls[:] = [0, 0]
         classes = sum(analyze(build(name).data).L)
         found[name] = (*shape, classes, calls[0] - calls[1])
-    assert found == {"danzer": (39, 39, 39, 22, 22, 42),
-                     "ammann_kramer": (168, 289, 107, 160, 93, 522),
-                     "canonical_d6": (203, 428, 138, 282, 117, 533),
-                     "dual_canonical_d6": (246, 519, 155, 268, 155, 834)}
-    assert [sum(col) for col in zip(*found.values())] == [656, 1275, 439, 732, 387, 1931]
+    assert found == {"danzer": (39, 39, 39, 22, 22, 57),
+                     "ammann_kramer": (168, 289, 107, 160, 93, 627),
+                     "canonical_d6": (203, 428, 138, 282, 117, 653),
+                     "dual_canonical_d6": (246, 519, 155, 268, 155, 939)}
+    assert [sum(col) for col in zip(*found.values())] == [656, 1275, 439, 732, 387, 2276]
     assert improper == []
 
 
@@ -755,25 +754,29 @@ _PAIR_CASES = {"danzer": lambda: build("danzer").data,
 
 
 def _resolving(monkeypatch):
-    """Spy on classify_pair: each pair's (level, parent, hclass, cut,
-    points, H, classes), classes the class build_level resolved each point
-    to.  That is the loop's `cls` when the loop asks for the next point, or
-    ends."""
+    """Spy on classify_pair and build_level: each pair's (level, parent,
+    hclass, cut, points, H, classes), classes the class each point resolved
+    to, read off results: the one class its build_level call accepted with
+    the point's entry and label."""
     pairs = []
-    real = Engine.classify_pair
+    real_pair, real_build = Engine.classify_pair, Engine.build_level
 
-    def watched(points, classes):
-        caller = sys._getframe(1)
-        for res in points:
-            yield res
-            classes.append(caller.f_locals["cls"])
+    def pair_spy(self, parent, hc, level, cut):
+        out = real_pair(self, parent, hc, level, cut)
+        pairs.append((level, parent, hc, cut, out[1], out[2], []))
+        return out
 
-    def spy(self, parent, hc, level, cut):
-        sub, points, hsub = real(self, parent, hc, level, cut)
-        pairs.append((level, parent, hc, cut, points, hsub, []))
-        return sub, watched(points, pairs[-1][-1]), hsub
+    def build_spy(self, *args, **kw):
+        start = len(pairs)
+        accepted = real_build(self, *args, **kw)
+        by_label = {(c.entry, self.label(c.entry, c.res)): c for c in accepted}
+        assert len(by_label) == len(accepted)
+        for *_, cut, points, _, classes in pairs[start:]:
+            classes += [by_label[cut.sub, self.label(cut.sub, res)] for res in points]
+        return accepted
 
-    monkeypatch.setattr(Engine, "classify_pair", spy)
+    monkeypatch.setattr(Engine, "classify_pair", pair_spy)
+    monkeypatch.setattr(Engine, "build_level", build_spy)
     return pairs
 
 
@@ -1009,12 +1012,15 @@ def test_classification_subgroup_is_the_sum_of_the_stabilizers(name, monkeypatch
 
 @pytest.mark.parametrize("name", _PAIR_CASES)
 def test_each_unordered_pair_of_hyperplane_classes_is_classified_once(name, monkeypatch):
-    # at level m-2 the parents are the hyperplane classes, and build_level
-    # classifies the pair (i, j) only for j >= i; a copy of the list turns
-    # that off.  Both runs accept the same classes in the same order, with
-    # the same res, entry and stabilizer, and find the same classes below
-    # each parent; the copy classifies every proper pair, twice as many.
-    # With the copy at every level, the dumped report is the same
+    # at level m-2 the parents are the hyperplane classes, and with the
+    # masks of enumerate_arrangement parent i starts from the classes with
+    # bit i, which hold every class of the pair (j, i) for j < i, so
+    # build_level classifies the pair (i, j) only for j > i; with on=None
+    # no class has a bit to start from.  Both runs accept the same classes
+    # in the same order, with the same res, entry and stabilizer, and find
+    # the same classes below each parent; without masks every proper pair
+    # is classified, twice as many.  With a fresh `on` at every level, the
+    # dumped report is the same
     data = _PAIR_CASES[name]()
     eng = Engine(data)
     top = eng.hyperplane_classes()
@@ -1023,10 +1029,10 @@ def test_each_unordered_pair_of_hyperplane_classes_is_classified_once(name, monk
     monkeypatch.setattr(Engine, "classify_pair",
                         lambda self, *args: pairs.append(args[:2]) or real(self, *args))
     runs = []
-    for hclasses in (top, list(top)):
+    for on in ({(eng.m - 1, k): 1 << k for k in range(len(top))}, None):
         pairs.clear()
         covers = {}
-        classes = eng.build_level(top, hclasses, level=eng.m - 2, covers=covers)
+        classes = eng.build_level(top, top, level=eng.m - 2, covers=covers, on=on)
         runs.append((classes, covers, list(pairs)))
     (once, once_covers, once_pairs), (every, every_covers, every_pairs) = runs
     assert once == every and [c.res for c in once] == [c.res for c in every]
@@ -1039,8 +1045,8 @@ def test_each_unordered_pair_of_hyperplane_classes_is_classified_once(name, monk
 
     real_build = Engine.build_level
     docs = [compute_report(data, dump_arrangement=True)]
-    monkeypatch.setattr(Engine, "build_level", lambda self, parents, hclasses, *args, **kw:
-                        real_build(self, parents, list(hclasses), *args, **kw))
+    monkeypatch.setattr(Engine, "build_level", lambda self, *args, covers=None, on=None, **kw:
+                        real_build(self, *args, covers=covers, on={}, **kw))
     docs.append(compute_report(data, dump_arrangement=True))
     for doc, _ in docs:
         del doc["timing"]
@@ -1052,9 +1058,11 @@ def test_plane_image_below_full_rank_takes_the_form(monkeypatch):
     # (in the second coordinate), so the planes x = 0 and x = 1/2 have dots
     # of rank 1 below delta = 2 and minor gcd 0: their pairs take the
     # Hermite form, although their H is Z^3, and the plane y = 0's pairs do
-    # not.  Level 0 classifies the pairs (x = 0, y = 0) and (y = 0, x =
-    # 1/2), one by minors and one by the form, and takes the pair (x = 1/2,
-    # y = 0) from the first; x = 0 and x = 1/2 do not meet
+    # not.  Level 0 classifies the pairs (x = 0, y = 0) by minors, and (y
+    # = 0, x = 0) and (y = 0, x = 1/2) by the form, since a plane with
+    # minor gcd 0 gives no index to compare with the classes below; it
+    # takes the pair (x = 1/2, y = 0) without a cut, as its index 1 counts
+    # the class with both bits; x = 0 and x = 1/2 do not meet
     doc = {"schema": "patcoh/1", "name": "rational_x", "field": {"kind": "Qsqrt", "D": 2},
            "dim": 2, "generators": [[["1"], ["0"]], [["0"], ["1"]], [["0"], ["0", "1"]]],
            "hyperplanes": [{"normal": [["1"], ["0"]]}, {"normal": [["0"], ["1"]]},
@@ -1077,7 +1085,7 @@ def test_plane_image_below_full_rank_takes_the_form(monkeypatch):
                         lambda *args: kernels.append(args) or real_kernel(*args))
     assert eng.enumerate_arrangement().counts() == [2, 3]
     assert sorted(pairs, key=lambda pair: pair[:2]) == [
-        (0, False, 1, 0, eng.full), (0, True, 0, 1, eng.full),
+        (0, False, 1, 0, eng.full), (0, True, 0, 1, eng.full), (0, True, 0, 1, eng.full),
         (1, False, 1, 0, eng.full), (1, True, 0, 1, eng.full), (1, True, 0, 1, eng.full)]
 
 

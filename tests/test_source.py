@@ -91,6 +91,19 @@ def test_every_reference_helper_has_a_test_caller():
     assert set(defs) - _reached(defs, roots) == set()
 
 
+def test_no_test_reads_a_frame():
+    # a test that reads a local variable off a package function's frame
+    # breaks when that local is renamed or the loop around it changes, so
+    # the tests spy on calls and read results, never a frame
+    tests = Path(__file__).resolve().parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(tests.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Name, ast.Attribute))
+             and (node.id if isinstance(node, ast.Name) else node.attr)
+             in {"_getframe", "currentframe", "f_locals", "f_back"}]
+    assert found == []
+
+
 @pytest.mark.parametrize("callee", ["snf", "left_annihilator"])
 def test_no_package_function_calls(callee):
     # the engine reads labels, stabilizers and kernels off Hermite forms;
