@@ -21,17 +21,20 @@ lowest terms (`Engine.point`).  A level labels each distinct point once
 (`Engine.label`), the dedup key, so deduplication is a set lookup, and a
 candidate's class lies one level below.  A pair whose classes its parent
 already holds is not cut: `Engine.build_level` states that rule, on bit
-masks of hyperplane classes and the pair's index.  At level m-2 both
-sides of a pair are hyperplane classes, each parent starts from the
-classes of the earlier pairs it belongs to, and the intersections of
-translates of two planes do not depend on their order, so that rule
-classifies each unordered pair once.  A class is an integer record, and a
-hyperplane class carries its input plane's one integer record
-(`model.PlaneTable`), so the level loop builds no field element: the
-engine reads the input's integer form, its cleared generators and plane
-tables, off the data (`ProjectionData.gen_ints` and `tables`, built once
-and read by validation too), and the field's product and inverse are
-`field.res_mul` and `field.res_adjugate` on numerators.
+masks of hyperplane classes and the pair's index.  Each parent starts
+from the classes accepted so far that lie in it: their masks hold all of
+its bits, and below a parent that is not a hyperplane class their label
+under its direction is its own.  At level m-2 both sides of a pair are
+hyperplane classes and the intersections of translates of two planes do
+not depend on their order, so that rule classifies each unordered pair
+once; below it, a class already found in a parent is not cut again to be
+recorded there.  A class is an integer record, and a hyperplane class
+carries its input plane's one integer record (`model.PlaneTable`), so
+the level loop builds no field element: the engine reads the input's
+integer form, its cleared generators and plane tables, off the data
+(`ProjectionData.gen_ints` and `tables`, built once and read by
+validation too), and the field's product and inverse are `field.res_mul`
+and `field.res_adjugate` on numerators.
 """
 
 from __future__ import annotations
@@ -346,27 +349,49 @@ class Engine:
         with the index read.  Pass `on` from one level to the next, as
         `covers`.
 
-        A parent at level m-1 is a hyperplane class, and it starts from the
-        classes accepted so far that share a bit with it (a root of
-        `relative_levels` has none).  The start is exact: a parent at level
-        m-1 with bit i is a translate of the plane of hclasses[i], and a
-        class with bit i has a translate inside it.  At level m-2 the start
-        holds every class of each pair (j, i) with j < i, all of which have
-        bits i and j, and the pair (i, j) cuts translates of the same two
-        planes, so it has the same classes and is not cut unless its plane
-        has no index from minors: each unordered pair is classified once.
-        A pair not cut adds no class, so the accepted classes, their order
+        Each parent with bits starts from the classes accepted so far that
+        lie in it (a root, of `relative_levels` or the whole space, has no
+        bits and starts empty): those whose mask holds all of the parent's
+        bits and, unless the parent is a hyperplane class, whose `label`
+        under the parent's direction entry is the parent's own.  The start
+        is exact.  A hyperplane class with bit i is a translate of the
+        plane of hclasses[i], and a class with bit i has a translate inside
+        it.  Any other parent's direction is its root's cut by the planes
+        of its bits, so a class whose mask holds them all has its direction
+        in the parent's, and it lies in a translate of the parent iff its
+        point does, which `label`, the exact Gamma-orbit key of the point
+        plus the parent's direction, decides.  Each class in the parent is
+        a class of a pair (parent, j) for one of its planes j not through
+        the parent, so the skip above stays exact.  At level m-2 the start
+        of hclasses[i] holds every class of each pair (j, i) with j < i,
+        all of which have bits i and j, and the pair (i, j) cuts
+        translates of the same two planes, so it has the same classes and
+        is not cut unless its plane has no index from minors: each
+        unordered pair is classified once.  Below it, a class found on a
+        parent through another pair needs no cut to be recorded there.  A
+        pair not cut adds no class, so the accepted classes, their order
         and the first pair to trip the class cap or a rank deficiency are
         those of cutting every pair; only the order within a `covers` list
         may differ, and no answer reads that order."""
         accepted: list[SingularClass] = []
         seen: dict = {}  # (direction entry, label) -> class accepted for it
         known: dict = {}  # (direction entry, q, *X) of a point -> its class
+        labels: dict = {}  # (direction entry, class id) -> label of the class's point
+
+        def label_of(entry, cls):
+            at = (entry, cls.id)
+            if at not in labels:
+                labels[at] = self.label(entry, cls.res)
+            return labels[at]
+
         on = {} if on is None else on
         for parent in parents:
             mask = on.get((parent.dim, parent.id), 0)
-            below = ({c.id: c for c in accepted if on[level, c.id] & mask}
-                     if parent.dim == self.m - 1 else {})  # class id -> class
+            # class id -> class, started from the classes in the parent
+            below = {c.id: c for c in accepted if on[level, c.id] & mask == mask} if mask else {}
+            if below and parent.dim < self.m - 1:
+                own = self.label(parent.entry, parent.res)
+                below = {i: c for i, c in below.items() if label_of(parent.entry, c) == own}
             for j, hc in enumerate(hclasses):
                 bit = 1 << j
                 if mask & bit:

@@ -26,6 +26,7 @@ from reference import (entry_of, field_class, field_direction, field_label, fiel
                        field_point, label_incidence, maximal_minors, rank_formulas_by_codimension,
                        wedge_span_rank_by_minors)
 from test_acceptance import _translate
+from test_cli import tau_lattice_m4
 from test_orbits import (DENSE_M2, INPUT_PLANE_CASES, _ammann_beenker_with, _index_reads_and_cuts,
                          dense_m2, penrose)
 
@@ -242,9 +243,15 @@ def test_analyze_codim_two_internally_consistent():
     assert sum(rep.K) == sum(rep.H)
 
 
+# (D, seed) of each draw of the dense m = 3 pool (`dense_m3`)
+POOL = [(D, seed) for D in (2, 3, 5) for seed in range(4)]
+
+
 @pytest.mark.parametrize("make", [lambda: build("danzer").data, coupled_plane]
-                         + [(lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2],
-                         ids=["danzer", "coupled_plane", *DENSE_M2])
+                         + [(lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2]
+                         + [(lambda D=D, seed=seed: dense_m3(D, seed)) for D, seed in POOL],
+                         ids=["danzer", "coupled_plane", *DENSE_M2]
+                         + [f"m3-{D}-{seed}" for D, seed in POOL])
 def test_incidence_matches_relative_enumeration(make):
     # every class of the relative enumeration inside alpha is one global
     # class below alpha, each found once, with the same stabilizer
@@ -282,13 +289,19 @@ FINITE = [nm for nm in names() if "H" in build(nm).expected]
 
 @pytest.mark.parametrize("make", [(lambda nm=nm: build(nm).data) for nm in FINITE]
                          + [_ammann_beenker_with, coupled_plane]
-                         + [(lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2],
-                         ids=FINITE + ["ammann_beenker", "coupled_plane", *DENSE_M2])
+                         + [(lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2]
+                         + [(lambda D=D, seed=seed: dense_m3(D, seed)) for D, seed in POOL]
+                         + [tau_lattice_m4],
+                         ids=FINITE + ["ammann_beenker", "coupled_plane", *DENSE_M2]
+                         + [f"m3-{D}-{seed}" for D, seed in POOL] + ["tau_lattice_m4"])
 def test_incidence_matches_label_scan(make):
     # the closure of the covering relation recorded while enumerating is
     # the poset that the label and containment scan finds, class by class,
     # with no class listed twice below another; the relation itself is
-    # that poset's part one level down
+    # that poset's part one level down.  The dense m = 3 pool is where
+    # parents start from the most classes already inside them; at m = 4 a
+    # 2-space's start must hold all of its bits, as a line with only one
+    # of them need not lie in it
     eng = Engine(make())
     arr = eng.enumerate_arrangement()
     below = incidence(arr)
@@ -311,8 +324,9 @@ def test_incidence_matches_label_scan(make):
 
 def test_analyze_asks_no_orbit_label(monkeypatch):
     # build_level labels each new point of a level while enumerating, and
-    # classify_pair labels none; the incidence poset, the Euler count and
-    # the wedges ask the engine for none
+    # the accepted classes it starts a parent from (to test that they lie
+    # in the parent); classify_pair labels none; the incidence poset, the
+    # Euler count and the wedges ask the engine for none
     depth, inside, outside = {"build_level": 0, "classify_pair": 0}, [], []
     real_label = Engine.label
 
@@ -461,8 +475,7 @@ DENSE_M3 = {
 }
 
 
-@pytest.mark.parametrize("D,seed", [(D, seed) for D in (2, 3, 5) for seed in range(4)],
-                         ids=[f"m3-{D}-{seed}" for D in (2, 3, 5) for seed in range(4)])
+@pytest.mark.parametrize("D,seed", POOL, ids=[f"m3-{D}-{seed}" for D, seed in POOL])
 def test_dense_m3_pool(D, seed):
     # every draw validates and is finite; R_p is the minors reference on its
     # stabilizers; H^0 = 1 and H^1 = 6 + L_2 - R_2 (R_3 = 0 for n = 6); the
@@ -500,7 +513,7 @@ _SKIP_CASES = {**{nm: (lambda nm=nm: build(nm).data) for nm in names()},
                **{nm: (lambda nm=nm: dense_m2(nm)) for nm in DENSE_M2},
                "penrose": penrose, "penrose_zeta1": lambda: penrose(1),
                **{f"m3-{D}-{seed}": (lambda D=D, seed=seed: dense_m3(D, seed))
-                  for D in (2, 3, 5) for seed in range(4)},
+                  for D, seed in POOL},
                **{f"{nm}-translated-{k}": (lambda nm=nm, k=k: _translated(nm, k))
                   for nm in names() + list(DENSE_M2) for k in range(2)}}
 

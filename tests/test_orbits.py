@@ -337,8 +337,11 @@ def _index_reads_and_cuts(monkeypatch):
 def test_work_shape_of_the_icosahedral_entries(monkeypatch):
     # classified pairs, candidates, index-1 pairs, label calls, classes of
     # analyze and pairs taken without a cut per m = 3 catalog entry, with
-    # each unordered pair of hyperplane classes classified once at level
-    # 1, each distinct point of a level labeled once, and each pair whose
+    # each parent starting from the accepted classes inside it (so each
+    # unordered pair of hyperplane classes is classified once at level 1),
+    # each distinct point of a level labeled once (and, for the start of a
+    # parent that is not a hyperplane class, the parent once and each
+    # class that passes its mask once per direction), and each pair whose
     # classes the parent already holds not cut.  No cut is improper: a
     # parent in a translate of the plane is passed over by its mask.  An
     # index-1 pair is decided by minors: it makes
@@ -409,11 +412,11 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
         calls[:] = [0, 0]
         classes = sum(analyze(build(name).data).L)
         found[name] = (*shape, classes, calls[0] - calls[1])
-    assert found == {"danzer": (39, 39, 39, 22, 22, 57),
-                     "ammann_kramer": (168, 289, 107, 160, 93, 627),
-                     "canonical_d6": (203, 428, 138, 282, 117, 653),
-                     "dual_canonical_d6": (246, 519, 155, 268, 155, 939)}
-    assert [sum(col) for col in zip(*found.values())] == [656, 1275, 439, 732, 387, 2276]
+    assert found == {"danzer": (25, 25, 25, 50, 22, 71),
+                     "ammann_kramer": (108, 153, 83, 280, 93, 687),
+                     "canonical_d6": (123, 193, 103, 370, 117, 733),
+                     "dual_canonical_d6": (142, 247, 107, 534, 155, 1043)}
+    assert [sum(col) for col in zip(*found.values())] == [398, 618, 318, 1234, 387, 2534]
     assert improper == []
 
 

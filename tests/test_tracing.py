@@ -46,5 +46,5 @@ def test_tracer_wraps_every_name_and_tags_each_level():
     tags = {tag for idx, tag in zip(tracer.name_idx, tracer.tag) if idx == build_idx}
     assert tags == {0, 1, 2}
     summary, _ = tracer.summary()
-    assert summary["orbits.classify_pair"]["calls"] == 39
+    assert summary["orbits.classify_pair"]["calls"] == 25
     assert summary["orbits.level0"]["total_s"] > 0
