@@ -109,26 +109,32 @@ def euler_characteristic(arrangement: Arrangement, below: dict) -> int:
 def _wedge_quantities(arrangement: Arrangement, d: int):
     """(r_p, None) (m = 2) or (R_p, tilde_L1) (m = 3), for p = 1 .. d+1.
     Each stabilizer enters `wedge_span_rank` through its top wedge, taken
-    once per report.  A hyperplane class's stabilizer is the kernel of its
-    plane table's `cols`, so its top wedge is their `kernel_top_wedge`
-    when they have rank delta (g != 0); every other stabilizer (the lines')
-    gives its maximal minors.  A plane's lines are the classes it covers
+    once per report, and each call gets each distinct stabilizer once:
+    parallel classes share one, and a repeated lattice adds no rank.  A
+    hyperplane class's stabilizer is the kernel of its plane table's
+    `cols`, so its top wedge is their `kernel_top_wedge` when they have
+    rank delta (g != 0); every other stabilizer (the lines') gives its
+    maximal minors.  A plane's lines are the classes it covers
     (`arrangement.covers`)."""
     data = arrangement.data
     tops = {c.stabilizer: kernel_top_wedge(c.plane.cols, data.n)
             for c in arrangement.levels[data.m - 1] if c.plane.g}
+
+    def stabilizers(classes):
+        return list(dict.fromkeys(c.stabilizer for c in classes))
+
     if data.m == 2:
-        stabs = [c.stabilizer for c in arrangement.levels[1]]
+        stabs = stabilizers(arrangement.levels[1])
         return [wedge_span_rank(stabs, p + 1, tops) for p in range(1, d + 2)], None
     # m == 3: tilde_L1 counts (line, plane) incidences beyond L_1
-    plane_stabs = [c.stabilizer for c in arrangement.levels[2]]
-    line_stabs = [c.stabilizer for c in arrangement.levels[1]]
+    plane_stabs = stabilizers(arrangement.levels[2])
+    line_stabs = stabilizers(arrangement.levels[1])
     per_plane_line_stabs = []
     tilde = -len(arrangement.levels[1])
     for alpha in arrangement.levels[2]:
         lines = arrangement.covers[(2, alpha.id)]
         tilde += len(lines)
-        per_plane_line_stabs.append(list(dict.fromkeys(b.stabilizer for b in lines)))
+        per_plane_line_stabs.append(stabilizers(lines))
     big_r = []
     for p in range(1, d + 2):
         t1 = wedge_span_rank(plane_stabs, p + 2, tops)

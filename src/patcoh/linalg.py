@@ -9,7 +9,9 @@ the Hermite box, the index of a full-rank row lattice from its maximal
 minors, and ranks of spans of exterior powers, where a lattice of rank r
 enters through one vector, its top wedge (its r x r minors, or for a
 kernel the Hodge dual of its equations' minors), whose contractions span
-its p-fold wedges.  No command runs the field `rref`, the Smith form or
+its p-fold wedges: where each contraction lands is a layout built once per
+shape (n, r, p), and the rank is one exact semi-echelon pass over the
+rows.  No command runs the field `rref`, the Smith form or
 the rational annihilator: the benchmark's tracer wraps them by name, and
 the mixed integer-rational solver of the tests (`tests/reference.py`),
 which the engine is checked against, is built on them, so the two share
@@ -353,6 +355,22 @@ def kernel_top_wedge(rows: Sequence[Sequence[int]], n: int) -> list[int]:
             zip(itertools.combinations(range(n), len(rows)), minors(zip(*rows), len(rows)))][::-1]
 
 
+@functools.cache
+def _contractions(n: int, r: int, p: int) -> tuple:
+    """The contraction layout of a top r-wedge of Z^n by the coordinate
+    (r - p)-forms e^J: for each lexicographic r-subset S, the triples (J,
+    column, sign) of the (r - p)-subsets J of S, J as a bit mask, column
+    the index of the p-subset S - J among the lexicographic p-subsets and
+    sign = (-1)^(sum of the positions of J in S).  It depends only on (n,
+    r, p), so it is built once per shape."""
+    col = {k: c for c, k in enumerate(itertools.combinations(range(n), p))}
+    return tuple(tuple((sum(1 << subset[i] for i in pos),
+                        col[tuple(x for i, x in enumerate(subset) if i not in pos)],
+                        (-1) ** sum(pos))
+                       for pos in itertools.combinations(range(r), r - p))
+                 for subset in itertools.combinations(range(n), r))
+
+
 def wedge_span_rank(lats: Sequence[IntLattice], p: int, tops: dict | None = None) -> int:
     """Rank over Q of the span of all p-fold wedges of the lattices' bases.
 
@@ -363,49 +381,49 @@ def wedge_span_rank(lats: Sequence[IntLattice], p: int, tops: dict | None = None
     (r - p)-forms e^J: the row of J holds sign * omega[K u J] at each
     p-subset K disjoint from J, sign = (-1)^(sum of the positions of J in
     K u J), up to the sign (-1)^(t(t-1)/2), t = r - p, shared by all rows.
-    Subsets are keyed by bit masks.  The rank is that of one fraction-free
-    forward elimination, in place: each pivot row clears its column in the
-    rows left, and each changed row is divided by its gcd (folded pairwise:
-    `math.gcd(*row)` would build a tuple per call, and Python keeps up to
-    2,000 freed tuples of each length).  p = 0 gives 1 for a nonempty family.
+    Where each entry goes is read off the shape's `_contractions` layout.
+    Callers pass each lattice once: a repeated one adds only dependent rows.
+
+    The rank is that of one semi-echelon pass in exact integers: each row
+    is reduced, fraction-free, by the basis rows in the order they joined,
+    so it ends zero at every basis pivot, since each basis row is zero at
+    the pivots of the rows before it.  A row left nonzero is independent of
+    the basis and joins it, divided by its gcd, with its first nonzero
+    column as pivot; a row left zero is dependent.  The gcd is folded
+    pairwise: `math.gcd(*row)` builds a tuple per call, which measurably
+    raised the peak RSS of a long run.  p = 0 gives 1 for a nonempty family.
     """
     if p < 0:
         raise ValueError("p must be >= 0")
     if p == 0:
         return 1 if lats else 0
     tops = {} if tops is None else tops
-    n = next((lat.ambient for lat in lats if lat.rank >= p), 0)  # 0: no row, no column
-    col = {sum(1 << i for i in k): c for c, k in enumerate(itertools.combinations(range(n), p))}
-    rows = []
+    basis: list = []  # (pivot column, row)
     for lat in lats:
         r = lat.rank
         if r < p:
             continue
-        if lat not in tops:
-            tops[lat] = minors(zip(*lat.basis), r)
+        top = tops.get(lat)
+        if top is None:
+            top = tops[lat] = minors(zip(*lat.basis), r)
+        width = math.comb(lat.ambient, p)
         by_j: dict = {}
-        for subset, w in zip(itertools.combinations(range(n), r), tops[lat]):
-            if not w:
-                continue
-            whole = sum(1 << i for i in subset)
-            for pos in itertools.combinations(range(r), r - p):
-                j = sum(1 << subset[i] for i in pos)
-                if j not in by_j:
-                    by_j[j] = [0] * len(col)
-                by_j[j][col[whole ^ j]] = (-1) ** sum(pos) * w
-        rows += by_j.values()
-    rank = 0
-    while rows:
-        piv = rows.pop()
-        c = next((c for c, x in enumerate(piv) if x), None)
-        if c is None:
-            continue
-        rank += 1
-        for row in rows:
-            a, b = piv[c], row[c]
-            if b:
-                row[:] = [a * x - b * y for x, y in zip(row, piv)]
+        for w, contractions in zip(top, _contractions(lat.ambient, r, p)):
+            if w:
+                for j, c, sign in contractions:
+                    if j not in by_j:
+                        by_j[j] = [0] * width
+                    by_j[j][c] = sign * w
+        for row in by_j.values():
+            for c, piv in basis:
+                b = row[c]
+                if b:
+                    a = piv[c]
+                    g = math.gcd(a, b)
+                    a, b = a // g, b // g
+                    row = [a * x - b * y for x, y in zip(row, piv)]
+            c = next((c for c, x in enumerate(row) if x), None)
+            if c is not None:
                 g = functools.reduce(math.gcd, row)
-                if g > 1:
-                    row[:] = [x // g for x in row]
-    return rank
+                basis.append((c, [x // g for x in row]))
+    return len(basis)

@@ -156,25 +156,30 @@ def label_incidence(eng, arrangement):
     dir(beta) lies in dir(alpha) and p_beta has the label of p_alpha in
     dir(alpha), i.e. some Gamma-translate of beta lies in alpha.  Maps
     (level, id) of every class to the classes below it, as
-    `invariants.incidence` does."""
+    `invariants.incidence` does.  Each label is `field_label`'s: the entry
+    of the field direction and res of the class's field point, each built
+    once and read for every pair."""
     by_dir = {level: {} for level in arrangement.levels}
     for level, classes in arrangement.levels.items():
         for cls in classes:
             by_dir[level].setdefault(field_direction(eng, cls.entry), []).append(cls)
+    entries = {direction: entry_of(eng, direction)
+               for dirs in by_dir.values() for direction in dirs}
+    points = {(cls.dim, cls.id): res_of(field_point(eng, cls.res))
+              for classes in arrangement.levels.values() for cls in classes}
     below = {}
     for level in sorted(arrangement.levels):
         for direction, alphas in by_dir[level].items():
-            labels = {}
+            entry, labels = entries[direction], {}
             for alpha in alphas:
                 below[(level, alpha.id)] = []
-                labels[field_label(eng, direction, field_point(eng, alpha.res))] = alpha
+                labels[eng.label(entry, points[(level, alpha.id)])] = alpha
             for sub_level in range(level):
                 for sub_dir, betas in by_dir[sub_level].items():
                     if not contains(eng, direction, sub_dir):
                         continue  # dir(beta) does not lie in dir(alpha)
                     for beta in betas:
-                        alpha = labels.get(field_label(eng, direction,
-                                                       field_point(eng, beta.res)))
+                        alpha = labels.get(eng.label(entry, points[(sub_level, beta.id)]))
                         if alpha is not None:
                             below[(level, alpha.id)].append(beta)
     return below

@@ -382,8 +382,10 @@ def test_work_shape_of_the_wedge_ranks(monkeypatch):
     # catalog entry: no int_det minor and no Hermite form.  Each hyperplane
     # class takes one kernel_top_wedge of its plane table, and each
     # distinct line stabilizer the maximal minors of its basis; all minors
-    # are 2 x 2, in closed form
+    # are 2 x 2, in closed form.  Each wedge_span_rank call gets pairwise
+    # distinct lattices, here and on Ammann-Beenker (m = 2)
     inside, calls = [False], {"int_det": [], "hnf": [], "kernel_top_wedge": [], "minors": []}
+    families = []
 
     def spy(module, name):
         real = getattr(module, name)
@@ -406,10 +408,16 @@ def test_work_shape_of_the_wedge_ranks(monkeypatch):
     for name in ["int_det", "hnf", "minors"]:
         spy(patcoh.linalg, name)
     spy(patcoh.invariants, "kernel_top_wedge")
+    real_rank = patcoh.invariants.wedge_span_rank
+
+    def rank(lats, p, tops):
+        families.append(lats)
+        return real_rank(lats, p, tops)
+    monkeypatch.setattr(patcoh.invariants, "wedge_span_rank", rank)
     monkeypatch.setattr(patcoh.invariants, "_wedge_quantities", quantities)
-    found = {}
+    found, line_classes = {}, {}
     for name in ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]:
-        for seen in calls.values():
+        for seen in [*calls.values(), families]:
             seen.clear()
         rep = analyze(build(name).data)
         assert rep.H == build(name).expected["H"]
@@ -417,11 +425,20 @@ def test_work_shape_of_the_wedge_ranks(monkeypatch):
         assert len(calls["kernel_top_wedge"]) == rep.L[2]
         assert len(calls["minors"]) == rep.L[2] + len(lines)
         assert all(k == 2 for _, k in calls["minors"])
+        assert families and all(len(set(lats)) == len(lats) for lats in families)
         found[name] = tuple(map(len, calls.values()))
+        line_classes[name] = (rep.L[1], len(lines))
     assert found == {"danzer": (0, 0, 6, 21),
                      "ammann_kramer": (0, 0, 15, 46),
                      "canonical_d6": (0, 0, 16, 61),
                      "dual_canonical_d6": (0, 0, 15, 46)}
+    # parallel line classes share a stabilizer
+    assert line_classes == {"danzer": (15, 15), "ammann_kramer": (46, 31),
+                            "canonical_d6": (45, 45), "dual_canonical_d6": (76, 31)}
+    families.clear()
+    rep = analyze(_ammann_beenker_with())
+    assert rep.m == 2 and rep.r == [3, 0, 0]
+    assert families and all(len(set(lats)) == len(lats) for lats in families)
 
 
 @pytest.mark.parametrize("make", INPUT_PLANE_CASES.values(), ids=INPUT_PLANE_CASES)

@@ -607,6 +607,37 @@ def test_wedge_span_rank_matches_the_minors_reference():
                 assert wedge_span_rank(lats, p) == expected, (n, p, lats)
                 assert wedge_span_rank(lats, p, dict(scaled)) == expected, (n, p, lats)
     assert ranks == {(n, r) for n in range(1, 7) for r in range(n + 1)}
+    # families whose rows far outnumber the rank: 8-20 lattices of one rank
+    # r, entries in [-9, 9] on k >= r coordinates, mapped into Z^n by one
+    # unimodular matrix when k < n, so the family spans a k-space and its
+    # rank is at most C(k, p); some lattices repeated, some tops scaled
+    low = 0
+    for n in range(2, 7):
+        for _ in range(8):
+            r = rng.randint(1, n - 1)
+            k = rng.randint(r, n)
+            coords, u = rng.sample(range(n), k), rand_unimodular(rng, n)
+            lats, size = [], rng.randint(8, 20)
+            while len(lats) < size:
+                if lats and rng.random() < 0.25:
+                    lats.append(rng.choice(lats))
+                    continue
+                rows = [[0] * n for _ in range(r)]
+                for row in rows:
+                    for j in coords:
+                        row[j] = rng.randint(-9, 9)
+                lat = lattice_from_rows(n, int_matmul(rows, u) if k < n else rows)
+                if lat.rank == r:
+                    lats.append(lat)
+            scaled = {lat: [c * x for x in maximal_minors(lat)]
+                      for lat, c in zip(lats, rng.choices((1, -1, 3, -7), k=len(lats)))
+                      if rng.random() < 0.5}
+            for p in range(1, r + 1):
+                expected = wedge_span_rank_by_minors(lats, p)
+                low += expected < math.comb(n, p)
+                assert wedge_span_rank(lats, p) == expected, (n, p, lats)
+                assert wedge_span_rank(lats, p, dict(scaled)) == expected, (n, p, lats)
+    assert low
 
 
 def test_minors_of_the_columns_are_the_maximal_minors():
