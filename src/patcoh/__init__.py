@@ -13,6 +13,7 @@ from .model import (
     Hyperplane,
     ProjectionData,
     canonical_hyperplane,
+    from_field,
     parse_projection_data,
     serialize_projection_data,
     validate,
@@ -35,6 +36,7 @@ __all__ = [
     "canonical_digest",
     "canonical_hyperplane",
     "compute_report",
+    "from_field",
     "k_ranks",
     "names",
     "parse_projection_data",

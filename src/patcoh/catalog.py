@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass, field as dc_field
 
 from .field import FElem, dot, quadratic
-from .model import Hyperplane, ProjectionData, canonical_hyperplane
+from .model import Hyperplane, ProjectionData, canonical_hyperplane, from_field
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")       # golden ratio (1+sqrt5)/2
@@ -100,7 +100,7 @@ def _d6_generators() -> tuple[tuple[FElem, ...], ...]:
 def _entries() -> dict[str, CatalogEntry]:
     out: dict[str, CatalogEntry] = {}
 
-    fib = ProjectionData(
+    fib = from_field(
         F5, 1, ((F5.one,), (TAU,)),
         (Hyperplane((F5.one,), F5.zero),),
         "fibonacci")
@@ -117,28 +117,28 @@ def _entries() -> dict[str, CatalogEntry]:
     out["ammann_kramer"] = CatalogEntry(
         "ammann_kramer",
         "canonical projection of Z^6; singular planes normal to the 2-fold axes",
-        ProjectionData(F5, 3, star, _planes(two), "ammann_kramer"),
+        from_field(F5, 3, star, _planes(two), "ammann_kramer"),
         {"H": [1, 12, 71, 180], "L": [32, 46, 15], "e": 120,
          "tilde_L1": 74, "R": [69, 9], "K": (192, 72)})
 
     out["canonical_d6"] = CatalogEntry(
         "canonical_d6",
         "canonical D6 tiling; singular planes normal to the 3- and 5-fold axes",
-        ProjectionData(F5, 3, d6, _planes(three + five), "canonical_d6"),
+        from_field(F5, 3, d6, _planes(three + five), "canonical_d6"),
         {"H": [1, 13, 72, 205], "L": [56, 45, 16], "e": 145,
          "tilde_L1": 75, "R": [73, 9]})
 
     out["dual_canonical_d6"] = CatalogEntry(
         "dual_canonical_d6",
         "dual canonical D6 tiling; singular planes normal to the 2-fold axes",
-        ProjectionData(F5, 3, d6, _planes(two), "dual_canonical_d6"),
+        from_field(F5, 3, d6, _planes(two), "dual_canonical_d6"),
         {"H": [1, 12, 101, 330], "L": [64, 76, 15], "e": 240,
          "tilde_L1": 104, "R": [69, 9]})
 
     out["danzer"] = CatalogEntry(
         "danzer",
         "Danzer tiling; singular planes normal to the 5-fold axes only",
-        ProjectionData(F5, 3, d6, _planes(five), "danzer"),
+        from_field(F5, 3, d6, _planes(five), "danzer"),
         {"H": [1, 7, 16, 20], "L": [1, 15, 6], "e": 10,
          "tilde_L1": 15, "R": [33, 5]})
 
@@ -146,7 +146,7 @@ def _entries() -> dict[str, CatalogEntry]:
     out["infinite_demo"] = CatalogEntry(
         "infinite_demo",
         "rank-3 lattice in two dimensions: nu = 3/2, so L_0 is infinite",
-        ProjectionData(
+        from_field(
             F5, 2,
             ((one, zero), (zero, one), (TAU, TAU)),
             _planes([(one, zero), (zero, one), (one, one)]),
@@ -156,7 +156,7 @@ def _entries() -> dict[str, CatalogEntry]:
     out["square_fibonacci"] = CatalogEntry(
         "square_fibonacci",
         "decomposable fixture: two uncoupled Fibonacci factors (must fail validation)",
-        ProjectionData(
+        from_field(
             F5, 2,
             ((one, zero), (TAU, zero), (zero, one), (zero, TAU)),
             _planes([(one, zero), (zero, one)]),

@@ -2,15 +2,20 @@
 
 Singular l-spaces are intersections of Gamma-translated hyperplanes.  The
 engine enumerates one representative per translation-orbit class, level by
-level (each level cuts the previous one by translated hyperplanes), with
-stabilizer sublattices attached.  Each lattice question is at most one
+level, with stabilizer sublattices attached.  The top level, the
+hyperplane classes, is read off each input plane's table
+(`Engine.hyperplane_classes`): its direction's key, entry and stabilizer,
+its point, and its label, with no cut.  Each lower level cuts the one
+above by translated hyperplanes.  Each lattice question is at most one
 Hermite form, read for its echelon and kernel at once (`integer_kernel`).
-Each direction has one cached entry (`Engine._entry`) under the integer key
-`primitive_rref` of its cleared restricted columns, read off the key: the
-columns, rows R spanning their annihilator over Q, and the one frame R *
-(Gamma image), whose echelon labels reduce by and whose kernel is the
-stabilizer.  A cut finds its sub-direction's key from integers, so the
-engine does no field elimination.  A pair's classification subgroup (its
+Each direction has one cached entry under the integer key
+`primitive_rref` of its cleared restricted columns: the columns, rows R
+spanning their annihilator over Q, and the one frame R * (Gamma image),
+whose echelon labels reduce by and whose kernel is the stabilizer.  A
+cut's sub-direction reads its entry off the key (`Engine._entry`); a
+plane's direction takes its table's form as R and its table's Hermite
+form as the frame.  A cut finds its sub-direction's key from integers, so
+the engine does no field elimination.  A pair's classification subgroup (its
 index counts the pair's classes; a rank deficiency, infinitely many) is
 the sum of the parent's and the plane's stabilizers.  Minors of the
 plane's integer table give its index when the plane's image has full
@@ -32,9 +37,10 @@ recorded there.  A class is an integer record, and a hyperplane class
 carries its input plane's one integer record (`model.PlaneTable`), so
 the level loop builds no field element: the engine reads the input's
 integer form, its cleared generators and plane tables, off the data
-(`ProjectionData.gen_ints` and `tables`, built once and read by
-validation too), and the field's product and inverse are `field.res_mul`
-and `field.res_adjugate` on numerators.
+(`ProjectionData.gen_ints` and `tables`, the tables built once from the
+plane records and read by validation's density check too), and the
+field's product and inverse are `field.res_mul` and `field.res_adjugate`
+on numerators.
 """
 
 from __future__ import annotations
@@ -97,6 +103,16 @@ class _Direction:
     rows: list[tuple[int, ...]]
     echelon: list  # Hermite rows (pivot, row) of R * (Gamma image)
     stab: IntLattice  # Gamma cap span(direction) in Z^n
+
+
+def _key_columns(key) -> tuple[dict[int, list[int]], int]:
+    """(cols, q) of a direction's key, the rref over Q of its restricted
+    columns as primitive rows: q is the lcm of the pivots, and cols maps
+    each row's pivot to the row over that pivot, times q, so cols / q are
+    the rref rows."""
+    heads = [next(i for i, x in enumerate(row) if x) for row in key]
+    q = math.lcm(*(row[i] for row, i in zip(key, heads)))
+    return {i: [x * (q // row[i]) for x in row] for row, i in zip(key, heads)}, q
 
 
 class _Cut(NamedTuple):
@@ -169,9 +185,7 @@ class Engine:
         kernel {y : R res(gamma(y)) = 0} is Gamma cap span(direction)."""
         entry = self._dirs.get(key)
         if entry is None:
-            heads = [next(i for i, x in enumerate(row) if x) for row in key]
-            q = math.lcm(*(row[i] for row, i in zip(key, heads)))
-            cols = {i: [x * (q // row[i]) for x in row] for row, i in zip(key, heads)}
+            cols, q = _key_columns(key)
             gens, qg = self.data.gen_ints
             rows, vals = [], []
             for f in sorted(set(range(self.dm)) - set(cols)):
@@ -323,12 +337,10 @@ class Engine:
         under Gamma on the labels of the candidates' points, each distinct
         point labeled once; an accepted class gets its cut's entry and its
         candidate's res.  An hclass carries its input plane's `PlaneTable`
-        and its stabilizer in Z^n.  A level m-1 class is a hyperplane
-        class: its point is the cut point (y = 0) on its hclass's input
-        plane, so it keeps that plane's `PlaneTable`.  The classes one
-        level below a parent are those its candidates resolve to, new or
-        seen, and those it starts from (below): `covers`, if given, gets
-        them once each under (parent.dim, parent.id).
+        and its stabilizer in Z^n.  The classes one level below a parent
+        are those its candidates resolve to, new or seen, and those it
+        starts from (below): `covers`, if given, gets them once each under
+        (parent.dim, parent.id).
 
         `on` maps (dim, id) of a class to a bit mask, bit j for hclasses[j],
         that holds only j with some translate of hclasses[j] containing the
@@ -350,9 +362,9 @@ class Engine:
         `covers`.
 
         Each parent with bits starts from the classes accepted so far that
-        lie in it (a root, of `relative_levels` or the whole space, has no
-        bits and starts empty): those whose mask holds all of the parent's
-        bits and, unless the parent is a hyperplane class, whose `label`
+        lie in it (a root of `relative_levels` has no bits and starts
+        empty): those whose mask holds all of the parent's bits and,
+        unless the parent is a hyperplane class, whose `label`
         under the parent's direction entry is the parent's own.  The start
         is exact.  A hyperplane class with bit i is a translate of the
         plane of hclasses[i], and a class with bit i has a translate inside
@@ -409,17 +421,14 @@ class Engine:
                     if cls is None:  # a new point: label it
                         cls = known[at] = seen.get(key := (sub, self.label(sub, res)))
                     if cls is None:
-                        plane = hc.plane if level == self.m - 1 else None
                         cls = known[at] = seen[key] = SingularClass(
-                            len(accepted), level, self.stabilizer(sub), sub, res, plane)
+                            len(accepted), level, self.stabilizer(sub), sub, res)
                         accepted.append(cls)
                         if len(accepted) > self.max_classes:
-                            who = (f"parent {parent.id}, hyperplane class"
-                                   if parent.dim < self.m else "the whole space, input plane")
                             raise ResourceCapExceeded(
-                                f"level {level}, pair ({who} {hc.id}): {len(accepted)} "
-                                f"classes at the level, more than the cap of "
-                                f"{self.max_classes}")
+                                f"level {level}, pair (parent {parent.id}, hyperplane class "
+                                f"{hc.id}): {len(accepted)} classes at the level, more "
+                                f"than the cap of {self.max_classes}")
                     below[cls.id] = cls
                     on[level, cls.id] = on.get((level, cls.id), 0) | mask | bit
             if covers is not None:
@@ -427,15 +436,53 @@ class Engine:
         return accepted
 
     def hyperplane_classes(self) -> list[SingularClass]:
-        """Gamma-orbit classes of the translated input planes (level m-1), cut
-        from the full space (the identity key's entry) by one pseudo class per
-        input plane, which carries the plane's table from `data.tables`."""
-        space = self._entry(IntLattice.full(self.dm).basis)
-        parent = SingularClass(-1, self.m, space.stab, space, ([[0] * self.dm], 1))
-        pseudo = [SingularClass(i, self.m - 1, self.full, None, None, table)
-                  for i, table in enumerate(self.data.tables)]
-        # under the full space as parent H = Z^n, whatever a pseudo class carries
-        return self.build_level([parent], pseudo, level=self.m - 1)
+        """Gamma-orbit classes of the translated input planes (level m-1), each
+        read off its plane's table in `data.tables`, in plane order.
+
+        A plane's record is canonical, nu_k = 1 at its lead coordinate k, so
+        its form is den I on the lead block, and each other coordinate c
+        gives the row den e_c - sum_l form[l][c] e_(delta k + l) of the
+        form's kernel, the plane's direction: its key is their
+        `primitive_rref`.  The direction's entry takes the form as its rows
+        R, which span the direction's annihilator, and the table's echelon
+        and stabilizer as its frame, since R res(g_i) are the plane's dots.
+        The point is the offset over nu_k on the lead block, and a plane is
+        a translate of an earlier one iff they share the entry and the
+        `label` of their points.  Each class is the one class of the whole
+        space cut by its plane (index 1, one coset rep, the cut point on the
+        lead coordinate); a class keeps the table of its first plane."""
+        level, d = self.m - 1, self.delta
+        accepted: list[SingularClass] = []
+        seen: set = set()  # (direction entry, label) of each accepted class
+        for i, table in enumerate(self.data.tables):
+            lead = next(c for c, x in enumerate(table.form[0]) if x)
+            kernel = []
+            for c in range(self.dm):
+                if not lead <= c < lead + d:
+                    row = [table.den * (j == c) for j in range(self.dm)]
+                    row[lead:lead + d] = [-f[c] for f in table.form]
+                    kernel.append(row)
+            key = primitive_rref(kernel)
+            entry = self._dirs.get(key)
+            if entry is None:
+                cols, q = _key_columns(key)
+                entry = self._dirs[key] = _Direction([*cols.values()], q,
+                                                     [*map(tuple, table.form)],
+                                                     table.echelon, table.stab)
+            xs = [0] * self.dm
+            xs[lead:lead + d] = table.off
+            res = ([xs], table.oden)
+            at = (entry, self.label(entry, res))
+            if at in seen:
+                continue  # a translate of an earlier plane
+            seen.add(at)
+            accepted.append(SingularClass(len(accepted), level, entry.stab, entry, res, table))
+            if len(accepted) > self.max_classes:
+                raise ResourceCapExceeded(
+                    f"level {level}, pair (the whole space, input plane {i}): "
+                    f"{len(accepted)} classes at the level, more than the cap of "
+                    f"{self.max_classes}")
+        return accepted
 
     def enumerate_arrangement(self) -> Arrangement:
         """All global orbit classes, level m-1 down to 0, and the classes

@@ -2,16 +2,19 @@
 the field values of the engine's integer records."""
 
 import itertools
+import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from patcoh.catalog import F5, TAU, icosahedral_star
-from patcoh.field import dot, res_mul, restrict_scalars
+from patcoh.field import FElem, FieldSpec, dot, res_mul, restrict_scalars, theta_powers
 from patcoh.invariants import InternalConsistencyError, binom
 from patcoh.linalg import (IntLattice, clear_denominators, hnf, int_det, integer_kernel,
-                           left_annihilator, primitive_rref, remainder, rref, snf)
-from patcoh.model import Hyperplane, canonical_hyperplane
+                           left_annihilator, minor_gcd, primitive_rref, remainder, rref, snf)
+from patcoh.model import Hyperplane, ParseError, PlaneRecord, PlaneTable, canonical_hyperplane
+from patcoh.orbits import SingularClass
 
 
 def scalar_matrix(lam):
@@ -384,3 +387,82 @@ def mixed_solve(a_rows, b_rows, c, k):
     gens = [tuple(v[i][j] for i in range(k)) for j in range(rank, k)]
     lat = lattice_from_rows(k, gens)
     return Coset(lattice_reduce(lat, x0), lat)
+
+
+def field_parse_rat(s):
+    """A rational string's value by `Fraction`'s route alone, with the
+    parser's messages: the oracle of the parser's integer reading."""
+    if not isinstance(s, str):
+        raise ParseError(f"rational must be a string 'p/q' or 'p', got {s!r}")
+    try:
+        if "e" in s or "E" in s:  # Fraction would build 10**exponent
+            raise ValueError("no exponent allowed")
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational {s!r}: {exc}") from exc
+
+
+def field_parse(text):
+    """(field, m, generators, planes, name) of a valid input text by the
+    field route: each coordinate a `Fraction`, each element an `FElem`, and
+    each plane canonicalized by field arithmetic."""
+    doc = json.loads(text)
+    fspec = FieldSpec(doc["field"]["D"])
+
+    def elem(obj):
+        obj = [obj] if isinstance(obj, str) else obj
+        b = field_parse_rat(obj[1]) if len(obj) == 2 else Fraction(0)
+        return FElem(field_parse_rat(obj[0]), b, fspec)
+
+    gens = tuple(tuple(map(elem, g)) for g in doc["generators"])
+    planes = tuple(field_canonical_hyperplane(Hyperplane(tuple(map(elem, p["normal"])),
+                                                         elem(p.get("offset", ["0"]))))
+                   for p in doc["hyperplanes"])
+    return fspec, doc["dim"], gens, planes, doc.get("name", "")
+
+
+def field_record(h):
+    """The `PlaneRecord` of a canonical plane given by field values: its
+    normal and offset restricted and cleared together."""
+    (xs,), den = clear_denominators([restrict_scalars((*h.normal, h.offset))])
+    d = h.offset.field.degree
+    return PlaneRecord(tuple(xs[:-d]), tuple(xs[-d:]), den)
+
+
+def field_plane_table(h, gen_ints):
+    """The `PlaneTable` of a plane given by field values: its normal and
+    offset restricted and cleared apart, the form res(theta^l nu_k) of the
+    cleared normal at column (k, l), g the minor gcd of the dots' Hermite
+    rows, and the echelon and stabilizer by routes of their own: the
+    nonzero Hermite rows of the dots, and the Smith-form `mixed_solve`
+    kernel of their columns."""
+    fspec = h.offset.field
+    d, powers = fspec.degree, theta_powers(fspec)
+    (nu,), qn = clear_denominators([restrict_scalars(h.normal)])
+    form = [*zip(*(res_mul(t, nu[c:c + d], fspec) for c in range(0, len(nu), d) for t in powers))]
+    gens, qg = gen_ints
+    dots = [[sum(map(operator.mul, f, g)) for f in form] for g in gens]
+    (off,), oden = clear_denominators([restrict_scalars((h.offset,))])
+    rows = hnf(dots)
+    echelon = [(next(j for j, x in enumerate(row) if x), row) for row in rows if any(row)]
+    stab = mixed_solve([*zip(*dots)], [], [0] * d, len(gens)).lattice
+    return PlaneTable(qn * qg, [[qg * x for x in f] for f in form], [*zip(*dots)],
+                      minor_gcd(rows[:d], d), off, oden, echelon, stab)
+
+
+def cut_hyperplane_classes(eng):
+    """The hyperplane classes as the whole space (the identity key's entry,
+    point 0) cut by each input plane's table, in plane order: each cut's
+    one coset rep y = 0 gives the point, and a plane whose point has a
+    label under the cut's entry met before is a translate of an earlier
+    one.  A class keeps the table of its first plane."""
+    space, classes, seen = eng._entry(IntLattice.full(eng.dm).basis), [], set()
+    for table in eng.data.tables:
+        cut = eng.intersect(space, ([[0] * eng.dm], 1), table, 1)
+        res = eng.point(cut, (0,) * eng.n)
+        at = (cut.sub, eng.label(cut.sub, res))
+        if at not in seen:
+            seen.add(at)
+            classes.append(SingularClass(len(classes), eng.m - 1, cut.sub.stab, cut.sub, res,
+                                         table))
+    return classes

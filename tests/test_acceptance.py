@@ -21,7 +21,7 @@ from patcoh.linalg import (
     int_det,
     snf,
 )
-from patcoh.model import Hyperplane, ProjectionData, canonical_hyperplane
+from patcoh.model import Hyperplane, canonical_hyperplane, from_field
 from patcoh.report import canonical_digest, compute_report
 
 from reference import coords_of, field_inverse, lattice_from_rows, lattice_index, mixed_solve
@@ -123,7 +123,7 @@ def _unimodular_gens(data, rng):
         tuple(sum((data.field.elem(u[i][j]) * data.gens[j][c] for j in range(data.n)),
                   data.field.zero) for c in range(data.m))
         for i in range(data.n))
-    return ProjectionData(data.field, data.m, gens, data.planes, data.name)
+    return from_field(data.field, data.m, gens, data.planes, data.name)
 
 
 def _permute_rescale_planes(data, rng):
@@ -134,7 +134,7 @@ def _permute_rescale_planes(data, rng):
             tuple(lam * x for x in h.normal), lam * h.offset))
         for h, lam in ((h, _rand_felem(data.field, rng, nonzero=True))
                        for h in planes))
-    return ProjectionData(data.field, data.m, data.gens, scaled, data.name)
+    return from_field(data.field, data.m, data.gens, scaled, data.name)
 
 
 def _gl_map(data, rng):
@@ -160,7 +160,7 @@ def _gl_map(data, rng):
             tuple(dot(h.normal, tuple(r[j] for r in tinv)) for j in range(m)),
             h.offset))
         for h in data.planes)
-    return ProjectionData(data.field, m, gens, planes, data.name)
+    return from_field(data.field, m, gens, planes, data.name)
 
 
 def _inject_duplicate_plane(data, rng):
@@ -171,7 +171,7 @@ def _inject_duplicate_plane(data, rng):
         if yi:
             shift = shift + data.field.elem(yi) * dot(h.normal, g)
     extra = canonical_hyperplane(Hyperplane(h.normal, h.offset + shift))
-    return ProjectionData(data.field, data.m, data.gens,
+    return from_field(data.field, data.m, data.gens,
                           data.planes + (extra,), data.name)
 
 
@@ -190,7 +190,7 @@ def _translate(data, rng):
         planes = tuple(canonical_hyperplane(Hyperplane(h.normal, h.offset + dot(h.normal, v)))
                        for h in data.planes)
         if all(h.offset for h in planes):
-            return ProjectionData(data.field, data.m, data.gens, planes, data.name)
+            return from_field(data.field, data.m, data.gens, planes, data.name)
 
 
 @pytest.mark.parametrize("name", names() + list(DENSE_M2))

@@ -18,17 +18,17 @@ from patcoh.invariants import (
     rank_formulas,
 )
 from patcoh.linalg import clear_denominators, kernel_top_wedge
-from patcoh.model import (Hyperplane, ProjectionData, canonical_hyperplane, parse_projection_data,
+from patcoh.model import (Hyperplane, canonical_hyperplane, from_field, parse_projection_data,
                           validate)
 from patcoh.orbits import Arrangement, Engine, InfiniteArrangement
 from patcoh.report import canonical_digest, compute_report
-from reference import (entry_of, field_class, field_direction, field_label, field_plane,
-                       field_point, label_incidence, maximal_minors, rank_formulas_by_codimension,
-                       wedge_span_rank_by_minors)
-from test_acceptance import _translate
+from reference import (cut_hyperplane_classes, entry_of, field_class, field_direction,
+                       field_label, field_plane, field_point, label_incidence, maximal_minors,
+                       rank_formulas_by_codimension, wedge_span_rank_by_minors)
+from test_acceptance import _TRANSFORMS, _translate
 from test_cli import tau_lattice_m4
-from test_orbits import (DENSE_M2, INPUT_PLANE_CASES, _ammann_beenker_with, _index_reads_and_cuts,
-                         dense_m2, penrose)
+from test_orbits import (DENSE_M2, INPUT_PLANE_CASES, _ammann_beenker_with, _check_annihilator,
+                         _index_reads_and_cuts, dense_m2, penrose)
 
 
 def test_binom_vanishes_out_of_range():
@@ -325,13 +325,16 @@ def test_incidence_matches_label_scan(make):
 def test_analyze_asks_no_orbit_label(monkeypatch):
     # build_level labels each new point of a level while enumerating, and
     # the accepted classes it starts a parent from (to test that they lie
-    # in the parent); classify_pair labels none; the incidence poset, the
-    # Euler count and the wedges ask the engine for none
-    depth, inside, outside = {"build_level": 0, "classify_pair": 0}, [], []
+    # in the parent); the hyperplane pass labels each input plane's point
+    # once; classify_pair labels none; the incidence poset, the Euler count
+    # and the wedges ask the engine for none
+    depth = {"build_level": 0, "classify_pair": 0, "hyperplane_classes": 0}
+    inside, top, outside = [], [], []
     real_label = Engine.label
 
     def label_spy(self, *args):
-        (inside if depth["build_level"] else outside).append(args)
+        (inside if depth["build_level"] else top if depth["hyperplane_classes"]
+         else outside).append(args)
         assert not depth["classify_pair"]
         return real_label(self, *args)
 
@@ -351,7 +354,7 @@ def test_analyze_asks_no_orbit_label(monkeypatch):
         monkeypatch.setattr(Engine, name, spy(name))
     rep = analyze(build("danzer").data)
     assert rep.H == build("danzer").expected["H"]
-    assert inside and outside == []
+    assert inside and len(top) == len(build("danzer").data.records) and outside == []
 
 
 def test_compute_nu_rejects_bad_stabilizer():
@@ -472,7 +475,7 @@ def dense_m3(D, seed):
             plane = canonical_hyperplane(Hyperplane(normal, field.zero))
             if plane not in planes:
                 planes.append(plane)
-    return ProjectionData(field, 3, gens, tuple(planes), f"m3-{D}-{seed}")
+    return from_field(field, 3, gens, tuple(planes), f"m3-{D}-{seed}")
 
 
 # (L, H) of each dense m = 3 draw, equal to the minors-based wedge's
@@ -535,6 +538,43 @@ _SKIP_CASES = {**{nm: (lambda nm=nm: build(nm).data) for nm in names()},
                   for nm in names() + list(DENSE_M2) for k in range(2)}}
 
 
+def _represented(make, k):
+    """Draw k of the re-presentation kinds of criterion 6, each kind in turn,
+    from the seed of the input's name."""
+    data = make()
+    rng = random.Random(f"represent/{data.name}")
+    for j in range(k + 1):
+        moved = _TRANSFORMS[j % len(_TRANSFORMS)](data, rng)
+    return moved
+
+
+_TOP_CASES = {**_SKIP_CASES, "ammann_beenker": _ammann_beenker_with,
+              **{f"{nm}-represented-{k}": (lambda make=make, k=k: _represented(make, k))
+                 for nm, make in (("danzer", lambda: build("danzer").data),
+                                  ("ammann_beenker", _ammann_beenker_with))
+                 for k in range(2 * len(_TRANSFORMS))}}
+
+
+@pytest.mark.parametrize("name", _TOP_CASES)
+def test_hyperplane_classes_are_the_whole_space_cut(name):
+    # reading each hyperplane class off its plane's table gives the classes
+    # of the whole space cut by every input plane, deduplicated by label in
+    # plane order (a fresh engine, whose entries come from their keys): the
+    # same ids, stabilizers, direction columns, points and tables, on every
+    # catalog entry, the dense m = 2 fixtures, Penrose, the dense m = 3
+    # pool, the inputs moved off the origin and the re-presentations of
+    # Danzer and Ammann-Beenker.  Each entry read off a table passes the
+    # annihilator check
+    data = _TOP_CASES[name]()
+    eng = Engine(data)
+    direct, cut = eng.hyperplane_classes(), cut_hyperplane_classes(Engine(data))
+    assert [(c.id, c.dim, c.stabilizer, c.entry.cols, c.entry.q, c.res, c.plane)
+            for c in direct] == [(c.id, c.dim, c.stabilizer, c.entry.cols, c.entry.q, c.res,
+                                  c.plane) for c in cut]
+    for hc in direct:
+        _check_annihilator(eng, hc.entry)
+
+
 def _conjugate(data):
     """`data` under the Galois conjugation a + b sqrt(D) -> a - b sqrt(D),
     applied to every generator, normal and offset."""
@@ -543,7 +583,7 @@ def _conjugate(data):
 
     planes = tuple(canonical_hyperplane(Hyperplane(bar(h.normal), *bar([h.offset])))
                    for h in data.planes)
-    return ProjectionData(data.field, data.m, tuple(map(bar, data.gens)), planes, data.name)
+    return from_field(data.field, data.m, tuple(map(bar, data.gens)), planes, data.name)
 
 
 @pytest.mark.parametrize("name", [nm for nm in _SKIP_CASES if "-translated-" not in nm])

@@ -1,26 +1,30 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import patcoh.model
+from patcoh.cli import main
 from patcoh.catalog import build, names
-from patcoh.field import quadratic
-from patcoh.linalg import rref
+from patcoh.field import quadratic, restrict_scalars
+from patcoh.linalg import clear_denominators, rref
 from patcoh.model import (
     Finding,
     Hyperplane,
     ParseError,
-    ProjectionData,
     canonical_hyperplane,
+    from_field,
     normal_supports,
     parse_projection_data,
     serialize_projection_data,
     validate,
 )
-from reference import field_canonical_hyperplane, field_normal_supports
+from reference import (field_canonical_hyperplane, field_normal_supports, field_parse,
+                       field_parse_rat, field_plane_table, field_record)
+from test_invariants import _SKIP_CASES, _conjugate
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -211,7 +215,7 @@ def test_validate_invariant_under_plane_permutation():
     data = build("danzer").data
     planes = list(data.planes)
     rng.shuffle(planes)
-    shuffled = type(data)(data.field, data.m, data.gens, tuple(planes), data.name)
+    shuffled = from_field(data.field, data.m, data.gens, tuple(planes), data.name)
     assert validate(shuffled).ok == validate(data).ok
 
 
@@ -268,7 +272,7 @@ def test_decomposable_matches_bipartition_oracle():
         for _ in range(15):
             normals, moved = random_normals(rng, m, irrational)
             planes = tuple(Hyperplane(v, F5.zero) for v in moved)
-            rep = validate(ProjectionData(F5, m, gens, planes, "split"))
+            rep = validate(from_field(F5, m, gens, planes, "split"))
             low = smallest_split(normals, m)
             found = [f.message for f in rep.findings if f.code == "decomposable"]
             if low is None:
@@ -295,7 +299,7 @@ def test_validate_reads_the_normals_off_their_integer_key(monkeypatch):
                      for c in (F5.one, TAU) for i in range(m))
         for _ in range(40):
             normals, moved = random_normals(rng, m, irrational)
-            cases += [ProjectionData(F5, m, gens, tuple(Hyperplane(tuple(v), F5.zero)
+            cases += [from_field(F5, m, gens, tuple(Hyperplane(tuple(v), F5.zero)
                                                         for v in family), "oracle")
                       for family in (normals, moved, moved[:m - 1])]
     codes = set()
@@ -309,3 +313,105 @@ def test_validate_reads_the_normals_off_their_integer_key(monkeypatch):
         codes.update(f.code for f in found)
     assert len(cases) == 7 + 6 * 40 * 3
     assert {"normals_span", "decomposable", "density_assumed"} <= codes
+
+
+# strings the integer reading takes ("3", "-0", "00/04"), and strings that
+# Fraction accepts or refuses in its own way: a sign other than a leading
+# minus, spaces, "_", decimals, Unicode digits ("٣" is one, "²" is a digit
+# to isdigit but not to Fraction), exponents and zero denominators
+RATIONAL_STRINGS = ["3", "-0", "00/04", "12/8", "-6/4", "0/7", "+3", " 1/2 ", "1.5", "1_0",
+                    "٣", "²", "1/0", "0/0", "1/-2", "", "/", "--1", "-", "1/", "/2", "1e3",
+                    "7E1", "-1/3", "3/-0", "4" * 5000, "1/" + "2" * 5000, 3, None]
+
+
+@pytest.mark.parametrize("s", RATIONAL_STRINGS, ids=[repr(x)[:12] for x in RATIONAL_STRINGS])
+def test_parse_rat_is_the_fraction_route(s):
+    # the integer reading gives Fraction's value, in lowest terms with a
+    # positive denominator, or the same ParseError message
+    try:
+        want = field_parse_rat(s)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            patcoh.model._parse_rat(s)
+        assert str(got.value) == str(exc)
+    else:
+        p, q = patcoh.model._parse_rat(s)
+        assert (Fraction(p, q), math.gcd(p, q), q > 0) == (want, 1, True)
+
+
+def _rescaled_text(data, rng):
+    """The schema text of `data` with every plane's equation scaled by a
+    seeded nonzero field element, so parse has planes to canonicalize."""
+    doc = json.loads(serialize_projection_data(data))
+    for plane, h in zip(doc["hyperplanes"], data.planes):
+        lam = data.field.zero
+        while not lam:
+            lam = data.field.elem(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                                  Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        plane["normal"], (plane["offset"],) = (
+            [[str((lam * x).a), str((lam * x).b)] for x in xs] for xs in (h.normal, (h.offset,)))
+    return json.dumps(doc)
+
+
+_PARSE_CASES = {**{nm: make for nm, make in _SKIP_CASES.items() if "-translated-" not in nm},
+                **{f"{nm}-conjugated": (lambda make=make: _conjugate(make()))
+                   for nm, make in _SKIP_CASES.items() if "-translated-" not in nm},
+                **{nm: make for nm, make in _SKIP_CASES.items() if "-translated-" in nm}}
+
+
+@pytest.mark.parametrize("name", _PARSE_CASES)
+def test_parse_matches_the_field_route(name):
+    # every catalog entry, the dense m = 2 fixtures, Penrose, the dense
+    # m = 3 pool, their Galois conjugates and the inputs with planes moved
+    # off the origin, as written and with every plane rescaled: parse's
+    # cleared generators, plane records and tables are those of the field
+    # parse and plane table, and serializing and parsing again gives the
+    # same data
+    data = _PARSE_CASES[name]()
+    rng = random.Random(f"rescale/{name}")
+    for text in (serialize_projection_data(data), _rescaled_text(data, rng)):
+        parsed = parse_projection_data(text)
+        fspec, m, gens, planes, name_ = field_parse(text)
+        gen_ints = clear_denominators([restrict_scalars(g) for g in gens])
+        assert (parsed.field, parsed.m, parsed.name) == (fspec, m, name_)
+        assert ([list(g) for g in parsed.gen_ints[0]], parsed.gen_ints[1]) == gen_ints
+        assert parsed.records == tuple(map(field_record, planes))
+        assert (parsed.gens, parsed.planes) == (gens, planes)
+        assert parsed.tables == tuple(field_plane_table(h, gen_ints) for h in planes)
+        assert parse_projection_data(serialize_projection_data(parsed)) == parsed == data
+
+
+def _big_doc():
+    """1,000 random generators and 33 random planes in a 3-dimensional V."""
+    rng = random.Random("1000 generators")
+
+    def elem():
+        return [str(rng.randint(-9, 9)), str(rng.randint(-9, 9))]
+
+    return {"schema": "patcoh/1", "name": "big", "field": {"kind": "Qsqrt", "D": 5}, "dim": 3,
+            "generators": [[elem() for _ in range(3)] for _ in range(1000)],
+            "hyperplanes": [{"normal": [elem() for _ in range(3)]} for _ in range(33)]}
+
+
+def test_invalid_input_builds_no_plane_table(tmp_path, monkeypatch, capsys):
+    # the normals' supports come off the records, and the tables only serve
+    # the density check, which runs once every other check has passed, so
+    # an input with too many generators and planes is refused with no
+    # table built, and with the findings of building them all
+    calls = []
+    real = patcoh.model.plane_table
+    monkeypatch.setattr(patcoh.model, "plane_table",
+                        lambda *args: calls.append(args) or real(*args))
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_big_doc()))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "error: [gens_dependent] generators are Q-linearly dependent: Gamma is not free of rank n",
+        "error: [too_many_planes] at most 32 hyperplanes supported, got 33",
+        "warning: [nu_not_integral] dim V = 3 does not divide rank Gamma = 1000: "
+        "nu = 1000/3 is not a natural number, so L_0 must be infinite",
+        "warning: [density_assumed] density of Gamma in V is assumed, not verified "
+        "(partial check only)"]
+    assert calls == []
+    fresh = parse_projection_data(serialize_projection_data(build("danzer").data))
+    assert validate(fresh).ok and len(calls) == 6  # the spy sees a valid input's tables

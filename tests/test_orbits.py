@@ -14,22 +14,22 @@ import patcoh.orbits
 from patcoh.catalog import build, names
 from patcoh.field import FElem, dot, quadratic, restrict_scalars
 from patcoh.invariants import analyze
-from patcoh.linalg import (IntLattice, clear_denominators, coset_reps, int_det, primitive_rref,
-                           remainder, rref)
+from patcoh.linalg import (IntLattice, clear_denominators, coset_reps, int_det, integer_kernel,
+                           primitive_rref, remainder, rref)
 from patcoh.model import (
     Hyperplane,
-    ProjectionData,
     canonical_hyperplane,
+    from_field,
     parse_projection_data,
-    plane_table,
     serialize_projection_data,
 )
 from patcoh.orbits import Engine, InfiniteArrangement, ResourceCapExceeded
 from patcoh.report import compute_report
 from reference import (contains, coords_of, cut_shifts, dir_res_cols, entry_of, field_class,
-                       field_direction, field_inverse, field_label, field_plane, field_point,
-                       field_vector, hermite_stabilizer, lattice_from_rows, lattice_index,
-                       mixed_solve, res_of, scalar_matrix, shift_subgroup)
+                       field_direction, field_inverse, field_label, field_plane,
+                       field_plane_table, field_point, field_vector, hermite_stabilizer,
+                       lattice_from_rows, lattice_index, mixed_solve, res_of, scalar_matrix,
+                       shift_subgroup)
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -46,7 +46,7 @@ def gamma_vec(eng, y):
 
 def _cut(eng, direction, point, h):
     """The integer cut of point + span(direction) by the input plane h."""
-    entry, plane = entry_of(eng, direction), plane_table(h, eng.data.gen_ints)
+    entry, plane = entry_of(eng, direction), field_plane_table(h, eng.data.gen_ints)
     return eng.intersect(entry, res_of(point), plane, eng.pair_index(entry.stab, plane))
 
 
@@ -289,7 +289,7 @@ def test_duplicate_translated_plane_changes_nothing():
     h = data.planes[0]
     shift = dot(h.normal, gamma_vec(eng, [1, -2, 0, 3, 0, 1]))
     extra = canonical_hyperplane(Hyperplane(h.normal, h.offset + shift))
-    data2 = ProjectionData(data.field, data.m, data.gens,
+    data2 = from_field(data.field, data.m, data.gens,
                            data.planes + (extra,), data.name)
     assert Engine(data2).enumerate_arrangement().counts() == base
 
@@ -304,7 +304,7 @@ def test_gl_equivariance_danzer():
             tuple(dot(h.normal, tuple(r[j] for r in tinv)) for j in range(3)),
             h.offset))
         for h in data.planes)
-    data2 = ProjectionData(data.field, data.m, gens2, planes2, data.name)
+    data2 = from_field(data.field, data.m, gens2, planes2, data.name)
     arr1 = Engine(data).enumerate_arrangement()
     arr2 = Engine(data2).enumerate_arrangement()
     assert arr1.counts() == arr2.counts()
@@ -337,6 +337,8 @@ def _index_reads_and_cuts(monkeypatch):
 def test_work_shape_of_the_icosahedral_entries(monkeypatch):
     # classified pairs, candidates, index-1 pairs, label calls, classes of
     # analyze and pairs taken without a cut per m = 3 catalog entry, with
+    # the hyperplane classes read off their planes' tables (one label per
+    # plane, and no pair: the whole space is cut by no plane), with
     # each parent starting from the accepted classes inside it (so each
     # unordered pair of hyperplane classes is classified once at level 1),
     # each distinct point of a level labeled once (and, for the start of a
@@ -412,11 +414,11 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
         calls[:] = [0, 0]
         classes = sum(analyze(build(name).data).L)
         found[name] = (*shape, classes, calls[0] - calls[1])
-    assert found == {"danzer": (25, 25, 25, 50, 22, 71),
-                     "ammann_kramer": (108, 153, 83, 280, 93, 687),
-                     "canonical_d6": (123, 193, 103, 370, 117, 733),
-                     "dual_canonical_d6": (142, 247, 107, 534, 155, 1043)}
-    assert [sum(col) for col in zip(*found.values())] == [398, 618, 318, 1234, 387, 2534]
+    assert found == {"danzer": (19, 19, 19, 50, 22, 71),
+                     "ammann_kramer": (93, 138, 68, 280, 93, 687),
+                     "canonical_d6": (107, 177, 87, 370, 117, 733),
+                     "dual_canonical_d6": (127, 232, 92, 534, 155, 1043)}
+    assert [sum(col) for col in zip(*found.values())] == [346, 566, 266, 1234, 387, 2534]
     assert improper == []
 
 
@@ -487,7 +489,7 @@ def test_entry_from_its_key_matches_the_field_rref(fspec):
 
     m = 3
     basis = tuple(tuple(fspec.one if i == j else fspec.zero for j in range(m)) for i in range(m))
-    eng = Engine(ProjectionData(fspec, m, basis, (), "entries"))
+    eng = Engine(from_field(fspec, m, basis, (), "entries"))
     dims = set()
     for _ in range(8):
         for k in range(m + 1):
@@ -632,7 +634,7 @@ def dense_m2(name):
 
 def _translated(data, v):
     """data with every plane moved by the vector v: offset += <nu, v>."""
-    return ProjectionData(data.field, data.m, data.gens,
+    return from_field(data.field, data.m, data.gens,
                           tuple(Hyperplane(h.normal, h.offset + dot(h.normal, v))
                                 for h in data.planes), data.name)
 
@@ -675,7 +677,7 @@ def _random_planes(fspec, seed):
 
     gens = tuple(tuple(elem() for _ in range(2)) for _ in range(4))
     planes = tuple(Hyperplane((elem() or fspec.one, elem()), elem()) for _ in range(5))
-    return ProjectionData(fspec, 2, gens, planes, f"random-{fspec!r}")
+    return from_field(fspec, 2, gens, planes, f"random-{fspec!r}")
 
 
 @pytest.mark.parametrize("make", [*INPUT_PLANE_CASES.values(), _ammann_beenker_with,
@@ -687,15 +689,17 @@ def test_plane_table_matches_the_scalar_matrix_reference(make):
     # den and form against the closed-form scalar matrices of the normal's
     # coordinates (den <nu, x> = form res(x)), cols against field dot
     # products with the generators, g against the minors and the offset
-    # against its restriction; the data's own tables and cleared generators
-    # are these, in plane order
+    # against its restriction; the data's own tables, read off its plane
+    # records, and its cleared generators are the field route's, in plane
+    # order
     data = make()
     gen_ints = clear_denominators([restrict_scalars(g) for g in data.gens])
     gens, qg = gen_ints
     d = data.field.degree
-    assert data.gen_ints == gen_ints and len(data.tables) == len(data.planes)
+    assert ([list(g) for g in data.gen_ints[0]], data.gen_ints[1]) == gen_ints
+    assert len(data.tables) == len(data.planes)
     for h, own in zip(data.planes, data.tables):
-        table = plane_table(h, gen_ints)
+        table = field_plane_table(h, gen_ints)
         assert own == table
         form, den = clear_denominators([sum(rows, ())
                                         for rows in zip(*map(scalar_matrix, h.normal))])
@@ -720,16 +724,16 @@ def test_one_plane_table_per_input_plane(make, monkeypatch):
     data, calls = make(), []
     real = patcoh.model.plane_table
 
-    def spy(h, gen_ints):
-        calls.append(h)
-        return real(h, gen_ints)
+    def spy(rec, gen_ints, fspec):
+        calls.append(rec)
+        return real(rec, gen_ints, fspec)
 
     for module in (patcoh.model, patcoh.orbits, patcoh.invariants):
         if getattr(module, "plane_table", None) is real:
             monkeypatch.setattr(module, "plane_table", spy)
     doc, code = compute_report(data, dump_arrangement=True)
     assert (code, doc["status"]) == (0, "finite")
-    assert calls == list(data.planes)
+    assert calls == list(data.records)
 
 
 def _stabilizer_sum(eng, parent, hc, cache):
@@ -803,8 +807,8 @@ def test_candidate_keys_are_labels_of_their_points(name, monkeypatch):
     for level, parent, hc in _enumeration_pairs(eng, arr):
         point = tuple(x + _rand_felem(rng, eng.fspec) for x in field_point(eng, parent.res))
         normal, offset = field_plane(eng, hc)
-        moved = plane_table(Hyperplane(normal, offset + _rand_felem(rng, eng.fspec)),
-                            eng.data.gen_ints)
+        moved = field_plane_table(Hyperplane(normal, offset + _rand_felem(rng, eng.fspec)),
+                                  eng.data.gen_ints)
         eng.build_level([dataclasses.replace(parent, res=res_of(point))],
                         [dataclasses.replace(hc, plane=moved)], level)
     keys = []
@@ -872,7 +876,7 @@ def test_intersect_is_the_field_cut(fspec):
                             for _ in range(fspec.degree)))
 
     m, n = 3, 3 * fspec.degree + 1
-    data = ProjectionData(fspec, m, tuple(tuple(elem() for _ in range(m)) for _ in range(n)),
+    data = from_field(fspec, m, tuple(tuple(elem() for _ in range(m)) for _ in range(n)),
                           (), "cuts")
     eng = Engine(data)
     proper = 0
@@ -890,7 +894,7 @@ def test_intersect_is_the_field_cut(fspec):
             continue
         proper += 1
         w = next(u for u in rows if dot(h.normal, u))
-        a, den = dot(h.normal, w), plane_table(h, eng.data.gen_ints).den
+        a, den = dot(h.normal, w), field_plane_table(h, eng.data.gen_ints).den
         assert field_vector(eng, cut.wq, cut.q) == w
         assert field_vector(eng, cut.inv, cut.lcd)[0] * fspec.elem(den) * a == fspec.one
         sub = field_direction(eng, cut.sub)
@@ -930,7 +934,7 @@ def test_annihilator_read_off_the_key(fspec):
 
     m = 3
     gens = tuple(tuple(elem() for _ in range(m)) for _ in range(2 * m))
-    eng = Engine(ProjectionData(fspec, m, gens, (), "annihilators"))
+    eng = Engine(from_field(fspec, m, gens, (), "annihilators"))
     dims = set()
     for _ in range(12):
         for k in range(m + 1):
@@ -946,9 +950,10 @@ def test_annihilator_read_off_the_key(fspec):
 def test_annihilator_of_every_entry_met(name, monkeypatch):
     # every direction entry that analyze builds on the m = 3 entries,
     # Ammann-Beenker, Penrose and the dense m = 2 fixtures, checked as it
-    # is built
-    met = []
-    real = Engine._entry
+    # is built: each cut's from its key, and each hyperplane class's from
+    # its plane's table
+    met, planes = [], []
+    real, real_top = Engine._entry, Engine.hyperplane_classes
 
     def spy(self, key):
         fresh = key not in self._dirs
@@ -958,9 +963,17 @@ def test_annihilator_of_every_entry_met(name, monkeypatch):
             met.append(entry)
         return entry
 
+    def top_spy(self):
+        top = real_top(self)
+        for hc in top:
+            _check_annihilator(self, hc.entry)
+            planes.append(hc.entry)
+        return top
+
     monkeypatch.setattr(Engine, "_entry", spy)
+    monkeypatch.setattr(Engine, "hyperplane_classes", top_spy)
     assert analyze(_PAIR_CASES[name]()).finite
-    assert len(met) > 1
+    assert met and planes and not set(map(id, planes)) & set(map(id, met))
 
 
 @pytest.mark.parametrize("name", [*_PAIR_CASES, "danzer_relative"])
@@ -971,9 +984,12 @@ def test_classification_subgroup_is_the_sum_of_the_stabilizers(name, monkeypatch
     # cut reads its plane's dots' columns, not a copy, and its coefficients
     # c_i are <normal, g_i> / <normal, w> for the pivot row w; the
     # relative case classifies inside a plane class, whose root hands over
-    # the plane's stabilizer.  The minors decide every index-1 pair, and
-    # the Hermite form runs on the others; Danzer and Penrose have no
-    # other pair
+    # the plane's stabilizer.  The whole space is cut by no plane: each
+    # hyperplane class's stabilizer, which a pair below reads, is the
+    # Hermite kernel of its plane's cols and the Smith-form kernel of its
+    # normal's field values on the generators.  The minors decide every
+    # index-1 pair, and the Hermite form runs on the others; Danzer and
+    # Penrose have no other pair
     relative = name == "danzer_relative"
     eng = Engine(build("danzer").data if relative else _PAIR_CASES[name]())
     pairs, kernels = [], []
@@ -1006,8 +1022,15 @@ def test_classification_subgroup_is_the_sum_of_the_stabilizers(name, monkeypatch
         assert h == shift_subgroup(eng, cut), (level, parent.id, hc.id)
         assert h == _stabilizer_sum(eng, parent, hc, cache), (level, parent.id, hc.id)
     roots = {parent.stabilizer.basis for (parent, _, _, _), _ in pairs
-             if parent.id == -1 or relative and parent is plane}
-    assert roots == {plane.stabilizer.basis if relative else eng.full.basis}
+             if relative and parent is plane}
+    assert roots == ({plane.stabilizer.basis} if relative else set())
+    assert pairs and all(parent.dim < eng.m for (parent, _, _, _), _ in pairs)
+    for hc in arr.levels[eng.m - 1]:
+        normal, _ = field_plane(eng, hc)
+        dots = _res_matrix([restrict_scalars((dot(normal, g),)) for g in eng.data.gens],
+                           eng.delta)
+        assert hc.stabilizer == integer_kernel([*zip(*hc.plane.cols)], eng.delta)[1]
+        assert hc.stabilizer == mixed_solve(dots, [], [0] * eng.delta, eng.n).lattice, hc.id
     formed = {h != eng.full for _, h in pairs}
     assert formed == ({False} if name in ("danzer", "danzer_relative", "penrose")
                       else {False, True})
@@ -1065,7 +1088,8 @@ def test_plane_image_below_full_rank_takes_the_form(monkeypatch):
     # = 0, x = 0) and (y = 0, x = 1/2) by the form, since a plane with
     # minor gcd 0 gives no index to compare with the classes below; it
     # takes the pair (x = 1/2, y = 0) without a cut, as its index 1 counts
-    # the class with both bits; x = 0 and x = 1/2 do not meet
+    # the class with both bits; x = 0 and x = 1/2 do not meet.  The lines
+    # themselves are read off their tables, with no pair
     doc = {"schema": "patcoh/1", "name": "rational_x", "field": {"kind": "Qsqrt", "D": 2},
            "dim": 2, "generators": [[["1"], ["0"]], [["0"], ["1"]], [["0"], ["0", "1"]]],
            "hyperplanes": [{"normal": [["1"], ["0"]]}, {"normal": [["0"], ["1"]]},
@@ -1088,8 +1112,7 @@ def test_plane_image_below_full_rank_takes_the_form(monkeypatch):
                         lambda *args: kernels.append(args) or real_kernel(*args))
     assert eng.enumerate_arrangement().counts() == [2, 3]
     assert sorted(pairs, key=lambda pair: pair[:2]) == [
-        (0, False, 1, 0, eng.full), (0, True, 0, 1, eng.full), (0, True, 0, 1, eng.full),
-        (1, False, 1, 0, eng.full), (1, True, 0, 1, eng.full), (1, True, 0, 1, eng.full)]
+        (0, False, 1, 0, eng.full), (0, True, 0, 1, eng.full), (0, True, 0, 1, eng.full)]
 
 
 def test_resource_cap_fires_before_listing_cosets(monkeypatch):

@@ -196,22 +196,27 @@ def _attributes(node) -> set:
 def test_validate_pairs_normals_in_integers():
     # the density check and the engine's hyperplane pass read the same
     # integer pairing tables, the data's `tables`, and neither builds one
-    # or takes a field dot product; the normals' rank and supports come off
-    # the integer key of the tables' forms, so normal_supports restricts,
-    # clears and multiplies nothing again, validate takes no field rref
-    # and model imports none
+    # or takes a field dot product; the density check reads each plane's
+    # rank off its table, so validate takes one rank, the generators'; the
+    # normals' rank and supports come off the integer key of the records'
+    # forms, with no generator, so normal_supports reads no table and
+    # restricts, clears and multiplies nothing itself; validate takes no
+    # field rref and model imports none
     tree = ast.parse(Path(patcoh.model.__file__).read_text())
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    called = {ast.unparse(c.func) for c in ast.walk(funcs["validate"]) if isinstance(c, ast.Call)}
+    calls = [ast.unparse(c.func) for c in ast.walk(funcs["validate"]) if isinstance(c, ast.Call)]
+    called = set(calls)
     assert "data.tables" in _attributes(funcs["validate"])
     assert not {"plane_table", "dot", "clear_denominators"} & called
+    assert calls.count("rat_rank") == 1
     assert "self.data.tables" in _attributes(_engine_method("hyperplane_classes"))
     assert "plane_table" not in _engine_calls("hyperplane_classes")
     supports = {ast.unparse(c.func) for c in ast.walk(funcs["normal_supports"])
                 if isinstance(c, ast.Call)}
-    assert "data.tables" in _attributes(funcs["normal_supports"])
-    assert "primitive_rref" in supports
-    assert not {"restrict_scalars", "clear_denominators", "res_mul"} & supports
+    attributes = _attributes(funcs["normal_supports"])
+    assert "data.records" in attributes and "data.tables" not in attributes
+    assert {"primitive_rref", "_form"} <= supports
+    assert not {"restrict_scalars", "clear_denominators", "res_mul", "plane_table"} & supports
     called |= supports
     assert "normal_supports" in called
     assert not {f for f in called if f.split(".")[-1] in ("rref", "inverse")}
@@ -302,9 +307,11 @@ def test_no_rational_field_branch():
 
 
 def test_only_projection_data_derives_the_integer_form():
-    # an input's cleared generators and plane tables are built in one place,
-    # the data's lazily built `gen_ints` and `tables`: no other code calls
-    # plane_table or clears the generators
+    # an input's integer form is built in one place per source: parse and
+    # from_field clear the generators and make each plane's record, and
+    # canonical_hyperplane makes the record it views; the plane tables are
+    # the data's lazily built `tables`.  No other code calls plane_table,
+    # clears rationals or makes a record
     sites = []
     for name, tree in _package_trees():
         owner = {}
@@ -316,12 +323,16 @@ def test_only_projection_data_derives_the_integer_form():
             if not isinstance(node, ast.Call):
                 continue
             func = ast.unparse(node.func).split(".")[-1]
-            clears_gens = func == "clear_denominators" and any(
-                isinstance(n, ast.Attribute) and n.attr == "gens" for n in ast.walk(node))
-            if func == "plane_table" or clears_gens:
+            if func in ("plane_table", "_clear", "_plane_record", "clear_denominators"):
                 sites.append((name, owner.get(node), func))
-    assert sorted(sites) == [("model.py", "ProjectionData", "clear_denominators"),
-                             ("model.py", "ProjectionData", "plane_table")]
+    assert sorted(sites) == [("linalg.py", "rat_rank", "clear_denominators"),
+                             ("model.py", "ProjectionData", "plane_table"),
+                             ("model.py", "_plane_record", "_clear"),
+                             ("model.py", "canonical_hyperplane", "_plane_record"),
+                             ("model.py", "from_field", "_clear"),
+                             ("model.py", "from_field", "_plane_record"),
+                             ("model.py", "parse_projection_data", "_clear"),
+                             ("model.py", "parse_projection_data", "_plane_record")]
 
 
 def test_levels_cut_from_what_each_class_carries():

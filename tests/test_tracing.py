@@ -44,7 +44,7 @@ def test_tracer_wraps_every_name_and_tags_each_level():
                for _, attr, _, _ in spans.ENGINE_METHODS)
     build_idx = tracer.name_of["orbits.build_level"]
     tags = {tag for idx, tag in zip(tracer.name_idx, tracer.tag) if idx == build_idx}
-    assert tags == {0, 1, 2}
+    assert tags == {0, 1}  # the hyperplane classes are read off their tables
     summary, _ = tracer.summary()
-    assert summary["orbits.classify_pair"]["calls"] == 25
+    assert summary["orbits.classify_pair"]["calls"] == 19
     assert summary["orbits.level0"]["total_s"] > 0
