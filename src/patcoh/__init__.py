@@ -6,7 +6,7 @@ singular subspaces and evaluates closed formulas for the ranks of the
 pattern cohomology and K-groups.
 """
 
-from .catalog import build, names
+from .catalog import axis_normals, build, icosahedral_star, names
 from .field import FElem, FieldSpec, quadratic, restrict_scalars
 from .invariants import InvariantReport, analyze, k_ranks, rank_formulas
 from .model import (
@@ -32,11 +32,13 @@ __all__ = [
     "ProjectionData",
     "SingularClass",
     "analyze",
+    "axis_normals",
     "build",
     "canonical_digest",
     "canonical_hyperplane",
     "compute_report",
     "from_field",
+    "icosahedral_star",
     "k_ranks",
     "names",
     "parse_projection_data",

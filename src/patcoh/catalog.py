@@ -4,22 +4,22 @@ validation fixtures.  Golden expectations are attached where known."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .field import FElem, dot, quadratic
-from .model import Hyperplane, ProjectionData, canonical_hyperplane, from_field
+from .model import (Hyperplane, PlaneRecord, ProjectionData, from_field, gen_ints_of,
+                    hyperplane_of, record_of)
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")       # golden ratio (1+sqrt5)/2
 SIGMA = TAU.conj()                # (1-sqrt5)/2
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     description: str
     data: ProjectionData
-    expected: dict = dc_field(default_factory=dict)
+    expected: dict
 
 
 def icosahedral_star() -> tuple[tuple[FElem, ...], ...]:
@@ -37,19 +37,15 @@ def icosahedral_star() -> tuple[tuple[FElem, ...], ...]:
     )
 
 
-def _dedup_lines(vectors) -> list[tuple[FElem, ...]]:
-    """Distinct lines through the origin, one canonical normal each."""
-    seen: dict = {}
-    for v in vectors:
-        h = canonical_hyperplane(Hyperplane(tuple(v), F5.zero))
-        if h.normal not in seen:
-            seen[h.normal] = h.normal
-    return list(seen.values())
+def _lines(vectors) -> list[PlaneRecord]:
+    """Distinct lines through the origin, as the records of the planes
+    through 0 normal to them, in order of each line's first vector."""
+    return list(dict.fromkeys(record_of(Hyperplane(tuple(v), F5.zero)) for v in vectors))
 
 
-def axis_normals(kind: str) -> list[tuple[FElem, ...]]:
-    """Normals of the lattice planes perpendicular to the icosahedral
-    2-fold, 3-fold, or 5-fold axes, as canonical line representatives.
+def axis_planes(kind: str) -> list[PlaneRecord]:
+    """Records of the lattice planes perpendicular to the icosahedral
+    2-fold, 3-fold, or 5-fold axes, one per axis line.
 
     The physical star v_i = conj(w_i) holds one of each antipodal pair of
     icosahedron vertices, and a vertex pairs to tau = |v|^2 / sqrt5 with its
@@ -59,18 +55,18 @@ def axis_normals(kind: str) -> list[tuple[FElem, ...]]:
     and its 3-fold axis is conj(w_i + s_ij w_j + s_ik w_k)."""
     w = icosahedral_star()
     if kind == "five_fold":
-        return _dedup_lines(w)
+        return _lines(w)
     if kind == "two_fold":
         vecs = []
         for i, j in itertools.combinations(range(6), 2):
             vecs.append(tuple(a + b for a, b in zip(w[i], w[j])))
             vecs.append(tuple(a - b for a, b in zip(w[i], w[j])))
-        return _dedup_lines(vecs)
+        return _lines(vecs)
     if kind == "three_fold":
         v = [tuple(x.conj() for x in wi) for wi in w]  # physical star
         s = {(i, j): 1 if dot(v[i], v[j]) == TAU else -1
              for i, j in itertools.combinations(range(6), 2)}
-        return _dedup_lines(
+        return _lines(
             [a + (b if s[i, j] > 0 else -b) + (c if s[i, k] > 0 else -c)
              for a, b, c in zip(w[i], w[j], w[k])]
             for i, j, k in itertools.combinations(range(6), 3)
@@ -78,8 +74,15 @@ def axis_normals(kind: str) -> list[tuple[FElem, ...]]:
     raise ValueError(f"unknown axis kind {kind!r}")
 
 
+def axis_normals(kind: str) -> list[tuple[FElem, ...]]:
+    """The canonical normals of `axis_planes(kind)` as field vectors: with
+    `icosahedral_star` and `from_field`, they build further icosahedral
+    inputs."""
+    return [hyperplane_of(rec, F5).normal for rec in axis_planes(kind)]
+
+
 def _planes(normals) -> tuple[Hyperplane, ...]:
-    """Planes through the origin with the given canonical normals."""
+    """Planes through the origin with the given normals."""
     return tuple(Hyperplane(tuple(nrm), F5.zero) for nrm in normals)
 
 
@@ -108,37 +111,37 @@ def _entries() -> dict[str, CatalogEntry]:
         "fibonacci", "Fibonacci chain: Z + tau*Z in a one-dimensional internal space",
         fib, {"H": [1, 2], "L": [1], "e": 1, "K": (2, 1)})
 
-    star = icosahedral_star()
-    two = axis_normals("two_fold")
-    three = axis_normals("three_fold")
-    five = axis_normals("five_fold")
-    d6 = _d6_generators()
+    # each generator set is cleared once and each axis plane canonicalized
+    # once, and the entries share them
+    star, d6 = gen_ints_of(icosahedral_star()), gen_ints_of(_d6_generators())
+    two, three, five = (tuple(axis_planes(kind))
+                        for kind in ("two_fold", "three_fold", "five_fold"))
 
     out["ammann_kramer"] = CatalogEntry(
         "ammann_kramer",
         "canonical projection of Z^6; singular planes normal to the 2-fold axes",
-        from_field(F5, 3, star, _planes(two), "ammann_kramer"),
+        ProjectionData(F5, 3, star, two, "ammann_kramer"),
         {"H": [1, 12, 71, 180], "L": [32, 46, 15], "e": 120,
          "tilde_L1": 74, "R": [69, 9], "K": (192, 72)})
 
     out["canonical_d6"] = CatalogEntry(
         "canonical_d6",
         "canonical D6 tiling; singular planes normal to the 3- and 5-fold axes",
-        from_field(F5, 3, d6, _planes(three + five), "canonical_d6"),
+        ProjectionData(F5, 3, d6, three + five, "canonical_d6"),
         {"H": [1, 13, 72, 205], "L": [56, 45, 16], "e": 145,
          "tilde_L1": 75, "R": [73, 9]})
 
     out["dual_canonical_d6"] = CatalogEntry(
         "dual_canonical_d6",
         "dual canonical D6 tiling; singular planes normal to the 2-fold axes",
-        from_field(F5, 3, d6, _planes(two), "dual_canonical_d6"),
+        ProjectionData(F5, 3, d6, two, "dual_canonical_d6"),
         {"H": [1, 12, 101, 330], "L": [64, 76, 15], "e": 240,
          "tilde_L1": 104, "R": [69, 9]})
 
     out["danzer"] = CatalogEntry(
         "danzer",
         "Danzer tiling; singular planes normal to the 5-fold axes only",
-        from_field(F5, 3, d6, _planes(five), "danzer"),
+        ProjectionData(F5, 3, d6, five, "danzer"),
         {"H": [1, 7, 16, 20], "L": [1, 15, 6], "e": 10,
          "tilde_L1": 15, "R": [33, 5]})
 

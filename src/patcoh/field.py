@@ -12,7 +12,6 @@ integer kernels, wedge ranks) clear denominators and work on plain ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -32,17 +31,26 @@ def _is_squarefree(d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """Coordinate field: a real quadratic field Q(sqrt(D))."""
+    """Coordinate field: a real quadratic field Q(sqrt(D)), equal to
+    another and hashed by its one attribute D."""
 
-    D: int
+    __slots__ = ("D",)
 
-    def __post_init__(self) -> None:
-        if self.D is not None and self.D > MAX_D:
-            raise ValueError(f"D must be at most 2**31 = {MAX_D}, got {self.D}")
-        if self.D is None or not _is_squarefree(self.D):
-            raise ValueError(f"D must be a squarefree integer >= 2, got {self.D}")
+    def __init__(self, D: int) -> None:
+        if D is not None and D > MAX_D:
+            raise ValueError(f"D must be at most 2**31 = {MAX_D}, got {D}")
+        if D is None or not _is_squarefree(D):
+            raise ValueError(f"D must be a squarefree integer >= 2, got {D}")
+        self.D = D
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return self.D == other.D
+
+    def __hash__(self) -> int:
+        return hash((self.D,))
 
     @property
     def degree(self) -> int:
@@ -67,13 +75,23 @@ def quadratic(D: int) -> FieldSpec:
     return FieldSpec(D)
 
 
-@dataclass(frozen=True)
 class FElem:
-    """a + b*sqrt(D), components canonical Fractions."""
+    """a + b*sqrt(D), components canonical Fractions a and b over its
+    `field`; equal to another and hashed by (a, b, field).  Not a tuple,
+    whose + and * would be concatenation and repetition."""
 
-    a: Fraction
-    b: Fraction
-    field: FieldSpec
+    __slots__ = ("a", "b", "field")
+
+    def __init__(self, a: Fraction, b: Fraction, field: FieldSpec) -> None:
+        self.a, self.b, self.field = a, b, field
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FElem:
+            return NotImplemented
+        return (self.a, self.b, self.field) == (other.a, other.b, other.field)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.field))
 
     def _check(self, other: FElem) -> None:
         if self.field != other.field:

@@ -11,7 +11,6 @@ cohomology ranks D_p (codimension <= 3) and the K-group ranks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .linalg import kernel_top_wedge, wedge_span_rank
@@ -29,15 +28,11 @@ def binom(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-@dataclass
 class InvariantReport:
-    name: str
-    m: int
-    n: int
-    d: int
-    nu: Fraction
-    finite: bool
-    status: str  # finite | infinite | unsupported_codimension
+    """What `analyze` found for one data set: name, m, n, d, nu, finite and
+    status, given at construction; diagnostics, empty unless L_0 is
+    infinite; and the quantities below, None until computed."""
+
     L: list[int] | None = None          # ascending: L_0 .. L_{m-1}
     tilde_L1: int | None = None
     e: int | None = None
@@ -46,8 +41,14 @@ class InvariantReport:
     D: list[int] | None = None          # D_0 .. D_d
     H: list[int] | None = None          # rank H^0 .. rank H^d
     K: tuple[int, int] | None = None
-    diagnostics: dict = dc_field(default_factory=dict)
     arrangement: Arrangement | None = None  # not serialized
+
+    def __init__(self, name: str, m: int, n: int, d: int, nu: Fraction, finite: bool,
+                 status: str) -> None:
+        self.name, self.m, self.n, self.d, self.nu = name, m, n, d, nu
+        self.finite = finite
+        self.status = status  # finite | infinite | unsupported_codimension
+        self.diagnostics: dict = {}
 
 
 def compute_nu(arrangement: Arrangement) -> int:

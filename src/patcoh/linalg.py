@@ -24,9 +24,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +260,7 @@ def minor_gcd(rows: Sequence[Sequence[int]], d: int) -> int:
 # ---------------------------------------------------------------------------
 # lattices and cosets
 
-@dataclass(frozen=True)
-class IntLattice:
+class IntLattice(NamedTuple):
     """Sublattice of Z^ambient, basis rows Z-independent and in HNF."""
 
     ambient: int

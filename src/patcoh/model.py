@@ -7,9 +7,10 @@ It is held in integers only: the generators cleared once (`gen_ints`) and
 one canonical `PlaneRecord` per plane.  Parsing reads each coordinate of
 the file straight into integer numerators and canonicalizes each plane on
 them (`_plane_record`), taking no field product or inverse and building
-no field element; `from_field` does the same for data given as field
-vectors (the catalog's closed forms).  `gens` and `planes` are read-only
-field views of that integer form.  A data set builds one `PlaneTable` per
+no field element; for data given as field vectors (the catalog's closed
+forms) `gen_ints_of` and `record_of` do the same, and `from_field` calls
+both.  `gens` and `planes` are read-only field views of that integer
+form (`hyperplane_of` views a record).  A data set builds one `PlaneTable` per
 plane from its record, on first use (`tables`), which the density check
 and the engine both read.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -36,8 +36,7 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(NamedTuple):
     """Affine hyperplane {v in V : <normal, v> = offset}."""
 
     normal: tuple[FElem, ...]
@@ -92,34 +91,55 @@ def _field_vector(xs, q: int, fspec: FieldSpec) -> tuple[FElem, ...]:
                  for i in range(0, len(xs), d))
 
 
-def _field_plane(rec: PlaneRecord, fspec: FieldSpec) -> Hyperplane:
-    """The Hyperplane of a record."""
-    return Hyperplane(_field_vector(rec.normal, rec.den, fspec),
-                      _field_vector(rec.offset, rec.den, fspec)[0])
-
-
 def _rats(v) -> list[tuple[int, int]]:
     """The restricted coordinates of a field vector as (p, q) pairs."""
     return [x.as_integer_ratio() for x in restrict_scalars(v)]
 
 
+def record_of(h: Hyperplane) -> PlaneRecord:
+    """The canonical `PlaneRecord` of a plane given as field values."""
+    return _plane_record(_rats((*h.normal, h.offset)), h.offset.field)
+
+
+def hyperplane_of(rec: PlaneRecord, fspec: FieldSpec) -> Hyperplane:
+    """The canonical Hyperplane of a record, in field values."""
+    return Hyperplane(_field_vector(rec.normal, rec.den, fspec),
+                      _field_vector(rec.offset, rec.den, fspec)[0])
+
+
 def canonical_hyperplane(h: Hyperplane) -> Hyperplane:
     """Unique representative of the scalar class (normal, offset): the
     Hyperplane of its `PlaneRecord`.  Idempotent."""
-    fspec = h.offset.field
-    return _field_plane(_plane_record(_rats((*h.normal, h.offset)), fspec), fspec)
+    return hyperplane_of(record_of(h), h.offset.field)
 
 
-@dataclass(frozen=True)
+def gen_ints_of(gens) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """`ProjectionData.gen_ints` of generators given as field vectors."""
+    return _clear([_rats(g) for g in gens])
+
+
 class ProjectionData:
     """An input in integers: gen_ints = (G, q_G), res(g_i) = G_i / q_G with
-    q_G the least common denominator, and one `PlaneRecord` per plane."""
+    q_G the least common denominator, and one `PlaneRecord` per plane.
+    Two data sets are equal, and hash alike, when their field, m,
+    gen_ints, records and name are."""
 
-    field: FieldSpec
-    m: int
-    gen_ints: tuple[tuple[tuple[int, ...], ...], int]
-    records: tuple[PlaneRecord, ...]
-    name: str
+    def __init__(self, field: FieldSpec, m: int,
+                 gen_ints: tuple[tuple[tuple[int, ...], ...], int],
+                 records: tuple[PlaneRecord, ...], name: str) -> None:
+        self.field, self.m, self.gen_ints, self.records, self.name = (
+            field, m, gen_ints, records, name)
+
+    def _key(self) -> tuple:
+        return self.field, self.m, self.gen_ints, self.records, self.name
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not ProjectionData:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def n(self) -> int:
@@ -138,7 +158,7 @@ class ProjectionData:
     @cached_property
     def planes(self) -> tuple[Hyperplane, ...]:
         """The canonical planes as field values, a read-only view of `records`."""
-        return tuple(_field_plane(rec, self.field) for rec in self.records)
+        return tuple(hyperplane_of(rec, self.field) for rec in self.records)
 
     @cached_property
     def tables(self) -> tuple[PlaneTable, ...]:
@@ -148,23 +168,25 @@ class ProjectionData:
 
 def from_field(fspec: FieldSpec, m: int, gens, planes, name: str) -> ProjectionData:
     """The data of generators and `Hyperplane`s given as field vectors:
-    the generators cleared and each plane canonicalized into its record,
-    by the integer route of `parse_projection_data`."""
-    return ProjectionData(fspec, m, _clear([_rats(g) for g in gens]),
-                          tuple(_plane_record(_rats((*h.normal, h.offset)), fspec)
-                                for h in planes), name)
+    the generators cleared (`gen_ints_of`) and each plane canonicalized
+    into its record (`record_of`), by the integer route of
+    `parse_projection_data`."""
+    return ProjectionData(fspec, m, gen_ints_of(gens), tuple(map(record_of, planes)), name)
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
+    """One finding of `validate`; a report lists its fields in this order."""
+
     severity: str  # "error" | "warning"
     code: str
     message: str
 
 
-@dataclass
 class ValidationReport:
-    findings: list[Finding] = dc_field(default_factory=list)
+    """The findings of `validate`, in the order found."""
+
+    def __init__(self) -> None:
+        self.findings: list[Finding] = []
 
     @property
     def ok(self) -> bool:
@@ -372,7 +394,9 @@ def validate(data: ProjectionData) -> ValidationReport:
     n, m = data.n, data.m
     if n <= m:
         rep.add("error", "rank", f"need rank Gamma = {n} > dim V = {m}")
-    if rat_rank(data.gen_ints[0]) != n:
+    # n > delta m generators of a space of Q-dimension delta m are dependent
+    # with no rank taken
+    if n > data.field.degree * m or rat_rank(data.gen_ints[0]) != n:
         rep.add("error", "gens_dependent",
                 "generators are Q-linearly dependent: Gamma is not free of rank n")
     supports = normal_supports(data)

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Sequence
 
 from .field import res_adjugate, res_mul, theta_powers
@@ -77,32 +76,39 @@ class ResourceCapExceeded(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class SingularClass:
-    """One orbit class of singular spaces, in integers: its stabilizer in Z^n,
-    its direction's entry, a point as res = ([X], q), res(point) = X / q, and
-    for a hyperplane class its input plane's `PlaneTable`."""
+    """One orbit class of singular spaces, in integers: its id at its level
+    `dim`, its `stabilizer` in Z^n, its direction's `entry`, a point as res
+    = ([X], q), res(point) = X / q, and for a hyperplane class its input
+    plane's `PlaneTable` (`plane`, else None).  Equal to another, and
+    hashed, by (id, dim, stabilizer) alone."""
 
-    id: int
-    dim: int
-    stabilizer: IntLattice
-    entry: _Direction | None = dc_field(compare=False, repr=False)
-    res: tuple | None = dc_field(compare=False, repr=False)
-    plane: PlaneTable | None = dc_field(default=None, compare=False, repr=False)
+    __slots__ = ("id", "dim", "stabilizer", "entry", "res", "plane")
+
+    def __init__(self, id, dim, stabilizer, entry, res, plane=None):
+        self.id, self.dim, self.stabilizer = id, dim, stabilizer
+        self.entry, self.res, self.plane = entry, res, plane
+
+    def __eq__(self, other) -> bool:
+        return (other.__class__ is SingularClass and self.id == other.id
+                and self.dim == other.dim and self.stabilizer == other.stabilizer)
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.dim, self.stabilizer))
 
 
-@dataclass(eq=False)
 class _Direction:
     """Engine cache entry of one direction, under the key primitive_rref(cols):
     its restricted columns cols / q (column delta j is res(u_j) for the
     field rref rows u_j), rows R spanning its annihilator over Q, and the
-    echelon and kernel of its frame, the lattice R * (Gamma image)."""
+    echelon (Hermite rows (pivot, row)) and kernel `stab` (Gamma cap
+    span(direction) in Z^n) of its frame, the lattice R * (Gamma image).
+    Each entry is equal only to itself."""
 
-    cols: list[list[int]]
-    q: int
-    rows: list[tuple[int, ...]]
-    echelon: list  # Hermite rows (pivot, row) of R * (Gamma image)
-    stab: IntLattice  # Gamma cap span(direction) in Z^n
+    __slots__ = ("cols", "q", "rows", "echelon", "stab")
+
+    def __init__(self, cols, q, rows, echelon, stab):
+        self.cols, self.q, self.rows, self.echelon, self.stab = cols, q, rows, echelon, stab
 
 
 def _key_columns(key) -> tuple[dict[int, list[int]], int]:
@@ -138,12 +144,13 @@ class _Cut(NamedTuple):
     index: int
 
 
-@dataclass
 class Arrangement:
     """The global orbit classes, and the covering relation found with them."""
-    data: ProjectionData
-    levels: dict[int, list[SingularClass]]  # keys m-1 .. 0
-    covers: dict = dc_field(default_factory=dict)  # (level, id) -> classes one level down
+
+    def __init__(self, data: ProjectionData, levels: dict[int, list[SingularClass]]) -> None:
+        self.data = data
+        self.levels = levels  # keys m-1 .. 0
+        self.covers: dict = {}  # (level, id) -> classes one level down
 
     def counts(self) -> list[int]:
         """[L_0, L_1, ..., L_{m-1}]."""

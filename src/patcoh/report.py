@@ -3,10 +3,8 @@ and a canonical digest that excludes timing."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
-from dataclasses import asdict
 
 from .invariants import analyze
 from .model import ProjectionData, field_json, validate, vector_json
@@ -77,7 +75,7 @@ def compute_report(data: ProjectionData, dump_arrangement: bool = False,
             result["K"] = rep.K and list(rep.K)
             if dump_arrangement and rep.arrangement is not None:
                 result["arrangement"] = _arrangement_json(rep.arrangement)
-    validation = {"ok": vrep.ok, "findings": [asdict(f) for f in vrep.findings]}
+    validation = {"ok": vrep.ok, "findings": [f._asdict() for f in vrep.findings]}
     doc.update(status=status, validation=validation, **result, timing=timing)
     return doc, _STATUS_EXIT[status]
 
@@ -87,6 +85,8 @@ def canonical_digest(doc: dict) -> str:
 
     Stable across runs, and across presentations of the same data set:
     diagnostics carry witness indices that depend on input ordering."""
+    import hashlib  # only digests need it, and no command takes one
+
     stripped = {k: v for k, v in doc.items() if k not in ("timing", "diagnostics")}
     return hashlib.sha256(
         json.dumps(stripped, sort_keys=False, separators=(",", ":")).encode()

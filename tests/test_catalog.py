@@ -3,6 +3,8 @@ import itertools
 
 import pytest
 
+import patcoh.catalog
+import patcoh.model
 from patcoh.catalog import axis_normals, build, catalog, icosahedral_star, names
 from patcoh.field import dot, quadratic, restrict_scalars
 from patcoh.linalg import rat_rank
@@ -55,6 +57,22 @@ def test_axis_counts():
 @pytest.mark.parametrize("kind", ["two_fold", "three_fold", "five_fold"])
 def test_axis_normals_equal_the_search_in_order(kind):
     assert axis_normals(kind) == searched_axis_normals(kind)
+
+
+def test_catalog_canonicalizes_each_plane_once(monkeypatch):
+    # the 46 axis vectors are deduplicated on their records and the entries
+    # built from those records, which adds only the 6 planes of the other
+    # entries; each of the 5 generator sets (icosahedral star and D6 among
+    # them) is cleared once.  `_plane_record` clears its own rationals
+    records, cleared = [], []
+    real_record, real_clear = patcoh.model._plane_record, patcoh.model._clear
+    monkeypatch.setattr(patcoh.model, "_plane_record",
+                        lambda *args: records.append(args) or real_record(*args))
+    monkeypatch.setattr(patcoh.model, "_clear",
+                        lambda *args: cleared.append(args) or real_clear(*args))
+    monkeypatch.setattr(patcoh.catalog, "_CATALOG", None)
+    assert list(catalog()) == names()
+    assert len(records) == 52 and len(cleared) - len(records) == 5
 
 
 def test_catalog_names_and_build():

@@ -20,7 +20,7 @@ from patcoh.invariants import (
 from patcoh.linalg import clear_denominators, kernel_top_wedge
 from patcoh.model import (Hyperplane, canonical_hyperplane, from_field, parse_projection_data,
                           validate)
-from patcoh.orbits import Arrangement, Engine, InfiniteArrangement
+from patcoh.orbits import Arrangement, Engine, InfiniteArrangement, SingularClass
 from patcoh.report import canonical_digest, compute_report
 from reference import (cut_hyperplane_classes, entry_of, field_class, field_direction,
                        field_label, field_plane, field_point, label_incidence, maximal_minors,
@@ -360,11 +360,11 @@ def test_analyze_asks_no_orbit_label(monkeypatch):
 def test_compute_nu_rejects_bad_stabilizer():
     from patcoh.invariants import compute_nu
     from patcoh.linalg import IntLattice
-    from dataclasses import replace
 
     data = build("fibonacci").data
     arr = Engine(data).enumerate_arrangement()
-    bad = replace(arr.levels[0][0], stabilizer=IntLattice.full(2))
+    cls = arr.levels[0][0]
+    bad = SingularClass(cls.id, cls.dim, IntLattice.full(2), cls.entry, cls.res, cls.plane)
     broken = Arrangement(data, {0: [bad]})
     with pytest.raises(InternalConsistencyError):
         compute_nu(broken)

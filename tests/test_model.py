@@ -397,11 +397,14 @@ def test_invalid_input_builds_no_plane_table(tmp_path, monkeypatch, capsys):
     # the normals' supports come off the records, and the tables only serve
     # the density check, which runs once every other check has passed, so
     # an input with too many generators and planes is refused with no
-    # table built, and with the findings of building them all
-    calls = []
-    real = patcoh.model.plane_table
+    # table built, and with the findings of building them all.  More
+    # generators than delta m are dependent with no rank taken
+    calls, ranks = [], []
+    real, real_rank = patcoh.model.plane_table, patcoh.model.rat_rank
     monkeypatch.setattr(patcoh.model, "plane_table",
                         lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(patcoh.model, "rat_rank",
+                        lambda *args: ranks.append(args) or real_rank(*args))
     path = tmp_path / "big.json"
     path.write_text(json.dumps(_big_doc()))
     assert main(["validate", str(path)]) == 2
@@ -412,6 +415,7 @@ def test_invalid_input_builds_no_plane_table(tmp_path, monkeypatch, capsys):
         "nu = 1000/3 is not a natural number, so L_0 must be infinite",
         "warning: [density_assumed] density of Gamma in V is assumed, not verified "
         "(partial check only)"]
-    assert calls == []
+    assert calls == [] and ranks == []
     fresh = parse_projection_data(serialize_projection_data(build("danzer").data))
-    assert validate(fresh).ok and len(calls) == 6  # the spy sees a valid input's tables
+    # the spies see a valid input's tables and rank
+    assert validate(fresh).ok and len(calls) == 6 and len(ranks) == 1

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -23,7 +22,7 @@ from patcoh.model import (
     parse_projection_data,
     serialize_projection_data,
 )
-from patcoh.orbits import Engine, InfiniteArrangement, ResourceCapExceeded
+from patcoh.orbits import Engine, InfiniteArrangement, ResourceCapExceeded, SingularClass
 from patcoh.report import compute_report
 from reference import (contains, coords_of, cut_shifts, dir_res_cols, entry_of, field_class,
                        field_direction, field_inverse, field_label, field_plane,
@@ -809,8 +808,10 @@ def test_candidate_keys_are_labels_of_their_points(name, monkeypatch):
         normal, offset = field_plane(eng, hc)
         moved = field_plane_table(Hyperplane(normal, offset + _rand_felem(rng, eng.fspec)),
                                   eng.data.gen_ints)
-        eng.build_level([dataclasses.replace(parent, res=res_of(point))],
-                        [dataclasses.replace(hc, plane=moved)], level)
+        eng.build_level([SingularClass(parent.id, parent.dim, parent.stabilizer, parent.entry,
+                                       res_of(point), parent.plane)],
+                        [SingularClass(hc.id, hc.dim, hc.stabilizer, hc.entry, hc.res, moved)],
+                        level)
     keys = []
     for level, parent, hc, cut, points, hsub, classes in pairs:
         (direction, point), (normal, offset) = field_class(eng, parent), field_plane(eng, hc)

@@ -1,6 +1,9 @@
 """Rules on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -234,6 +237,45 @@ def test_invariants_asks_no_label_or_containment():
     assert called and not called & {"label", "contains"}
 
 
+def test_no_dataclasses_and_hashlib_only_in_the_digest():
+    # start-up is most of a small input's run: the value records are named
+    # tuples and slotted classes, not dataclasses, whose import pulls in
+    # `inspect` and whose code generation runs at import, and only
+    # `canonical_digest`, which no command calls, imports hashlib
+    found = []
+    for name, tree in _package_trees():
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    owner.setdefault(node, func.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [(name, owner.get(node), mod) for mod in modules
+                      if mod.split(".")[0] in ("dataclasses", "hashlib")]
+    assert found == [("report.py", "canonical_digest", "hashlib")]
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_hashlib():
+    # a fresh interpreter that imports the command line adds none of these
+    # to what a bare interpreter has loaded
+    env = {**os.environ, "PYTHONPATH": str(Path(patcoh.__file__).resolve().parents[1])}
+
+    def loaded(code):
+        out = subprocess.run([sys.executable, "-c", f"{code}import sys; print(*sys.modules)"],
+                             env=env, capture_output=True, text=True, timeout=60, check=True)
+        return set(out.stdout.split())
+
+    added = loaded("import patcoh.cli; ") - loaded("")
+    assert "patcoh.cli" in added
+    assert not added & {"dataclasses", "inspect", "hashlib"}, added
+
+
 def test_only_analyze_names_engine():
     # analyze builds the engine; every other step of invariants reads the
     # Arrangement that the enumeration hands over
@@ -307,11 +349,12 @@ def test_no_rational_field_branch():
 
 
 def test_only_projection_data_derives_the_integer_form():
-    # an input's integer form is built in one place per source: parse and
-    # from_field clear the generators and make each plane's record, and
-    # canonical_hyperplane makes the record it views; the plane tables are
-    # the data's lazily built `tables`.  No other code calls plane_table,
-    # clears rationals or makes a record
+    # an input's integer form is built in one place per source: parse
+    # clears the generators and makes each plane's record, and for field
+    # values (from_field, canonical_hyperplane and the catalog) gen_ints_of
+    # and record_of do; the plane tables are the data's lazily built
+    # `tables`.  No other code calls plane_table, clears rationals or makes
+    # a record
     sites = []
     for name, tree in _package_trees():
         owner = {}
@@ -328,11 +371,10 @@ def test_only_projection_data_derives_the_integer_form():
     assert sorted(sites) == [("linalg.py", "rat_rank", "clear_denominators"),
                              ("model.py", "ProjectionData", "plane_table"),
                              ("model.py", "_plane_record", "_clear"),
-                             ("model.py", "canonical_hyperplane", "_plane_record"),
-                             ("model.py", "from_field", "_clear"),
-                             ("model.py", "from_field", "_plane_record"),
+                             ("model.py", "gen_ints_of", "_clear"),
                              ("model.py", "parse_projection_data", "_clear"),
-                             ("model.py", "parse_projection_data", "_plane_record")]
+                             ("model.py", "parse_projection_data", "_plane_record"),
+                             ("model.py", "record_of", "_plane_record")]
 
 
 def test_levels_cut_from_what_each_class_carries():
@@ -379,5 +421,5 @@ def test_engine_classifies_under_gamma_only():
     assert takes_group == []
     defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert "_frame" not in defined
-    fields = {n.target.id for n in classes["_Direction"].body if isinstance(n, ast.AnnAssign)}
+    fields = set(patcoh.orbits._Direction.__slots__)
     assert {"echelon", "stab"} <= fields and not fields & {"frames", "vals"}
