@@ -128,35 +128,35 @@ def hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
     Row echelon with positive pivots and entries above each pivot reduced
     into [0, pivot); canonical for the row lattice.  H keeps the shape of M
-    (zero rows at the bottom).
+    (zero rows at the bottom).  Each column is cleared below its pivot row
+    by Euclid on two rows at a time: the first row nonzero there against
+    each later one, until the later one is zero there.
     """
     h = [list(r) for r in rows]
     nrows, r = len(h), 0
     for c in range(len(h[0]) if h else 0):
         if r == nrows:
             break
-        # clear column c below row r by gcd steps
-        while True:
-            nz = [i for i in range(r, nrows) if h[i][c] != 0]
-            if len(nz) <= 1:
-                break
-            p = min(nz, key=lambda i: abs(h[i][c]))
-            for i in nz:
-                if i == p:
-                    continue
-                q = h[i][c] // h[p][c]
-                if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[p])]
-        if not nz:
+        p = next((i for i in range(r, nrows) if h[i][c]), None)
+        if p is None:
             continue
-        p = nz[0]
-        h[r], h[p] = h[p], h[r]
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
+        a, h[p] = h[p], h[r]
+        for i in range(p + 1, nrows):
+            b = h[i]
+            while b[c]:
+                q = b[c] // a[c]
+                if q:
+                    b = [y - q * x for x, y in zip(a, b)]
+                if b[c]:
+                    a, b = b, a
+            h[i] = b
+        if a[c] < 0:
+            a = [-x for x in a]
+        h[r] = a
         for i in range(r):
-            q = h[i][c] // h[r][c]
+            q = h[i][c] // a[c]
             if q:
-                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                h[i] = [x - q * y for x, y in zip(h[i], a)]
         r += 1
     return h
 

@@ -12,35 +12,29 @@ Each direction has one cached entry under the integer key
 `primitive_rref` of its cleared restricted columns: the columns, rows R
 spanning their annihilator over Q, and the one frame R * (Gamma image),
 whose echelon labels reduce by and whose kernel is the stabilizer.  A
-cut's sub-direction reads its entry off the key (`Engine._entry`); a
 plane's direction takes its table's form as R and its table's Hermite
-form as the frame.  A cut finds its sub-direction's key from integers, so
-the engine does no field elimination.  A pair's classification subgroup (its
-index counts the pair's classes; a rank deficiency, infinitely many) is
-the sum of the parent's and the plane's stabilizers.  Minors of the
-plane's integer table give its index when the plane's image has full
-rank (`Engine.pair_index`); index 1 is all of Z^n, and any other sum is
-one Hermite form.  A cut is an integer affine map on restricted
+form as the frame; a cut's new direction takes its parent's rows and the
+plane's form as R (`Engine._entry`).  A cut finds its new direction's key
+from integers, so the engine does no field elimination.  A pair's
+classification subgroup (its index counts the pair's classes; a rank
+deficiency, infinitely many) is the sum of the parent's and the plane's
+stabilizers.  Minors of the plane's integer table give its index when the
+plane's image has full rank, for every plane at once per parent
+direction (`Engine.pair_indices`); index 1 is all of Z^n, and any other
+sum is one Hermite form.  A cut is an integer affine map on restricted
 coordinates: each coset representative's point is one integer vector in
 lowest terms (`Engine.point`).  A level labels each distinct point once
 (`Engine.label`), the dedup key, so deduplication is a set lookup, and a
 candidate's class lies one level below.  A pair whose classes its parent
 already holds is not cut: `Engine.build_level` states that rule, on bit
-masks of hyperplane classes and the pair's index.  Each parent starts
-from the classes accepted so far that lie in it: their masks hold all of
-its bits, and below a parent that is not a hyperplane class their label
-under its direction is its own.  At level m-2 both sides of a pair are
-hyperplane classes and the intersections of translates of two planes do
-not depend on their order, so that rule classifies each unordered pair
-once; below it, a class already found in a parent is not cut again to be
-recorded there.  A class is an integer record, and a hyperplane class
-carries its input plane's one integer record (`model.PlaneTable`), so
-the level loop builds no field element: the engine reads the input's
-integer form, its cleared generators and plane tables, off the data
-(`ProjectionData.gen_ints` and `tables`, the tables built once from the
-plane records and read by validation's density check too), and the
-field's product and inverse are `field.res_mul` and `field.res_adjugate`
-on numerators.
+masks of hyperplane classes and the pair's index; each parent starts
+from the classes accepted so far that lie in it, so each unordered pair
+at level m-2 is classified once.  A class is an integer record, and a
+hyperplane class carries its input plane's (`model.PlaneTable`), so the
+level loop builds no field element: the engine reads the input's
+cleared generators and plane tables off the data (`ProjectionData.gen_ints`
+and `tables`), and the field's product and inverse are `field.res_mul`
+and `field.res_adjugate` on numerators.
 """
 
 from __future__ import annotations
@@ -100,7 +94,8 @@ class SingularClass:
 class _Direction:
     """Engine cache entry of one direction, under the key primitive_rref(cols):
     its restricted columns cols / q (column delta j is res(u_j) for the
-    field rref rows u_j), rows R spanning its annihilator over Q, and the
+    field rref rows u_j), rows R spanning its annihilator over Q (a
+    plane's form, or its parent's rows and its plane's form), and the
     echelon (Hermite rows (pivot, row)) and kernel `stab` (Gamma cap
     span(direction) in Z^n) of its frame, the lattice R * (Gamma image).
     Each entry is equal only to itself."""
@@ -130,7 +125,7 @@ class _Cut(NamedTuple):
     as field numerators, dots_i read off the plane's `cols`.  res = (X,
     q_p) is res(p) = X / q_p, and wq = q res(w) is w's column of the
     direction's entry.  sub is the sub-direction's entry (found by its
-    integer key), and index the pair's `pair_index`."""
+    integer key), and index the pair's index (`pair_indices`)."""
 
     sub: _Direction
     res: tuple
@@ -176,33 +171,26 @@ class Engine:
 
     # -- directions and orbit labels ------------------------------------------
 
-    def _entry(self, key) -> _Direction:
-        """The direction's cached entry, built from its key the first time.
-
-        The key rows over their pivots are the rref over Q of the restricted
-        columns, res(theta^l u_j), l < delta, for the field rref rows u_j in
-        order (coordinates interleave (a_i, b_i)); cols / q are the key rows
-        over the lcm q of the pivots.  Column j is q at pivot(j) and 0 at the
-        other pivots, so each other coordinate f gives a row q e_f - sum_j
-        cols_j[f] e_pivot(j) that kills every column: these rows R span the
-        annihilator over Q, so ker R = span(direction) and `label` is exact.
-        Each is scaled by the least s that makes its values on the
-        generators res(g_i) = G_i / q_G (the data's `gen_ints`) integral.
-        The frame is one `integer_kernel` of the images R res(g_i), whose
-        kernel {y : R res(gamma(y)) = 0} is Gamma cap span(direction)."""
+    def _entry(self, key, parent: _Direction, plane: PlaneTable) -> _Direction:
+        """The cached entry of the direction with this key, `parent`'s
+        direction cut by the plane of `plane`, built from the two the first
+        time.  cols / q are the key rows over the lcm q of their pivots
+        (`_key_columns`), res(theta^l u_j), l < delta, for the field rref
+        rows u_j.  Its rows R are the parent's followed by the plane's form:
+        the cut is proper, so they are independent and ker R = span(parent)
+        cap plane = span(direction), so `label` is exact.  Their images R
+        res(g_i), res(g_i) = G_i / q_G (`gen_ints`), are the parent's,
+        integral as every entry's rows are on Gamma, and the plane's dots.
+        The frame is one `integer_kernel` of them, whose kernel is Gamma cap
+        span(direction)."""
         entry = self._dirs.get(key)
         if entry is None:
             cols, q = _key_columns(key)
             gens, qg = self.data.gen_ints
-            rows, vals = [], []
-            for f in sorted(set(range(self.dm)) - set(cols)):
-                r = [-cols[i][f] if i in cols else q * (i == f) for i in range(self.dm)]
-                v = [sum(map(operator.mul, r, g)) for g in gens]
-                s = qg // math.gcd(qg, *v)
-                rows.append(tuple(s * ri for ri in r))
-                vals.append(tuple(s * x // qg for x in v))
-            echelon, stab = integer_kernel([[v[i] for v in vals] for i in range(self.n)],
-                                           len(vals))
+            rows = [*parent.rows, *plane.form]
+            echelon, stab = integer_kernel(
+                [[*(sum(map(operator.mul, r, g)) // qg for r in parent.rows), *dots]
+                 for g, dots in zip(gens, zip(*plane.cols))], len(rows))
             entry = self._dirs[key] = _Direction([*cols.values()], q, rows, echelon, stab)
         return entry
 
@@ -237,7 +225,7 @@ class Engine:
         """Cut the parent p + span(entry's direction) by the input plane
         whose `PlaneTable` a hyperplane class carries (`plane`), or None when
         the direction lies in it; res = ([X], q_p) with res(p) = X / q_p.
-        The cut carries `index`, the pair's `pair_index`, which
+        The cut carries `index`, the pair's index (`pair_indices`), which
         `build_level` reads to decide whether to cut at all (its docstring
         has the rule).
 
@@ -246,7 +234,8 @@ class Engine:
         first row with alpha != 0 is the pivot w, 1/a = den q adj(alpha) /
         norm(alpha) by `res_adjugate`, and the sub-direction is spanned by the other rows u_j
         less (alpha_j / alpha) w, alpha_j / alpha = F_j / (lcd q).  Its entry
-        is `_entry` of its key, the `primitive_rref` of the integer columns
+        is `_entry` of its key, built from the parent's entry and the plane
+        the first time; the key is the `primitive_rref` of the integer columns
         lcd q cols[delta j + l] - sum_i res(theta^l F_j)_i cols[delta pivot +
         i], l < delta.  The form also gives <normal, p> for c0 = (offset -
         <normal, p>)/a, over s = q_p oden."""
@@ -266,7 +255,8 @@ class Engine:
             [lcd * q * x - sum(map(operator.mul, t, ys)) for x, *ys in zip(col, *pcols)]
             for j, f in enumerate(ratios) if j != pivot
             for col, t in zip(cols[d * j: d * j + d],
-                              [res_mul(e, f, fspec) for e in self._theta_powers])]))
+                              [res_mul(e, f, fspec) for e in self._theta_powers])]),
+                          entry, plane)
         (xs,), qp = res
         nu_p = [sum(map(operator.mul, f, xs)) for f in plane.form]
         c0 = res_mul([o * plane.den * qp - plane.oden * e for o, e in zip(plane.off, nu_p)],
@@ -290,17 +280,19 @@ class Engine:
         g = math.gcd(qp * big, *nums)
         return [[x // g for x in nums]], qp * big // g
 
-    def pair_index(self, stab: IntLattice, plane: PlaneTable) -> int:
-        """[Z^n : H] for H = stab + Stab(plane), read off minors, or 0 when
-        they do not decide it.  The plane's `dots` map Z^n onto VG with
-        kernel Stab(plane), so [Z^n : H] is [VG : dots(stab)]: when VG has
-        full rank (g != 0), the `minor_gcd` of the images of stab's rows
+    def pair_indices(self, stab: IntLattice, planes: Sequence[PlaneTable]) -> list[int]:
+        """[Z^n : H] for H = stab + Stab(plane), per plane, read off minors,
+        or 0 when they do not decide it.  A plane's `dots` map Z^n onto VG
+        with kernel Stab(plane), so [Z^n : H] is [VG : dots(stab)]: when VG
+        has full rank (g != 0), the `minor_gcd` of the images of stab's rows
         over g, which is 0 when the images have rank below delta.  With a
-        nonzero index the normal is not 0 on stab, so the pair is proper."""
-        if not plane.g:
-            return 0
-        return minor_gcd([[sum(map(operator.mul, s, col)) for col in plane.cols]
-                          for s in stab.basis], self.delta) // plane.g
+        nonzero index the normal is not 0 on stab, so the pair is proper.
+        The images under every plane's dots are taken in one pass."""
+        d = self.delta
+        images = [[sum(map(operator.mul, s, col)) for plane in planes for col in plane.cols]
+                  for s in stab.basis]
+        return [minor_gcd([v[d * j:d * j + d] for v in images], d) // plane.g if plane.g else 0
+                for j, plane in enumerate(planes)]
 
     def classify_pair(self, parent: SingularClass, hclass: SingularClass, level: int,
                       cut: _Cut):
@@ -311,7 +303,7 @@ class Engine:
         Gamma image + span(sub).  That lattice element lies in span(parent);
         pairing with nu, zero on span(sub), puts y - y' in the plane's
         stabilizer.  So H = Stab(parent) + Stab(hclass) in Z^n.  When the
-        cut's `pair_index` is 1, H = Z^n and the one coset rep is y = 0.
+        cut's index is 1, H = Z^n and the one coset rep is y = 0.
         Otherwise H is the echelon of `integer_kernel` of the parent's
         stabilizer rows modulo the echelon of the plane's stabilizer.  A
         candidate is a coset rep's point, res from `point`.  Returns (the
@@ -354,8 +346,8 @@ class Engine:
         class: a class the pair (parent, hclasses[j]) yields gets the
         parent's bits and bit j.  A parent with bit j lies in a translate of
         hclasses[j], so that pair is not proper and is passed over.  Every
-        other pair is decided in one place: its index is read first
-        (`pair_index`), and when it equals the number of classes below the
+        other pair is decided in one place: its index is read first (off
+        the parent direction's `pair_indices` row), and when it equals the number of classes below the
         parent so far that have bit j, and that number is not 0, the pair
         is not cut, as those classes are all of its classes.  Each such
         beta has a translate beta' in rep(parent) and in some h_j + gamma,
@@ -403,6 +395,9 @@ class Engine:
                 labels[at] = self.label(entry, cls.res)
             return labels[at]
 
+        # the `pair_indices` row of each distinct parent direction entry
+        indices = {e: self.pair_indices(stab, [hc.plane for hc in hclasses])
+                   for e, stab in {p.entry: p.stabilizer for p in parents}.items()}
         on = {} if on is None else on
         for parent in parents:
             mask = on.get((parent.dim, parent.id), 0)
@@ -415,7 +410,7 @@ class Engine:
                 bit = 1 << j
                 if mask & bit:
                     continue  # the parent lies in a translate of the hyperplane
-                index = self.pair_index(parent.stabilizer, hc.plane)
+                index = indices[parent.entry][j]
                 if index and index == sum(on[level, b] >> j & 1 for b in below):
                     continue  # every class of the pair is below already: no cut
                 cut = self.intersect(parent.entry, parent.res, hc.plane, index)
@@ -473,8 +468,7 @@ class Engine:
             entry = self._dirs.get(key)
             if entry is None:
                 cols, q = _key_columns(key)
-                entry = self._dirs[key] = _Direction([*cols.values()], q,
-                                                     [*map(tuple, table.form)],
+                entry = self._dirs[key] = _Direction([*cols.values()], q, table.form,
                                                      table.echelon, table.stab)
             xs = [0] * self.dm
             xs[lead:lead + d] = table.off

@@ -14,7 +14,7 @@ from patcoh.invariants import InternalConsistencyError, binom
 from patcoh.linalg import (IntLattice, clear_denominators, hnf, int_det, integer_kernel,
                            left_annihilator, minor_gcd, primitive_rref, remainder, rref, snf)
 from patcoh.model import Hyperplane, ParseError, PlaneRecord, PlaneTable, canonical_hyperplane
-from patcoh.orbits import SingularClass
+from patcoh.orbits import SingularClass, _Direction, _key_columns
 
 
 def scalar_matrix(lam):
@@ -34,10 +34,36 @@ def dir_res_cols(direction):
             for col in zip(*(r for x in row for r in scalar_matrix(x)))]
 
 
+def key_entry(eng, key):
+    """The engine's entry under a direction's key, built from the key alone
+    when the engine has none, and then shared with it, so the engine keeps
+    one entry per key.  cols / q are the key rows over the lcm q of their
+    pivots.  Column j is q at pivot(j) and 0 at the other pivots, so each
+    other coordinate f gives a row q e_f - sum_j cols_j[f] e_pivot(j) that
+    kills every column: these rows R span the annihilator over Q, so ker R
+    = span(direction).  Each is scaled by the least s that makes its values
+    on the generators res(g_i) = G_i / q_G integral, and the frame is one
+    `integer_kernel` of the images R res(g_i)."""
+    entry = eng._dirs.get(key)
+    if entry is None:
+        cols, q = _key_columns(key)
+        gens, qg = eng.data.gen_ints
+        rows, vals = [], []
+        for f in sorted(set(range(eng.dm)) - set(cols)):
+            r = [-cols[i][f] if i in cols else q * (i == f) for i in range(eng.dm)]
+            v = [sum(map(operator.mul, r, g)) for g in gens]
+            s = qg // math.gcd(qg, *v)
+            rows.append(tuple(s * ri for ri in r))
+            vals.append(tuple(s * x // qg for x in v))
+        echelon, stab = integer_kernel([[v[i] for v in vals] for i in range(eng.n)], len(vals))
+        entry = eng._dirs.setdefault(key, _Direction([*cols.values()], q, rows, echelon, stab))
+    return entry
+
+
 def entry_of(eng, direction):
     """The engine's entry of a field direction, under the key
-    `primitive_rref` of its cleared restricted columns."""
-    return eng._entry(primitive_rref(clear_denominators(dir_res_cols(direction))[0]))
+    `primitive_rref` of its cleared restricted columns (`key_entry`)."""
+    return key_entry(eng, primitive_rref(clear_denominators(dir_res_cols(direction))[0]))
 
 
 def hermite_stabilizer(eng, entry):
@@ -315,6 +341,40 @@ def field_inverse(rows):
     return [tuple(row[m:]) for row in red]
 
 
+def hnf_by_least(rows):
+    """Row-style Hermite normal form by repeated least-entry division: each
+    round takes a row whose entry in the column has the least absolute
+    value and reduces every other row below the pivot row by it."""
+    h = [list(r) for r in rows]
+    nrows, r = len(h), 0
+    for c in range(len(h[0]) if h else 0):
+        if r == nrows:
+            break
+        while True:
+            nz = [i for i in range(r, nrows) if h[i][c] != 0]
+            if len(nz) <= 1:
+                break
+            p = min(nz, key=lambda i: abs(h[i][c]))
+            for i in nz:
+                if i == p:
+                    continue
+                q = h[i][c] // h[p][c]
+                if q:
+                    h[i] = [x - q * y for x, y in zip(h[i], h[p])]
+        if not nz:
+            continue
+        p = nz[0]
+        h[r], h[p] = h[p], h[r]
+        if h[r][c] < 0:
+            h[r] = [-x for x in h[r]]
+        for i in range(r):
+            q = h[i][c] // h[r][c]
+            if q:
+                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+        r += 1
+    return h
+
+
 def lattice_from_rows(ambient, rows):
     """The lattice spanned by integer rows, its basis their nonzero Hermite
     rows."""
@@ -451,12 +511,13 @@ def field_plane_table(h, gen_ints):
 
 
 def cut_hyperplane_classes(eng):
-    """The hyperplane classes as the whole space (the identity key's entry,
-    point 0) cut by each input plane's table, in plane order: each cut's
+    """The hyperplane classes as the whole space (the identity key's
+    `key_entry`, point 0) cut by each input plane's table, in plane order,
+    each cut's entry built from the whole space's and the plane: each cut's
     one coset rep y = 0 gives the point, and a plane whose point has a
     label under the cut's entry met before is a translate of an earlier
     one.  A class keeps the table of its first plane."""
-    space, classes, seen = eng._entry(IntLattice.full(eng.dm).basis), [], set()
+    space, classes, seen = key_entry(eng, IntLattice.full(eng.dm).basis), [], set()
     for table in eng.data.tables:
         cut = eng.intersect(space, ([[0] * eng.dm], 1), table, 1)
         res = eng.point(cut, (0,) * eng.n)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -23,8 +24,8 @@ from patcoh.model import (Hyperplane, canonical_hyperplane, from_field, parse_pr
 from patcoh.orbits import Arrangement, Engine, InfiniteArrangement, SingularClass
 from patcoh.report import canonical_digest, compute_report
 from reference import (cut_hyperplane_classes, entry_of, field_class, field_direction,
-                       field_label, field_plane, field_point, label_incidence, maximal_minors,
-                       rank_formulas_by_codimension, wedge_span_rank_by_minors)
+                       field_label, field_plane, field_point, key_entry, label_incidence,
+                       maximal_minors, rank_formulas_by_codimension, wedge_span_rank_by_minors)
 from test_acceptance import _TRANSFORMS, _translate
 from test_cli import tau_lattice_m4
 from test_orbits import (DENSE_M2, INPUT_PLANE_CASES, _ammann_beenker_with, _check_annihilator,
@@ -559,7 +560,8 @@ _TOP_CASES = {**_SKIP_CASES, "ammann_beenker": _ammann_beenker_with,
 def test_hyperplane_classes_are_the_whole_space_cut(name):
     # reading each hyperplane class off its plane's table gives the classes
     # of the whole space cut by every input plane, deduplicated by label in
-    # plane order (a fresh engine, whose entries come from their keys): the
+    # plane order (a fresh engine: the whole space's entry from its key,
+    # each plane's from that entry and the plane, as a cut builds it): the
     # same ids, stabilizers, direction columns, points and tables, on every
     # catalog entry, the dense m = 2 fixtures, Penrose, the dense m = 3
     # pool, the inputs moved off the origin and the re-presentations of
@@ -573,6 +575,62 @@ def test_hyperplane_classes_are_the_whole_space_cut(name):
                                   c.plane) for c in cut]
     for hc in direct:
         _check_annihilator(eng, hc.entry)
+
+
+_ROUTE_CASES = {**_CARRIED,
+                **{f"m3-{D}-{seed}": (lambda D=D, seed=seed: dense_m3(D, seed))
+                   for D, seed in POOL},
+                **{nm: make for nm, make in _TOP_CASES.items() if "-represented-" in nm}}
+
+
+@pytest.mark.parametrize("name", _ROUTE_CASES)
+def test_entries_by_the_route_match_their_keys(name, monkeypatch):
+    # every direction entry analyze builds from its parent's rows and its
+    # plane's form, on the m = 3 catalog entries, Ammann-Beenker, Penrose,
+    # the dense m = 2 fixtures, the dense m = 3 pool and the
+    # re-presentations of criterion 6, against the entry a fresh engine
+    # reads off the same key alone: the same stabilizer, an annihilator
+    # that passes the check, and labels that split the same points into
+    # the same classes.  The points are a seeded sample of the classes'
+    # points, a nonzero Gamma-translate of each, a copy of each moved by a
+    # seeded offset over 7 and, per entry, a copy moved along a direction
+    # vector of the entry
+    built, real = [], Engine._entry
+
+    def spy(self, key, *args):
+        fresh = key not in self._dirs
+        entry = real(self, key, *args)
+        if fresh:
+            built.append((self, key, entry))
+        return entry
+
+    monkeypatch.setattr(Engine, "_entry", spy)
+    data = _ROUTE_CASES[name]()
+    assert analyze(data).finite
+    monkeypatch.undo()
+    assert built
+    rng = random.Random(f"route/{name}")
+    gens, qg = data.gen_ints
+    classes = [c for cs in Engine(data).enumerate_arrangement().levels.values() for c in cs]
+    points = []
+    for (xs,), q in (c.res for c in rng.sample(classes, min(30, len(classes)))):
+        y = [0] * len(gens)
+        while not any(y):
+            y = [rng.randint(-3, 3) for _ in gens]
+        shift = [sum(yi * g[f] for yi, g in zip(y, gens)) for f in range(len(xs))]
+        points += [([xs], q), ([[x * qg + q * t for x, t in zip(xs, shift)]], q * qg),
+                   ([[7 * x + q * rng.randint(-3, 3) for x in xs]], 7 * q)]
+    fresh = Engine(data)
+    for eng, key, entry in built:
+        by_key = key_entry(fresh, key)
+        assert entry.stab == by_key.stab, key
+        _check_annihilator(eng, entry)
+        moved = [([[x * entry.q + q * c for x, c in zip(xs, col)]], q * entry.q)
+                 for ((xs,), q), col in zip(points, itertools.cycle(entry.cols))]
+        pairs = {(eng.label(entry, res), eng.label(by_key, res)) for res in points + moved}
+        route, keyed = {a for a, _ in pairs}, {b for _, b in pairs}
+        assert len(pairs) == len(route) == len(keyed), key
+        assert 1 < len(route) < len(points), key
 
 
 def _conjugate(data):
@@ -610,7 +668,8 @@ def _check_pairs(eng, levels, top, covers, on):
         labels = {(c.entry, eng.label(c.entry, c.res)): c for c in levels[level]}
         for p in levels[level + 1]:
             for j, h in enumerate(top):
-                cut = eng.intersect(p.entry, p.res, h.plane, eng.pair_index(p.stabilizer, h.plane))
+                cut = eng.intersect(p.entry, p.res, h.plane,
+                                   eng.pair_indices(p.stabilizer, [h.plane])[0])
                 if cut is None:
                     continue
                 sub, points, _ = eng.classify_pair(p, h, level, cut)
@@ -668,7 +727,7 @@ def test_relative_pairs_taken_without_a_cut_have_exactly_their_classes(name, mon
     calls = _index_reads_and_cuts(monkeypatch)
     taken = 0
     for alpha in arr.levels[2] + arr.levels[1]:
-        calls[:] = [0, 0]
+        calls[:] = [0, 0, 0, 0]
         levels, covers, on = {alpha.dim: [alpha]}, {}, {}
         for level in range(alpha.dim - 1, -1, -1):
             levels[level] = eng.build_level(levels[level + 1], top, level=level,

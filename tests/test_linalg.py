@@ -24,8 +24,8 @@ from patcoh.linalg import (
     snf,
     wedge_span_rank,
 )
-from reference import (coords_of, lattice_from_rows, lattice_index, lattice_reduce,
-                       maximal_minors, mixed_solve, wedge_span_rank_by_minors)
+from reference import (coords_of, hnf_by_least, lattice_from_rows, lattice_index,
+                       lattice_reduce, maximal_minors, mixed_solve, wedge_span_rank_by_minors)
 
 F = Fraction
 
@@ -224,6 +224,46 @@ def test_hnf_transform_is_unimodular():
         assert h == hnf(m)
         assert abs(int_det(u)) == 1
         assert int_matmul(u, m) == h
+
+
+def test_hnf_matches_the_least_entry_route():
+    # clearing each column by two-row Euclid gives the form of repeated
+    # least-entry division, on seeded matrices of every shape: [M | I]
+    # shapes, zero rows and columns, negative leads and wide entries
+    rng = random.Random(41)
+    shapes = set()
+    for trial in range(600):
+        zero_row, zero_col, augment, wide = trial % 2, trial // 2 % 2, trial // 4 % 2, trial // 8 % 3
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.randint(-(4, 60, 10**15)[wide], (4, 60, 10**15)[wide])
+              if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(rows)]
+        if zero_row:
+            m[rng.randrange(rows)] = [0] * cols
+        if zero_col:
+            c = rng.randrange(cols)
+            for row in m:
+                row[c] = 0
+        if augment:
+            m = [[*row, *(int(i == j) for j in range(rows))] for i, row in enumerate(m)]
+        lead = next((x for row in m for x in row if x), 0)
+        shapes.add((zero_row, zero_col, augment, wide, lead < 0))
+        assert hnf(m) == hnf_by_least(m), m
+    assert len(shapes) == 48
+    assert hnf([]) == hnf_by_least([]) == []
+
+
+def test_hnf_on_an_icosahedral_pass_matches_the_least_entry_route(monkeypatch):
+    # every Hermite form of one report on each m = 3 catalog entry
+    from patcoh.catalog import build
+    from patcoh.report import compute_report
+    forms = []
+    real_hnf = patcoh.linalg.hnf
+    monkeypatch.setattr(patcoh.linalg, "hnf", lambda rows: forms.append(rows) or real_hnf(rows))
+    for name in ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]:
+        compute_report(build(name).data)
+    assert len(forms) > 200
+    for rows in forms:
+        assert real_hnf(rows) == hnf_by_least(rows), rows
 
 
 def test_snf_examples():

@@ -27,8 +27,8 @@ from patcoh.report import compute_report
 from reference import (contains, coords_of, cut_shifts, dir_res_cols, entry_of, field_class,
                        field_direction, field_inverse, field_label, field_plane,
                        field_plane_table, field_point, field_vector, hermite_stabilizer,
-                       lattice_from_rows, lattice_index, mixed_solve, res_of, scalar_matrix,
-                       shift_subgroup)
+                       key_entry, lattice_from_rows, lattice_index, mixed_solve, res_of,
+                       scalar_matrix, shift_subgroup)
 
 F5 = quadratic(5)
 TAU = F5.elem("1/2", "1/2")
@@ -46,13 +46,13 @@ def gamma_vec(eng, y):
 def _cut(eng, direction, point, h):
     """The integer cut of point + span(direction) by the input plane h."""
     entry, plane = entry_of(eng, direction), field_plane_table(h, eng.data.gen_ints)
-    return eng.intersect(entry, res_of(point), plane, eng.pair_index(entry.stab, plane))
+    return eng.intersect(entry, res_of(point), plane, eng.pair_indices(entry.stab, [plane])[0])
 
 
 def _class_cut(eng, parent, hc):
     """The cut of a class by a hyperplane class, as build_level makes it."""
     return eng.intersect(parent.entry, parent.res, hc.plane,
-                         eng.pair_index(parent.stabilizer, hc.plane))
+                         eng.pair_indices(parent.stabilizer, [hc.plane])[0])
 
 
 def test_intersect_affine_example():
@@ -213,7 +213,7 @@ def _enumeration_pairs(eng, arr):
     """(level, parent, hyperplane class) for every pair the enumeration
     cuts, with the full space as the parent of the top level."""
     top = arr.levels[eng.m - 1]
-    entry = eng._entry(IntLattice.full(eng.dm).basis)
+    entry = key_entry(eng, IntLattice.full(eng.dm).basis)
     space = patcoh.orbits.SingularClass(-1, eng.m, eng.full, entry, ([[0] * eng.dm], 1))
     return [(eng.m - 1, space, hc) for hc in top] + [
         (level, parent, hc) for level in range(eng.m - 1)
@@ -313,29 +313,47 @@ def test_gl_equivariance_danzer():
         assert stabs1 == stabs2
 
 
-def _index_reads_and_cuts(monkeypatch):
-    """Spy on pair_index and intersect: [index reads, cuts] so far.
-    build_level reads each pair's index once and then cuts it or not, so
-    the difference counts the pairs it takes without a cut."""
-    calls = [0, 0]
-    real_index, real_cut = Engine.pair_index, Engine.intersect
+class _ReadRow(list):
+    """A `pair_indices` row that counts each index read off it in reads[0]."""
 
-    def index_spy(self, *args):
-        calls[0] += 1
-        return real_index(self, *args)
+    def __init__(self, row, reads):
+        super().__init__(row)
+        self.reads = reads
+
+    def __getitem__(self, j):
+        self.reads[0] += 1
+        return super().__getitem__(j)
+
+
+def _index_reads_and_cuts(monkeypatch):
+    """Spy on pair_indices and intersect: [index reads, cuts, rows, cells]
+    so far, an index read being one read off a row.  build_level reads
+    each pair's index once and then cuts it or not, so the difference of
+    the first two counts the pairs it takes without a cut."""
+    calls = [0, 0, 0, 0]
+    real_indices, real_cut = Engine.pair_indices, Engine.intersect
+
+    def indices_spy(self, *args):
+        row = real_indices(self, *args)
+        calls[2] += 1
+        calls[3] += len(row)
+        return _ReadRow(row, calls)
 
     def cut_spy(self, *args):
         calls[1] += 1
         return real_cut(self, *args)
 
-    monkeypatch.setattr(Engine, "pair_index", index_spy)
+    monkeypatch.setattr(Engine, "pair_indices", indices_spy)
     monkeypatch.setattr(Engine, "intersect", cut_spy)
     return calls
 
 
 def test_work_shape_of_the_icosahedral_entries(monkeypatch):
-    # classified pairs, candidates, index-1 pairs, label calls, classes of
-    # analyze and pairs taken without a cut per m = 3 catalog entry, with
+    # classified pairs, candidates, index-1 pairs, label calls, direction
+    # entries built (each from its parent's entry and a plane), classes of
+    # analyze, pairs taken without a cut, and the pair-index rows read
+    # (one per distinct parent direction per build_level call) and their
+    # cells per m = 3 catalog entry, with
     # the hyperplane classes read off their planes' tables (one label per
     # plane, and no pair: the whole space is cut by no plane), with
     # each parent starting from the accepted classes inside it (so each
@@ -406,18 +424,26 @@ def test_work_shape_of_the_icosahedral_entries(monkeypatch):
         return cut
 
     monkeypatch.setattr(Engine, "intersect", cut_spy)
+    real_entry = Engine._entry
+
+    def entry_spy(self, key, parent, plane):
+        shape[4] += key not in self._dirs
+        return real_entry(self, key, parent, plane)
+
+    monkeypatch.setattr(Engine, "_entry", entry_spy)
     calls = _index_reads_and_cuts(monkeypatch)
     found = {}
     for name in ["danzer", "ammann_kramer", "canonical_d6", "dual_canonical_d6"]:
-        shape = [0, 0, 0, 0]
-        calls[:] = [0, 0]
+        shape = [0, 0, 0, 0, 0]
+        calls[:] = [0, 0, 0, 0]
         classes = sum(analyze(build(name).data).L)
-        found[name] = (*shape, classes, calls[0] - calls[1])
-    assert found == {"danzer": (19, 19, 19, 50, 22, 71),
-                     "ammann_kramer": (93, 138, 68, 280, 93, 687),
-                     "canonical_d6": (107, 177, 87, 370, 117, 733),
-                     "dual_canonical_d6": (127, 232, 92, 534, 155, 1043)}
-    assert [sum(col) for col in zip(*found.values())] == [346, 566, 266, 1234, 387, 2534]
+        found[name] = (*shape, classes, calls[0] - calls[1], *calls[2:])
+    assert found == {"danzer": (19, 19, 19, 50, 16, 22, 71, 21, 126),
+                     "ammann_kramer": (93, 138, 68, 280, 32, 93, 687, 46, 690),
+                     "canonical_d6": (107, 177, 87, 370, 46, 117, 733, 61, 976),
+                     "dual_canonical_d6": (127, 232, 92, 534, 32, 155, 1043, 46, 690)}
+    assert [sum(col) for col in zip(*found.values())] == [346, 566, 266, 1234, 126, 387, 2534,
+                                                          174, 2482]
     assert improper == []
 
 
@@ -504,7 +530,7 @@ def test_entry_from_its_key_matches_the_field_rref(fspec):
                              for x in range(m)) for ci in change]
             canon = tuple(tuple(r) for r in rref(rows))
             key = primitive_rref(clear_denominators(dir_res_cols(rebased))[0])
-            entry = eng._entry(key)
+            entry = key_entry(eng, key)
             assert field_direction(eng, entry) == canon
             assert (entry.cols, entry.q) == clear_denominators(dir_res_cols(canon))
             dims.add(k)
@@ -951,14 +977,14 @@ def test_annihilator_read_off_the_key(fspec):
 def test_annihilator_of_every_entry_met(name, monkeypatch):
     # every direction entry that analyze builds on the m = 3 entries,
     # Ammann-Beenker, Penrose and the dense m = 2 fixtures, checked as it
-    # is built: each cut's from its key, and each hyperplane class's from
-    # its plane's table
+    # is built: each cut's from its parent's entry and its plane, and each
+    # hyperplane class's from its plane's table
     met, planes = [], []
     real, real_top = Engine._entry, Engine.hyperplane_classes
 
-    def spy(self, key):
+    def spy(self, key, *args):
         fresh = key not in self._dirs
-        entry = real(self, key)
+        entry = real(self, key, *args)
         if fresh:
             _check_annihilator(self, entry)
             met.append(entry)

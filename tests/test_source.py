@@ -15,6 +15,7 @@ import patcoh.invariants
 import patcoh.model
 import patcoh.orbits
 import patcoh.report
+from patcoh.catalog import build
 from test_tracing import _spans_module
 
 
@@ -123,8 +124,8 @@ def test_no_package_function_calls(callee):
 
 
 def test_orbits_takes_each_lattice_from_one_hermite_form():
-    # a direction's annihilator rows are read off its key, so its one
-    # Hermite form is its frame; that frame and each pair read echelon and
+    # a new direction's rows are its parent's and its plane's form, so its
+    # one Hermite form is its frame; that frame and each pair read echelon and
     # kernel off one form through integer_kernel, never a second form of
     # a kernel
     tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
@@ -139,11 +140,16 @@ def test_orbits_takes_each_lattice_from_one_hermite_form():
             if isinstance(c, ast.Call)].count("integer_kernel") == 1
 
 
-def _engine_method(name):
-    """The syntax tree of the Engine method `name`."""
+def _engine_methods():
+    """The syntax tree of each Engine method, by name."""
     tree = ast.parse(Path(patcoh.orbits.__file__).read_text())
     engine = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Engine")
-    return next(n for n in engine.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    return {n.name: n for n in engine.body if isinstance(n, ast.FunctionDef)}
+
+
+def _engine_method(name):
+    """The syntax tree of the Engine method `name`."""
+    return _engine_methods()[name]
 
 
 def _engine_calls(name):
@@ -155,8 +161,8 @@ def test_classify_pair_does_no_field_arithmetic():
     # a candidate's point and its label are integer maps of its coset rep,
     # and a cut finds its sub-direction's entry by an integer key, so a pair takes no
     # field dot product, restriction, scalar matrix, inverse, element or
-    # elimination in intersect or classify_pair; a new entry is read off
-    # its key with none of them either
+    # elimination in intersect or classify_pair; a new entry is built from
+    # its parent's and its plane's integers with none of them either
     for name in ("intersect", "classify_pair", "_entry"):
         called = _engine_calls(name)
         field = {f for f in called if f.split(".")[-1] in (
@@ -165,20 +171,48 @@ def test_classify_pair_does_no_field_arithmetic():
         assert called and field == set(), name
 
 
-def test_one_index_read_per_pair():
-    # build_level reads each pair's index, and decides there whether to
-    # cut the pair; intersect takes that index as a required argument and
-    # reads none itself
+def test_one_index_read_per_pair(monkeypatch):
+    # build_level reads each pair's index off one row of pair_indices per
+    # distinct parent direction, and decides there whether to cut the
+    # pair; intersect takes that index as a required argument and reads
+    # none itself
     sites = []
     for path in sorted(Path(patcoh.__file__).parent.rglob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
             if isinstance(fn, ast.FunctionDef):
                 sites += [(path.name, fn.name) for c in ast.walk(fn) if isinstance(c, ast.Call)
-                          and ast.unparse(c.func).split(".")[-1] == "pair_index"]
+                          and ast.unparse(c.func).split(".")[-1] == "pair_indices"]
     assert sites == [("orbits.py", "build_level")]
-    assert not {"self.pair_index", "minor_gcd"} & _engine_calls("intersect")
+    assert not {"self.pair_indices", "minor_gcd"} & _engine_calls("intersect")
     intersect = _engine_method("intersect").args
     assert not intersect.defaults and intersect.args[-1].arg == "index"
+    Engine = patcoh.orbits.Engine
+    real_level, real_indices, rows, made = Engine.build_level, Engine.pair_indices, [], [0]
+
+    def level_spy(self, parents, hclasses, *args, **kwargs):
+        rows.clear()
+        out = real_level(self, parents, hclasses, *args, **kwargs)
+        # one row at most per distinct parent direction, over every plane
+        entries = {id(p.entry): p.stabilizer for p in parents}
+        assert not Counter(stab for stab, _ in rows) - Counter(entries.values())
+        assert all(planes == [hc.plane for hc in hclasses] for _, planes in rows)
+        made[0] += len(rows)
+        return out
+
+    monkeypatch.setattr(Engine, "build_level", level_spy)
+    monkeypatch.setattr(Engine, "pair_indices", lambda self, stab, planes:
+                        rows.append((stab, planes)) or real_indices(self, stab, planes))
+    for name in ["danzer", "ammann_kramer", "fibonacci"]:
+        patcoh.invariants.analyze(build(name).data)
+    assert made[0]
+
+
+def test_only_entries_read_the_generators():
+    # a new direction's entry takes the parent's images of the generators;
+    # every other lattice question of the engine is asked in the
+    # coordinates of Z^n or of a plane's table
+    readers = {name for name, meth in _engine_methods().items() if "gen_ints" in _uses(meth)}
+    assert readers == {"_entry"}
 
 
 @pytest.mark.parametrize("name", ["point", "_entry", "intersect", "classify_pair",
